@@ -3,7 +3,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast bench bench-smoke bench-all bench-solver bench-e2e \
+.PHONY: test test-fast bench bench-smoke bench-smoke-milp bench-all \
+	bench-solver bench-e2e \
 	bench-prune bench-scaleout bench-calibrate bench-chaos \
 	bench-chaos-smoke bench-kernels bench-service bench-service-smoke \
 	bench-service-net bench-service-net-smoke
@@ -30,6 +31,13 @@ bench:
 # cache store disabled (cold, deterministic, seconds-scale).
 bench-smoke:
 	$(PYTHON) -m repro.bench --campaign smoke --no-store
+
+# The same smoke grids on the paper's MILP planner under a deterministic
+# HiGHS node limit: exercises the MILP campaign path, its cold-batching
+# prewarm and the solver's trial pruning (seconds-scale, cold).
+bench-smoke-milp:
+	$(PYTHON) -m repro.bench --campaign smoke --no-store --backend milp \
+		--node-limit 200
 
 # Every pytest benchmark suite (the pre-campaign `make bench`).
 bench-all:

@@ -4,7 +4,10 @@ Every benchmark regenerates one of the paper's tables or figures and
 prints it in a paper-comparable text format (see EXPERIMENTS.md for
 the side-by-side record).  Output is emitted outside pytest's capture
 so that ``pytest benchmarks/ --benchmark-only`` shows the tables, and
-each table is also appended to ``benchmarks/results/``.
+each table is also archived.  Tables and ``BENCH_*.json`` records land
+in the committed ``benchmarks/results/`` only when ``python -m
+repro.bench`` started the run (it sets ``REPRO_BENCH_RECORD=1``); any
+other pytest run — tier-1 included — writes them to a pytest temp dir.
 
 Scale: benchmarks default to a reduced protocol — the paper's cluster
 shapes and context limits, but smaller global batches and 1-2 measured
@@ -33,6 +36,11 @@ FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 #: stage breakdowns (the numbers land in the bench records even when
 #: off).
 PROFILE = bool(int(os.environ.get("REPRO_BENCH_PROFILE", "0")))
+
+#: Record into the committed ``results/`` — set by ``python -m
+#: repro.bench``; other runs archive to a temp dir (:func:`results_dir`).
+RECORD = bool(int(os.environ.get("REPRO_BENCH_RECORD", "0")))
+
 GLOBAL_BATCH = 512 if FULL else 128
 NUM_ITERATIONS = 3 if FULL else 1
 
@@ -78,6 +86,19 @@ def pytest_collection_modifyitems(config, items):
 #: future PRs can diff the perf trajectory (see BENCH_wallclock.json).
 _WALLCLOCK: dict[str, float] = {}
 
+#: The session's archive directory, stashed by :func:`results_dir`.
+_RESULTS_KEY = pytest.StashKey[pathlib.Path]()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def results_dir(request, tmp_path_factory) -> pathlib.Path:
+    """Where this session's tables and records go: the committed
+    ``results/`` under ``python -m repro.bench``, else a temp dir."""
+    path = RESULTS_DIR if RECORD else tmp_path_factory.mktemp("results")
+    path.mkdir(exist_ok=True)
+    request.config.stash[_RESULTS_KEY] = path
+    return path
+
 
 def pytest_runtest_logreport(report):
     if report.when == "call" and report.passed:
@@ -85,12 +106,12 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _WALLCLOCK:
-        RESULTS_DIR.mkdir(exist_ok=True)
+    results = session.config.stash.get(_RESULTS_KEY, None)
+    if _WALLCLOCK and results is not None:
         # Reduced and REPRO_BENCH_FULL runs use workloads of different
         # size, so each mode keeps its own trajectory file.
         suffix = "_full" if FULL else ""
-        path = RESULTS_DIR / f"BENCH_wallclock{suffix}.json"
+        path = results / f"BENCH_wallclock{suffix}.json"
         merged: dict[str, float] = {}
         if path.exists():
             try:
@@ -102,7 +123,7 @@ def pytest_sessionfinish(session, exitstatus):
 
 
 @pytest.fixture()
-def bench_json(request):
+def bench_json(request, results_dir):
     """Write a benchmark's structured metrics to results/BENCH_<name>.json.
 
     Benchmarks push whatever numbers define their perf contract
@@ -111,9 +132,8 @@ def bench_json(request):
     """
 
     def _write(name: str, payload: dict) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
         record = {"benchmark": request.node.nodeid, "full_protocol": FULL, **payload}
-        with open(RESULTS_DIR / f"BENCH_{name}.json", "w") as f:
+        with open(results_dir / f"BENCH_{name}.json", "w") as f:
             json.dump(record, f, indent=2, sort_keys=True)
             f.write("\n")
 
@@ -121,7 +141,7 @@ def bench_json(request):
 
 
 @pytest.fixture()
-def bench_json_history(request):
+def bench_json_history(request, results_dir):
     """Append a benchmark's metrics to results/BENCH_<name>.json.
 
     Unlike :func:`bench_json` (which overwrites), this keeps a
@@ -134,7 +154,7 @@ def bench_json_history(request):
 
     def _append(name: str, payload: dict) -> None:
         append_history(
-            RESULTS_DIR / f"BENCH_{name}.json",
+            results_dir / f"BENCH_{name}.json",
             [
                 {
                     "benchmark": request.node.nodeid,
@@ -148,13 +168,12 @@ def bench_json_history(request):
 
 
 @pytest.fixture()
-def emit(capsys, request):
+def emit(capsys, request, results_dir):
     """Print a report table bypassing capture, and archive it."""
 
     def _emit(text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
         name = request.node.name.replace("/", "_")
-        with open(RESULTS_DIR / f"{name}.txt", "w") as f:
+        with open(results_dir / f"{name}.txt", "w") as f:
             f.write(text + "\n")
         with capsys.disabled():
             print(f"\n{text}\n")

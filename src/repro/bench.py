@@ -354,6 +354,13 @@ def _run_campaign(args: argparse.Namespace) -> int:
                     f"[{campaign.name}] epoch {epoch} solve stages: "
                     f"{breakdown}"
                 )
+                pruning = result.pruning
+                print(
+                    f"[{campaign.name}] epoch {epoch} trial pruning: "
+                    f"{pruning['trials']} trials / "
+                    f"{pruning['microbatches']} micro-batches dropped "
+                    f"unplanned"
+                )
                 for t in result.sweep.worker_telemetry:
                     stages = ", ".join(
                         f"{stage} {seconds:.3f}s"
@@ -1412,6 +1419,11 @@ def main(argv: list[str] | None = None) -> int:
 
     import pytest
 
+    # Benchmark tables and BENCH_*.json records land in the committed
+    # benchmarks/results/ only for runs this CLI starts (see
+    # benchmarks/conftest.py RECORD); a plain pytest run archives to a
+    # temp dir instead.
+    os.environ["REPRO_BENCH_RECORD"] = "1"
     selector = argv[0] if argv else "solver_throughput"
     bench_dir = _benchmarks_dir()
     if selector == "all":

@@ -712,6 +712,58 @@ def plan_makespan(model: CostModel, plan: MicroBatchPlan) -> float:
     return max(model.time_with_overheads(g.lengths, g.degree) for g in plan.groups)
 
 
+def makespan_lower_bound(
+    model: CostModel, lengths: tuple[int, ...] | list[int]
+) -> float:
+    """A certified lower bound on the predicted makespan of any plan
+    either planner backend can return for one micro-batch.
+
+    Two closed-form bounds, of which the larger is returned:
+
+    * *Single sequence.*  Every sequence runs in a group of some degree
+      it fits at alone, and a group's time only grows with its
+      members, so ``C >= max_k min_d time_with_overheads([s_k], d)``.
+    * *GPU area.*  A degree-``d`` group's compute branch is at least
+      ``beta1 + exposed gather + sum_k w(d, s_k)`` (``w`` the Eq. 18
+      coefficient; ``beta2`` dropped).  Weighting each group by its
+      degree and using ``sum d <= N`` gives
+      ``C >= beta1 + exposed gather + sum_k min_d d w(d, s_k) / N``.
+
+    The degrees a sequence may take are those :meth:`CostModel.fits`
+    allows, widened by the planners' per-degree token caps so float
+    rounding at the memory boundary can only loosen the bound.  Returns
+    ``+inf`` where both planners must reject the shape: more tokens
+    than the cluster holds, or a sequence that fits no degree.
+    Pure arithmetic over the cost table — no planner runs.
+    """
+    lengths = tuple(int(s) for s in lengths)
+    if not lengths:
+        raise ValueError("cannot bound an empty micro-batch")
+    table = cost_table(model)
+    if (
+        table.activation_budget <= 0
+        or sum(lengths) > model.cluster_token_capacity()
+    ):
+        return float("inf")
+    s = np.asarray(lengths, dtype=np.float64)[:, None]
+    degrees = table.degree_arr[None, :]
+    # CostModel.fits, elementwise (same IEEE ops as the scalar check).
+    memory = s / degrees * table.memory_per_token + table.model_state_bytes
+    allowed = (memory <= model.memory_budget) | (s <= table.token_caps[None, :])
+    if not allowed.any(axis=1).all():
+        return float("inf")
+    work = table.work_terms(s)
+    alone = table.group_times(
+        work, s, np.arange(len(table.degrees))[None, :]
+    )
+    single = float(np.where(allowed, alone, np.inf).min(axis=1).max())
+    # d * w(d, s) = alpha1 s^2 + alpha2 s + d * comm_per_token(d) * s.
+    area_terms = work + degrees * table.comm_per_token[None, :] * s
+    area = float(np.where(allowed, area_terms, np.inf).min(axis=1).sum())
+    area = table.beta1 + table.exposed_gather + area / model.cluster.num_gpus
+    return max(single, area)
+
+
 def plan_microbatch(
     lengths: tuple[int, ...] | list[int],
     model: CostModel,

@@ -25,11 +25,28 @@ S4.3, plus this repo's cross-trial reuse):
   across ``solve()`` calls; the cost model (and its vectorized
   :class:`~repro.cost.model.CostTable`) is shipped once per worker via
   the pool initializer instead of once per task.
+* **Trial pruning.** Before any MILP runs, each trial gets a lower
+  bound — the sum of its micro-batches'
+  :func:`~repro.core.planner.makespan_lower_bound` — and an upper
+  bound — the sum of its micro-batches' cached predictions, or greedy
+  LPT predictions for uncached ones.  A trial whose lower bound
+  exceeds the lowest trial upper bound (with a ``1e-9`` relative
+  margin for float rounding) is dropped unplanned.  Pruning is exact:
+  ``plan_microbatch`` never returns a plan worse than its greedy
+  incumbent, so a dropped trial's exact total is strictly above the
+  winner's, and the surviving trials yield the bit-identical plan.  It
+  runs only for ``backend="milp"`` with the planner's
+  ``greedy_incumbent`` (the guarantee needs the incumbent); greedy LPT
+  costs a fraction of a HiGHS solve, so the greedy backend plans every
+  trial as before.  :meth:`FlexSPSolver.pending_shapes` applies the
+  same step, and :meth:`FlexSPSolver.is_warm` decides warmth from the
+  bounds and cached predictions alone, without running a planner.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import pickle
 import threading
@@ -52,7 +69,12 @@ from repro.core.plan_cache import (
     cache_context,
     canonical_shape,
 )
-from repro.core.planner import PlanInfeasibleError, PlannerConfig, plan_microbatch
+from repro.core.planner import (
+    PlanInfeasibleError,
+    PlannerConfig,
+    makespan_lower_bound,
+    plan_microbatch,
+)
 from repro.core.planner_greedy import plan_microbatch_greedy
 from repro.core.types import (
     IterationPlan,
@@ -67,6 +89,22 @@ _BACKENDS = {
     "milp": plan_microbatch,
     "greedy": plan_microbatch_greedy,
 }
+
+#: Relative slack of the trial-pruning test: a trial is dropped only
+#: when its summed lower bounds exceed the best trial upper bound by
+#: more than float rounding in the sums could explain.
+_PRUNE_MARGIN = 1.0 + 1e-9
+
+
+def _predicted(entry) -> float:
+    """A planning outcome's predicted seconds (``inf`` if infeasible)."""
+    return math.inf if entry is INFEASIBLE else entry[1]
+
+
+def _as_batch(batch: SequenceBatch | tuple[int, ...]) -> SequenceBatch:
+    if isinstance(batch, SequenceBatch):
+        return batch
+    return SequenceBatch(lengths=tuple(batch))
 
 
 @dataclass(frozen=True)
@@ -547,6 +585,10 @@ class FlexSPSolver:
         )
         self._service = service
         self._service_owned = service is None
+        #: Whether solves run the trial-pruning step (module docstring).
+        self._prunes = (
+            self.config.backend == "milp" and self.config.planner.greedy_incumbent
+        )
         # solve() may be called from several threads at once (the
         # pipeline prefetches with a thread pool); the cache locks
         # internally, but lazy service creation and the blast memo
@@ -626,29 +668,29 @@ class FlexSPSolver:
         every cold cell for its pending shapes up front, dedups them
         across cells *at planner-call granularity*, and dispatches the
         union in sorted-shape order (see ``SweepRunner``).  Pure
-        inspection — no planning happens, and the cache is probed
+        inspection — nothing is stored, and the cache is probed
         without touching its hit/miss counters or LRU order, so a
         later ``solve()`` reports the same statistics it would have
-        cold.  Returns sorted shapes ((length count, lengths) order —
-        the order that maximises MILP skeleton reuse, which is keyed
-        on bucket/degree structure).  Without a plan cache there is
-        nothing to seed, so the result is empty.
+        cold.  Trials the pruning step drops contribute no shapes (for
+        their upper bounds the step may run the greedy planner on
+        uncached shapes, exactly as the cold solve would).  Returns
+        sorted shapes ((length count, lengths) order — the order that
+        maximises MILP skeleton reuse, which is keyed on bucket/degree
+        structure).  Without a plan cache there is nothing to seed, so
+        the result is empty.
         """
         if self.cache is None:
             return []
-        if not isinstance(batch, SequenceBatch):
-            batch = SequenceBatch(lengths=tuple(batch))
-        __, trial_shapes = self._trial_shapes(batch)
+        __, keys = self._trial_keys(_as_batch(batch))
         missing: set[tuple[int, ...]] = set()
-        for shapes in trial_shapes:
-            if shapes is None:
+        for shapes, live in zip(keys, self._live_trials(keys)):
+            if not live:
                 continue
             for shape in shapes:
-                canonical = canonical_shape(shape)
-                if canonical in missing:
+                if shape in missing:
                     continue
-                if self.cache.peek((canonical, self._context)) is None:
-                    missing.add(canonical)
+                if self.cache.peek((shape, self._context)) is None:
+                    missing.add(shape)
         return sorted(missing, key=lambda s: (len(s), s))
 
     def is_warm(self, batch: SequenceBatch | tuple[int, ...]) -> bool:
@@ -660,10 +702,116 @@ class FlexSPSolver:
         can classify a request as warm/cold at admission time without
         perturbing the statistics the eventual solve will report.
         Always False without a plan cache: every solve plans afresh.
+
+        Runs no planner, even where solves prune trials: a batch is
+        warm when every trial the best fully cached trial's exact
+        total does not prune is fully cached itself.  That equals
+        ``not pending_shapes(batch)``: if no shape is pending, the
+        trial with the lowest upper bound is fully cached, so its exact
+        total is the lowest upper bound and prunes the same trials.
         """
         if self.cache is None:
             return False
-        return not self.pending_shapes(batch)
+        if not self._prunes:
+            return not self.pending_shapes(batch)
+        __, keys = self._trial_keys(_as_batch(batch))
+        lower, exact = self._trial_bounds(keys)
+        best = min((t for t in exact if t is not None), default=math.inf)
+        return all(
+            exact[i] is not None
+            for i, shapes in enumerate(keys)
+            if shapes is not None and lower[i] <= _PRUNE_MARGIN * best
+        )
+
+    def _trial_keys(
+        self, batch: SequenceBatch
+    ) -> tuple[list[int], list[list[tuple[int, ...]] | None]]:
+        """:meth:`_trial_shapes` with every micro-batch as the planner
+        receives it: canonical (the cache key) when caching, else raw."""
+        trials, trial_shapes = self._trial_shapes(batch)
+        if self.cache is None:
+            return trials, trial_shapes
+        return trials, [
+            None if shapes is None else [canonical_shape(s) for s in shapes]
+            for shapes in trial_shapes
+        ]
+
+    def _trial_bounds(
+        self, keys: list[list[tuple[int, ...]] | None]
+    ) -> tuple[list[float], list[float | None]]:
+        """Per trial: the summed makespan lower bounds, and the exact
+        total when every micro-batch is cached (``inf`` when one is
+        cached infeasible; None while any is uncached)."""
+        bounds: dict[tuple[int, ...], float] = {}
+        lower: list[float] = []
+        exact: list[float | None] = []
+        for shapes in keys:
+            if shapes is None:
+                lower.append(math.inf)
+                exact.append(None)
+                continue
+            low = 0.0
+            total: float | None = 0.0
+            for shape in shapes:
+                bound = bounds.get(shape)
+                if bound is None:
+                    bound = bounds[shape] = makespan_lower_bound(
+                        self.model, shape
+                    )
+                low += bound
+                if total is not None:
+                    entry = self._peek(shape)
+                    total = None if entry is None else total + _predicted(entry)
+            lower.append(low)
+            exact.append(total)
+        return lower, exact
+
+    def _peek(self, shape: tuple[int, ...]):
+        """The cached entry for a planner-ready shape, side-effect free."""
+        if self.cache is None:
+            return None
+        return self.cache.peek((shape, self._context))
+
+    def _live_trials(
+        self, keys: list[list[tuple[int, ...]] | None]
+    ) -> list[bool]:
+        """The trial-pruning step: which trials :meth:`solve` plans.
+
+        A trial is dropped when its summed lower bounds exceed
+        ``_PRUNE_MARGIN`` times the lowest trial upper bound (module
+        docstring).  A fully cached trial's upper bound is its exact
+        total; any other trial sums cached predictions and greedy LPT
+        predictions of its uncached shapes.  Greedy runs only for
+        trials the best upper bound so far does not already prune —
+        never the trial holding the lowest upper bound, whose own lower
+        bound is below it — so the result equals bounding every trial.
+        Slots that cannot split the batch (None) are never live.
+        """
+        live = [shapes is not None for shapes in keys]
+        if not self._prunes or sum(live) < 2:
+            return live
+        lower, exact = self._trial_bounds(keys)
+        upper = min((t for t in exact if t is not None), default=math.inf)
+        greedy: dict[tuple[int, ...], object] = {}
+        for shapes, low, cached_total in zip(keys, lower, exact):
+            if shapes is None or cached_total is not None:
+                continue
+            if low > _PRUNE_MARGIN * upper:
+                continue
+            total = 0.0
+            for shape in shapes:
+                entry = self._peek(shape) or greedy.get(shape)
+                if entry is None:
+                    try:
+                        entry = plan_microbatch_greedy(
+                            shape, self.model, self.config.planner
+                        )
+                    except PlanInfeasibleError:
+                        entry = INFEASIBLE
+                    greedy[shape] = entry
+                total += _predicted(entry)
+            upper = min(upper, total)
+        return [ok and low <= _PRUNE_MARGIN * upper for ok, low in zip(live, lower)]
 
     def plan_shapes_cold(
         self, shapes: list[tuple[int, ...]]
@@ -698,39 +846,44 @@ class FlexSPSolver:
                 e.g. a sequence larger than the whole cluster's memory.
         """
         started = time.perf_counter()
-        if not isinstance(batch, SequenceBatch):
-            batch = SequenceBatch(lengths=tuple(batch))
+        batch = _as_batch(batch)
         # The stage frame wraps the blaster DP as well as the planner
         # calls so kernel-tier attribution covers both (stage *seconds*
         # themselves only ever come from the planners).
         with stage_timing.collect() as stages:
-            trials, trial_shapes = self._trial_shapes(batch)
+            trials, keys = self._trial_keys(batch)
 
-            # Resolve shapes.  With the cache enabled, shapes are
-            # canonicalized and deduplicated (within the solve and
-            # against prior solves); with it disabled, every occurrence
-            # is planned from scratch — the faithful pre-cache
-            # reference path.  Each trial keeps a slot per micro-batch:
-            # a cache key when caching, else an index into the planning
-            # list.
+            # Resolve the live trials' shapes.  With the cache enabled,
+            # shapes are canonicalized and deduplicated (within the
+            # solve and against prior solves); with it disabled, every
+            # occurrence is planned from scratch — the faithful
+            # pre-cache reference path.  Each trial keeps a slot per
+            # micro-batch: a cache key when caching, else an index into
+            # the planning list.  Pruned trials are never resolved.
             resolved: dict[tuple, object] = {}
             to_plan: list[tuple[int, ...]] = []
             trial_slots: list[list[object] | None] = []
             cache_hits = 0
             dedup_hits = 0
             total_microbatches = 0
-            for shapes in trial_shapes:
-                if shapes is None:
+            pruned_trials = 0
+            pruned_microbatches = 0
+            for shapes, live in zip(keys, self._live_trials(keys)):
+                if shapes is not None:
+                    total_microbatches += len(shapes)
+                if not live:
+                    if shapes is not None:
+                        pruned_trials += 1
+                        pruned_microbatches += len(shapes)
                     trial_slots.append(None)
                     continue
                 slots: list[object] = []
                 for shape in shapes:
-                    total_microbatches += 1
                     if self.cache is None:
                         slots.append(len(to_plan))
                         to_plan.append(shape)
                         continue
-                    key = (canonical_shape(shape), self._context)
+                    key = (shape, self._context)
                     slots.append(key)
                     if key in resolved:
                         dedup_hits += 1
@@ -789,6 +942,8 @@ class FlexSPSolver:
             cache_misses=len(to_plan),
             trials=len(trials),
             microbatches=total_microbatches,
+            pruned_trials=pruned_trials,
+            pruned_microbatches=pruned_microbatches,
             solve_seconds=time.perf_counter() - started,
             **{
                 f"{stage}_seconds": stages.get(stage, 0.0)

@@ -46,9 +46,16 @@ class SolveStats:
         dedup_hits: Duplicate micro-batch shapes within this solve,
             resolved by reuse without a cache lookup or planner call.
         cache_misses: Shapes that required a planner invocation.
-        trials: Micro-batch-count trials attempted.
+        trials: Micro-batch-count trials attempted, pruned ones
+            included.
         microbatches: Total micro-batches across all trials; always
-            ``cache_hits + dedup_hits + cache_misses``.
+            ``cache_hits + dedup_hits + cache_misses +
+            pruned_microbatches``.
+        pruned_trials: Trials the solver's pruning step dropped
+            unplanned, their makespan lower bound being above another
+            trial's upper bound (see :mod:`repro.core.solver`).
+        pruned_microbatches: Micro-batches of the pruned trials; they
+            are neither looked up nor planned.
         solve_seconds: Wall-clock of the solve, when measured.
         enumerate_seconds: Wall-clock spent enumerating/pruning
             candidate layouts, bucketing and building the virtual
@@ -77,6 +84,8 @@ class SolveStats:
     cache_misses: int = 0
     trials: int = 0
     microbatches: int = 0
+    pruned_trials: int = 0
+    pruned_microbatches: int = 0
     solve_seconds: float = 0.0
     enumerate_seconds: float = 0.0
     lpt_seconds: float = 0.0
@@ -102,8 +111,9 @@ class SolveStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of micro-batches that skipped a planner call
-        (served from the plan cache or by intra-solve dedup)."""
+        """Fraction of the resolved (not pruned) micro-batches that
+        skipped a planner call (served from the plan cache or by
+        intra-solve dedup)."""
         reused = self.cache_hits + self.dedup_hits
         total = reused + self.cache_misses
         if total == 0:
@@ -118,6 +128,10 @@ class SolveStats:
             cache_misses=self.cache_misses + other.cache_misses,
             trials=self.trials + other.trials,
             microbatches=self.microbatches + other.microbatches,
+            pruned_trials=self.pruned_trials + other.pruned_trials,
+            pruned_microbatches=(
+                self.pruned_microbatches + other.pruned_microbatches
+            ),
             solve_seconds=self.solve_seconds + other.solve_seconds,
             enumerate_seconds=self.enumerate_seconds + other.enumerate_seconds,
             lpt_seconds=self.lpt_seconds + other.lpt_seconds,

@@ -353,6 +353,13 @@ class CampaignResult:
             return 0.0
         return sum(rates.values()) / len(rates)
 
+    def _unique_metrics(self) -> list[CellMetrics]:
+        """One metrics row per distinct cell of the pass."""
+        unique: dict = {}
+        for cell, m in zip(self.sweep.cells, self.sweep.metrics):
+            unique.setdefault(cell, m)
+        return list(unique.values())
+
     @property
     def stage_seconds(self) -> dict[str, float]:
         """Cold-path planning stage totals (enumerate / lpt /
@@ -361,13 +368,21 @@ class CampaignResult:
         pass, which is where a prewarmed campaign's planning actually
         happens.  Host wall-clock (``--profile`` report)."""
         totals: dict[str, float] = {}
-        unique: dict = {}
-        for cell, m in zip(self.sweep.cells, self.sweep.metrics):
-            unique.setdefault(cell, m)
-        for m in unique.values():
+        for m in self._unique_metrics():
             stage_timing.accumulate(totals, m.stage_seconds)
         stage_timing.accumulate(totals, self.sweep.prewarm_stage_seconds)
         return totals
+
+    @property
+    def pruning(self) -> dict[str, int]:
+        """Trials and micro-batches the solvers' trial-pruning step
+        dropped unplanned, summed over the pass's unique cells (see
+        :class:`~repro.core.types.SolveStats`)."""
+        unique = self._unique_metrics()
+        return {
+            "trials": sum(m.pruned_trials for m in unique),
+            "microbatches": sum(m.pruned_microbatches for m in unique),
+        }
 
     @property
     def total_steals(self) -> int:
@@ -409,6 +424,7 @@ class CampaignResult:
                 stage: round(seconds, 4)
                 for stage, seconds in self.stage_seconds.items()
             },
+            "pruning": self.pruning,
             "prewarm": {
                 "planned_shapes": self.sweep.prewarm_planned,
                 "seconds": round(self.sweep.prewarm_seconds, 4),

@@ -270,6 +270,13 @@ class CellMetrics:
     from :meth:`deterministic`; empty for systems without a solver
     and for prewarmed cells (whose planning happened in the runner's
     cold-batching pass and is accounted there).
+
+    ``pruned_trials`` / ``pruned_microbatches`` sum the cell's
+    :class:`~repro.core.types.SolveStats` trial-pruning counters (trials
+    the MILP solver dropped unplanned).  A warm cache bounds trials
+    more tightly than greedy upper bounds do, so like
+    ``plan_cache_hit_rate`` they depend on what the cache held and
+    stay out of :meth:`deterministic`.
     """
 
     system: str
@@ -285,6 +292,8 @@ class CellMetrics:
     status: str = "ok"
     store_writes: int = 0
     stage_seconds: tuple[tuple[str, float], ...] = ()
+    pruned_trials: int = 0
+    pruned_microbatches: int = 0
 
     def deterministic(self) -> tuple[float, float, float, float]:
         """The wall-clock-free metric tuple used for exact comparisons."""
@@ -337,6 +346,10 @@ def cell_metrics(result: RunResult, cell: SweepCell) -> CellMetrics:
         plan_cache_hit_rate=result.plan_cache_hit_rate,
         checkpointing=cell.workload.checkpointing.value,
         stage_seconds=stage_seconds,
+        pruned_trials=stats.pruned_trials if stats is not None else 0,
+        pruned_microbatches=(
+            stats.pruned_microbatches if stats is not None else 0
+        ),
     )
 
 

@@ -1,5 +1,7 @@
 """Tests for repro.core.serialization: plan wire format and store."""
 
+import json
+
 import pytest
 
 from repro.core.serialization import (
@@ -116,10 +118,35 @@ class TestSolveStatsSerialization:
             ),
             predicted_time=1.25,
             stats=SolveStats(cache_hits=3, cache_misses=1,
-                             trials=2, microbatches=4, solve_seconds=0.5),
+                             trials=2, microbatches=4, pruned_trials=1,
+                             pruned_microbatches=2, solve_seconds=0.5),
         )
         restored = loads(dumps(plan))
         assert restored.stats == plan.stats
+
+    def test_records_without_pruning_counters_still_load(self):
+        """Plans serialized before trial pruning lack its counters; they
+        load with zeros."""
+        from repro.core.types import SolveStats
+
+        plan = IterationPlan(
+            microbatches=(
+                MicroBatchPlan(
+                    groups=(
+                        GroupAssignment(
+                            degree=1, device_ranks=(0,), lengths=(64,)
+                        ),
+                    )
+                ),
+            ),
+            stats=SolveStats(cache_misses=1, trials=1, microbatches=1),
+        )
+        payload = plan_to_dict(plan)
+        del payload["stats"]["pruned_trials"]
+        del payload["stats"]["pruned_microbatches"]
+        restored = loads(json.dumps(payload))
+        assert restored.stats == plan.stats
+        assert restored.stats.pruned_trials == 0
 
     def test_plans_without_stats_stay_stats_free(self):
         plan = IterationPlan(

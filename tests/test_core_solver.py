@@ -2,11 +2,36 @@
 
 import pytest
 
-from repro.core.planner import PlanInfeasibleError, PlannerConfig
-from repro.core.solver import FlexSPSolver, SolverConfig
+from repro.core import solver as solver_module
+from repro.core.blaster import blast_multi
+from repro.core.cache_store import (
+    CacheStore,
+    WorkloadState,
+    context_digest,
+    entries_from_cache,
+    preload_cache,
+)
+from repro.core.plan_cache import canonical_shape
+from repro.core.planner import PlanInfeasibleError, PlannerConfig, plan_microbatch
+from repro.core.planner_greedy import plan_microbatch_greedy
+from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
 from repro.core.types import SequenceBatch
 
 FAST_PLANNER = PlannerConfig(time_limit=0.5, mip_rel_gap=0.05)
+
+#: Deterministic MILP budget for the exact-equality pruning tests.
+NODE_PLANNER = PlannerConfig(node_limit=30)
+
+#: On 16 GPUs the first trial (two micro-batches) overflows the
+#: cluster, the third wins, and pruning drops some trials from two
+#: trials on; one shape recurs across trials.
+MIXED_BATCH = SequenceBatch(
+    lengths=(
+        6484, 27179, 28121, 29192, 688, 19453,
+        7958, 17437, 28801, 9113, 26906, 8854,
+    )
+)
+SMALL_BATCH = SequenceBatch(lengths=(4096, 8192, 2048, 1024, 512, 16384) * 2)
 
 
 def fast_solver(model, **overrides) -> FlexSPSolver:
@@ -239,3 +264,219 @@ class TestStageBreakdown:
             "milp_build": 0.0,
             "milp_solve": 0.0,
         }
+
+
+def _oracle(solver: FlexSPSolver, batch: SequenceBatch, planner=None):
+    """Alg. 1 without pruning: plan every micro-batch of every trial
+    (the shape the solver hands its planner: canonical when caching)
+    and keep the first strictly lowest total."""
+    config = solver.config
+    if planner is None:
+        def planner(shape):
+            return plan_microbatch(shape, solver.model, config.planner)
+    m_min = solver.minimum_microbatches(batch)
+    counts = [
+        m for m in range(m_min, m_min + config.num_trials)
+        if m <= len(batch.lengths)
+    ] or [len(batch.lengths)]
+    blasted = blast_multi(batch, counts, sort=config.sort_sequences)
+    best = None
+    for m in counts:
+        if m not in blasted:
+            continue
+        total, plans = 0.0, []
+        try:
+            for mb in blasted[m]:
+                shape = mb.lengths
+                if config.plan_cache:
+                    shape = canonical_shape(shape)
+                plan, predicted = planner(shape)
+                plans.append(plan)
+                total += predicted
+        except PlanInfeasibleError:
+            continue
+        if best is None or total < best[0]:
+            best = (total, tuple(plans))
+    return best
+
+
+def _assert_invariant(stats):
+    assert stats.microbatches == (
+        stats.cache_hits
+        + stats.dedup_hits
+        + stats.cache_misses
+        + stats.pruned_microbatches
+    )
+
+
+def _recording(monkeypatch):
+    """Record every shape the in-process MILP planner receives."""
+    planned = []
+    real = solver_module._BACKENDS["milp"]
+
+    def record(shape, model, config):
+        planned.append(tuple(shape))
+        return real(shape, model, config)
+
+    monkeypatch.setitem(solver_module._BACKENDS, "milp", record)
+    return planned
+
+
+class TestTrialPruning:
+    """Trial pruning must be invisible in the plans: the pruned solve
+    equals planning every trial."""
+
+    @pytest.mark.parametrize("num_trials", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    def test_matches_unpruned_oracle(self, cost_model16, num_trials, plan_cache):
+        solver = fast_solver(
+            cost_model16,
+            num_trials=num_trials,
+            planner=NODE_PLANNER,
+            plan_cache=plan_cache,
+        )
+        oracle = _oracle(solver, MIXED_BATCH)
+        if oracle is None:
+            with pytest.raises(PlanInfeasibleError):
+                solver.solve(MIXED_BATCH)
+            return
+        plan = solver.solve(MIXED_BATCH)
+        assert (plan.predicted_time, plan.microbatches) == oracle
+        _assert_invariant(plan.stats)
+        assert plan.stats.trials == num_trials
+        assert plan.stats.pruned_trials >= 1
+
+    def test_pooled_client_matches_oracle(self, cost_model16):
+        config = SolverConfig(num_trials=5, planner=NODE_PLANNER)
+        with SolverPool(workers=2) as pool:
+            solver = FlexSPSolver(
+                cost_model16, config, service=pool.client(cost_model16, config)
+            )
+            plan = solver.solve(MIXED_BATCH)
+            assert pool.dispatched == plan.stats.cache_misses > 1
+        assert (plan.predicted_time, plan.microbatches) == _oracle(
+            solver, MIXED_BATCH
+        )
+        _assert_invariant(plan.stats)
+
+    def test_everything_after_the_winner_pruned(self, cost_model8):
+        solver = fast_solver(cost_model8, num_trials=5, planner=NODE_PLANNER)
+        plan = solver.solve(SMALL_BATCH)
+        assert plan.stats.pruned_trials == 4
+        assert plan.stats.cache_misses == plan.num_microbatches
+        _assert_invariant(plan.stats)
+        assert (plan.predicted_time, plan.microbatches) == _oracle(
+            solver, SMALL_BATCH
+        )
+
+    def test_tied_trials_keep_the_first(self, cost_model8, monkeypatch):
+        """Every micro-batch predicts its token count and its bound is
+        that same number, so all trials tie with lower == upper bound:
+        none may be pruned, and the first count wins."""
+
+        def tokens(shape, model, config=None):
+            plan, __ = plan_microbatch_greedy(shape, model)
+            return plan, float(sum(shape))
+
+        monkeypatch.setitem(solver_module._BACKENDS, "milp", tokens)
+        monkeypatch.setattr(solver_module, "plan_microbatch_greedy", tokens)
+        monkeypatch.setattr(
+            solver_module,
+            "makespan_lower_bound",
+            lambda model, shape: float(sum(shape)),
+        )
+        solver = fast_solver(cost_model8, num_trials=4, planner=NODE_PLANNER)
+        plan = solver.solve(SMALL_BATCH)
+        assert plan.stats.pruned_trials == 0
+        assert plan.num_microbatches == solver.minimum_microbatches(SMALL_BATCH)
+        assert plan.predicted_time == float(SMALL_BATCH.total_tokens)
+        oracle = _oracle(
+            solver, SMALL_BATCH, lambda shape: tokens(shape, cost_model8)
+        )
+        assert (plan.predicted_time, plan.microbatches) == oracle
+
+    @pytest.mark.parametrize("model_name", ["cost_model8", "cost_model16"])
+    def test_pending_shapes_are_what_a_cold_solve_plans(
+        self, request, monkeypatch, model_name
+    ):
+        model = request.getfixturevalue(model_name)
+        batch = MIXED_BATCH if model_name == "cost_model16" else SMALL_BATCH
+        solver = fast_solver(model, num_trials=5, planner=NODE_PLANNER)
+        pending = solver.pending_shapes(batch)
+        assert not solver.is_warm(batch)
+        planned = _recording(monkeypatch)
+        plan = solver.solve(batch)
+        assert sorted(planned) == sorted(pending)
+        assert plan.stats.cache_misses == len(pending)
+        assert solver.pending_shapes(batch) == []
+
+    def test_warm_without_planners_and_after_store_round_trip(
+        self, cost_model16, monkeypatch, tmp_path
+    ):
+        solver = fast_solver(cost_model16, num_trials=5, planner=NODE_PLANNER)
+        cold = solver.solve(MIXED_BATCH)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_warm ran a planner")
+
+        with monkeypatch.context() as patched:
+            patched.setitem(solver_module._BACKENDS, "milp", refuse)
+            patched.setitem(solver_module._BACKENDS, "greedy", refuse)
+            patched.setattr(solver_module, "plan_microbatch_greedy", refuse)
+            assert solver.is_warm(MIXED_BATCH)
+            warm = solver.solve(MIXED_BATCH)
+        assert warm.stats.planner_calls == 0
+        assert warm.microbatches == cold.microbatches
+        assert warm.predicted_time == cold.predicted_time
+
+        store = CacheStore(tmp_path)
+        digest = context_digest(solver.config.planner, solver.config.backend)
+        signature = ("pruning", 16)
+        state = WorkloadState(signature=repr(signature))
+        state.plans[digest] = entries_from_cache(solver.cache)
+        store.save(signature, state)
+        restored = fast_solver(cost_model16, num_trials=5, planner=NODE_PLANNER)
+        loaded = CacheStore(tmp_path).load(signature)
+        preload_cache(restored.cache, loaded.plans[digest], restored.context)
+        assert restored.is_warm(MIXED_BATCH)
+        assert restored.pending_shapes(MIXED_BATCH) == []
+
+    @pytest.mark.parametrize("survivors_first", [True, False])
+    def test_is_warm_agrees_with_pending_shapes(
+        self, cost_model16, survivors_first
+    ):
+        """Seeding every trial's shapes one at a time, the planner-free
+        warm rule answers exactly as ``not pending_shapes`` in every
+        intermediate cache state — warm as soon as the surviving
+        trials are cached, whatever the pruned ones hold."""
+        solver = fast_solver(cost_model16, num_trials=5, planner=NODE_PLANNER)
+        survivors = solver.pending_shapes(MIXED_BATCH)
+        __, keys = solver._trial_keys(MIXED_BATCH)
+        pruned = sorted(
+            {shape for trial in keys for shape in trial} - set(survivors)
+        )
+        assert pruned
+        order = survivors + pruned if survivors_first else pruned + survivors
+        answers = []
+        for shape, outcome in zip(order, solver.plan_shapes_cold(order)):
+            solver.seed_plan(shape, outcome)
+            warm = solver.is_warm(MIXED_BATCH)
+            assert warm == (solver.pending_shapes(MIXED_BATCH) == [])
+            answers.append(warm)
+        first_warm = answers.index(True)
+        assert all(answers[first_warm:])
+        if survivors_first:
+            assert first_warm == len(survivors) - 1
+
+    def test_greedy_backend_never_bounds(self, cost_model16, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the greedy backend computed a bound")
+
+        monkeypatch.setattr(solver_module, "makespan_lower_bound", refuse)
+        solver = fast_solver(cost_model16, num_trials=5, backend="greedy")
+        assert solver.pending_shapes(MIXED_BATCH)
+        assert not solver.is_warm(MIXED_BATCH)
+        plan = solver.solve(MIXED_BATCH)
+        assert plan.stats.pruned_trials == 0
+        assert solver.is_warm(MIXED_BATCH)
+        _assert_invariant(plan.stats)

@@ -171,6 +171,8 @@ class TestDedupAcrossArtefacts:
         assert summary["prewarm"]["planned_shapes"] > 0
         assert summary["prewarm"]["seconds"] > 0.0
         assert stages["lpt"] > 0.0
+        # The greedy backend plans every trial.
+        assert summary["pruning"] == {"trials": 0, "microbatches": 0}
 
 
 class TestBitIdenticalToPreRefactorPaths:
@@ -417,6 +419,33 @@ class TestCampaignCli:
 
         with pytest.raises(KeyError, match="unknown campaign"):
             main(["--campaign", "nope", "--no-store"])
+
+    def test_milp_smoke_reports_trial_pruning(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``make bench-smoke-milp``: the record's ``pruning`` block and
+        the ``--profile`` line count the trials the MILP solvers
+        dropped unplanned."""
+        from repro import bench
+
+        (tmp_path / "results").mkdir()
+        monkeypatch.setattr(bench, "_benchmarks_dir", lambda: tmp_path)
+        argv = [
+            "--campaign", "smoke", "--no-store", "--backend", "milp",
+            "--node-limit", "200", "--profile",
+        ]
+        assert bench.main(argv) == 0
+        out = capsys.readouterr().out
+        history = json.loads(
+            (tmp_path / "results" / "BENCH_campaign.json").read_text()
+        )
+        pruning = history["history"][-1]["pruning"]
+        assert pruning["trials"] > 0
+        assert pruning["microbatches"] >= pruning["trials"]
+        assert (
+            f"trial pruning: {pruning['trials']} trials / "
+            f"{pruning['microbatches']} micro-batches" in out
+        )
 
 
 class TestPipelineAdapter:

@@ -129,6 +129,26 @@ class TestSolveStatsAggregation:
         assert second.plan_cache_hit_rate == 1.0
         assert second.solve_stats.planner_calls == 0
 
+    def test_pruning_counters_aggregate(self, small_workload):
+        system = FlexSPSystem(
+            small_workload,
+            SolverConfig(num_trials=4, planner=PlannerConfig(node_limit=30)),
+        )
+        with system:
+            result = run_system(system, small_workload, num_iterations=2)
+        steps = [o.plan.stats for o in result.outcomes]
+        total = result.solve_stats
+        assert total.pruned_trials == sum(s.pruned_trials for s in steps) > 0
+        assert total.pruned_microbatches == sum(
+            s.pruned_microbatches for s in steps
+        )
+        assert total.microbatches == (
+            total.cache_hits
+            + total.dedup_hits
+            + total.cache_misses
+            + total.pruned_microbatches
+        )
+
     def test_baselines_report_no_stats(self, small_workload):
         system = DeepSpeedUlyssesSystem(small_workload, sp_degree=8)
         result = run_system(system, small_workload, num_iterations=1)

@@ -157,10 +157,14 @@ class TestPlanCacheMechanics:
         assert cache.misses == 1
 
     def test_stats_merge_and_hit_rate(self):
-        a = SolveStats(cache_hits=3, cache_misses=1)
-        b = SolveStats(cache_hits=1, cache_misses=3)
+        a = SolveStats(cache_hits=3, cache_misses=1, pruned_trials=1,
+                       pruned_microbatches=2)
+        b = SolveStats(cache_hits=1, cache_misses=3, pruned_trials=2,
+                       pruned_microbatches=5)
         merged = a.merged(b)
         assert merged.cache_hits == 4
         assert merged.cache_misses == 4
+        assert merged.pruned_trials == 3
+        assert merged.pruned_microbatches == 7
         assert merged.hit_rate == pytest.approx(0.5)
         assert SolveStats().hit_rate == 0.0
