@@ -6,8 +6,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test test-fast bench bench-smoke bench-smoke-milp bench-all \
 	bench-solver bench-e2e \
 	bench-prune bench-scaleout bench-calibrate bench-chaos \
-	bench-chaos-smoke bench-kernels bench-service bench-service-smoke \
-	bench-service-net bench-service-net-smoke
+	bench-chaos-smoke bench-service bench-service-smoke \
+	bench-service-net bench-service-net-smoke perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -80,13 +80,6 @@ bench-chaos-smoke:
 bench-calibrate:
 	$(PYTHON) -m repro.bench --calibrate-workers
 
-# Hot-kernel micro-benchmark: per-kernel plans/sec on the native
-# (numba) tier vs the numpy/scalar fallback, JIT warmup reported
-# separately from steady state, bit-identity asserted between tiers.
-# Appends to benchmarks/results/BENCH_kernels.json.
-bench-kernels:
-	$(PYTHON) -m repro.bench kernels
-
 # Planning-as-a-service trace benchmark: a resident PlanService replays
 # a seeded Gamma-arrival trace over three heterogeneous tenants twice
 # (burst-cold, then warm churn), with in-flight coalescing, per-tenant
@@ -127,3 +120,13 @@ bench-solver:
 # benchmarks/results/BENCH_e2e.json for trajectory tracking.
 bench-e2e:
 	$(PYTHON) -m repro.bench e2e_sweep
+
+# The repo benchmark (perfbench/, see BENCHMARK.json), each workload
+# once on a short traced run: fails when a library change breaks the
+# harness or a workload's output checks.  Seconds-scale.
+perfbench-smoke:
+	@set -e; for workload in stream-milp campaign service-trace; do \
+		echo "perfbench-smoke: $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 \
+			--seconds 3 --trace 1; \
+	done

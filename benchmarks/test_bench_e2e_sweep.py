@@ -30,6 +30,7 @@ Contract (the PR's acceptance bar):
 
 from __future__ import annotations
 
+import math
 import time
 
 import pytest
@@ -49,10 +50,15 @@ from repro.experiments.workloads import Workload
 from repro.cluster.topology import standard_cluster
 from repro.data.distributions import COMMONCRAWL, GITHUB, WIKIPEDIA
 from repro.model.config import GPT_7B
+from repro.simulator.timing import timing_table
 
 #: Epochs of the campaign: one cold regeneration plus warm reruns.
 EPOCHS = 5
 NUM_ITERATIONS = 2
+#: Timed repeats of the whole comparison.  Each path keeps its fastest
+#: repeat: load from other processes only ever adds time, and the
+#: sweep's five epochs take a fraction of a second.
+REPEATS = 3
 SYSTEMS = ("flexsp", "deepspeed", "batchada", "megatron")
 
 #: Both paths share the greedy backend so FlexSP planning is identical
@@ -125,29 +131,38 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
     batch_size = bench_batch_size if FULL else 96
     cells = _campaign(batch_size)
 
-    # Reference: pre-PR sequential scalar regeneration, cold each epoch.
-    start = time.perf_counter()
-    reference_epochs = [_reference_epoch(cells) for __ in range(EPOCHS)]
-    ref_seconds = time.perf_counter() - start
+    ref_seconds = sweep_seconds = math.inf
+    for __ in range(REPEATS):
+        # Reference: pre-PR sequential scalar regeneration, cold each
+        # epoch.
+        start = time.perf_counter()
+        reference_epochs = [
+            _reference_epoch(cells) for __ in range(EPOCHS)
+        ]
+        ref_seconds = min(ref_seconds, time.perf_counter() - start)
 
-    # Sweep service: one persistent runner across the epochs.
-    runner = SweepRunner(cells, solver_config=SWEEP_SOLVER, workers=1)
-    start = time.perf_counter()
-    sweep_epochs = [runner.run() for __ in range(EPOCHS)]
-    sweep_seconds = time.perf_counter() - start
+        # Sweep service: one persistent runner across the epochs.  Every
+        # repeat starts it without the timing tables an earlier repeat
+        # memoised, so none runs warmer than the first.
+        timing_table.cache_clear()
+        runner = SweepRunner(cells, solver_config=SWEEP_SOLVER, workers=1)
+        start = time.perf_counter()
+        sweep_epochs = [runner.run() for __ in range(EPOCHS)]
+        sweep_seconds = min(sweep_seconds, time.perf_counter() - start)
 
-    # Bit-identical per-cell metrics, every epoch: the batched kernels,
-    # vectorized tuners, memoised state and plan-cache reuse must not
-    # change a single bit of the simulated measurements.
-    for reference, sweep in zip(reference_epochs, sweep_epochs):
-        for ref_metrics, cell_metrics in zip(reference, sweep.metrics):
-            assert cell_metrics.deterministic() == ref_metrics
+        # Bit-identical per-cell metrics, every epoch: the batched
+        # kernels, vectorized tuners, memoised state and plan-cache
+        # reuse must not change a single bit of the simulated
+        # measurements.
+        for reference, sweep in zip(reference_epochs, sweep_epochs):
+            for ref_metrics, cell_metrics in zip(reference, sweep.metrics):
+                assert cell_metrics.deterministic() == ref_metrics
 
-    # The warm epochs serve FlexSP plans entirely from the cache.
-    for sweep in sweep_epochs[1:]:
-        for cell, metrics in zip(sweep.cells, sweep.metrics):
-            if cell.system == "flexsp":
-                assert metrics.plan_cache_hit_rate == 1.0
+        # The warm epochs serve FlexSP plans entirely from the cache.
+        for sweep in sweep_epochs[1:]:
+            for cell, metrics in zip(sweep.cells, sweep.metrics):
+                if cell.system == "flexsp":
+                    assert metrics.plan_cache_hit_rate == 1.0
 
     speedup = ref_seconds / max(sweep_seconds, 1e-9)
     unique = sweep_epochs[0].unique_cells

@@ -4,13 +4,7 @@
 boxes that lack the `wheel` distribution can fall back to
 ``python setup.py develop`` which this shim enables.
 
-The package has no hard dependencies beyond numpy/scipy; the compiled
-hot-kernel tier (:mod:`repro.core.kernels`) is an *optional* extra::
-
-    pip install -e .[native]   # adds numba; REPRO_NATIVE=0 opts out
-
-Without the extra every kernel dispatches to its numpy/scalar
-fallback — bit-identical results, slower cold path.
+The package has no hard dependencies beyond numpy/scipy.
 """
 
 from setuptools import find_packages, setup
@@ -30,9 +24,6 @@ setup(
         "scipy",
     ],
     extras_require={
-        # The compiled hot-kernel tier; auto-detected at import,
-        # disabled with REPRO_NATIVE=0 / --no-native.
-        "native": ["numba"],
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
     },
 )

@@ -72,26 +72,13 @@ table and appending a ``mode: "calibrate-node-limit"`` record to
 ``BENCH_campaign.json`` — the calibration that picks ``--node-limit``
 for full-protocol MILP passes.
 
-Every mode accepts ``--no-native`` (equivalent to ``REPRO_NATIVE=0``)
-to disable the compiled hot-kernel tier
-(:mod:`repro.core.kernels`; both tiers are bit-identical, so this
-only changes wall-clock).  The switch is *scoped to the run*: the
-runtime flag and the ``REPRO_NATIVE`` env var are restored when the
-mode returns, so invoking a ``--no-native`` run from a long-lived
-process leaves later runs untouched.  ``--profile`` additionally prints a
-one-line kernel-tier banner (native available yes/no, tier per
-kernel) so benchmark output is self-describing; the appended campaign
-records carry the same information in their ``kernels`` block.
-
 Campaign / prune / calibrate usage::
 
     python -m repro.bench --campaign unified             # make bench
     python -m repro.bench --campaign smoke --no-store    # make bench-smoke
     python -m repro.bench --campaign full --profile      # full protocol
-    python -m repro.bench --campaign unified --no-native
     python -m repro.bench --calibrate-node-limit --campaign full \
         --artefact fig4 --node-limit-grid 50,200,500
-    python -m repro.bench kernels                        # make bench-kernels
     python -m repro.bench --campaign unified --backend milp --node-limit 500
     python -m repro.bench --campaign unified --repeat 3  # warm trajectory
     python -m repro.bench --campaign unified --profile   # stage breakdown
@@ -145,7 +132,6 @@ full matrix via ``benchmarks/test_bench_chaos.py``).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import pathlib
@@ -255,38 +241,13 @@ def _campaign_tables(result) -> str:
     return "\n\n".join(blocks)
 
 
-def _native_scope(args: argparse.Namespace):
-    """Scoped ``--no-native``: off for the run, restored on return.
-
-    :func:`repro.core.kernels.enabled_scope` mirrors the switch into
-    ``REPRO_NATIVE`` (so spawned pool workers agree with the parent)
-    and restores both the flag and the env var — including prior
-    absence — when the mode finishes, so a ``--no-native`` run inside
-    a long-lived process (pytest, a resident service) cannot poison
-    later runs.
-    """
-    if getattr(args, "no_native", False):
-        from repro.core import kernels
-
-        return kernels.enabled_scope(False)
-    return contextlib.nullcontext()
-
-
 def run_campaign(args: argparse.Namespace) -> int:
     """Execute one campaign pass and append the trajectory record."""
-    with _native_scope(args):
-        return _run_campaign(args)
-
-
-def _run_campaign(args: argparse.Namespace) -> int:
-    from repro.core import kernels
     from repro.core.planner import PlannerConfig
     from repro.core.solver import SolverConfig
     from repro.experiments.campaign import build_campaign
     from repro.experiments.sweep import SweepRunner
 
-    if args.profile:
-        print(kernels.describe())
     planner = PlannerConfig(node_limit=args.node_limit)
     solver_config = SolverConfig(
         backend=args.backend, num_trials=args.num_trials, planner=planner
@@ -526,12 +487,6 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         "the pre-PR5 behaviour)",
     )
     parser.add_argument(
-        "--no-native",
-        action="store_true",
-        help="disable the compiled hot-kernel tier (numpy/scalar "
-        "fallbacks; equivalent to REPRO_NATIVE=0)",
-    )
-    parser.add_argument(
         "--inject-faults",
         default=None,
         metavar="SPEC",
@@ -683,7 +638,6 @@ def _parse_serve_args(argv: list[str]) -> argparse.Namespace:
         default=None,
         help="optional CacheStore directory so the server restarts warm",
     )
-    parser.add_argument("--no-native", action="store_true")
     args = parser.parse_args(argv)
     args.listen = _parse_endpoint(
         parser, "--listen", args.listen, allow_ephemeral=True
@@ -705,11 +659,6 @@ def _parse_serve_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_serve(args: argparse.Namespace) -> int:
-    with _native_scope(args):
-        return _run_serve(args)
-
-
-def _run_serve(args: argparse.Namespace) -> int:
     """Serve plans over TCP until interrupted (or --serve-seconds)."""
     from repro.service.service import PlanService
     from repro.service.traffic import service_jobs
@@ -861,7 +810,6 @@ def _parse_service_args(argv: list[str]) -> argparse.Namespace:
         help="skip re-solving every unique served plan on a cold engine "
         "(the bit-identity check)",
     )
-    parser.add_argument("--no-native", action="store_true")
     args = parser.parse_args(argv)
     if args.connect is not None:
         args.connect = _parse_endpoint(parser, "--connect", args.connect)
@@ -886,11 +834,6 @@ def _parse_service_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_service(args: argparse.Namespace) -> int:
-    with _native_scope(args):
-        return _run_service(args)
-
-
-def _run_service(args: argparse.Namespace) -> int:
     """Replay the seeded trace through a resident PlanService."""
     from repro.experiments.reporting import format_table
     from repro.service.benchmark import run_service_benchmark
@@ -1084,7 +1027,6 @@ def _parse_calibrate_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--num-trials", type=int, default=2)
     parser.add_argument("--node-limit", type=int, default=None)
-    parser.add_argument("--no-native", action="store_true")
     args = parser.parse_args(argv)
     args.workers_grid = _parse_grid(parser, "--workers-grid", args.workers_grid)
     args.solver_workers_grid = _parse_grid(
@@ -1125,7 +1067,6 @@ def _parse_node_limit_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--num-trials", type=int, default=2)
-    parser.add_argument("--no-native", action="store_true")
     args = parser.parse_args(argv)
     try:
         args.node_limit_grid = [
@@ -1144,11 +1085,6 @@ def _parse_node_limit_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run_calibrate_node_limit(args: argparse.Namespace) -> int:
-    with _native_scope(args):
-        return _run_calibrate_node_limit(args)
-
-
-def _run_calibrate_node_limit(args: argparse.Namespace) -> int:
     """Time the MILP backend at each ``--node-limit-grid`` value.
 
     Each limit runs the selected artefact grid storeless in a fresh
@@ -1160,7 +1096,6 @@ def _run_calibrate_node_limit(args: argparse.Namespace) -> int:
     ``mode: "calibrate-node-limit"`` alongside the protocol records
     it calibrates for.
     """
-    from repro.core import kernels
     from repro.core.planner import PlannerConfig
     from repro.core.solver import SolverConfig
     from repro.experiments.campaign import Campaign, build_campaign
@@ -1180,7 +1115,6 @@ def _run_calibrate_node_limit(args: argparse.Namespace) -> int:
         f"calibrating --node-limit over {args.node_limit_grid} on "
         f"{campaign.name!r} ({len(campaign.cells)} cells, backend milp)"
     )
-    print(kernels.describe())
     grid = []
     for limit in args.node_limit_grid:
         solver_config = SolverConfig(
@@ -1242,7 +1176,6 @@ def _run_calibrate_node_limit(args: argparse.Namespace) -> int:
                 "mode": "calibrate-node-limit",
                 "campaign": campaign.name,
                 "backend": "milp",
-                "kernels": kernels.describe_dict(),
                 "grid": grid,
                 "best_node_limit": best["node_limit"],
             }
@@ -1265,11 +1198,6 @@ def _parse_grid(
 
 
 def run_calibrate(args: argparse.Namespace) -> int:
-    with _native_scope(args):
-        return _run_calibrate(args)
-
-
-def _run_calibrate(args: argparse.Namespace) -> int:
     """Time every (workers, solver_workers) combination on one campaign.
 
     Each combination runs storeless in its own runner, so every combo
@@ -1398,24 +1326,12 @@ def main(argv: list[str] | None = None) -> int:
     if any(a.startswith("--campaign") for a in argv):
         return run_campaign(_parse_campaign_args(argv))
 
-    native_scope = contextlib.nullcontext()
-    if "--no-native" in argv:
-        # Pytest-mode opt-out: the suites (and any pool workers they
-        # spawn) read REPRO_NATIVE through repro.core.kernels.  The
-        # scope restores flag and env var once pytest returns.
-        argv.remove("--no-native")
-        from repro.core import kernels
-
-        native_scope = kernels.enabled_scope(False)
     if "--profile" in argv:
         # Pytest-mode profiling: the benchmark suites read this flag
         # through the environment (see benchmarks/conftest.py PROFILE)
         # and print/record their per-stage SolveStats breakdowns.
         argv.remove("--profile")
         os.environ["REPRO_BENCH_PROFILE"] = "1"
-        from repro.core import kernels
-
-        print(kernels.describe())
 
     import pytest
 
@@ -1439,8 +1355,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"no benchmark matches {selector!r}; options: all, {options}"
             )
         targets = [str(p) for p in matches]
-    with native_scope:
-        return pytest.main(["-q", *targets, *argv[1:]])
+    return pytest.main(["-q", *targets, *argv[1:]])
 
 
 if __name__ == "__main__":

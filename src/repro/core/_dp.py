@@ -25,6 +25,10 @@ from collections.abc import Callable
 
 import numpy as np
 
+#: Unreachable-state sentinel of both DPs (``np.iinfo(np.int64).max //
+#: 4`` — headroom for one int64 add).
+DP_INF = np.iinfo(np.int64).max // 4
+
 
 def solve_monotone_layer(
     k_first: int,

@@ -21,8 +21,7 @@ from collections.abc import Sequence as SequenceABC
 
 import numpy as np
 
-from repro.core import kernels
-from repro.core._dp import solve_monotone_layer
+from repro.core._dp import DP_INF, solve_monotone_layer
 from repro.core.types import SequenceBatch
 
 #: The paper's default number of micro-batch-count trials M'.
@@ -109,33 +108,22 @@ def balanced_cut_points_multi(
     # grows (lengths are positive) while DP[j][i-1] is nondecreasing
     # in j, so the f/segment crossing point only moves right — the
     # shared level-batched divide-and-conquer argmin applies.
-    if kernels.use_native("blaster_dp"):
-        kernels.note("blaster_dp", "native")
-        empty = prefix[:0]
-        choice = kernels.native("blaster_dp")(
-            1, empty, empty, empty, prefix, k_total, max_chunks
-        )
-    else:
-        kernels.note("blaster_dp", "fallback")
-        inf = kernels.DP_INF
-        dp = np.full(k_total + 1, inf, dtype=np.int64)
-        dp[0] = 0
-        choice = np.zeros((k_total + 1, max_chunks + 1), dtype=np.int64)
-        for i in range(1, max_chunks + 1):
-            new_dp = np.full(k_total + 1, inf, dtype=np.int64)
+    dp = np.full(k_total + 1, DP_INF, dtype=np.int64)
+    dp[0] = 0
+    choice = np.zeros((k_total + 1, max_chunks + 1), dtype=np.int64)
+    for i in range(1, max_chunks + 1):
+        new_dp = np.full(k_total + 1, DP_INF, dtype=np.int64)
 
-            def flat_cost(k, lens, flat_j):
-                seg = np.repeat(prefix[k], lens) - prefix[flat_j]
-                return np.maximum(dp[flat_j], seg)
+        def flat_cost(k, lens, flat_j):
+            seg = np.repeat(prefix[k], lens) - prefix[flat_j]
+            return np.maximum(dp[flat_j], seg)
 
-            def assign(k, best, opt):
-                new_dp[k] = best
-                choice[k, i] = opt
+        def assign(k, best, opt):
+            new_dp[k] = best
+            choice[k, i] = opt
 
-            solve_monotone_layer(
-                i, k_total, i - 1, k_total - 1, flat_cost, assign
-            )
-            dp = new_dp
+        solve_monotone_layer(i, k_total, i - 1, k_total - 1, flat_cost, assign)
+        dp = new_dp
 
     for num_chunks in needed:
         cuts: list[int] = []

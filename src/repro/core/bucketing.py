@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels
-from repro.core._dp import solve_monotone_layer
+from repro.core._dp import DP_INF, solve_monotone_layer
 
 #: The paper's default bucket count (S4.1.3).
 DEFAULT_NUM_BUCKETS = 16
@@ -106,36 +105,27 @@ def optimal_buckets(
     # records the argmin j for reconstruction.  The segment cost is
     # concave-Monge, so each layer's leftmost argmin is monotone in k
     # and the layer is solved by the shared level-batched
-    # divide-and-conquer argmin — or its compiled twin when the
-    # native kernel tier is on (bit-identical boundaries either way).
-    if kernels.use_native("bucketing_dp"):
-        kernels.note("bucketing_dp", "native")
-        boundary = kernels.native("bucketing_dp")(
-            0, values, cnt, wsum, cnt[:0], n, q_max
-        )
-    else:
-        kernels.note("bucketing_dp", "fallback")
-        inf = kernels.DP_INF
-        err = np.full(n + 1, inf, dtype=np.int64)
-        err[0] = 0
-        boundary = np.zeros((n + 1, q_max + 1), dtype=np.int64)
-        for q in range(1, q_max + 1):
-            new_err = np.full(n + 1, inf, dtype=np.int64)
+    # divide-and-conquer argmin.
+    err = np.full(n + 1, DP_INF, dtype=np.int64)
+    err[0] = 0
+    boundary = np.zeros((n + 1, q_max + 1), dtype=np.int64)
+    for q in range(1, q_max + 1):
+        new_err = np.full(n + 1, DP_INF, dtype=np.int64)
 
-            def flat_cost(k, lens, flat_j):
-                # Cost of making (j, k] one bucket with upper limit
-                # values[k-1].
-                seg = np.repeat(values[k - 1], lens) * (
-                    np.repeat(cnt[k], lens) - cnt[flat_j]
-                ) - (np.repeat(wsum[k], lens) - wsum[flat_j])
-                return err[flat_j] + seg
+        def flat_cost(k, lens, flat_j):
+            # Cost of making (j, k] one bucket with upper limit
+            # values[k-1].
+            seg = np.repeat(values[k - 1], lens) * (
+                np.repeat(cnt[k], lens) - cnt[flat_j]
+            ) - (np.repeat(wsum[k], lens) - wsum[flat_j])
+            return err[flat_j] + seg
 
-            def assign(k, best, opt):
-                new_err[k] = best
-                boundary[k, q] = opt
+        def assign(k, best, opt):
+            new_err[k] = best
+            boundary[k, q] = opt
 
-            solve_monotone_layer(q, n, q - 1, n - 1, flat_cost, assign)
-            err = new_err
+        solve_monotone_layer(q, n, q - 1, n - 1, flat_cost, assign)
+        err = new_err
 
     # Walk boundaries back to recover the bucket edges.
     edges = []

@@ -44,18 +44,14 @@ dispatch per step — so the deciding variable is the surviving
 family's total lane count (groups summed over surviving layouts), not
 the sequence count.  :func:`calibrate_vector_threshold` times both
 paths across cluster sizes and returns the lane count where the
-stacked pass starts winning; since the compiled hot-kernel tier the
-measurement also records which tier (native/fallback, see
-:mod:`repro.core.kernels`) it ran on — the crossover moves when both
-loops are jitted, so a threshold is only valid for its tier.
-Calibrated 2026-08 on the reference container (single-core, numpy
-2.x, fallback tier): the stacked pass wins from the narrowest family
-the calibrator keeps alive (the 16-GPU family, ~43 lanes) and again
-at ~74 lanes, while the widest measured family (~135 lanes at 64
-GPUs) is contested — the scalar loop's equal-length candidate cache
-keeps it competitive there — so the threshold sits at the measured
-stacked-wins floor of 43 lanes.  Re-run the calibrator after numpy,
-numba or hardware changes.
+stacked pass starts winning.  Calibrated 2026-08 on the reference
+container (single-core, numpy 2.x): the stacked pass wins from the
+narrowest family the calibrator keeps alive (the 16-GPU family, ~43
+lanes) and again at ~74 lanes, while the widest measured family (~135
+lanes at 64 GPUs) is contested — the scalar loop's equal-length
+candidate cache keeps it competitive there — so the threshold sits at
+the measured stacked-wins floor of 43 lanes.  Re-run the calibrator
+after numpy or hardware changes.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core import kernels, stage_timing
+from repro.core import stage_timing
 from repro.core.planner import PlanInfeasibleError, PlannerConfig
 from repro.core.types import GroupAssignment, MicroBatchPlan
 from repro.cost.model import CostModel, CostTable, cost_table
@@ -331,63 +327,6 @@ def _assign_lpt_scalar(
     return group_lengths, float(makespan)
 
 
-def _assign_lpt_stacked_native(
-    ordered: list[int],
-    stack: LayoutStack,
-    rows: np.ndarray,
-    table: CostTable,
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Compiled twin of :func:`_assign_lpt_stacked` (same contract)."""
-    feasible, choices, makespans, winner = kernels.native("lpt_stacked")(
-        np.asarray(ordered, dtype=np.float64),
-        stack.caps[rows],
-        stack.degrees[rows],
-        stack.comm_per_token[rows],
-        stack.comm_beta[rows],
-        table.alpha1,
-        table.alpha2,
-        table.beta1,
-        table.gather,
-        table.exposed_gather,
-    )
-    if not feasible:
-        return None
-    return choices, makespans, int(winner)
-
-
-def _assign_lpt_scalar_native(
-    ordered: list[int],
-    ordered_arr: np.ndarray,
-    stack: LayoutStack,
-    row: int,
-    table: CostTable,
-) -> tuple[list[list[int]], float] | None:
-    """Compiled twin of :func:`_assign_lpt_scalar` (same contract).
-
-    ``ordered_arr`` is the float64 view of ``ordered``, hoisted by the
-    caller so the per-layout loop converts the batch once.
-    """
-    lanes = int(stack.lanes[row])
-    feasible, choices, makespan = kernels.native("lpt_scalar")(
-        ordered_arr,
-        stack.degrees[row, :lanes],
-        stack.comm_per_token[row, :lanes],
-        stack.comm_beta[row, :lanes],
-        stack.caps[row, :lanes],
-        table.alpha1,
-        table.alpha2,
-        table.beta1,
-        table.gather,
-        table.exposed_gather,
-    )
-    if not feasible:
-        return None
-    group_lengths: list[list[int]] = [[] for __ in range(lanes)]
-    for step, s in enumerate(ordered):
-        group_lengths[int(choices[step])].append(s)
-    return group_lengths, float(makespan)
-
-
 def _build_plan(
     layout: tuple[int, ...], group_lengths: list[list[int]]
 ) -> MicroBatchPlan:
@@ -454,22 +393,12 @@ def plan_microbatch_greedy(
     ordered = sorted(lengths, reverse=True)
     outcome: tuple[MicroBatchPlan, float] | None = None
     if int(stack.lanes[rows].sum()) <= _VECTOR_THRESHOLD:
-        scalar_native = kernels.use_native("lpt_scalar")
-        kernels.note("lpt_scalar", "native" if scalar_native else "fallback")
-        ordered_arr = (
-            np.asarray(ordered, dtype=np.float64) if scalar_native else None
-        )
         best: tuple[tuple[int, ...], list[list[int]], float] | None = None
         for row in rows:
             layout = stack.layouts[int(row)]
-            if scalar_native:
-                assigned = _assign_lpt_scalar_native(
-                    ordered, ordered_arr, stack, int(row), table
-                )
-            else:
-                assigned = _assign_lpt_scalar(
-                    ordered, stack.lane_constants[int(row)], table
-                )
+            assigned = _assign_lpt_scalar(
+                ordered, stack.lane_constants[int(row)], table
+            )
             if assigned is None:
                 continue
             group_lengths, makespan = assigned
@@ -479,12 +408,7 @@ def plan_microbatch_greedy(
         if best is not None:
             outcome = (_build_plan(best[0], best[1]), best[2])
     else:
-        if kernels.use_native("lpt_stacked"):
-            kernels.note("lpt_stacked", "native")
-            stacked = _assign_lpt_stacked_native(ordered, stack, rows, table)
-        else:
-            kernels.note("lpt_stacked", "fallback")
-            stacked = _assign_lpt_stacked(ordered, stack, rows, table)
+        stacked = _assign_lpt_stacked(ordered, stack, rows, table)
         if stacked is not None:
             choices, makespans, winner = stacked
             layout = stack.layouts[int(rows[winner])]
@@ -507,15 +431,11 @@ class ThresholdCalibration:
 
     Attributes:
         threshold: The recommended :data:`_VECTOR_THRESHOLD` value.
-        tier: Which kernel tier (``"native"``/``"fallback"``) both
-            paths ran on — the crossover moves when the loops are
-            compiled, so a threshold is only valid for its tier.
         samples: ``(lanes, winner)`` per measured cluster size, where
             ``winner`` names the faster path at that family width.
     """
 
     threshold: int
-    tier: str
     samples: tuple[tuple[int, str], ...] = ()
 
     def __int__(self) -> int:
@@ -535,12 +455,10 @@ def calibrate_vector_threshold(
     total lane count grows with the cluster — and returns the lane
     count at which the stacked pass should take over: the geometric
     midpoint between the widest family the scalar loop still wins and
-    the narrowest one the stacked pass wins.  Both paths are timed
-    through the same kernel dispatch production uses, so the result
-    records the tier (:attr:`ThresholdCalibration.tier`) it is valid
-    for.  The module constant :data:`_VECTOR_THRESHOLD` is the
-    checked-in result of this calibration (see the module docstring);
-    re-run after numpy, numba or hardware changes::
+    the narrowest one the stacked pass wins.  The module constant
+    :data:`_VECTOR_THRESHOLD` is the checked-in result of this
+    calibration (see the module docstring); re-run after numpy or
+    hardware changes::
 
         PYTHONPATH=src python -c "from repro.core.planner_greedy \\
             import calibrate_vector_threshold as c; print(c())"
@@ -550,11 +468,6 @@ def calibrate_vector_threshold(
     from repro.model.config import GPT_7B
 
     rng = np.random.default_rng(7)
-    scalar_native = kernels.use_native("lpt_scalar")
-    stacked_native = kernels.use_native("lpt_stacked")
-    tier = "native" if (scalar_native and stacked_native) else "fallback"
-    if tier == "native":
-        kernels.warmup()  # keep JIT compilation out of the timings
     scalar_best: int | None = None
     stacked_best: int | None = None
     samples: list[tuple[int, str]] = []
@@ -576,26 +489,17 @@ def calibrate_vector_threshold(
             continue
         lanes = int(stack.lanes[rows].sum())
 
-        ordered_arr = np.asarray(ordered, dtype=np.float64)
         started = time.perf_counter()
         for __ in range(repeats):
             for row in rows:
-                if scalar_native:
-                    _assign_lpt_scalar_native(
-                        ordered, ordered_arr, stack, int(row), table
-                    )
-                else:
-                    _assign_lpt_scalar(
-                        ordered, stack.lane_constants[int(row)], table
-                    )
+                _assign_lpt_scalar(
+                    ordered, stack.lane_constants[int(row)], table
+                )
         scalar_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
         for __ in range(repeats):
-            if stacked_native:
-                _assign_lpt_stacked_native(ordered, stack, rows, table)
-            else:
-                _assign_lpt_stacked(ordered, stack, rows, table)
+            _assign_lpt_stacked(ordered, stack, rows, table)
         stacked_seconds = time.perf_counter() - started
 
         if stacked_seconds <= scalar_seconds:
@@ -614,6 +518,4 @@ def calibrate_vector_threshold(
         threshold = stacked_best
     else:
         threshold = int(round((scalar_best * stacked_best) ** 0.5))
-    return ThresholdCalibration(
-        threshold=int(threshold), tier=tier, samples=tuple(samples)
-    )
+    return ThresholdCalibration(threshold=int(threshold), samples=tuple(samples))

@@ -84,6 +84,10 @@ def plan_from_dict(payload: dict[str, Any]) -> IterationPlan:
         )
     microbatches = [microbatch_from_dict(mb) for mb in payload["microbatches"]]
     stats = payload.get("stats")
+    if stats is not None:
+        # Older writers also emitted ``kernel_tiers``, a field
+        # SolveStats no longer has; drop it so their plans keep loading.
+        stats = {k: v for k, v in stats.items() if k != "kernel_tiers"}
     return IterationPlan(
         microbatches=tuple(microbatches),
         predicted_time=payload.get("predicted_time"),

@@ -56,7 +56,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
-from repro.core import faults, kernels, pools, stage_timing
+from repro.core import faults, pools, stage_timing
 from repro.core.blaster import (
     DEFAULT_NUM_TRIALS,
     blast_multi,
@@ -847,9 +847,6 @@ class FlexSPSolver:
         """
         started = time.perf_counter()
         batch = _as_batch(batch)
-        # The stage frame wraps the blaster DP as well as the planner
-        # calls so kernel-tier attribution covers both (stage *seconds*
-        # themselves only ever come from the planners).
         with stage_timing.collect() as stages:
             trials, keys = self._trial_keys(batch)
 
@@ -949,7 +946,6 @@ class FlexSPSolver:
                 f"{stage}_seconds": stages.get(stage, 0.0)
                 for stage in stage_timing.STAGES
             },
-            kernel_tiers=kernels.tiers_from_stages(stages),
         )
         return IterationPlan(
             microbatches=tuple(plans),

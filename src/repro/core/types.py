@@ -11,19 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def _merge_kernel_tiers(
-    first: tuple[tuple[str, str], ...], second: tuple[tuple[str, str], ...]
-) -> tuple[tuple[str, str], ...]:
-    """Union two kernel-tier attributions; conflicts become "mixed"."""
-    merged = dict(first)
-    for name, tier in second:
-        if name in merged and merged[name] != tier:
-            merged[name] = "mixed"
-        else:
-            merged[name] = tier
-    return tuple(sorted(merged.items()))
-
-
 class InfeasibleWorkloadError(ValueError):
     """A (workload, strategy) configuration that cannot be scheduled.
 
@@ -65,13 +52,6 @@ class SolveStats:
         milp_build_seconds: Wall-clock spent assembling MILP value
             blocks and bounds onto the cached constraint skeleton.
         milp_solve_seconds: Wall-clock spent inside HiGHS.
-        kernel_tiers: Sorted ``(kernel, tier)`` pairs attributing each
-            hot kernel this solve dispatched to the tier that ran it —
-            ``"native"`` (compiled, :mod:`repro.core.kernels`),
-            ``"fallback"`` (numpy/scalar) or ``"mixed"`` (pooled
-            workers disagreed).  Diagnostic only: both tiers produce
-            bit-identical plans, so this never enters a determinism
-            contract.
 
     The four stage counters are host wall-clock like
     ``solve_seconds`` — never part of any bit-identical contract —
@@ -91,18 +71,6 @@ class SolveStats:
     lpt_seconds: float = 0.0
     milp_build_seconds: float = 0.0
     milp_solve_seconds: float = 0.0
-    kernel_tiers: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
-        # JSON round-trips deliver lists of lists; normalise so
-        # deserialised stats compare equal to the originals.
-        object.__setattr__(
-            self,
-            "kernel_tiers",
-            tuple(
-                (str(name), str(tier)) for name, tier in self.kernel_tiers
-            ),
-        )
 
     @property
     def planner_calls(self) -> int:
@@ -140,9 +108,6 @@ class SolveStats:
             ),
             milp_solve_seconds=(
                 self.milp_solve_seconds + other.milp_solve_seconds
-            ),
-            kernel_tiers=_merge_kernel_tiers(
-                self.kernel_tiers, other.kernel_tiers
             ),
         )
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.cluster.topology import standard_cluster
-from repro.core import kernels, stage_timing
+from repro.core import stage_timing
 from repro.data.distributions import (
     COMMONCRAWL,
     GITHUB,
@@ -415,11 +415,6 @@ class CampaignResult:
             "unique_cells": self.sweep.unique_cells,
             "wall_seconds": round(self.sweep.wall_seconds, 3),
             "plan_cache_hit_rate": round(self.plan_cache_hit_rate, 4),
-            # Which hot-kernel tier this process would dispatch to —
-            # makes every trajectory record self-describing (native
-            # and fallback passes are bit-identical but not
-            # comparable on wall-clock).
-            "kernels": kernels.describe_dict(),
             "stage_seconds": {
                 stage: round(seconds, 4)
                 for stage, seconds in self.stage_seconds.items()
@@ -786,9 +781,8 @@ def full_campaign(
     models on the 384K grid, Fig. 6's context scaling reaches 384K,
     Fig. 7 ablates at 384K, and Fig. 8's weak scaling grows the batch
     to 8 sequences/GPU.  Table 1's capacity frontier is already
-    full-shape.  First recorded by the PR 8 kernel-tier pass (see
-    ``BENCH_campaign.json``); expect minutes, not seconds, of
-    planning per pass on the fallback tier.
+    full-shape.  Recorded in ``BENCH_campaign.json``; expect minutes,
+    not seconds, of planning per pass.
     """
     context = 384 * 1024
     return Campaign(

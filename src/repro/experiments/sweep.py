@@ -108,7 +108,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core import faults, kernels, pools, stage_timing
+from repro.core import faults, pools, stage_timing
 from repro.core.cache_store import (
     CacheStore,
     StoreStats,
@@ -1461,12 +1461,7 @@ class SweepRunner:
             representative = entry["solvers"][0]
             with stage_timing.collect() as collected:
                 outcomes = representative.plan_shapes_cold(shapes)
-            # Keep the kernel-tier pseudo-stages (kernel:<name>:<tier>
-            # dispatch counts) out of the seconds breakdown.
-            for stage, seconds in kernels.strip_kernel_stages(
-                collected
-            ).items():
-                stages[stage] = stages.get(stage, 0.0) + seconds
+            stage_timing.accumulate(stages, collected)
             for solver in entry["solvers"]:
                 for shape, outcome in zip(shapes, outcomes):
                     solver.seed_plan(shape, outcome)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.blaster import (
     balanced_cut_points,
+    balanced_cut_points_multi,
     blast,
     max_microbatch_tokens,
     min_microbatch_count,
@@ -67,6 +68,12 @@ class TestBalancedCutPoints:
     def test_rejects_nonpositive_chunks(self):
         with pytest.raises(ValueError, match="num_chunks"):
             balanced_cut_points([1], 0)
+
+    def test_multi_mixes_trivial_and_dp_counts(self):
+        """Counts 1 and len(lengths) skip the DP; count 3 runs it in
+        the same call."""
+        cuts = balanced_cut_points_multi([64] * 12, (1, 3, 12))
+        assert cuts == {1: [12], 3: [4, 8, 12], 12: list(range(1, 13))}
 
 
 class TestBlast:

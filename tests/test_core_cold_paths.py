@@ -8,24 +8,16 @@ all-equal-length batches, and corpora whose longest sequence forces
 group — through both planner backends and the full solver loop.
 """
 
-import numpy as np
 import pytest
 
-from repro.core import kernels
-from repro.core import planner_greedy as planner_greedy_module
-from repro.core.blaster import balanced_cut_points_multi
-from repro.core.bucketing import optimal_buckets
 from repro.core.planner import PlannerConfig, plan_microbatch
 from repro.core.planner_greedy import (
-    _assign_lpt_scalar,
-    _assign_lpt_stacked,
     _layout_stack,
     calibrate_vector_threshold,
     candidate_layouts,
     plan_microbatch_greedy,
 )
 from repro.core.solver import FlexSPSolver, SolverConfig
-from repro.cost.model import cost_table
 
 MILP_CFG = PlannerConfig(time_limit=2.0, mip_rel_gap=0.05)
 
@@ -142,181 +134,10 @@ class TestThresholdCalibration:
         assert isinstance(cal.threshold, int)
         assert cal.threshold > 0
         assert int(cal) == cal.threshold
-        assert cal.tier in ("native", "fallback")
         assert cal.samples
         for lanes, winner in cal.samples:
             assert lanes > 0
             assert winner in ("scalar", "stacked")
-
-
-class TestKernelTierDegenerates:
-    """The degenerate corners above, routed explicitly through the
-    compiled kernel tier.
-
-    ``kernels.force("native")`` dispatches through the jitted twins
-    when numba is importable (CI's native leg) and degrades to the
-    fallback otherwise, so on top of the forced-tier plan identity the
-    un-jitted kernel *bodies* are run directly against the fallback
-    implementations — the corner cases exercise the compiled algorithm
-    on every host.
-    """
-
-    def _plan(self, model, lengths):
-        plan, predicted = plan_microbatch_greedy(lengths, model)
-        return plan, predicted
-
-    @pytest.mark.parametrize(
-        "lengths",
-        [(2048,), (4096,) * 8],
-        ids=["single_sequence", "all_equal"],
-    )
-    @pytest.mark.parametrize("threshold", [0, 10_000], ids=["stacked", "scalar"])
-    def test_plans_identical_across_forced_tiers(
-        self, cost_model8, monkeypatch, lengths, threshold
-    ):
-        monkeypatch.setattr(
-            planner_greedy_module, "_VECTOR_THRESHOLD", threshold
-        )
-        with kernels.force("fallback"):
-            ref_plan, ref_predicted = self._plan(cost_model8, lengths)
-        with kernels.force("native"):
-            plan, predicted = self._plan(cost_model8, lengths)
-        assert plan == ref_plan
-        assert predicted == ref_predicted
-
-    def test_d_big_full_cluster_identical_across_tiers(self, cost_model8):
-        per_device = cost_model8.max_tokens_per_device()
-        longest = int(per_device * (cost_model8.cluster.num_gpus - 1))
-        lengths = (longest, 1024, 1024)
-        with kernels.force("fallback"):
-            ref_plan, ref_predicted = self._plan(cost_model8, lengths)
-        with kernels.force("native"):
-            plan, predicted = self._plan(cost_model8, lengths)
-        assert plan == ref_plan
-        assert predicted == ref_predicted
-        long_group = next(g for g in plan.groups if longest in g.lengths)
-        assert long_group.degree == cost_model8.cluster.num_gpus
-
-    @pytest.mark.parametrize(
-        "lengths",
-        [(2048,), (4096,) * 8],
-        ids=["single_sequence", "all_equal"],
-    )
-    def test_scalar_body_matches_fallback(self, cost_model8, lengths):
-        table = cost_table(cost_model8)
-        ordered = sorted(lengths, reverse=True)
-        stack = _layout_stack(cost_model8, max(lengths))
-        rows = stack.surviving(float(sum(lengths)), float(max(lengths)))
-        assert rows.size > 0
-        ordered_arr = np.asarray(ordered, dtype=np.float64)
-        for row in (int(r) for r in rows):
-            lanes = int(stack.lanes[row])
-            feasible, choices, makespan = kernels.KERNEL_BODIES["lpt_scalar"](
-                ordered_arr,
-                stack.degrees[row, :lanes],
-                stack.comm_per_token[row, :lanes],
-                stack.comm_beta[row, :lanes],
-                stack.caps[row, :lanes],
-                table.alpha1,
-                table.alpha2,
-                table.beta1,
-                table.gather,
-                table.exposed_gather,
-            )
-            ref = _assign_lpt_scalar(
-                ordered, stack.lane_constants[row], table
-            )
-            if ref is None:
-                assert not feasible
-                continue
-            assert feasible
-            ref_groups, ref_makespan = ref
-            assert makespan == ref_makespan
-            groups = [[] for __ in range(lanes)]
-            for step, s in enumerate(ordered):
-                groups[int(choices[step])].append(s)
-            assert groups == ref_groups
-
-    def test_stacked_body_matches_fallback_on_one_layout_family(
-        self, cost_model8
-    ):
-        # d_big == num_gpus: the stacked pass runs a (1, 1) lane matrix.
-        per_device = cost_model8.max_tokens_per_device()
-        longest = int(per_device * (cost_model8.cluster.num_gpus - 1))
-        lengths = (longest,)
-        table = cost_table(cost_model8)
-        ordered = sorted(lengths, reverse=True)
-        stack = _layout_stack(cost_model8, longest)
-        assert stack.caps.shape[0] == 1
-        rows = stack.surviving(float(sum(lengths)), float(longest))
-        feasible, choices, makespans, winner = kernels.KERNEL_BODIES[
-            "lpt_stacked"
-        ](
-            np.asarray(ordered, dtype=np.float64),
-            stack.caps[rows],
-            stack.degrees[rows],
-            stack.comm_per_token[rows],
-            stack.comm_beta[rows],
-            table.alpha1,
-            table.alpha2,
-            table.beta1,
-            table.gather,
-            table.exposed_gather,
-        )
-        ref = _assign_lpt_stacked(ordered, stack, rows, table)
-        assert ref is not None
-        ref_choices, ref_makespans, ref_winner = ref
-        assert feasible
-        assert int(winner) == ref_winner
-        assert choices.tolist() == ref_choices.tolist()
-        assert makespans.tolist() == ref_makespans.tolist()
-
-    def test_one_bucket_dp_identical_across_tiers(self):
-        lengths = (100, 200, 300, 400)
-        with kernels.force("fallback"):
-            ref = optimal_buckets(lengths, 1)
-        with kernels.force("native"):
-            buckets = optimal_buckets(lengths, 1)
-        assert buckets == ref
-        assert len(ref) == 1
-        assert ref[0].upper == 400
-
-    def test_one_bucket_dp_body_spans_everything(self):
-        values, counts = np.unique(
-            np.asarray([7, 13, 21, 40], dtype=np.int64), return_counts=True
-        )
-        n = len(values)
-        cnt = np.concatenate(([0], np.cumsum(counts)))
-        wsum = np.concatenate(([0], np.cumsum(values * counts)))
-        choice = kernels.KERNEL_BODIES["bucketing_dp"](
-            0, values, cnt, wsum, cnt[:0], n, 1
-        )
-        assert choice.shape == (n + 1, 2)
-        # One bucket: the single layer's boundary for k == n is 0.
-        assert int(choice[n, 1]) == 0
-
-    def test_blaster_trivial_and_dp_counts_identical_across_tiers(self):
-        # Counts 1 and len(lengths) skip the DP entirely (the "empty
-        # DP" corner); count 3 runs it.  All must agree across tiers.
-        lengths = [64] * 12
-        counts = (1, 3, 12)
-        with kernels.force("fallback"):
-            ref = balanced_cut_points_multi(lengths, counts)
-        with kernels.force("native"):
-            cuts = balanced_cut_points_multi(lengths, counts)
-        assert cuts == ref
-        assert ref[1] == [12]
-        assert ref[12] == list(range(1, 13))
-        assert ref[3] == [4, 8, 12]
-
-    def test_blaster_dp_body_single_sequence(self):
-        prefix = np.asarray([0, 5], dtype=np.int64)
-        empty = prefix[:0]
-        choice = kernels.KERNEL_BODIES["blaster_dp"](
-            1, empty, empty, empty, prefix, 1, 1
-        )
-        assert choice.shape == (2, 2)
-        assert int(choice[1, 1]) == 0
 
 
 class TestStageTimingFrames:

@@ -1,0 +1,443 @@
+"""The solver's four hot loops against references written out here.
+
+The greedy planner's scalar and stacked LPT passes
+(:mod:`repro.core.planner_greedy`) and the bucketing and blaster DPs
+(:mod:`repro.core.bucketing`, :mod:`repro.core.blaster`) have one
+numpy/scalar implementation each.  These tests hold them to plain
+references that share no code with them:
+
+* **Quadratic DPs.**  Both DPs fill each layer with the shared
+  divide-and-conquer argmin of :mod:`repro.core._dp`, whose tie-break
+  must match a leftmost argmin over every split point.  The textbook
+  O(n^2) recurrences below take that argmin, so bucket edges and cut
+  points must come out equal, not merely equally good.
+* **Exhaustive search.**  On small instances every bucket-edge set
+  and every cut-point set is enumerated; the DPs must reach the true
+  optimum of Eq. 15 and Eq. 23.
+* **LPT layout by layout.**  The scalar pass on one layout must agree
+  with the stacked pass restricted to that layout, its makespan must
+  be the slowest group's time under the cost model's own formula, and
+  the stacked winner must be the layout the per-layout loop keeps.
+"""
+
+import bisect
+import itertools
+import math
+from collections import Counter
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from repro.core import kernels, planner_greedy
+from repro.core.blaster import balanced_cut_points, balanced_cut_points_multi
+from repro.core.bucketing import Bucket, bucketing_error, optimal_buckets
+from repro.core.planner import PlanInfeasibleError
+from repro.core.planner_greedy import (
+    _assign_lpt_scalar,
+    _assign_lpt_stacked,
+    _layout_stack,
+    plan_microbatch_greedy,
+)
+from repro.cost.model import cost_table
+
+# ---------------------------------------------------------------------------
+# DP references and instances
+# ---------------------------------------------------------------------------
+
+#: Length families for the DPs: spread-out values, a corpus-like long
+#: tail, heavy duplicates, every split tying, and equal gaps (many
+#: equal-cost bucket edges).
+DP_FAMILIES = ("uniform", "long_tail", "quantized", "all_equal", "arithmetic")
+
+
+def _dp_lengths(
+    family: str, rng: np.random.Generator, max_count: int
+) -> list[int]:
+    count = int(rng.integers(2, max_count + 1))
+    if family == "uniform":
+        return [int(s) for s in rng.integers(1, 5_000, size=count)]
+    if family == "long_tail":
+        draws = rng.lognormal(mean=7.0, sigma=1.2, size=count)
+        return [max(1, int(s)) for s in draws]
+    if family == "quantized":
+        return [512 * int(k) for k in rng.integers(1, 9, size=count)]
+    if family == "all_equal":
+        return [64] * count
+    if family == "arithmetic":
+        step = int(rng.integers(1, 100))
+        return [step * (i + 1) for i in range(count)]
+    raise AssertionError(f"unknown family {family!r}")
+
+
+def _quadratic_bucket_uppers(lengths, num_buckets: int) -> list[int]:
+    """Eq. 16 over the unique lengths, every split point tried."""
+    multiplicity = Counter(lengths)
+    values = sorted(multiplicity)
+    n = len(values)
+    q_max = min(num_buckets, n)
+    cnt = list(
+        itertools.accumulate((multiplicity[v] for v in values), initial=0)
+    )
+    wsum = list(
+        itertools.accumulate((v * multiplicity[v] for v in values), initial=0)
+    )
+    err = [0] + [math.inf] * n
+    boundary = {}
+    for q in range(1, q_max + 1):
+        new_err = [math.inf] * (n + 1)
+        for k in range(q, n + 1):
+            for j in range(q - 1, k):
+                cost = err[j] + values[k - 1] * (cnt[k] - cnt[j]) - (
+                    wsum[k] - wsum[j]
+                )
+                if cost < new_err[k]:  # strict: the leftmost j wins ties
+                    new_err[k] = cost
+                    boundary[k, q] = j
+        err = new_err
+    uppers = []
+    k = n
+    for q in range(q_max, 0, -1):
+        uppers.append(values[k - 1])
+        k = boundary[k, q]
+    return uppers[::-1]
+
+
+def _buckets_for(lengths, uppers) -> list[Bucket]:
+    buckets = []
+    lower = 0
+    for upper in uppers:
+        members = tuple(sorted(s for s in lengths if lower < s <= upper))
+        buckets.append(Bucket(upper=upper, lengths=members))
+        lower = upper
+    return buckets
+
+
+def _best_bucketing_error(lengths, num_buckets: int) -> int:
+    """Eq. 15 minimised over every choice of bucket upper limits."""
+    values = sorted(set(lengths))
+    q = min(num_buckets, len(values))
+    best = math.inf
+    for inner in itertools.combinations(values[:-1], q - 1):
+        uppers = (*inner, values[-1])
+        error = sum(uppers[bisect.bisect_left(uppers, s)] - s for s in lengths)
+        best = min(best, error)
+    return best
+
+
+def _quadratic_cuts(lengths, counts) -> dict[int, list[int]]:
+    """Appendix A's DP, every split point tried, one table for all
+    counts."""
+    n = len(lengths)
+    prefix = list(itertools.accumulate(lengths, initial=0))
+    dp = [0] + [math.inf] * n
+    choice = {}
+    for i in range(1, max(counts) + 1):
+        new_dp = [math.inf] * (n + 1)
+        for k in range(i, n + 1):
+            for j in range(i - 1, k):
+                cost = max(dp[j], prefix[k] - prefix[j])
+                if cost < new_dp[k]:  # strict: the leftmost j wins ties
+                    new_dp[k] = cost
+                    choice[k, i] = j
+        dp = new_dp
+    result = {}
+    for count in set(counts):
+        cuts = []
+        k = n
+        for i in range(count, 0, -1):
+            cuts.append(k)
+            k = choice[k, i]
+        result[count] = cuts[::-1]
+    return result
+
+
+def _best_max_chunk(lengths, count: int) -> int:
+    """Eq. 23 minimised over every placement of ``count - 1`` cuts."""
+    n = len(lengths)
+    best = math.inf
+    for inner in itertools.combinations(range(1, n), count - 1):
+        edges = (0, *inner, n)
+        worst = max(sum(lengths[a:b]) for a, b in zip(edges, edges[1:]))
+        best = min(best, worst)
+    return best
+
+
+def _max_chunk(lengths, cuts) -> int:
+    edges = (0, *cuts)
+    return max(sum(lengths[a:b]) for a, b in zip(edges, edges[1:]))
+
+
+class TestBucketingDP:
+    @pytest.mark.parametrize("family", DP_FAMILIES)
+    def test_matches_quadratic_dp(self, family):
+        rng = np.random.default_rng(13)
+        for __ in range(8):
+            lengths = _dp_lengths(family, rng, max_count=80)
+            num_buckets = int(rng.integers(1, 20))
+            expected = _buckets_for(
+                lengths, _quadratic_bucket_uppers(lengths, num_buckets)
+            )
+            assert optimal_buckets(lengths, num_buckets) == expected
+
+    @given(
+        lengths=st.lists(
+            st.integers(min_value=1, max_value=50_000), min_size=1, max_size=60
+        ),
+        num_buckets=st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_quadratic_dp_property(self, lengths, num_buckets):
+        expected = _buckets_for(
+            lengths, _quadratic_bucket_uppers(lengths, num_buckets)
+        )
+        assert optimal_buckets(lengths, num_buckets) == expected
+
+    @pytest.mark.parametrize("family", DP_FAMILIES)
+    def test_error_is_exhaustive_optimum(self, family):
+        rng = np.random.default_rng(29)
+        for __ in range(6):
+            lengths = _dp_lengths(family, rng, max_count=12)
+            # One past the unique count exercises the fewer-buckets path.
+            for num_buckets in range(1, len(set(lengths)) + 2):
+                buckets = optimal_buckets(lengths, num_buckets)
+                assert len(buckets) == min(num_buckets, len(set(lengths)))
+                assert bucketing_error(buckets) == _best_bucketing_error(
+                    lengths, num_buckets
+                )
+
+    def test_equal_cost_edges_resolve_leftmost(self):
+        # {1} + {2, 3} and {1, 2} + {3} both cost one token; the
+        # leftmost split point keeps the first.
+        assert optimal_buckets([3, 1, 2], 2) == [
+            Bucket(upper=1, lengths=(1,)),
+            Bucket(upper=3, lengths=(2, 3)),
+        ]
+
+
+class TestBlasterDP:
+    @pytest.mark.parametrize("family", DP_FAMILIES)
+    def test_matches_quadratic_dp(self, family):
+        rng = np.random.default_rng(17)
+        for __ in range(8):
+            lengths = sorted(_dp_lengths(family, rng, max_count=48))
+            n = len(lengths)
+            top = int(rng.integers(1, n + 1))
+            # 1 and n take the no-DP shortcuts; they must agree with
+            # the table too.
+            counts = sorted({1, n, *range(max(1, top - 2), top + 1)})
+            assert balanced_cut_points_multi(lengths, counts) == (
+                _quadratic_cuts(lengths, counts)
+            )
+
+    @given(
+        lengths=st.lists(
+            st.integers(min_value=1, max_value=50_000), min_size=1, max_size=40
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_quadratic_dp_property(self, lengths, data):
+        lengths = sorted(lengths)
+        count = data.draw(st.integers(min_value=1, max_value=len(lengths)))
+        counts = tuple(c for c in (1, 2, count) if c <= len(lengths))
+        assert balanced_cut_points_multi(lengths, counts) == (
+            _quadratic_cuts(lengths, counts)
+        )
+
+    @pytest.mark.parametrize("family", DP_FAMILIES)
+    def test_max_chunk_is_exhaustive_optimum(self, family):
+        rng = np.random.default_rng(31)
+        for __ in range(6):
+            lengths = sorted(_dp_lengths(family, rng, max_count=10))
+            for count in range(1, len(lengths) + 1):
+                cuts = balanced_cut_points(lengths, count)
+                assert len(cuts) == count
+                assert _max_chunk(lengths, cuts) == _best_max_chunk(
+                    lengths, count
+                )
+
+    def test_equal_cost_cuts_resolve_leftmost(self):
+        # [1] + [1, 1] and [1, 1] + [1] both peak at two tokens; the
+        # leftmost split point keeps the first.
+        assert balanced_cut_points([1, 1, 1], 2) == [1, 3]
+
+    def test_single_sequence(self):
+        assert balanced_cut_points_multi([5], (1,)) == {1: [1]}
+
+
+# ---------------------------------------------------------------------------
+# LPT passes
+# ---------------------------------------------------------------------------
+
+#: Micro-batch families for the LPT passes: random and quantised
+#: batches on 16 GPUs (wide layout families, an inter-node degree),
+#: and the degenerate corners on 8 GPUs — one sequence, equal lengths,
+#: and a longest sequence that needs the whole cluster (d_big == N,
+#: a one-layout family of one lane).
+LPT_FAMILIES = (
+    "random", "quantized", "single_sequence", "all_equal", "full_cluster",
+)
+
+
+def _lpt_instances(family: str, request):
+    if family in ("random", "quantized"):
+        model = request.getfixturevalue("cost_model16")
+        rng = np.random.default_rng(11 if family == "random" else 23)
+        instances = []
+        for __ in range(8):
+            count = int(rng.integers(1, 24))
+            if family == "random":
+                draws = rng.integers(128, 12_000, size=count)
+            else:
+                draws = 512 * rng.integers(1, 24, size=count)
+            instances.append(tuple(int(s) for s in draws))
+    else:
+        model = request.getfixturevalue("cost_model8")
+        if family == "single_sequence":
+            per_device = int(model.max_tokens_per_device())
+            instances = [(2048,), (4096,), (per_device,)]
+        elif family == "all_equal":
+            instances = [(4096,) * 8, (1024,) * 16, (512,) * 3]
+        else:
+            per_device = model.max_tokens_per_device()
+            longest = int(per_device * (model.cluster.num_gpus - 1))
+            assert (
+                model.min_degree_for_sequence(longest)
+                == model.cluster.num_gpus
+            )
+            instances = [(longest,), (longest, 1024, 1024)]
+    capacity = model.cluster_token_capacity()
+    return model, [x for x in instances if sum(x) <= capacity]
+
+
+def _surviving_rows(model, lengths):
+    stack = _layout_stack(model, max(lengths))
+    rows = stack.surviving(float(sum(lengths)), float(max(lengths)))
+    return stack, [int(r) for r in rows]
+
+
+class TestLptPasses:
+    @pytest.mark.parametrize("family", LPT_FAMILIES)
+    def test_scalar_pass_matches_stacked_row(self, family, request):
+        model, instances = _lpt_instances(family, request)
+        table = cost_table(model)
+        feasible = 0
+        for lengths in instances:
+            ordered = sorted(lengths, reverse=True)
+            stack, rows = _surviving_rows(model, lengths)
+            for row in rows:
+                scalar = _assign_lpt_scalar(
+                    ordered, stack.lane_constants[row], table
+                )
+                stacked = _assign_lpt_stacked(
+                    ordered, stack, np.asarray([row]), table
+                )
+                if scalar is None:
+                    assert stacked is None
+                    continue
+                assert stacked is not None
+                choices, makespans, winner = stacked
+                assert winner == 0
+                groups = [[] for __ in stack.layouts[row]]
+                for step, lane in enumerate(choices[:, 0].tolist()):
+                    groups[lane].append(ordered[step])
+                assert groups == scalar[0]
+                assert float(makespans[0]) == scalar[1]
+                feasible += 1
+        assert feasible
+
+    @pytest.mark.parametrize("family", LPT_FAMILIES)
+    def test_makespan_is_slowest_group(self, family, request):
+        model, instances = _lpt_instances(family, request)
+        table = cost_table(model)
+        feasible = 0
+        for lengths in instances:
+            ordered = sorted(lengths, reverse=True)
+            stack, rows = _surviving_rows(model, lengths)
+            for row in rows:
+                assigned = _assign_lpt_scalar(
+                    ordered, stack.lane_constants[row], table
+                )
+                if assigned is None:
+                    continue
+                groups, makespan = assigned
+                layout = stack.layouts[row]
+                assert sorted(s for g in groups for s in g) == sorted(lengths)
+                # Groups hold their lengths in placement order, the
+                # order Eq. 12's work sum accumulates in.
+                assert makespan == max(
+                    model.time_with_overheads(group, degree)
+                    for group, degree in zip(groups, layout)
+                    if group
+                )
+                feasible += 1
+        assert feasible
+
+    @pytest.mark.parametrize("family", LPT_FAMILIES)
+    def test_stacked_winner_is_first_minimum(self, family, request):
+        # Layouts tie whenever the winning lanes match (one sequence,
+        # equal lengths), so the first-minimum rule is exercised too.
+        model, instances = _lpt_instances(family, request)
+        table = cost_table(model)
+        compared = 0
+        for lengths in instances:
+            ordered = sorted(lengths, reverse=True)
+            stack, rows = _surviving_rows(model, lengths)
+            if not rows:
+                continue
+            scalar = [
+                _assign_lpt_scalar(ordered, stack.lane_constants[row], table)
+                for row in rows
+            ]
+            spans = [math.inf if a is None else a[1] for a in scalar]
+            stacked = _assign_lpt_stacked(
+                ordered, stack, np.asarray(rows), table
+            )
+            if all(a is None for a in scalar):
+                assert stacked is None
+                continue
+            choices, makespans, winner = stacked
+            assert makespans.tolist() == spans
+            assert winner == spans.index(min(spans))
+            for index, assigned in enumerate(scalar):
+                if assigned is None:
+                    # A layout that ran out of room places nothing more.
+                    assert choices[-1, index] == -1
+            compared += 1
+        assert compared
+
+    @pytest.mark.parametrize("family", LPT_FAMILIES)
+    def test_plans_identical_on_both_routes(
+        self, family, request, monkeypatch
+    ):
+        model, instances = _lpt_instances(family, request)
+
+        def plan(lengths, threshold):
+            monkeypatch.setattr(planner_greedy, "_VECTOR_THRESHOLD", threshold)
+            try:
+                return plan_microbatch_greedy(lengths, model)
+            except PlanInfeasibleError:
+                return None
+
+        planned = 0
+        for lengths in instances:
+            scalar = plan(lengths, 10**9)
+            stacked = plan(lengths, 0)
+            assert scalar == stacked
+            if scalar is None:
+                continue
+            groups = scalar[0].groups
+            placed = sorted(s for g in groups for s in g.lengths)
+            assert placed == sorted(lengths)
+            longest = max(lengths)
+            holder = next(g for g in groups if longest in g.lengths)
+            assert holder.degree >= model.min_degree_for_sequence(longest)
+            planned += 1
+        assert planned
+
+
+def test_implementation_tag_names_numpy():
+    """Benchmark run envelopes record this tag."""
+    assert kernels.describe_dict() == {"tier": "numpy"}

@@ -148,6 +148,53 @@ class TestSolveStatsSerialization:
         assert restored.stats == plan.stats
         assert restored.stats.pruned_trials == 0
 
+    def test_plans_with_kernel_tiers_still_load(self, tmp_path):
+        """Plans written while ``SolveStats`` had a ``kernel_tiers``
+        field (store files, plan-server frames) load without it."""
+        from repro.core.types import SolveStats
+
+        text = (
+            '{"version":1,"solver_name":"flexsp-greedy",'
+            '"predicted_time":0.5159110765210483,"stats":{"cache_hits":0,'
+            '"dedup_hits":0,"cache_misses":1,"trials":1,"microbatches":1,'
+            '"pruned_trials":0,"pruned_microbatches":0,'
+            '"solve_seconds":0.0008868710001479485,'
+            '"enumerate_seconds":0.00031686600004832144,'
+            '"lpt_seconds":0.0004256759998497728,"milp_build_seconds":0.0,'
+            '"milp_solve_seconds":0.0,'
+            '"kernel_tiers":[["lpt_scalar","fallback"]]},'
+            '"microbatches":[{"groups":[{"degree":8,'
+            '"device_ranks":[0,1,2,3,4,5,6,7],'
+            '"lengths":[4096,2048,1024,512]}]}]}'
+        )
+        expected = IterationPlan(
+            microbatches=(
+                MicroBatchPlan(
+                    groups=(
+                        GroupAssignment(
+                            degree=8,
+                            device_ranks=tuple(range(8)),
+                            lengths=(4096, 2048, 1024, 512),
+                        ),
+                    )
+                ),
+            ),
+            predicted_time=0.5159110765210483,
+            solver_name="flexsp-greedy",
+            stats=SolveStats(
+                cache_misses=1,
+                trials=1,
+                microbatches=1,
+                solve_seconds=0.0008868710001479485,
+                enumerate_seconds=0.00031686600004832144,
+                lpt_seconds=0.0004256759998497728,
+            ),
+        )
+        assert plan_from_dict(json.loads(text)) == expected
+        store = PlanStore(tmp_path)
+        (tmp_path / "plan-00000003.json").write_text(text)
+        assert store.get(3) == expected
+
     def test_plans_without_stats_stay_stats_free(self):
         plan = IterationPlan(
             microbatches=(

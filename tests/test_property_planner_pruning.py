@@ -174,78 +174,6 @@ class TestStackedEqualsScalar:
         assert scalar[1] == stacked[1]
 
 
-class TestTierIdentity:
-    """Compiled tier forced ON == forced OFF, whatever the route.
-
-    On hosts with numba the forced-native leg runs the jitted kernels
-    (CI's tier-1 job); without it dispatch degrades to the fallback
-    and the property reduces to determinism — the un-jitted kernel
-    bodies are separately compared in ``tests/test_core_kernels.py``.
-    """
-
-    @given(
-        lengths=st.one_of(lengths_strategy, quantized_strategy),
-        threshold=st.sampled_from([0, 10**9]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_plans_identical_across_tiers(
-        self, cost_model16, lengths, threshold
-    ):
-        from repro.core import kernels
-
-        lengths = tuple(lengths)
-        if sum(lengths) > cost_model16.cluster_token_capacity():
-            return
-
-        def run():
-            try:
-                return plan_microbatch_greedy(lengths, cost_model16)
-            except PlanInfeasibleError:
-                return None
-
-        saved = planner_greedy._VECTOR_THRESHOLD
-        try:
-            planner_greedy._VECTOR_THRESHOLD = threshold
-            with kernels.force("fallback"):
-                off = run()
-            with kernels.force("native"):
-                on = run()
-        finally:
-            planner_greedy._VECTOR_THRESHOLD = saved
-        if off is None:
-            assert on is None
-            return
-        assert on is not None
-        assert on[0] == off[0]
-        assert on[1] == off[1]
-
-    @given(
-        lengths=st.lists(
-            st.integers(min_value=1, max_value=50_000), min_size=1, max_size=60
-        ),
-        num_buckets=st.integers(min_value=1, max_value=20),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_buckets_and_cuts_identical_across_tiers(
-        self, lengths, num_buckets
-    ):
-        from repro.core import kernels
-        from repro.core.blaster import balanced_cut_points_multi
-        from repro.core.bucketing import optimal_buckets
-
-        counts = tuple(
-            c for c in (1, 2, num_buckets) if c <= len(lengths)
-        ) or (1,)
-        with kernels.force("fallback"):
-            buckets_off = optimal_buckets(lengths, num_buckets)
-            cuts_off = balanced_cut_points_multi(sorted(lengths), counts)
-        with kernels.force("native"):
-            buckets_on = optimal_buckets(lengths, num_buckets)
-            cuts_on = balanced_cut_points_multi(sorted(lengths), counts)
-        assert buckets_on == buckets_off
-        assert cuts_on == cuts_off
-
-
 class TestMultiBlast:
     @given(
         lengths=st.lists(
