@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast bench bench-smoke bench-smoke-milp bench-all \
 	bench-solver bench-e2e \
-	bench-prune bench-scaleout bench-calibrate bench-chaos \
+	bench-prune bench-scaleout bench-chaos \
 	bench-chaos-smoke bench-service bench-service-smoke \
 	bench-service-net bench-service-net-smoke perfbench-smoke
 
@@ -54,31 +54,26 @@ bench-prune:
 		--max-age-days $(PRUNE_MAX_AGE_DAYS) \
 		--max-store-bytes $(PRUNE_MAX_STORE_BYTES)
 
-# Scale-out benchmark: worker-scaling of the unified campaign (serial
-# vs workers=2/4, bit-identity asserted) plus two concurrent campaigns
-# sharing one store (write amplification and lock contention at
-# fan-out).  Appends to benchmarks/results/BENCH_scaleout.json.
+# Store-sharing benchmark: two concurrent unified campaigns racing one
+# cache store, both bit-identical to a storeless pass (write
+# amplification and lock contention recorded).  Appends to
+# benchmarks/results/BENCH_scaleout.json.
 bench-scaleout:
 	$(PYTHON) -m repro.bench scaleout
 
-# Chaos benchmark: the unified campaign under deterministic fault
-# injection (worker kills, torn spill writes, stale store locks, hung
-# cells, repeated pool death down to serial degradation), every
-# schedule asserted bit-identical to the fault-free serial pass.
-# Appends to benchmarks/results/BENCH_chaos.json.
+# Chaos benchmark: the unified campaign on a two-worker solver pool
+# under deterministic fault injection (a planner worker killed mid-plan
+# or at start-up, a torn spill write, a stale store lock), every
+# schedule asserted recorded, bit-identical to the fault-free serial
+# pass and leak-free.  Appends to benchmarks/results/BENCH_chaos.json.
 bench-chaos:
 	$(PYTHON) -m repro.bench chaos
 
-# Fast CI tier of the chaos matrix: one worker killed mid-cell, full
-# graduated recovery asserted (the `-k smoke` slice).
+# Fast CI tier of the chaos matrix: one solver-pool worker killed
+# mid-plan, the pool's rebuild-and-resume asserted (the `-k smoke`
+# slice).
 bench-chaos-smoke:
 	$(PYTHON) -m repro.bench chaos -k smoke
-
-# Sweep the sweep-workers x solver-workers product on this box and
-# recommend the fastest combination (appends the calibration grid to
-# benchmarks/results/BENCH_scaleout.json).
-bench-calibrate:
-	$(PYTHON) -m repro.bench --calibrate-workers
 
 # Planning-as-a-service trace benchmark: a resident PlanService replays
 # a seeded Gamma-arrival trace over three heterogeneous tenants twice

@@ -41,7 +41,6 @@ def _run_campaign(store_root: str | None, spill_batch: int = 0):
     campaign = unified_campaign(global_batch_size=GLOBAL_BATCH)
     runner = SweepRunner(
         solver_config=CAMPAIGN_SOLVER,
-        workers=1,
         store=store_root,
         spill_batch=spill_batch,
     )
@@ -186,7 +185,7 @@ def test_store_write_amplification_below_per_cell_baseline(
     emit(
         "Unified campaign store lifecycle: write amplification "
         f"{per_cell_wa:.3f} writes/cell (spill-per-cell baseline) -> "
-        f"{batched_wa:.3f} (batched drains), restored-pass hit rate "
+        f"{batched_wa:.3f} (batched spills), restored-pass hit rate "
         f"{warm_hit_rate:.0%}, after pruning {len(pruned.evicted)} of "
         f"{len(pruned.evicted) + pruned.files_kept} files: hit rate "
         f"{pruned_hit_rate:.0%}, metrics bit-identical"

@@ -145,7 +145,7 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
         # repeat starts it without the timing tables an earlier repeat
         # memoised, so none runs warmer than the first.
         timing_table.cache_clear()
-        runner = SweepRunner(cells, solver_config=SWEEP_SOLVER, workers=1)
+        runner = SweepRunner(cells, solver_config=SWEEP_SOLVER)
         start = time.perf_counter()
         sweep_epochs = [runner.run() for __ in range(EPOCHS)]
         sweep_seconds = min(sweep_seconds, time.perf_counter() - start)
@@ -212,7 +212,7 @@ def test_e2e_sweep_full_grid(emit, bench_json_history, bench_batch_size):
     cells = grid_cells(
         SYSTEMS, fig4_workloads(global_batch_size=bench_batch_size), NUM_ITERATIONS
     )
-    runner = SweepRunner(cells, solver_config=SWEEP_SOLVER, workers=1)
+    runner = SweepRunner(cells, solver_config=SWEEP_SOLVER)
     result = runner.run()
     flexsp_wins = 0
     for workload_name in {c.workload.name for c in cells}:

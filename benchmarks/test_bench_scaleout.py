@@ -1,23 +1,13 @@
-"""Scale-out campaign benchmark: worker scaling and store sharing.
+"""Scale-out campaign benchmark: two campaigns sharing one store.
 
-The sharded work-stealing executor's acceptance bar (the scale-out PR):
-
-* the unified campaign at ``workers in (2, 4)`` is **bit-identical**
-  to the serial pass — scheduling affects only *where* a cell runs;
-* context builds stay bounded by unique workloads plus steals (the
-  affinity dispatch actually deduplicates context construction);
-* the cold-batching prewarm runs at ``workers > 1`` (the old serial
-  restriction is gone): ``prewarm_planned > 0`` on a cold pass;
-* two **concurrent** campaigns sharing one :class:`CacheStore` stay
-  bit-identical, with write amplification and lock contention
-  recorded;
-* the record is appended to ``results/BENCH_scaleout.json``.
+Two **concurrent** campaigns race one :class:`CacheStore`: both must
+stay bit-identical to a storeless pass, with write amplification and
+lock contention recorded and appended to
+``results/BENCH_scaleout.json``.
 
 Wall-clock figures are recorded, never gated: this benchmark must run
-on any box, and on a single-core CI runner fan-out is legitimately
-slower than serial (pool startup + pickling with no parallelism to
-pay for it) — the trajectory file is where scaling is judged, against
-the machine that produced each record.
+on any box, and the trajectory file is where contention is judged,
+against the machine that produced each record.
 """
 
 from __future__ import annotations
@@ -30,97 +20,25 @@ from benchmarks.conftest import FULL
 from repro.core.cache_store import CacheStore
 from repro.core.solver import SolverConfig
 from repro.experiments.campaign import unified_campaign
-from repro.experiments.reporting import format_table
-from repro.experiments.sweep import SweepRunner, workload_signature
+from repro.experiments.sweep import SweepRunner
 
 #: Greedy backend: planning is deterministic work, so every pass is
 #: bit-comparable wherever it lands.
 CAMPAIGN_SOLVER = SolverConfig(backend="greedy", num_trials=2)
 
 GLOBAL_BATCH = 512 if FULL else 128
-WORKER_GRID = (2, 4)
 
 
-def _run_campaign(workers: int, store_root: str | None = None):
+def _run_campaign(store_root: str | None = None):
     """One unified-campaign pass; returns (metrics, wall, result)."""
     campaign = unified_campaign(global_batch_size=GLOBAL_BATCH)
     with SweepRunner(
-        solver_config=CAMPAIGN_SOLVER, workers=workers, store=store_root
+        solver_config=CAMPAIGN_SOLVER, store=store_root
     ) as runner:
         started = time.perf_counter()
         result = campaign.run(runner)
         wall = time.perf_counter() - started
     return list(result.sweep.metrics), wall, result
-
-
-def test_worker_scaling_bit_identical(emit, bench_json_history):
-    campaign = unified_campaign(global_batch_size=GLOBAL_BATCH)
-    unique_workloads = len(
-        {workload_signature(c.workload) for c in campaign.cells}
-    )
-
-    serial_metrics, serial_wall, serial_result = _run_campaign(workers=1)
-    rows = [("serial", f"{serial_wall:.2f}", "-", "-", "-")]
-    record = {
-        "mode": "worker-scaling",
-        "cells": len(campaign.cells),
-        "unique_workloads": unique_workloads,
-        "global_batch_size": GLOBAL_BATCH,
-        "cpu_count": os.cpu_count(),
-        "serial_wall_seconds": round(serial_wall, 3),
-        "fanout": [],
-    }
-    for workers in WORKER_GRID:
-        metrics, wall, result = _run_campaign(workers=workers)
-
-        # The contract under test: fan-out changes where a cell runs,
-        # never what it measures.
-        assert len(metrics) == len(serial_metrics)
-        for a, b in zip(serial_metrics, metrics):
-            assert a.deterministic() == b.deterministic()
-
-        telemetry = result.sweep.worker_telemetry
-        steals = sum(t.steals for t in telemetry)
-        builds = sum(t.context_builds for t in telemetry)
-        # Affinity dispatch: each workload's context is built in one
-        # worker; every extra build was paid for by a steal.
-        assert builds <= unique_workloads + steals, (
-            f"{builds} context builds > {unique_workloads} workloads "
-            f"+ {steals} steals at workers={workers}"
-        )
-        assert sum(t.cells for t in telemetry) == result.sweep.unique_cells
-        # The prewarm restriction is lifted: the cold fan-out pass
-        # batch-planned FlexSP shapes up front.
-        assert result.sweep.prewarm_planned > 0
-
-        rows.append(
-            (
-                f"workers={workers}",
-                f"{wall:.2f}",
-                str(steals),
-                str(builds),
-                str(result.sweep.prewarm_planned),
-            )
-        )
-        record["fanout"].append(
-            {
-                "workers": workers,
-                "wall_seconds": round(wall, 3),
-                "steals": steals,
-                "context_builds": builds,
-                "prewarm_planned": result.sweep.prewarm_planned,
-            }
-        )
-
-    emit(
-        f"Scale-out worker scaling: unified campaign, "
-        f"{len(campaign.cells)} cells ({unique_workloads} workloads), "
-        f"batch {GLOBAL_BATCH}, {os.cpu_count()} CPU(s)\n"
-        + format_table(
-            ["pass", "wall (s)", "steals", "ctx builds", "prewarmed"], rows
-        )
-    )
-    bench_json_history("scaleout", record)
 
 
 def test_concurrent_campaigns_share_one_store(
@@ -130,13 +48,13 @@ def test_concurrent_campaigns_share_one_store(
     counted.  Each thread owns its runner (and its own ``CacheStore``
     handle on the shared root), so every save goes through the
     advisory-lock path — ``lock_waits`` counts the collisions."""
-    reference_metrics, __, ___ = _run_campaign(workers=1)
+    reference_metrics, __, ___ = _run_campaign()
 
     store_root = str(tmp_path / "shared_store")
     outcomes: dict[str, tuple] = {}
 
     def _campaign(label: str) -> None:
-        outcomes[label] = _run_campaign(workers=1, store_root=store_root)
+        outcomes[label] = _run_campaign(store_root=store_root)
 
     threads = [
         threading.Thread(target=_campaign, args=(label,))

@@ -371,12 +371,12 @@ def test_persistent_service_reuses_pool(emit):
         b = parallel.solve(batches[0])  # cold: spawns the pool
         assert a.predicted_time == b.predicted_time
         assert a.microbatches == b.microbatches
-        assert parallel._service is not None
-        first_pool = parallel._service._pool
+        assert parallel._own_pool is not None
+        first_pool = parallel._own_pool._pool
         assert first_pool is not None
         a = serial.solve(batches[1])
         b = parallel.solve(batches[1])  # cold again: must reuse the pool
         assert a.predicted_time == b.predicted_time
         assert a.microbatches == b.microbatches
-        assert parallel._service._pool is first_pool
-    emit("Persistent service: parallel == serial plans; pool reused across solves")
+        assert parallel._own_pool._pool is first_pool
+    emit("Private solver pool: parallel == serial plans; pool reused across solves")

@@ -31,13 +31,6 @@ as before::
     python -m repro.bench e2e_sweep          # batched-simulation sweep
     python -m repro.bench fig8               # any benchmark-file substring
 
-**Calibrate mode** (``--calibrate-workers``) sweeps the sweep-workers
-x solver-workers product over a campaign (no store, so every combo
-pays the same cold work), prints a wall-clock table with per-combo
-steal/context-build telemetry, recommends the fastest combo, and
-appends the grid to ``benchmarks/results/BENCH_scaleout.json``
-(``make bench-calibrate``).
-
 **Service mode** (``--service``) boots the resident
 planning-as-a-service front-end (:class:`repro.service.PlanService`),
 replays a seeded Gamma-arrival trace over three heterogeneous tenants
@@ -83,9 +76,10 @@ Campaign / prune / calibrate usage::
     python -m repro.bench --campaign unified --repeat 3  # warm trajectory
     python -m repro.bench --campaign unified --profile   # stage breakdown
     python -m repro.bench --campaign unified --no-prewarm
-    python -m repro.bench --campaign unified --workers 0 # 0 = all CPUs
-    python -m repro.bench --campaign smoke --workers 2 \
-        --inject-faults worker_kill@cell:0 --fault-seed 7   # chaos run
+    python -m repro.bench --campaign unified --backend milp --node-limit 200 \
+        --solver-workers 2                              # parallel planning
+    python -m repro.bench --campaign unified --solver-workers 2 \
+        --inject-faults worker_kill@plan:0 --fault-seed 7   # chaos run
     python -m repro.bench --campaign smoke --fault-seed 7   # random fault
     python -m repro.bench --service                      # make bench-service-smoke
     python -m repro.bench --service --duration 20 --rate 1.5 \
@@ -94,15 +88,13 @@ Campaign / prune / calibrate usage::
     python -m repro.bench --service --connect host:8471  # remote trace replay
     python -m repro.bench --prune --max-age-days 30      # make bench-prune
     python -m repro.bench --prune --max-store-bytes 268435456 --dry-run
-    python -m repro.bench --calibrate-workers            # make bench-calibrate
-    python -m repro.bench --calibrate-workers --campaign unified \
-        --workers-grid 1,2,4 --solver-workers-grid 1,2
 
-``--workers`` / ``--solver-workers`` accept ``0`` as "use every CPU"
-(``os.cpu_count()``); negative values are an argparse error.  The
-library matches the CLI: ``SweepRunner(workers=None)`` runs serially
-(like the CLI's ``--workers 1`` default) and ``workers=0`` means every
-CPU — fan-out is always an explicit opt-in.
+``--solver-workers`` sizes the one shared
+:class:`~repro.core.solver.SolverPool` the campaign's prewarm plans
+on; the cells themselves are measured serially.  It accepts ``0`` as
+"use every CPU" (``os.cpu_count()``); negative values are an argparse
+error.  The default plans in-process, like ``SweepRunner()`` — a
+process pool is always an explicit opt-in.
 
 ``--profile`` prints the per-stage SolveStats timing breakdown
 (enumerate / lpt / milp_build / milp_solve) — in campaign mode per
@@ -118,15 +110,15 @@ wall-clock budget, so MILP campaigns satisfy the same bit-identical
 metrics contract as the greedy backend.
 
 ``--inject-faults SPEC --fault-seed N`` arms the deterministic chaos
-plane (:mod:`repro.core.faults`): worker kills, torn spill writes,
-stale store locks and hung cells fire at seeded injection points, the
-sweep recovers through graduated escalation (per-cell resubmit → pool
-restart → serial degradation), and the epoch must still produce
-metrics bit-identical to a fault-free pass.  ``--fault-seed`` alone
-draws one random fault from the menu; ``--watchdog-seconds`` bounds
-hung cells.  Each epoch prints a fault report and the ``faults`` block
-rides along in the appended record (``make bench-chaos`` exercises the
-full matrix via ``benchmarks/test_bench_chaos.py``).
+plane (:mod:`repro.core.faults`): solver-pool worker kills, torn spill
+writes and stale store locks fire at seeded injection points, the
+solver pool rebuilds and resumes, the store reads torn files as cold
+and breaks stale locks, and the epoch must still produce metrics
+bit-identical to a fault-free pass.  ``--fault-seed`` alone draws one
+random fault from the menu.  Each epoch prints a fault report and the
+``faults`` block rides along in the appended record (``make
+bench-chaos`` exercises the matrix via
+``benchmarks/test_bench_chaos.py``).
 """
 
 from __future__ import annotations
@@ -269,12 +261,10 @@ def run_campaign(args: argparse.Namespace) -> int:
         store = args.store or str(results_dir / "campaign_store")
     runner = SweepRunner(
         solver_config=solver_config,
-        workers=args.workers,
         store=store,
         solver_workers=args.solver_workers,
         prewarm=args.prewarm,
         fault_schedule=fault_schedule,
-        watchdog_seconds=args.watchdog_seconds,
     )
     records = []
     with runner:
@@ -330,8 +320,8 @@ def run_campaign(args: argparse.Namespace) -> int:
                     print(
                         f"[{campaign.name}] epoch {epoch} worker "
                         f"{t.worker} (pid {t.pid}): {t.cells} cells, "
-                        f"{t.steals} steals, {t.context_builds} context "
-                        f"builds ({t.restore_seconds:.3f}s)"
+                        f"{t.context_builds} context builds "
+                        f"({t.restore_seconds:.3f}s)"
                         + (f"; {stages}" if stages else "")
                     )
             stats = result.sweep.store_stats
@@ -355,12 +345,8 @@ def run_campaign(args: argparse.Namespace) -> int:
                 ) or "none"
                 print(
                     f"[{campaign.name}] epoch {epoch} faults: "
-                    f"injected {injected}; {faults.cell_retries} cell "
-                    f"retries, {faults.pool_restarts} pool restarts, "
-                    f"{faults.shard_reassignments} shard reassignments, "
-                    f"{faults.watchdog_kills} watchdog kills, "
-                    f"{faults.degraded_cells} cells degraded to serial, "
-                    f"{faults.lock_breaks} locks broken"
+                    f"injected {injected}; {faults.lock_breaks} locks "
+                    f"broken"
                 )
     print()
     print(_campaign_tables(result))
@@ -443,18 +429,11 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sweep fan-out width; 0 = all CPUs (default 1, matching "
-        "SweepRunner's serial default)",
-    )
-    parser.add_argument(
         "--solver-workers",
         type=int,
         default=None,
-        help="width of the shared SolverPool; 0 = all CPUs "
-        "(default: in-process planning)",
+        help="width of the shared SolverPool the prewarm plans on; "
+        "0 = all CPUs (default: in-process planning)",
     )
     parser.add_argument(
         "--backend", choices=("greedy", "milp"), default="greedy"
@@ -492,9 +471,9 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         metavar="SPEC",
         help="deterministic chaos schedule: comma-separated "
         "kind@site[:N|*] specs, e.g. "
-        "'worker_kill@cell:0,torn_write@spill:1'; kinds are "
-        "worker_kill / torn_write / stale_lock / hang, sites are "
-        "cell / spill / lock / prune / plan / spawn / drain / prewarm",
+        "'worker_kill@plan:0,torn_write@spill:1'; kinds are "
+        "worker_kill / torn_write / stale_lock, sites are "
+        "plan / spawn / spill / lock / prune",
     )
     parser.add_argument(
         "--fault-seed",
@@ -503,18 +482,7 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         help="chaos seed; with --inject-faults it seeds the schedule, "
         "alone it draws one random fault from the menu",
     )
-    parser.add_argument(
-        "--watchdog-seconds",
-        type=float,
-        default=None,
-        help="per-cell hang watchdog: kill and resubmit any cell "
-        "in flight longer than this (default: no watchdog)",
-    )
     args = parser.parse_args(argv)
-    if args.watchdog_seconds is not None and args.watchdog_seconds <= 0:
-        parser.error(
-            f"--watchdog-seconds must be positive, got {args.watchdog_seconds}"
-        )
     if args.inject_faults:
         from repro.core.faults import FaultSchedule
 
@@ -524,7 +492,6 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
             parser.error(str(error))
     if args.repeat < 1:
         parser.error(f"--repeat must be at least 1, got {args.repeat}")
-    args.workers = _resolve_workers(parser, "--workers", args.workers)
     if args.solver_workers is not None:
         args.solver_workers = _resolve_workers(
             parser, "--solver-workers", args.solver_workers
@@ -994,47 +961,6 @@ def _parse_prune_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _parse_calibrate_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Sweep the sweep-workers x solver-workers product "
-        "over one campaign and recommend the fastest combination.",
-    )
-    parser.add_argument(
-        "--calibrate-workers",
-        action="store_true",
-        required=True,
-        help="calibrate mode",
-    )
-    parser.add_argument(
-        "--campaign",
-        default="smoke",
-        help="campaign to time each combination against (default smoke)",
-    )
-    parser.add_argument(
-        "--workers-grid",
-        default="1,2,4",
-        help="comma-separated sweep-worker widths (0 = all CPUs)",
-    )
-    parser.add_argument(
-        "--solver-workers-grid",
-        default="1,2",
-        help="comma-separated shared-SolverPool widths (0 = all CPUs)",
-    )
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument(
-        "--backend", choices=("greedy", "milp"), default="greedy"
-    )
-    parser.add_argument("--num-trials", type=int, default=2)
-    parser.add_argument("--node-limit", type=int, default=None)
-    args = parser.parse_args(argv)
-    args.workers_grid = _parse_grid(parser, "--workers-grid", args.workers_grid)
-    args.solver_workers_grid = _parse_grid(
-        parser, "--solver-workers-grid", args.solver_workers_grid
-    )
-    return args
-
-
 def _parse_node_limit_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -1122,7 +1048,7 @@ def run_calibrate_node_limit(args: argparse.Namespace) -> int:
             num_trials=args.num_trials,
             planner=PlannerConfig(node_limit=limit),
         )
-        runner = SweepRunner(solver_config=solver_config, workers=1)
+        runner = SweepRunner(solver_config=solver_config)
         started = time.perf_counter()
         with runner:
             result = campaign.run(runner)
@@ -1185,140 +1111,12 @@ def run_calibrate_node_limit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_grid(
-    parser: argparse.ArgumentParser, flag: str, text: str
-) -> list[int]:
-    try:
-        values = [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated int list, got {text!r}")
-    if not values:
-        parser.error(f"{flag} is empty")
-    return [_resolve_workers(parser, flag, v) for v in values]
-
-
-def run_calibrate(args: argparse.Namespace) -> int:
-    """Time every (workers, solver_workers) combination on one campaign.
-
-    Each combination runs storeless in its own runner, so every combo
-    pays identical cold work and the wall-clocks compare like for
-    like; metrics stay bit-identical across combos by the fan-out
-    contract (asserted here — a calibration that changed results
-    would be measuring the wrong thing).
-    """
-    from repro.core.planner import PlannerConfig
-    from repro.core.solver import SolverConfig
-    from repro.experiments.campaign import build_campaign
-    from repro.experiments.reporting import format_table
-    from repro.experiments.sweep import SweepRunner
-
-    planner = PlannerConfig(node_limit=args.node_limit)
-    solver_config = SolverConfig(
-        backend=args.backend, num_trials=args.num_trials, planner=planner
-    )
-    overrides = {}
-    if args.batch_size is not None:
-        overrides["global_batch_size"] = args.batch_size
-    campaign = build_campaign(args.campaign, **overrides)
-    combos = [
-        (workers, solver_workers)
-        for workers in args.workers_grid
-        for solver_workers in args.solver_workers_grid
-    ]
-    print(
-        f"calibrating {len(combos)} combinations on campaign "
-        f"{campaign.name!r} ({os.cpu_count() or 1} CPUs)"
-    )
-    grid = []
-    reference = None
-    for workers, solver_workers in combos:
-        runner = SweepRunner(
-            solver_config=solver_config,
-            workers=workers,
-            solver_workers=solver_workers,
-        )
-        started = time.perf_counter()
-        with runner:
-            result = campaign.run(runner)
-        wall = time.perf_counter() - started
-        deterministic = tuple(
-            m.deterministic() for m in result.sweep.metrics
-        )
-        if reference is None:
-            reference = deterministic
-        elif deterministic != reference:
-            raise SystemExit(
-                f"combination workers={workers} solver_workers="
-                f"{solver_workers} broke the bit-identity contract"
-            )
-        grid.append(
-            {
-                "workers": workers,
-                "solver_workers": solver_workers,
-                "wall_seconds": round(wall, 3),
-                "steals": result.total_steals,
-                "context_builds": result.total_context_builds,
-                "prewarm_planned": result.sweep.prewarm_planned,
-            }
-        )
-        print(
-            f"  workers={workers} solver_workers={solver_workers}: "
-            f"{wall:.2f}s ({result.total_steals} steals, "
-            f"{result.total_context_builds} context builds)"
-        )
-    best = min(grid, key=lambda g: g["wall_seconds"])
-    rows = [
-        [
-            g["workers"],
-            g["solver_workers"],
-            f"{g['wall_seconds']:.2f}",
-            g["steals"],
-            g["context_builds"],
-            "<-- best" if g is best else "",
-        ]
-        for g in grid
-    ]
-    print()
-    print(
-        format_table(
-            ["workers", "solver workers", "wall (s)", "steals", "builds", ""],
-            rows,
-            title=f"--calibrate-workers: campaign {campaign.name!r}",
-        )
-    )
-    print(
-        f"\nrecommended: --workers {best['workers']} "
-        f"--solver-workers {best['solver_workers']}"
-    )
-    path = _benchmarks_dir() / "results" / "BENCH_scaleout.json"
-    append_history(
-        path,
-        [
-            {
-                "mode": "calibrate-workers",
-                "campaign": campaign.name,
-                "backend": args.backend,
-                "cpu_count": os.cpu_count() or 1,
-                "grid": grid,
-                "best": {
-                    "workers": best["workers"],
-                    "solver_workers": best["solver_workers"],
-                },
-            }
-        ],
-    )
-    print(f"appended calibration record to {path}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--prune" in argv:
         return run_prune(_parse_prune_args(argv))
     if "--calibrate-node-limit" in argv:
         return run_calibrate_node_limit(_parse_node_limit_args(argv))
-    if "--calibrate-workers" in argv:
-        return run_calibrate(_parse_calibrate_args(argv))
     if "--serve" in argv:
         return run_serve(_parse_serve_args(argv))
     if "--service" in argv:

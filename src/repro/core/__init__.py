@@ -24,7 +24,7 @@ from repro.core.bucketing import (
     optimal_buckets,
 )
 from repro.core.planner import PlannerConfig, plan_microbatch
-from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool, SolverService
+from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
 from repro.core.types import (
     GroupAssignment,
     IterationPlan,
@@ -49,7 +49,6 @@ __all__ = [
     "SolverConfig",
     "FlexSPSolver",
     "SolverPool",
-    "SolverService",
     "CacheStore",
     "WorkloadState",
     "StoreStats",

@@ -54,12 +54,12 @@ Invalidation rules:
   *ignored, never fatal*: loads return ``None`` and the next
   :meth:`CacheStore.save` atomically replaces the file.
 
-Concurrent writers (sweep pool workers) are safe: writes go through a
-unique temp file plus ``os.replace``, and :meth:`CacheStore.save`
-holds a per-workload advisory file lock across its read-merge-replace
-so two workers persisting different cells of one workload union their
-plan entries rather than clobbering each other (last writer wins per
-shape).  Readers never need the lock — ``os.replace`` keeps every
+Concurrent writers (campaigns sharing one store) are safe: writes go
+through a unique temp file plus ``os.replace``, and
+:meth:`CacheStore.save` holds a per-workload advisory file lock across
+its read-merge-replace so two writers persisting one workload union
+their plan entries rather than clobbering each other (last writer wins
+per shape).  Readers never need the lock — ``os.replace`` keeps every
 observable file state a complete JSON document.
 
 Lifecycle (eviction): next to the data files lives a **store
@@ -292,8 +292,8 @@ class StoreStats:
     now (reconciled manifest); ``hits`` / ``misses`` / ``writes`` /
     ``evictions`` count what *this* :class:`CacheStore` instance did
     (loads served warm, loads served cold, data files actually
-    written, files pruned).  The sweep layer sums counter dicts across
-    pool workers, so the counters are also the unit the campaign's
+    written, files pruned).  The sweep layer takes per-pass deltas of
+    these counters, so they are also the unit the campaign's
     write-amplification figure (writes / cells measured) is built
     from.
     """
@@ -307,7 +307,7 @@ class StoreStats:
     evictions: int = 0
     #: Contended lock acquisitions: how often a save had to block
     #: behind another process's merge of the same workload file — the
-    #: shared-store contention figure at campaign fan-out.
+    #: shared-store contention figure of concurrent campaigns.
     lock_waits: int = 0
     #: Stale locks safely broken: contended acquisitions whose
     #: recorded holder pid turned out to be dead (a crashed writer) —

@@ -1,39 +1,35 @@
 """Deterministic fault-injection plane for chaos-testing campaigns.
 
 A training/inference campaign that serves real traffic must survive
-its own infrastructure: a sweep worker dying mid-cell, a cache-store
-write torn by a crash, a lock file orphaned by a killed writer, a
-cell that simply hangs.  This module lets tests and benchmarks *make
-those things happen on purpose*, deterministically, so the recovery
-machinery in :mod:`repro.experiments.sweep` and
-:mod:`repro.core.cache_store` is exercised by CI instead of waiting
+its own infrastructure: a planner worker dying mid-batch, a
+cache-store write torn by a crash, a lock file orphaned by a killed
+writer, a connection reset mid-frame.  This module lets tests and
+benchmarks *make those things happen on purpose*, deterministically,
+so the recovery machinery in :mod:`repro.core.solver` (the solver
+pool's rebuild-and-resume), :mod:`repro.core.cache_store` and
+:mod:`repro.service.transport` is exercised by CI instead of waiting
 for production to exercise it.
 
 Model:
 
 * **Injection points** are named sites the production code visits via
-  :func:`maybe_inject` — ``cell`` (sweep worker cell execution),
-  ``spill`` (cache-store save), ``lock`` (store write-lock
-  acquisition), ``prune`` (store lifecycle pass), ``plan`` (solver
-  pool/service worker task), ``spawn`` (sweep worker initialisation),
-  ``drain`` (sweep worker flush), ``prewarm`` (the runner's cold-
-  batching pass), plus the plan-transport network sites ``accept``
-  (the TCP listener admitting a connection), ``handshake`` (the
-  version/signature exchange), ``recv`` (reading a request frame) and
-  ``send`` (writing a response frame) — all visited server-side by
-  :mod:`repro.service.transport`.  When no schedule is armed, a visit
-  is one module-global read and a ``None`` check — zero overhead on
-  the hot path.
-* A **fault spec** is ``kind@site[:occurrence]``: ``worker_kill@cell``
-  (die on the first cell), ``torn_write@spill:2`` (tear the third
-  save), ``hang@cell:1``, ``stale_lock@prune``, or
-  ``worker_kill@cell:*`` (die on *every* cell — the repeated-death
-  schedule that forces graduated recovery all the way down to serial
-  execution).  Kinds: ``worker_kill`` (``os._exit`` on the spot),
-  ``hang`` (sleep :attr:`FaultSchedule.hang_seconds`, for the
-  watchdog to kill), ``torn_write`` and ``stale_lock`` (realised by
-  the cache store itself — a truncated non-atomic data write, a lock
-  file stamped with a dead holder pid), and the network kinds
+  :func:`maybe_inject` — ``plan`` (solver-pool worker task),
+  ``spawn`` (solver-pool worker initialisation), ``spill``
+  (cache-store save), ``lock`` (store write-lock acquisition),
+  ``prune`` (store lifecycle pass), plus the plan-transport network
+  sites ``accept`` (the TCP listener admitting a connection),
+  ``handshake`` (the version/signature exchange), ``recv`` (reading a
+  request frame) and ``send`` (writing a response frame) — all
+  visited server-side by :mod:`repro.service.transport`.  When no
+  schedule is armed, a visit is one module-global read and a ``None``
+  check — zero overhead on the hot path.
+* A **fault spec** is ``kind@site[:occurrence]``: ``worker_kill@plan``
+  (die on the first planner task), ``torn_write@spill:2`` (tear the
+  third save), ``stale_lock@prune``, or ``delay@recv:*`` (stall
+  *every* request read).  Kinds: ``worker_kill`` (``os._exit`` on the
+  spot), ``torn_write`` and ``stale_lock`` (realised by the cache
+  store itself — a truncated non-atomic data write, a lock file
+  stamped with a dead holder pid), and the network kinds
   realised by the plan transport: ``conn_reset`` (the connection is
   aborted with an RST at the site), ``torn_frame`` (half a
   length-prefixed frame is written, then the connection reset),
@@ -42,34 +38,31 @@ Model:
   and silently never sent — the client must retry and re-attach).
 * A :class:`FaultSchedule` groups specs with a seed and a **record
   ledger** — an append-only file, shared by every process the
-  schedule reaches (pool initializers ship it to workers).  Each
-  firing is appended *before* the fault is realised, so a worker that
-  ``os._exit``\\ s still leaves an exact record; integer-occurrence
-  specs are gated through the ledger to fire **once globally**
-  (otherwise ``worker_kill@cell:0`` would kill every restarted worker
-  forever and recovery could never converge), while ``*`` specs fire
-  on every visit in every process.
+  schedule reaches (the solver pool's initializer ships it to
+  workers).  Each firing is appended *before* the fault is realised,
+  so a worker that ``os._exit``\\ s still leaves an exact record;
+  integer-occurrence specs are gated through the ledger to fire
+  **once globally** (otherwise ``worker_kill@plan:0`` would kill
+  every restarted worker forever and recovery could never converge),
+  while ``*`` specs fire on every visit in every process.
 
 The contract the injection plane exists to verify is the repo-wide
-bit-identity invariant: **any fault schedule yields campaign results
-bit-identical to the fault-free serial pass** — faults and the
-recovery they trigger move *where and when* cells run, never what
-they measure.  :class:`FaultStats` is the recovery side's report card
-(surfaced on :class:`~repro.experiments.sweep.SweepResult`, in the
-campaign summary's ``"faults"`` block and by ``python -m repro.bench
---campaign ... --profile``).
+bit-identity invariant: **any survivable fault schedule yields
+campaign results bit-identical to the fault-free serial pass** —
+faults and the recovery they trigger move *where and when* plans are
+computed, never what they are.  :class:`FaultStats` is the report
+card (surfaced on :class:`~repro.experiments.sweep.SweepResult` and
+in the campaign summary's ``"faults"`` block).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
 import pathlib
 import random
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 
 try:  # pragma: no cover - import guard
@@ -98,7 +91,6 @@ FAULT_KINDS = (
     "worker_kill",
     "torn_write",
     "stale_lock",
-    "hang",
     "conn_reset",
     "torn_frame",
     "delay",
@@ -107,14 +99,11 @@ FAULT_KINDS = (
 
 #: Registered injection-point names (see the module docstring).
 INJECTION_SITES = (
-    "cell",
     "spill",
     "lock",
     "prune",
     "plan",
     "spawn",
-    "drain",
-    "prewarm",
     "accept",
     "handshake",
     "recv",
@@ -122,16 +111,15 @@ INJECTION_SITES = (
 )
 
 #: The (kind, site) pairs a seeded random schedule draws from — every
-#: combination here is survivable by the graduated recovery policy
-#: (``worker_kill@prewarm`` is deliberately absent: the prewarm pass
-#: runs in the campaign's parent process, where a kill is not a fault
-#: to recover from but the campaign ending).
+#: combination has a visitor in a campaign and is survivable: the
+#: solver pool rebuilds after a dead worker and resubmits only the
+#: shapes still missing, and the cache store reads a torn file as cold
+#: and breaks a lock whose recorded holder is dead.  (Killing the
+#: campaign's own process is not a fault to recover from, so no kill
+#: targets a parent-side site.)
 RANDOM_FAULT_MENU = (
-    ("worker_kill", "cell"),
     ("worker_kill", "spawn"),
-    ("worker_kill", "drain"),
     ("worker_kill", "plan"),
-    ("hang", "cell"),
     ("torn_write", "spill"),
     ("stale_lock", "lock"),
     ("stale_lock", "prune"),
@@ -141,9 +129,9 @@ RANDOM_FAULT_MENU = (
 #: sweeps — every combination is survivable by the
 #: :class:`~repro.service.transport.PlanClient` deadline/retry/backoff
 #: ladder (with degradation to an in-process service as the last
-#: rung).  Kept separate from :data:`RANDOM_FAULT_MENU`: the sweep's
-#: graduated recovery never visits these sites, so drawing them there
-#: would produce schedules that cannot fire.
+#: rung).  Kept separate from :data:`RANDOM_FAULT_MENU`: a campaign
+#: never visits these sites, so drawing them there would produce
+#: schedules that cannot fire.
 NETWORK_FAULT_MENU = (
     ("conn_reset", "accept"),
     ("conn_reset", "handshake"),
@@ -246,9 +234,6 @@ class FaultSchedule:
         record_path: Append-only ledger file shared by every process
             this schedule is armed in.  Auto-generated under the
             temp directory when empty.
-        hang_seconds: How long a ``hang`` fault sleeps.  Deliberately
-            longer than any sane watchdog timeout — a hang is only
-            survivable because the watchdog kills the sleeper.
         delay_seconds: How long a ``delay`` network fault stalls its
             site.  Deliberately *shorter* than any sane transport
             I/O timeout — a slow peer is absorbed, not retried.
@@ -257,15 +242,10 @@ class FaultSchedule:
     specs: tuple[FaultSpec, ...]
     seed: int = 0
     record_path: str = ""
-    hang_seconds: float = 120.0
     delay_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
-        if self.hang_seconds <= 0:
-            raise ValueError(
-                f"hang_seconds must be positive, got {self.hang_seconds}"
-            )
         if self.delay_seconds <= 0:
             raise ValueError(
                 f"delay_seconds must be positive, got {self.delay_seconds}"
@@ -280,7 +260,7 @@ class FaultSchedule:
     @classmethod
     def parse(cls, text: str, seed: int = 0, **kwargs) -> "FaultSchedule":
         """Parse a comma-separated spec list, e.g.
-        ``"worker_kill@cell:3,torn_write@spill"``."""
+        ``"worker_kill@plan:3,torn_write@spill"``."""
         specs = tuple(
             FaultSpec.parse(part) for part in text.split(",") if part.strip()
         )
@@ -327,7 +307,7 @@ class FaultSchedule:
 
 @dataclass(frozen=True)
 class FaultStats:
-    """One sweep pass's fault-and-recovery accounting.
+    """One sweep pass's fault accounting.
 
     Everything here is host-side bookkeeping — never part of the
     bit-identical metrics contract (which is exactly what it exists to
@@ -336,26 +316,11 @@ class FaultStats:
     Attributes:
         injections: ``(kind@site, count)`` pairs of faults actually
             realised during the pass (from the schedule's ledger).
-        cell_retries: Cells resubmitted after their slot died (the
-            first escalation rung, with deterministic bounded
-            backoff).
-        pool_restarts: Slot worker pools torn down and lazily
-            restarted (the second rung).
-        shard_reassignments: Shards moved off a retired slot to
-            surviving slots (the third rung).
-        degraded_cells: Cells that fell all the way to serial
-            in-process execution (the final rung — pools kept dying).
-        watchdog_kills: Hung flights killed by the watchdog timeout.
         lock_breaks: Stale store locks (dead recorded holder) safely
             broken during the pass.
     """
 
     injections: tuple[tuple[str, int], ...] = ()
-    cell_retries: int = 0
-    pool_restarts: int = 0
-    shard_reassignments: int = 0
-    degraded_cells: int = 0
-    watchdog_kills: int = 0
     lock_breaks: int = 0
 
     @property
@@ -367,11 +332,6 @@ class FaultStats:
         return {
             "injections": dict(self.injections),
             "total_injections": self.total_injections,
-            "cell_retries": self.cell_retries,
-            "pool_restarts": self.pool_restarts,
-            "shard_reassignments": self.shard_reassignments,
-            "degraded_cells": self.degraded_cells,
-            "watchdog_kills": self.watchdog_kills,
             "lock_breaks": self.lock_breaks,
         }
 
@@ -394,10 +354,8 @@ class _FaultPlane:
     def visit(self, site: str) -> str | None:
         """Count a site visit; realise and/or report any fault it fires.
 
-        Process faults (``worker_kill``, ``hang``) are realised here —
-        a kill records its ledger line first and never returns; a hang
-        sleeps and then continues (the watchdog is expected to kill
-        the sleeper long before the nap ends).  Data faults
+        ``worker_kill`` is realised here — the kill records its ledger
+        line first and never returns.  Data faults
         (``torn_write``, ``stale_lock``) and the network kinds
         (``conn_reset``, ``torn_frame``, ``delay``, ``drop_response``)
         are returned as the fired kind for the *caller* to realise —
@@ -419,9 +377,6 @@ class _FaultPlane:
                 continue
             if spec.kind == "worker_kill":
                 os._exit(KILLED_EXIT_CODE)
-            if spec.kind == "hang":
-                time.sleep(self.schedule.hang_seconds)
-                continue
             if fired_kind is None:
                 fired_kind = spec.kind
         return fired_kind
@@ -479,9 +434,9 @@ _ACTIVE: _FaultPlane | None = None
 def arm(schedule: FaultSchedule | None) -> None:
     """Arm ``schedule`` in this process (None disarms).
 
-    Worker processes are armed through their pool initializers (the
-    sweep's slot pools and the solver pools ship the parent's active
-    schedule); the parent arms around each sweep pass.
+    Worker processes are armed through the solver pool's initializer
+    (it ships the parent's active schedule); the parent arms around
+    each sweep pass.
     """
     global _ACTIVE
     _ACTIVE = None if schedule is None else _FaultPlane(schedule)
@@ -515,8 +470,8 @@ def maybe_inject(site: str) -> str | None:
     Returns the kind of a fired *data or network* fault
     (``torn_write`` / ``stale_lock`` / ``conn_reset`` / ``torn_frame``
     / ``delay`` / ``drop_response``) for the caller to realise, or
-    None.  Process faults are realised inline (``worker_kill`` does
-    not return).  Disarmed, this is one global read and a None check.
+    None.  ``worker_kill`` is realised inline and does not return.
+    Disarmed, this is one global read and a None check.
     """
     plane = _ACTIVE
     if plane is None:

@@ -1,15 +1,16 @@
 """Process-pool lifecycle guard shared by every persistent pool owner.
 
-Three components in this repo keep ``ProcessPoolExecutor`` workers
-alive across calls — :class:`repro.core.solver.SolverService`,
-:class:`repro.core.solver.SolverPool` and
-:class:`repro.experiments.sweep.SweepRunner`.  Each is a context
+One component in this repo keeps ``ProcessPoolExecutor`` workers
+alive across calls: :class:`repro.core.solver.SolverPool` — shared by
+a :class:`~repro.experiments.sweep.SweepRunner`'s workloads or a plan
+service's tenants, or private to one ``workers > 1``
+:class:`~repro.core.solver.FlexSPSolver`.  Each owner is a context
 manager, but the trajectory-regeneration use case encourages
 fire-and-forget usage (create a runner at module scope, call ``run()``
 repeatedly, never ``close()``), and an abandoned pool means leaked
 worker processes.
 
-:func:`track_pool` gives every owner the same two-layer guard:
+:func:`track_pool` gives the pool the same two-layer guard:
 
 * a ``weakref.finalize`` on the *owner* shuts the pool down when the
   owner is garbage collected (fire-and-forget callers), and
@@ -29,7 +30,7 @@ import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 
-__all__ = ["track_pool", "live_pool_count", "register_worker_exit_flush"]
+__all__ = ["track_pool", "live_pool_count"]
 
 _LOCK = threading.Lock()
 #: Every tracked pool that has not been collected yet.  Weak references
@@ -62,50 +63,6 @@ def live_pool_count() -> int:
         return len(_POOLS)
 
 
-#: ``(pid, callback)`` pairs already registered, so a process whose
-#: init path runs more than once (a worker re-initialised across pool
-#: generations, or in-process use re-entering it) flushes once at
-#: exit, not once per registration.  Keyed by pid because a forked
-#: child inherits this set while ``multiprocessing`` clears its
-#: finalizer registry at bootstrap — the child must register afresh.
-_EXIT_FLUSHES: set = set()
-
-
-def register_worker_exit_flush(callback) -> None:
-    """Run ``callback`` once when the current (worker) process exits.
-
-    The sweep pool's workers batch their cache-store spills, so each
-    worker needs a drain hook that survives pool shutdown.  Plain
-    ``atexit`` is NOT that hook: ``multiprocessing`` children leave
-    through ``os._exit`` after running only ``multiprocessing.util``'s
-    finalizers, so the flush is registered as a ``util.Finalize`` with
-    a non-None ``exitpriority`` (None-priority finalizers run only on
-    garbage collection, never at exit).  In a regular interpreter the
-    same finalizers run via ``util._exit_function``'s own ``atexit``
-    registration, so one registration covers worker processes and
-    in-process use alike.  Registering the same callback again is a
-    no-op (idempotent per process).  The callback is wrapped: a flush
-    failure at exit (e.g. the store volume vanished) must not turn a
-    clean worker shutdown into a crash.
-    """
-    import os
-    from multiprocessing import util
-
-    key = (os.getpid(), callback)
-    with _LOCK:
-        if key in _EXIT_FLUSHES:
-            return
-        _EXIT_FLUSHES.add(key)
-
-    def _safe_flush() -> None:
-        try:
-            callback()
-        except Exception:  # pragma: no cover - exit-time best effort
-            pass
-
-    util.Finalize(None, _safe_flush, exitpriority=10)
-
-
 @atexit.register
 def _shutdown_all() -> None:
     """Interpreter-exit safety net: no tracked pool outlives the session.
@@ -113,8 +70,8 @@ def _shutdown_all() -> None:
     Note the ordering caveat: ``concurrent.futures`` registers its own
     shutdown through ``threading``'s internal exit hooks, which run
     *before* regular ``atexit`` callbacks and drain any still-queued
-    work first — so this sweep guarantees cleanup of forgotten pools,
-    not prompt exit while cells are still in flight.  Owners that want
+    work first — so this hook guarantees cleanup of forgotten pools,
+    not prompt exit while plans are still in flight.  Owners that want
     promptness must ``close()`` (or let GC fire the per-owner
     finalizer) before exiting.
     """

@@ -1,4 +1,4 @@
-"""FlexSP solver workflow (Alg. 1) and the persistent solving service.
+"""FlexSP solver workflow (Alg. 1) and its shared planner pool.
 
 Given a global batch, sweep the micro-batch count from the minimum
 feasible ``M_min`` upward over ``M'`` trials; for each count, blast the
@@ -20,11 +20,13 @@ S4.3, plus this repo's cross-trial reuse):
   counters are reported per solve via
   :class:`~repro.core.types.SolveStats` on the returned
   :class:`IterationPlan`.
-* **Persistent workers.** With ``workers > 1`` the
-  :class:`SolverService` keeps one ``ProcessPoolExecutor`` alive
-  across ``solve()`` calls; the cost model (and its vectorized
-  :class:`~repro.cost.model.CostTable`) is shipped once per worker via
-  the pool initializer instead of once per task.
+* **Persistent workers.** :class:`SolverPool` keeps one
+  ``ProcessPoolExecutor`` alive across ``solve()`` calls and serves
+  any number of (model, config) tenants; tasks carry the tenant's
+  pickled context, which each worker unpickles (building its
+  vectorized :class:`~repro.cost.model.CostTable`) once per tenant,
+  not once per task.  A solver with ``workers > 1`` and no injected
+  pool client plans on a private one-tenant :class:`SolverPool`.
 * **Trial pruning.** Before any MILP runs, each trial gets a lower
   bound — the sum of its micro-batches'
   :func:`~repro.core.planner.makespan_lower_bound` — and an upper
@@ -51,6 +53,7 @@ import os
 import pickle
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -129,9 +132,6 @@ class SolverConfig:
             behaviour of planning every micro-batch from scratch (the
             solver-throughput benchmark's reference path).
         plan_cache_capacity: LRU capacity of the plan cache.
-        persistent_workers: Keep the worker pool alive across
-            ``solve()`` calls.  Disabling recreates (and tears down)
-            the pool every solve — the pre-service behaviour.
     """
 
     num_trials: int = DEFAULT_NUM_TRIALS
@@ -142,7 +142,6 @@ class SolverConfig:
     capacity_safety: float = 1.0
     plan_cache: bool = True
     plan_cache_capacity: int = DEFAULT_CAPACITY
-    persistent_workers: bool = True
 
     def __post_init__(self) -> None:
         if self.num_trials <= 0:
@@ -162,49 +161,6 @@ class SolverConfig:
                 f"plan_cache_capacity must be positive, got "
                 f"{self.plan_cache_capacity}"
             )
-
-
-# ---------------------------------------------------------------------------
-# Worker-side state of the persistent solving service.  The initializer
-# receives the cost model and planner knobs exactly once per worker
-# process; tasks then carry only the micro-batch shape.
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: tuple[CostModel, PlannerConfig, str] | None = None
-
-
-def _service_initializer(
-    model: CostModel,
-    planner_config: PlannerConfig,
-    backend: str,
-    fault_schedule=None,
-) -> None:
-    global _WORKER_STATE
-    _WORKER_STATE = (model, planner_config, backend)
-    # Chaos testing: arm the parent's fault schedule in this worker
-    # (None outside chaos runs) and visit the spawn injection point.
-    faults.arm(fault_schedule)
-    faults.maybe_inject("spawn")
-    # Pre-build the vectorized cost table so every task reuses it.
-    cost_table(model)
-
-
-def _service_plan(
-    lengths: tuple[int, ...]
-) -> tuple[tuple[MicroBatchPlan, float] | None, dict[str, float]]:
-    """Plan one micro-batch in a service worker; ships the outcome
-    (None if infeasible) together with the per-stage timing the
-    planner recorded, so the parent's solve-level breakdown covers
-    pooled work too."""
-    assert _WORKER_STATE is not None, "service worker used before initialization"
-    model, planner_config, backend = _WORKER_STATE
-    faults.maybe_inject("plan")
-    with stage_timing.collect() as stages:
-        try:
-            outcome = _BACKENDS[backend](lengths, model, planner_config)
-        except PlanInfeasibleError:
-            outcome = None
-    return outcome, stages
 
 
 #: Sentinel for a shape whose outcome has not been collected yet.
@@ -271,97 +227,6 @@ def _plan_resumable(
         close()
 
 
-class SolverService:
-    """A persistent pool of planner workers for one (model, config).
-
-    The pool is created lazily on first use and survives across
-    ``solve()`` calls (and across batches of a workload), so process
-    spawn and model shipping are one-time costs.  Usable standalone as
-    a context manager::
-
-        with SolverService(model, config) as service:
-            outcomes = service.plan_shapes(shapes)
-
-    Args:
-        model: Fitted cost model shipped to each worker once.
-        config: Solver knobs (worker count, backend, planner).
-    """
-
-    def __init__(self, model: CostModel, config: SolverConfig) -> None:
-        self.model = model
-        self.config = config
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._finalizer = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                # Ship a pristine copy: per-instance caches (bandwidths,
-                # cost tables) rebuild identically in the workers.
-                pristine = CostModel(
-                    coeffs=self.model.coeffs,
-                    cluster=self.model.cluster,
-                    comm_model=self.model.comm_model,
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.config.workers,
-                    initializer=_service_initializer,
-                    initargs=(
-                        pristine,
-                        self.config.planner,
-                        self.config.backend,
-                        faults.active_schedule(),
-                    ),
-                )
-                # GC/exit fallback for callers that never close(): shut
-                # the workers down when the service is collected or the
-                # interpreter exits, so fire-and-forget solvers don't
-                # leak worker processes.
-                self._finalizer = pools.track_pool(self, self._pool)
-            return self._pool
-
-    def plan_shapes(
-        self, shapes: list[tuple[int, ...]]
-    ) -> list[tuple[MicroBatchPlan, float] | None]:
-        """Plan every shape, dispatching at micro-batch granularity.
-
-        A dead worker poisons a ``ProcessPoolExecutor`` permanently
-        (every later submit raises ``BrokenProcessPool``), and a
-        concurrent ``close()`` can shut the pool down mid-submit
-        (``RuntimeError: cannot schedule new futures``) — in either
-        case the pool is rebuilt and only the **still-missing** shapes
-        are resubmitted (see :func:`_plan_resumable`): outcomes
-        already collected before the death survive, so a mid-batch
-        crash never replans completed work.  Worker exceptions are
-        genuine and propagate without retry.
-        """
-
-        def _submit(indices: list[int]) -> list:
-            pool = self._ensure_pool()
-            return [pool.submit(_service_plan, shapes[i]) for i in indices]
-
-        return _plan_resumable(_submit, self.close, len(shapes))
-
-    def close(self) -> None:
-        """Shut the pool down (the next use restarts it lazily)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            finalizer, self._finalizer = self._finalizer, None
-        if pool is not None:
-            pool.shutdown()
-        if finalizer is not None:
-            # Invoking (not detaching) also retires the pool from the
-            # exit registry; weakref.finalize runs at most once.
-            finalizer()
-
-    def __enter__(self) -> "SolverService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # ---------------------------------------------------------------------------
 # Shared multi-tenant solver pool.  One ProcessPoolExecutor serves every
 # (model, config) context of a sweep: tasks carry the context as a
@@ -404,16 +269,14 @@ def _pool_plan(
 
 
 class PooledPlanner:
-    """One tenant's :class:`SolverService`-compatible view of a
-    :class:`SolverPool`.
-
-    ``plan_shapes`` matches :meth:`SolverService.plan_shapes`, so a
-    :class:`FlexSPSolver` accepts either as its injected service.
-    ``close()`` is a no-op — the pool belongs to the
-    :class:`SolverPool`, which many solvers share.
+    """One tenant's view of a :class:`SolverPool`: ``plan_shapes``
+    plans for this tenant's (model, config) context.  What a
+    :class:`FlexSPSolver` plans through when it has a pool; the pool
+    itself belongs to the :class:`SolverPool`, which many solvers may
+    share.
     """
 
-    __slots__ = ("pool", "digest", "_blob")
+    __slots__ = ("pool", "digest", "_blob", "__weakref__")
 
     def __init__(self, pool: "SolverPool", digest: str, blob: bytes) -> None:
         self.pool = pool
@@ -425,18 +288,14 @@ class PooledPlanner:
     ) -> list[tuple[MicroBatchPlan, float] | None]:
         return self.pool.plan_shapes(self.digest, self._blob, shapes)
 
-    def close(self) -> None:  # pragma: no cover - trivial
-        """No-op: the shared pool outlives any one tenant."""
-
 
 class SolverPool:
     """A persistent planner-worker pool shared across workloads.
 
-    Where :class:`SolverService` dedicates a pool to one
-    (model, config) pair, a ``SolverPool`` multiplexes every workload
-    of a sweep over a single ``ProcessPoolExecutor`` — the ROADMAP's
-    "one SolverService pool between the sweep workers and the
-    per-workload FlexSPSolvers" item.  Tenants are obtained with
+    The library's one process pool: a ``SolverPool`` multiplexes every
+    workload of a sweep (or every tenant of a plan service) over a
+    single ``ProcessPoolExecutor``, and a lone solver with
+    ``workers > 1`` plans on a private one.  Tenants are obtained with
     :meth:`client` and injected into :class:`FlexSPSolver`; planning
     outcomes are bit-identical to in-process planning because the
     workers run the same pure planner functions on an identically
@@ -454,22 +313,26 @@ class SolverPool:
         self.workers = workers
         self._pool: ProcessPoolExecutor | None = None
         self._lock = threading.Lock()
-        self._clients: dict[str, PooledPlanner] = {}
+        #: Interned tenant handles, held weakly: a handle refers to its
+        #: pool, so a strong map would make every pool with a client a
+        #: reference cycle that only the cyclic collector could free.
+        self._clients: weakref.WeakValueDictionary[str, PooledPlanner] = (
+            weakref.WeakValueDictionary()
+        )
         self._finalizer = None
         self._dispatched = 0
 
     @property
     def dispatched(self) -> int:
-        """Planner tasks shipped to pool workers so far (telemetry for
-        the ``--calibrate-workers`` sweep: a combo whose pool never
-        receives work is configured too wide)."""
+        """Planner tasks shipped to pool workers so far (a pool that
+        never receives work is configured too wide)."""
         with self._lock:
             return self._dispatched
 
     def client(self, model: CostModel, config: SolverConfig) -> PooledPlanner:
         """The (interned) tenant handle for one (model, config) context."""
         # Ship a pristine copy: per-instance caches rebuild identically
-        # in the workers (same policy as SolverService).
+        # in the workers.
         pristine = CostModel(
             coeffs=model.coeffs,
             cluster=model.cluster,
@@ -504,10 +367,19 @@ class SolverPool:
     def plan_shapes(
         self, digest: str, blob: bytes, shapes: list[tuple[int, ...]]
     ) -> list[tuple[MicroBatchPlan, float] | None]:
-        """Plan every shape for one tenant (same recovery contract as
-        :meth:`SolverService.plan_shapes`: a broken or concurrently-
-        closed pool is rebuilt and only still-missing shapes are
-        resubmitted; worker exceptions propagate)."""
+        """Plan every shape for one tenant, dispatching at micro-batch
+        granularity.
+
+        A dead worker poisons a ``ProcessPoolExecutor`` permanently
+        (every later submit raises ``BrokenProcessPool``), and a
+        concurrent ``close()`` can shut the pool down mid-submit
+        (``RuntimeError: cannot schedule new futures``) — in either
+        case the pool is rebuilt and only the **still-missing** shapes
+        are resubmitted (see :func:`_plan_resumable`): outcomes
+        already collected before the death survive, so a mid-batch
+        crash never replans completed work.  Worker exceptions are
+        genuine and propagate without retry.
+        """
 
         def _submit(indices: list[int]) -> list:
             pool = self._ensure_pool()
@@ -545,33 +417,34 @@ class SolverPool:
 class FlexSPSolver:
     """Produces iteration plans for global batches (Fig. 3's solver box).
 
-    The solver owns a cross-call plan cache and (when ``workers > 1``)
-    a persistent :class:`SolverService`; both live as long as the
-    solver object, so a long-running deployment amortises process
-    startup and re-planning across every batch it serves.  A resident
-    front-end (:class:`repro.service.PlanService`) keeps one such
-    solver per tenant, all planning on one shared :class:`SolverPool`,
-    and classifies requests warm/cold with the :meth:`is_warm` /
+    The solver owns a cross-call plan cache and (when ``workers > 1``
+    and no pool client is injected) a private :class:`SolverPool`;
+    both live as long as the solver object, so a long-running
+    deployment amortises process startup and re-planning across every
+    batch it serves.  A resident front-end
+    (:class:`repro.service.PlanService`) keeps one such solver per
+    tenant, all planning on one shared :class:`SolverPool`, and
+    classifies requests warm/cold with the :meth:`is_warm` /
     :meth:`pending_shapes` probes.
 
     Args:
         model: Fitted cost model for the target (model, cluster).
         config: Solver knobs; defaults match the paper.
-        service: Optional injected planning service — typically a
-            :class:`PooledPlanner` tenant of a shared
-            :class:`SolverPool`, so many workloads' solvers fan their
-            planning onto one pool instead of each nesting its own.
-            When provided, it is used whenever a solve has several
-            shapes to plan (regardless of ``config.workers``, which
-            sizes only solver-*owned* pools) and is **not** closed by
-            this solver — its lifetime belongs to the injector.
+        service: Optional injected :class:`PooledPlanner` tenant of
+            a shared :class:`SolverPool`, so many workloads' solvers
+            fan their planning onto one pool instead of each nesting
+            its own.  When provided, it is used whenever a solve has
+            several shapes to plan (regardless of ``config.workers``,
+            which sizes only the solver's private pool) and its pool
+            is **not** closed by this solver — its lifetime belongs to
+            the injector.
     """
 
     def __init__(
         self,
         model: CostModel,
         config: SolverConfig | None = None,
-        service: "SolverService | PooledPlanner | None" = None,
+        service: PooledPlanner | None = None,
     ) -> None:
         self.model = model
         self.config = config or SolverConfig()
@@ -583,17 +456,21 @@ class FlexSPSolver:
         self._context = cache_context(
             model, self.config.planner, self.config.backend
         )
+        #: The private pool of a ``workers > 1`` solver without an
+        #: injected client; it starts its processes on first use.
+        self._own_pool: SolverPool | None = None
+        if service is None and self.config.workers > 1:
+            self._own_pool = SolverPool(self.config.workers)
+            service = self._own_pool.client(model, self.config)
         self._service = service
-        self._service_owned = service is None
         #: Whether solves run the trial-pruning step (module docstring).
         self._prunes = (
             self.config.backend == "milp" and self.config.planner.greedy_incumbent
         )
         # solve() may be called from several threads at once (the
         # pipeline prefetches with a thread pool); the cache locks
-        # internally, but lazy service creation and the blast memo
-        # need this guard.
-        self._service_lock = threading.Lock()
+        # internally, but the blast memo needs this guard.
+        self._memo_lock = threading.Lock()
         #: Tiny LRU of blasted trial shapes per batch — pending_shapes
         #: (the prewarm probe) and the following solve() share one DP.
         self._trial_memo: OrderedDict[
@@ -634,7 +511,7 @@ class FlexSPSolver:
         """
         key = batch.lengths
         memo = self._trial_memo
-        with self._service_lock:
+        with self._memo_lock:
             cached = memo.get(key)
             if cached is not None:
                 memo.move_to_end(key)
@@ -652,7 +529,7 @@ class FlexSPSolver:
             [mb.lengths for mb in blasted[m]] if m in blasted else None
             for m in trials
         ]
-        with self._service_lock:
+        with self._memo_lock:
             memo[key] = (trials, trial_shapes)
             while len(memo) > 16:
                 memo.popitem(last=False)
@@ -957,18 +834,11 @@ class FlexSPSolver:
     def _plan_missing(
         self, shapes: list[tuple[int, ...]]
     ) -> list[tuple[MicroBatchPlan, float] | None]:
-        """Plan uncached shapes — in-process, or on a service pool."""
+        """Plan uncached shapes — in-process, or on the solver pool."""
         if not shapes:
             return []
-        pooled = not self._service_owned or self.config.workers > 1
-        if pooled and len(shapes) > 1:
-            if not self._service_owned or self.config.persistent_workers:
-                return self.service().plan_shapes(shapes)
-            # Pre-service behaviour: a throwaway pool per solve.  Local
-            # to this call so concurrent solve() threads never tear
-            # down a pool another thread is submitting to.
-            with SolverService(self.model, self.config) as service:
-                return service.plan_shapes(shapes)
+        if self._service is not None and len(shapes) > 1:
+            return self._service.plan_shapes(shapes)
         planner = _BACKENDS[self.config.backend]
         outcomes: list[tuple[MicroBatchPlan, float] | None] = []
         for shape in shapes:
@@ -978,24 +848,15 @@ class FlexSPSolver:
                 outcomes.append(None)
         return outcomes
 
-    def service(self) -> "SolverService | PooledPlanner":
-        """The injected service, or the lazily started solver-owned
-        persistent :class:`SolverService`."""
-        with self._service_lock:
-            if self._service is None:
-                self._service = SolverService(self.model, self.config)
-            return self._service
-
     def close(self) -> None:
-        """Release the worker pool (kept plans/cache remain valid).
+        """Shut the private pool down (kept plans/cache remain valid;
+        a later pooled solve restarts it lazily).
 
-        Injected services are left running — they belong to whoever
-        shared them (e.g. a sweep's :class:`SolverPool`).
+        An injected client's pool is left running — it belongs to
+        whoever shared it (e.g. a sweep's :class:`SolverPool`).
         """
-        with self._service_lock:
-            if self._service_owned and self._service is not None:
-                self._service.close()
-                self._service = None
+        if self._own_pool is not None:
+            self._own_pool.close()
 
     def __enter__(self) -> "FlexSPSolver":
         return self
@@ -1010,10 +871,11 @@ class FlexSPSolver:
         ``solver.ablated(sort_sequences=False)`` or
         ``solver.ablated(planner=replace(cfg.planner, bucketing="naive"))``.
         An injected shared-pool tenant is re-derived for the new config
-        so ablated solvers keep planning on the same :class:`SolverPool`.
+        so ablated solvers keep planning on the same :class:`SolverPool`;
+        a private pool is not shared (the copy gets its own).
         """
         config = replace(self.config, **changes)
         service = None
-        if isinstance(self._service, PooledPlanner):
+        if self._service is not None and self._own_pool is None:
             service = self._service.pool.client(self.model, config)
         return FlexSPSolver(self.model, config, service=service)

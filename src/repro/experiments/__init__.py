@@ -3,8 +3,8 @@
 Unified training-system wrappers (:mod:`repro.experiments.systems`),
 workload definitions matching the paper's evaluation grid
 (:mod:`repro.experiments.workloads`), the measurement runner
-(:mod:`repro.experiments.runner`), the parallel experiment-sweep
-runner with shared per-workload state
+(:mod:`repro.experiments.runner`), the experiment-sweep runner with
+shared per-workload state
 (:mod:`repro.experiments.sweep`), the declarative campaign engine
 expressing every paper artefact grid as one sweep
 (:mod:`repro.experiments.campaign`) and text reporting in the paper's

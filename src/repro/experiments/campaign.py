@@ -385,16 +385,9 @@ class CampaignResult:
         }
 
     @property
-    def total_steals(self) -> int:
-        """Cells that ran outside their shard's home worker this pass."""
-        return sum(t.steals for t in self.sweep.worker_telemetry)
-
-    @property
     def total_context_builds(self) -> int:
-        """Workload-context constructions across every worker this
-        pass — with shard affinity, bounded by unique workloads plus
-        :attr:`total_steals` (vs. up to workers x workloads for naive
-        fan-out)."""
+        """Workload-context constructions this pass (cold builds and
+        store restores alike)."""
         return sum(t.context_builds for t in self.sweep.worker_telemetry)
 
     @property
@@ -426,14 +419,12 @@ class CampaignResult:
             },
             "workers": {
                 "count": len(self.sweep.worker_telemetry),
-                "steals": self.total_steals,
                 "context_builds": self.total_context_builds,
                 "per_worker": [
                     {
                         "worker": t.worker,
                         "pid": t.pid,
                         "cells": t.cells,
-                        "steals": t.steals,
                         "context_builds": t.context_builds,
                         "restore_seconds": round(t.restore_seconds, 4),
                         "stage_seconds": {
@@ -456,8 +447,8 @@ class CampaignResult:
                 ),
             }
         if self.sweep.fault_stats is not None:
-            # Chaos accounting: realised injections and the recovery
-            # that absorbed them (absent on fault-free passes).
+            # Chaos accounting: realised injections and broken store
+            # locks (absent on fault-free passes).
             payload["faults"] = self.sweep.fault_stats.to_dict()
         return payload
 

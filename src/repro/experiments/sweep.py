@@ -1,4 +1,4 @@
-"""Parallel experiment-sweep runner.
+"""Experiment-sweep runner.
 
 The paper's evaluation is a grid of independent cells — a (system,
 workload) pair measured over a few global batches (Fig. 4's 18 cells,
@@ -28,87 +28,52 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   construction and spills them back after a pass, so a *new process*
   (CI re-run, next regeneration) starts warm with bit-identical
   metrics.
-* **One shared solver pool.**  With ``solver_workers > 1`` (or a
-  ``solver_config.workers > 1``) the runner owns a single
-  :class:`~repro.core.solver.SolverPool` whose tenant clients are
-  injected into every workload's :class:`FlexSPSolver` — the
-  per-workload solvers no longer nest their own process pools.
-* **Workload-sharded work-stealing fan-out.**  With ``workers > 1``
-  the unique cells are grouped into *shards* by
-  :func:`workload_signature` and affinity-dispatched over persistent
-  single-worker pool slots (one ``ProcessPoolExecutor`` per slot, so
-  a shard's cells land on exactly one worker process): each
-  workload's context — cost-model fit, corpus sample, tuner memos,
-  plan cache — is built or store-restored *once*, in the worker that
-  owns the shard.  An idle slot steals cells from the tail of the
-  heaviest remaining shard, paying the duplicate context build only
-  when a steal actually happens, so long-tail cells no longer
-  serialize behind a static partition.  Workers keep their context
-  caches alive across cells and sweeps, the same architecture as
-  :class:`repro.core.solver.SolverService`, and share one solver pool
-  and one cache store across all of their workloads.  Fan-out passes
-  run the same cold-batching prewarm as serial ones: pending shapes
-  are probed in the parent (side-effect-free), planned once through
-  the shared :class:`~repro.core.solver.SolverPool`, and the seeded
-  state reaches the shard workers via the store (when configured) or
-  a shipped pre-seed snapshot (when not).
-* **Per-worker telemetry.**  Every pass reports
-  :class:`WorkerTelemetry` rows — cells run, steals, context builds,
-  context build/restore seconds and the solve-stage breakdown —
-  shipped home beside the store counters the way
-  :mod:`repro.core.stage_timing` ships solver stages, and surfaced by
-  ``python -m repro.bench --campaign ... --profile``.
-* **Batched spills.**  Workers accumulate dirty store state and
-  merge-save once per drain (end of a :meth:`SweepRunner.run` pass,
-  and guaranteed at worker exit via :func:`repro.core.pools.
-  register_worker_exit_flush`) instead of after every cell;
-  ``spill_batch`` restores per-cell spilling (``1``, the write-
-  amplification baseline) or any intermediate cadence.  Store write
-  amplification (writes / cells measured) is surfaced per cell as
-  :attr:`CellMetrics.store_writes` and per pass as
+* **Campaign-level cold batching, on one shared solver pool.**  Before
+  any cell is measured, the prewarm asks every FlexSP cell for the
+  micro-batch shapes it would plan from scratch, dedups them across
+  cells and plans the union in one batch.  With ``solver_workers > 1``
+  (or a ``solver_config.workers > 1``) that batch is planned on a
+  single :class:`~repro.core.solver.SolverPool` whose tenant clients
+  are injected into every workload's :class:`FlexSPSolver` — the
+  paper's parallel solving (S4.3), and the only parallelism here.
+  The prewarm is where a cold campaign spends its planning time, so
+  the cells are then measured serially in this process, replaying
+  seeded plans.
+* **Telemetry.**  Every pass reports one :class:`WorkerTelemetry` row
+  — cells run, context builds, context build/restore seconds and the
+  solve-stage breakdown — surfaced by ``python -m repro.bench
+  --campaign ... --profile``.
+* **Batched spills.**  Dirty store state is merge-saved once per
+  workload at the end of a :meth:`SweepRunner.run` pass instead of
+  after every cell; ``spill_batch`` restores per-cell spilling (``1``,
+  the write-amplification baseline) or any intermediate cadence.
+  Store write amplification (writes / cells measured) is surfaced per
+  cell as :attr:`CellMetrics.store_writes` and per pass as
   :attr:`SweepResult.store_stats`.
-* **Fault injection & graduated recovery.**  The executor visits the
-  :mod:`repro.core.faults` injection points (``cell``, ``spawn``,
-  ``drain``, ``prewarm``; the store and solver layers add ``spill``,
-  ``lock``, ``prune``, ``plan``) and survives what they throw at it
-  with a graduated escalation instead of the old all-or-nothing pass
-  retry: a cell whose slot dies is **resubmitted** with deterministic
-  bounded backoff; the dead slot's pool is **restarted** lazily; a
-  slot that keeps dying is **retired**, its unfinished shards
-  reassigned to surviving slots through the same
-  :class:`_ShardScheduler` stealing machinery; and when no slots
-  survive (or a cell exhausts its retries) the work **degrades to
-  serial in-process execution** — a campaign finishes on the parent
-  alone if it must.  A watchdog kills and resubmits hung flights
-  (``watchdog_seconds``).  Recovery moves only *where and when* a
-  cell runs: results stay bit-identical to the fault-free serial
-  pass, and the whole story is accounted in
-  :attr:`SweepResult.fault_stats` (:class:`~repro.core.faults.
-  FaultStats`).
+* **Fault injection.**  A pass may arm a
+  :class:`~repro.core.faults.FaultSchedule`: the solver pool's workers
+  visit the ``spawn`` and ``plan`` injection points and the store
+  visits ``spill``, ``lock`` and ``prune``.  The pool rebuilds after a
+  dead worker and resubmits only the shapes still missing, and the
+  store reads a torn file as cold and breaks stale locks, so results
+  stay bit-identical to the fault-free pass; realised injections are
+  accounted in :attr:`SweepResult.fault_stats`
+  (:class:`~repro.core.faults.FaultStats`).
 
 Results are plain :class:`CellMetrics` (no plans or traces), so they
-are cheap to ship across the pool and serialise into the
-``BENCH_e2e.json`` / ``BENCH_campaign.json`` trajectories.
+serialise into the ``BENCH_e2e.json`` / ``BENCH_campaign.json``
+trajectories.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import threading
 import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core import faults, pools, stage_timing
+from repro.core import faults, stage_timing
 from repro.core.cache_store import (
     CacheStore,
     StoreStats,
@@ -241,8 +206,8 @@ class CellMetrics:
 
     ``mean_solve_seconds`` is host wall-clock (non-deterministic); the
     other fields are pure functions of the simulated execution and are
-    bit-identical however the cell is computed (scalar or vectorized,
-    in-process or on a pool worker, cold or restored from a
+    bit-identical however the cell is computed (plans solved in-process
+    or on a pool worker, cold or restored from a
     :class:`~repro.core.cache_store.CacheStore`).
 
     ``checkpointing`` surfaces the workload's chosen activation
@@ -379,37 +344,28 @@ def find_cell_metrics(
 
 @dataclass(frozen=True)
 class WorkerTelemetry:
-    """One worker's share of a sweep pass (host-side accounting).
+    """The measuring process's share of a sweep pass (host-side
+    accounting).
 
-    A row per pool slot for fan-out passes, plus a single row
-    (``worker=0``, the parent pid) for serial ones, so campaign
-    tooling reads one vocabulary either way.  Everything here is
+    Cells are measured in the runner's own process, so a pass reports
+    one row (``worker=0``, that process's pid).  Everything here is
     wall-clock/bookkeeping — never part of the bit-identical metrics
     contract.
 
     Attributes:
-        worker: Pool-slot index (0-based; serial passes use 0).
-        pid: Worker process id (the parent's for serial passes; 0
-            when a fan-out drain could not reach the worker).
-        cells: Unique cells this worker measured during the pass.
-        steals: How many of those were stolen from another slot's
-            shard — each steal is the price of one (possible)
-            duplicate context build, so ``sum(context_builds) <=
-            unique workloads + sum(steals)`` bounds the redundant
-            work.
+        worker: Row index (always 0).
+        pid: The measuring process's id.
+        cells: Unique cells measured during the pass.
         context_builds: :class:`WorkloadContext` constructions
-            (cold builds and store restores alike) in this worker
-            during the pass.
-        restore_seconds: Wall-clock those constructions took —
-            the fan-out overhead the shard affinity amortises.
-        stage_seconds: The worker's cold-path solve-stage breakdown
+            (cold builds and store restores alike) during the pass.
+        restore_seconds: Wall-clock those constructions took.
+        stage_seconds: The cells' cold-path solve-stage breakdown
             (same vocabulary as :attr:`CellMetrics.stage_seconds`).
     """
 
     worker: int
     pid: int
     cells: int
-    steals: int
     context_builds: int = 0
     restore_seconds: float = 0.0
     stage_seconds: tuple[tuple[str, float], ...] = ()
@@ -428,30 +384,21 @@ class SweepResult:
         store_stats: Cache-store accounting for this pass (None
             without a store): on-disk totals after the pass plus the
             hit/miss/write/eviction counter *deltas* attributable to
-            it.  Fan-out counters are collected at the drain flushes
-            (after each pass and again at ``close()``); a worker that
-            misses every drain still spills at exit, but those writes
-            land after the last collection and are absent from every
-            pass's delta — the figure is a lower bound, short by at
-            most one merge-save per dirty workload per such worker.
+            it.
         prewarm_planned: Micro-batch shapes the cold-batching pass
-            planned up front (0 when prewarming was off, fanned out,
-            or everything was already cached/restored).
+            planned up front (0 when prewarming was off or everything
+            was already cached/restored).
         prewarm_seconds: Wall-clock of that pass (inside
             ``wall_seconds``).
         prewarm_stage_seconds: Its cold-path stage breakdown, same
             vocabulary as :attr:`CellMetrics.stage_seconds`.
-        worker_telemetry: Per-worker accounting rows for this pass
-            (see :class:`WorkerTelemetry`); one row per pool slot, or
-            a single parent row for serial passes.
-        fault_stats: Fault-and-recovery accounting for this pass
+        worker_telemetry: The pass's accounting row (see
+            :class:`WorkerTelemetry`).
+        fault_stats: Fault accounting for this pass
             (:class:`~repro.core.faults.FaultStats`): realised
             injections from the armed schedule's ledger plus the
-            recovery escalations the executor performed (cell
-            retries, pool restarts, shard reassignments, degradations
-            to serial, watchdog kills, store lock breaks).  None when
-            no schedule was armed and no recovery fired — the
-            fault-free common case.
+            store locks broken.  None when no schedule was armed and
+            no lock was broken — the fault-free common case.
     """
 
     cells: tuple[SweepCell, ...]
@@ -495,26 +442,19 @@ class WorkloadContext:
     With a ``store``, the expensive derivations are *restored* from
     disk instead of recomputed when a previous process spilled them
     (see :mod:`repro.core.cache_store`), and :meth:`persist` spills the
-    current state back.  Without a store, a ``preseed``
-    :class:`~repro.core.cache_store.WorkloadState` (the parent's
-    exported prewarm state, shipped to shard workers by the fan-out
-    dispatcher) restores exactly like a store load would.  With a
-    ``solver_pool``, FlexSP solvers plan on the shared pool's workers
-    instead of owning pools of their own.
+    current state back.  With a ``solver_pool``, FlexSP solvers plan on
+    the shared pool's workers instead of owning pools of their own.
     """
 
     def __init__(
         self,
         workload: Workload,
         solver_config: SolverConfig | None = None,
-        vectorized: bool = True,
         store: CacheStore | None = None,
         solver_pool: SolverPool | None = None,
-        preseed: WorkloadState | None = None,
     ) -> None:
         self.workload = workload
         self.solver_config = solver_config
-        self.vectorized = vectorized
         self.store = store
         self.solver_pool = solver_pool
         self._signature = workload_signature(workload)
@@ -525,7 +465,7 @@ class WorkloadContext:
         self._megatron_strategy = None
         self._systems: dict[tuple[str, tuple], TrainingSystem] = {}
         self._restored: WorkloadState | None = (
-            store.load(self._signature) if store is not None else preseed
+            store.load(self._signature) if store is not None else None
         )
         self._persisted_fingerprint: tuple | None = None
         self._restore_scalars()
@@ -597,7 +537,6 @@ class WorkloadContext:
                 self.probe_batches(),
                 self.cost_model,
                 self.workload.max_context,
-                vectorized=self.vectorized,
             )
         return self._static_degree
 
@@ -612,7 +551,6 @@ class WorkloadContext:
                 self.workload.cluster,
                 self.workload.max_context,
                 self.workload.checkpointing,
-                vectorized=self.vectorized,
             )
         return self._megatron_strategy
 
@@ -646,7 +584,6 @@ class WorkloadContext:
             self.workload,
             config,
             cost_model=self.cost_model,
-            vectorized=self.vectorized,
             solver_service=service,
         )
         self._preload_plans(system)
@@ -685,19 +622,12 @@ class WorkloadContext:
                     sp_degree if sp_degree is not None else self.static_degree()
                 ),
                 cost_model=self.cost_model,
-                vectorized=self.vectorized,
             )
         elif name == "batchada":
-            system = FlexSPBatchAdaSystem(
-                workload,
-                cost_model=self.cost_model,
-                vectorized=self.vectorized,
-            )
+            system = FlexSPBatchAdaSystem(workload, cost_model=self.cost_model)
         elif name == "megatron":
             system = MegatronLMSystem(
-                workload,
-                strategy=self.megatron_strategy(),
-                vectorized=self.vectorized,
+                workload, strategy=self.megatron_strategy()
             )
         else:  # pragma: no cover - guarded by SweepCell validation
             raise ValueError(f"unknown system {name!r}")
@@ -764,13 +694,11 @@ class WorkloadContext:
         """Snapshot the spillable state as a
         :class:`~repro.core.cache_store.WorkloadState`.
 
-        The serialisation half of :meth:`persist`, also used directly
-        by the fan-out dispatcher to ship the parent's prewarm-seeded
-        state to shard workers when no store is configured (the
-        snapshot round-trips bit-identically either way).  Plan
-        entries of flexsp variants that share a planning context
-        (e.g. the sort ablation, which changes blasting but not
-        per-shape planning) are unioned.
+        The serialisation half of :meth:`persist` (the snapshot
+        round-trips bit-identically through the store).  Plan entries
+        of flexsp variants that share a planning context (e.g. the
+        sort ablation, which changes blasting but not per-shape
+        planning) are unioned.
         """
         state = WorkloadState(signature=repr(self._signature))
         if self._cost_model is not None:
@@ -797,11 +725,11 @@ class WorkloadContext:
 
         No-op without a store, and skipped entirely when nothing
         spillable changed since the last persist (or, for a restored
-        context, since the restore — the drain flush persists every
-        context it touched, and with ``spill_batch=1`` every cell
-        triggers one; without the fingerprint check each no-op call
-        would re-serialise the whole workload file under the store
-        lock).
+        context, since the restore — the end-of-pass flush persists
+        every context it touched, and with ``spill_batch=1`` every
+        cell triggers one; without the fingerprint check each no-op
+        call would re-serialise the whole workload file under the
+        store lock).
         """
         if self.store is None:
             return
@@ -812,320 +740,35 @@ class WorkloadContext:
         self._persisted_fingerprint = fingerprint
 
 
-# ---------------------------------------------------------------------------
-# Worker-side state of the sweep pool slots.  Contexts live in the
-# worker process and persist across cells and across sweeps, so each
-# worker amortises profiling/tuning/corpus work exactly like the serial
-# path.  Each worker owns at most one SolverPool and one CacheStore,
-# shared by all of its workload contexts; spills are batched per worker
-# and drained at the end of each pass (and, as a guarantee, at worker
-# exit — the parent cannot reach into a worker at shutdown).  The
-# telemetry dict is cumulative for the life of the worker process; the
-# parent attributes per-pass deltas (see SweepRunner).
-# ---------------------------------------------------------------------------
-
-_WORKER_SWEEP: (
-    tuple[SolverConfig | None, bool, str | None, int, int] | None
-) = None
-_WORKER_CONTEXTS: dict = {}
-_WORKER_SOLVER_POOL: SolverPool | None = None
-_WORKER_STORE: CacheStore | None = None
-_WORKER_CELLS_SINCE_SPILL = 0
-_WORKER_PRESEED: dict = {}
-_WORKER_TELEMETRY: dict = {
-    "cells": 0,
-    "context_builds": 0,
-    "restore_seconds": 0.0,
-    "stages": {},
-}
-
-
-def _sweep_worker_init(
-    solver_config: SolverConfig | None,
-    vectorized: bool,
-    store_root: str | None,
-    solver_workers: int,
-    spill_batch: int,
-    fault_schedule: FaultSchedule | None = None,
-) -> None:
-    global _WORKER_SWEEP, _WORKER_SOLVER_POOL, _WORKER_STORE
-    global _WORKER_CELLS_SINCE_SPILL
-    _WORKER_SWEEP = (
-        solver_config, vectorized, store_root, solver_workers, spill_batch,
-    )
-    _WORKER_CONTEXTS.clear()
-    _WORKER_PRESEED.clear()
-    _WORKER_SOLVER_POOL = None
-    _WORKER_CELLS_SINCE_SPILL = 0
-    _WORKER_TELEMETRY.update(
-        cells=0, context_builds=0, restore_seconds=0.0, stages={}
-    )
-    # Chaos testing: arm the parent's fault schedule (None outside
-    # chaos runs) before anything that can fault, then visit the spawn
-    # injection point — a worker_kill here dies during pool startup.
-    faults.arm(fault_schedule)
-    faults.maybe_inject("spawn")
-    _WORKER_STORE = CacheStore(store_root) if store_root else None
-    if _WORKER_STORE is not None:
-        # Batched spills must survive pool shutdown: whatever is still
-        # dirty when this worker exits is flushed on the way out.
-        pools.register_worker_exit_flush(_sweep_worker_flush)
-
-
-def _sweep_worker_preseed(states: dict) -> int:
-    """Adopt the parent's exported prewarm state (storeless fan-out).
-
-    ``states`` maps workload signatures to
-    :class:`~repro.core.cache_store.WorkloadState` snapshots; a
-    context built later for one of these signatures restores from the
-    snapshot exactly as it would from a store file.  Returns the
-    number of snapshots adopted (a cheap dispatch barrier for the
-    parent).
-    """
-    _WORKER_PRESEED.update(states)
-    return len(states)
-
-
-def _sweep_worker_flush() -> tuple[int, dict[str, int], dict]:
-    """Spill every dirty context and report this worker's accounting.
-
-    The drain hook: the parent submits one flush per pool slot after
-    each pass (idempotent — a worker that receives two drains, or
-    none, stays correct; :class:`WorkloadContext.persist` skips clean
-    state) and :func:`repro.core.pools.register_worker_exit_flush`
-    runs it once more at worker exit.  Returns ``(pid, cumulative
-    store counters, cumulative telemetry)`` so the parent can
-    aggregate store stats and :class:`WorkerTelemetry` per worker
-    process.
-    """
-    global _WORKER_CELLS_SINCE_SPILL
-    faults.maybe_inject("drain")
-    for context in _WORKER_CONTEXTS.values():
-        context.persist()
-    _WORKER_CELLS_SINCE_SPILL = 0
-    counters = _WORKER_STORE.counters() if _WORKER_STORE is not None else {}
-    telemetry = dict(_WORKER_TELEMETRY, stages=dict(_WORKER_TELEMETRY["stages"]))
-    return os.getpid(), counters, telemetry
-
-
-def _sweep_worker_run(cell: SweepCell) -> CellMetrics:
-    global _WORKER_SOLVER_POOL, _WORKER_CELLS_SINCE_SPILL
-    assert _WORKER_SWEEP is not None, "sweep worker used before initialization"
-    # The cell injection point (worker-side only: a cell degraded to
-    # serial in-process execution deliberately bypasses it — the
-    # parent dying is the campaign ending, not a fault to recover
-    # from).  worker_kill dies here; hang sleeps until the parent's
-    # watchdog kills this process.
-    faults.maybe_inject("cell")
-    solver_config, vectorized, __, solver_workers, spill_batch = _WORKER_SWEEP
-    if solver_workers > 1 and _WORKER_SOLVER_POOL is None:
-        _WORKER_SOLVER_POOL = SolverPool(solver_workers)
-    key = workload_signature(cell.workload)
-    context = _WORKER_CONTEXTS.get(key)
-    if context is None:
-        build_started = time.perf_counter()
-        context = WorkloadContext(
-            cell.workload,
-            solver_config,
-            vectorized,
-            store=_WORKER_STORE,
-            solver_pool=_WORKER_SOLVER_POOL,
-            preseed=_WORKER_PRESEED.get(key),
-        )
-        _WORKER_TELEMETRY["context_builds"] += 1
-        _WORKER_TELEMETRY["restore_seconds"] += (
-            time.perf_counter() - build_started
-        )
-        _WORKER_CONTEXTS[key] = context
-    writes_before = (
-        _WORKER_STORE.counters()["writes"] if _WORKER_STORE is not None else 0
-    )
-    metrics = context.run(cell)
-    _WORKER_TELEMETRY["cells"] += 1
-    stage_timing.accumulate(_WORKER_TELEMETRY["stages"], metrics.stage_seconds)
-    if _WORKER_STORE is not None:
-        _WORKER_CELLS_SINCE_SPILL += 1
-        if spill_batch and _WORKER_CELLS_SINCE_SPILL >= spill_batch:
-            _sweep_worker_flush()
-        metrics = dataclasses.replace(
-            metrics,
-            store_writes=_WORKER_STORE.counters()["writes"] - writes_before,
-        )
-    return metrics
-
-
-class _ShardScheduler:
-    """Workload-sharded work-stealing cell dispatch (parent side).
-
-    Cells are grouped into shards by :func:`workload_signature`
-    (request order preserved within a shard) and shards are assigned
-    to pool slots longest-processing-time-first: sorted by descending
-    size, each to the least-loaded slot.  :meth:`next_cell` serves a
-    slot its own shards first (head of the deque); a slot whose own
-    shards are drained *steals* from the tail of the heaviest
-    remaining shard — the owner and the thief eat the same shard from
-    opposite ends, so the duplicate context build a steal pays is
-    taken from the workload with the most work left, where it
-    amortises best.
-
-    Pure bookkeeping, deliberately free of any pool/process concerns
-    so the dispatch policy is unit-testable; scheduling order affects
-    only *where* a cell runs, never its metrics (the bit-identity
-    contract).
-    """
-
-    def __init__(self, cells: Sequence[SweepCell], slots: int) -> None:
-        if slots <= 0:
-            raise ValueError(f"slots must be positive, got {slots}")
-        shards: dict[tuple, deque] = {}
-        for cell in cells:
-            shards.setdefault(
-                workload_signature(cell.workload), deque()
-            ).append(cell)
-        self._shards: list[deque] = list(shards.values())
-        self.owners: list[list[int]] = [[] for _ in range(slots)]
-        loads = [0] * slots
-        heaviest_first = sorted(
-            range(len(self._shards)),
-            key=lambda i: (-len(self._shards[i]), i),
-        )
-        for index in heaviest_first:
-            slot = min(range(slots), key=lambda s: (loads[s], s))
-            self.owners[slot].append(index)
-            loads[slot] += len(self._shards[index])
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def remaining(self) -> int:
-        """Cells not yet handed out."""
-        return sum(len(shard) for shard in self._shards)
-
-    def _load(self, slot: int) -> int:
-        """Cells still queued in ``slot``'s own shards."""
-        return sum(len(self._shards[i]) for i in self.owners[slot])
-
-    def reassign(self, slot: int, survivors: Sequence[int]) -> int:
-        """Move ``slot``'s unfinished shards to the least-loaded
-        survivors (the retired-slot escalation rung: a slot whose pool
-        keeps dying hands its remaining work to slots that still
-        live).  Returns the number of shards moved; with no survivors
-        the shards stay put for the caller to drain serially.  The
-        stealing machinery needs no change — a reassigned shard is
-        simply owned by its new slot from here on."""
-        survivors = [s for s in survivors if s != slot]
-        if not survivors:
-            return 0
-        moved = 0
-        for index in self.owners[slot]:
-            if not self._shards[index]:
-                continue
-            target = min(survivors, key=lambda s: (self._load(s), s))
-            self.owners[target].append(index)
-            moved += 1
-        self.owners[slot] = []
-        return moved
-
-    def next_cell(self, slot: int) -> tuple[SweepCell, bool] | None:
-        """The next cell for ``slot``, or None when everything is out.
-
-        Returns ``(cell, stolen)``; ``stolen`` is True when the cell
-        came from another slot's shard.
-        """
-        for index in self.owners[slot]:
-            shard = self._shards[index]
-            if shard:
-                return shard.popleft(), False
-        victim = max(
-            (i for i, shard in enumerate(self._shards) if shard),
-            key=lambda i: (len(self._shards[i]), -i),
-            default=None,
-        )
-        if victim is None:
-            return None
-        return self._shards[victim].pop(), True
-
-
-#: Deterministic per-cell resubmit backoff: retry ``n`` (1-based)
-#: sleeps ``RETRY_BACKOFF_SECONDS * 2**(n-1)``, capped at
-#: ``RETRY_BACKOFF_MAX_SECONDS`` — bounded, and identical for every
-#: run of the same schedule.
-RETRY_BACKOFF_SECONDS = 0.05
-RETRY_BACKOFF_MAX_SECONDS = 1.0
-
-
-@dataclass
-class _RecoveryLog:
-    """One pass's mutable recovery counters (parent-side bookkeeping
-    behind :class:`~repro.core.faults.FaultStats`)."""
-
-    cell_retries: int = 0
-    pool_restarts: int = 0
-    shard_reassignments: int = 0
-    degraded_cells: int = 0
-    watchdog_kills: int = 0
-
-    def any(self) -> bool:
-        return bool(
-            self.cell_retries
-            or self.pool_restarts
-            or self.shard_reassignments
-            or self.degraded_cells
-            or self.watchdog_kills
-        )
-
-
-class _Flight:
-    """One in-flight cell: which slot runs it and when the watchdog
-    may presume it hung."""
-
-    __slots__ = ("slot", "cell", "deadline")
-
-    def __init__(self, slot: int, cell, deadline: float | None) -> None:
-        self.slot = slot
-        self.cell = cell
-        self.deadline = deadline
-
-
 class SweepRunner:
-    """Runs evaluation-grid cells with shared state and optional fan-out.
+    """Runs evaluation-grid cells serially against shared state.
 
     The runner is a persistent service: per-workload contexts (and the
-    worker pool, when ``workers > 1``) survive across :meth:`run`
-    calls, so regenerating a campaign repeatedly — the benchmark
-    trajectory use case — pays profiling, tuning, corpus sampling and
-    plan solving once.  Pools are additionally guarded by
-    :mod:`repro.core.pools`: a runner that is dropped without
+    shared solver pool, when ``solver_workers > 1``) survive across
+    :meth:`run` calls, so regenerating a campaign repeatedly — the
+    benchmark trajectory use case — pays profiling, tuning, corpus
+    sampling and plan solving once.  The pool is additionally guarded
+    by :mod:`repro.core.pools`: a runner that is dropped without
     ``close()`` (or held until interpreter exit) cannot leak worker
     processes.
 
     Args:
         cells: Default cell list for :meth:`run`.
         solver_config: FlexSP solver knobs shared by all cells.
-        workers: Fan-out width.  ``None`` (the default) and 1 run
-            serially in-process; ``0`` uses every CPU — the same
-            convention as the bench CLI's ``--workers``, so library
-            callers (like the plan service) can never fan out by
-            accident.  With more than one, cells are workload-sharded
-            and affinity-dispatched over single-worker pool slots with
-            work stealing (see :class:`_ShardScheduler`).
-        vectorized: Evaluate timing kernels and tuners through the
-            batched array paths (bit-identical to scalar).
         store: Persistent cross-process cache — a
             :class:`~repro.core.cache_store.CacheStore` or a directory
             path.  Contexts restore from it on construction and spill
             back per the ``spill_batch`` cadence.
         solver_workers: Width of the *one* shared
             :class:`~repro.core.solver.SolverPool` injected into every
-            FlexSP solver.  ``None`` adopts ``solver_config.workers``
-            when that is > 1 (so sweeps never nest per-workload
-            pools); ``0`` uses every CPU; 1 plans in-process.
-        spill_batch: Cells a worker (or the serial loop) measures
-            before spilling dirty store state.  ``0`` (default)
-            batches the whole drain: one merge-save per dirty workload
-            per pass, flushed at the end of :meth:`run` and guaranteed
-            at worker exit.  ``1`` restores the historical
+            FlexSP solver — the runner's only parallelism.  ``None``
+            adopts ``solver_config.workers`` when that is > 1 (so
+            sweeps never nest per-workload pools); ``0`` uses every
+            CPU; 1 plans in-process.
+        spill_batch: Cells measured before dirty store state is
+            spilled.  ``0`` (default) batches the whole pass: one
+            merge-save per dirty workload, flushed at the end of
+            :meth:`run`.  ``1`` restores the historical
             spill-after-every-cell behaviour (the write-amplification
             baseline); larger values flush every N cells.  Durability
             trade-off only — restored state is bit-identical at every
@@ -1144,57 +787,29 @@ class SweepRunner:
             cell would have solved itself; per-cell
             ``mean_solve_seconds`` then reflects cache replay while
             the batched planning cost is reported as
-            :attr:`SweepResult.prewarm_seconds`.  Fan-out passes
-            prewarm too: the probe runs in the parent
-            (side-effect-free), and the seeded state reaches the
-            shard workers through the store when one is configured,
-            or as a shipped pre-seed snapshot when not.
+            :attr:`SweepResult.prewarm_seconds`.
         fault_schedule: Chaos testing — a
             :class:`~repro.core.faults.FaultSchedule` armed around
-            every :meth:`run` pass (in the parent and, via the slot
-            pool initializers, in the workers).  None (the default)
+            every :meth:`run` pass (in the parent and, via the solver
+            pool's initializer, in its workers).  None (the default)
             keeps every injection point a no-op.  Results under any
-            schedule stay bit-identical to the fault-free serial
-            pass; realised injections and the recovery they triggered
-            are reported as :attr:`SweepResult.fault_stats`.
-        watchdog_seconds: Hung-flight watchdog for fan-out passes: a
-            cell in flight longer than this is presumed hung, its
-            slot's worker is killed (SIGKILL) and the cell resubmitted
-            through the normal escalation.  None (default) disables
-            the watchdog — a legitimately long MILP solve must never
-            be shot mid-flight unless the caller opted in.
-        max_cell_retries: Resubmissions a cell may consume across slot
-            failures before degrading to serial in-process execution.
-        max_slot_restarts: Consecutive failures a slot may accumulate
-            (a success resets the count) before it is retired and its
-            shards reassigned to surviving slots.
+            survivable schedule stay bit-identical to the fault-free
+            pass; realised injections are reported as
+            :attr:`SweepResult.fault_stats`.
     """
 
     def __init__(
         self,
         cells: Sequence[SweepCell] = (),
         solver_config: SolverConfig | None = None,
-        workers: int | None = None,
-        vectorized: bool = True,
         store: CacheStore | str | os.PathLike | None = None,
         solver_workers: int | None = None,
         spill_batch: int = 0,
         prewarm: bool = True,
         fault_schedule: FaultSchedule | None = None,
-        watchdog_seconds: float | None = None,
-        max_cell_retries: int = 3,
-        max_slot_restarts: int = 2,
     ) -> None:
         self.cells = tuple(cells)
         self.solver_config = solver_config
-        if workers is None:
-            workers = 1
-        elif workers == 0:
-            workers = os.cpu_count() or 1
-        if workers < 0:
-            raise ValueError(f"workers must be non-negative, got {workers}")
-        self.workers = workers
-        self.vectorized = vectorized
         if store is not None and not isinstance(store, CacheStore):
             store = CacheStore(store)
         self.store = store
@@ -1218,61 +833,21 @@ class SweepRunner:
         self.spill_batch = spill_batch
         self.prewarm = prewarm
         self.fault_schedule = fault_schedule
-        if watchdog_seconds is not None and watchdog_seconds <= 0:
-            raise ValueError(
-                f"watchdog_seconds must be positive, got {watchdog_seconds}"
-            )
-        self.watchdog_seconds = watchdog_seconds
-        if max_cell_retries < 0:
-            raise ValueError(
-                f"max_cell_retries must be non-negative, got "
-                f"{max_cell_retries}"
-            )
-        self.max_cell_retries = max_cell_retries
-        if max_slot_restarts < 0:
-            raise ValueError(
-                f"max_slot_restarts must be non-negative, got "
-                f"{max_slot_restarts}"
-            )
-        self.max_slot_restarts = max_slot_restarts
         #: Ledger lines already attributed to earlier passes, so each
         #: SweepResult reports only its own realised injections.
         self._ledger_seen = 0
         self._contexts: dict[tuple, WorkloadContext] = {}
-        self._solver_pool: SolverPool | None = None
-        #: One single-worker ProcessPoolExecutor per fan-out slot —
-        #: the affinity mechanism: a shard dispatched to slot i always
-        #: lands in the same worker process.
-        self._slots: list[ProcessPoolExecutor | None] = []
-        self._slot_finalizers: list = []
-        self._pool_lock = threading.Lock()
-        #: Per-worker-pid cumulative store counters (fan-out), the
-        #: counters of workers already retired by a pool teardown
-        #: (folded so a reused pid can never clobber them), and the
-        #: totals already attributed to earlier passes, so each
-        #: SweepResult carries this pass's counter deltas.
-        self._worker_counters: dict[int, dict[str, int]] = {}
-        self._counters_retired: dict[str, int] = {}
+        #: The one shared pool; it starts its processes on first use.
+        self._solver_pool: SolverPool | None = (
+            SolverPool(solver_workers) if solver_workers > 1 else None
+        )
+        #: Store counter totals already attributed to earlier passes,
+        #: so each SweepResult carries this pass's counter deltas.
         self._counters_attributed: dict[str, int] = {}
-        #: Per-slot cumulative worker telemetry (latest drain) and the
-        #: amounts already attributed to earlier passes.
-        self._slot_telemetry: dict[int, dict] = {}
-        self._slot_telemetry_attributed: dict[int, dict] = {}
-        #: The serial path's (and prewarm's) parent-side context
-        #: accounting, delta-attributed the same way.
-        self._parent_context_builds = 0
-        self._parent_restore_seconds = 0.0
-        self._parent_attributed = {
-            "context_builds": 0, "restore_seconds": 0.0,
-        }
-
-    def _ensure_solver_pool(self) -> SolverPool | None:
-        if self.solver_workers <= 1:
-            return None
-        with self._pool_lock:
-            if self._solver_pool is None:
-                self._solver_pool = SolverPool(self.solver_workers)
-            return self._solver_pool
+        #: Context constructions (and their wall-clock) not yet
+        #: reported in a pass's telemetry row.
+        self._context_builds = 0
+        self._restore_seconds = 0.0
 
     def context(self, workload: Workload) -> WorkloadContext:
         """The (memoised) shared context of ``workload``."""
@@ -1283,60 +858,21 @@ class SweepRunner:
             context = WorkloadContext(
                 workload,
                 self.solver_config,
-                self.vectorized,
                 store=self.store,
-                solver_pool=self._ensure_solver_pool(),
+                solver_pool=self._solver_pool,
             )
-            self._parent_context_builds += 1
-            self._parent_restore_seconds += time.perf_counter() - started
+            self._context_builds += 1
+            self._restore_seconds += time.perf_counter() - started
             self._contexts[key] = context
         return context
-
-    def _ensure_slot(self, slot: int) -> ProcessPoolExecutor:
-        """The (lazily started) single-worker pool of fan-out slot
-        ``slot``; each slot is tracked with its own lifecycle guard."""
-        with self._pool_lock:
-            while len(self._slots) < self.workers:
-                self._slots.append(None)
-                self._slot_finalizers.append(None)
-            if self._slots[slot] is None:
-                store_root = (
-                    str(self.store.root) if self.store is not None else None
-                )
-                pool = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_sweep_worker_init,
-                    initargs=(
-                        self.solver_config,
-                        self.vectorized,
-                        store_root,
-                        self.solver_workers,
-                        self.spill_batch,
-                        self.fault_schedule,
-                    ),
-                )
-                self._slots[slot] = pool
-                self._slot_finalizers[slot] = pools.track_pool(self, pool)
-            return self._slots[slot]
-
-    def _submit_to_slot(self, slot: int, fn, *args) -> Future:
-        """Submit to one slot, normalising a concurrently-closed pool
-        (``RuntimeError`` from ``submit``) to the retryable
-        ``BrokenProcessPool`` signal — a genuine in-worker exception
-        still propagates as itself from the future."""
-        try:
-            return self._ensure_slot(slot).submit(fn, *args)
-        except RuntimeError as exc:
-            raise BrokenProcessPool(str(exc)) from exc
 
     def run(self, cells: Iterable[SweepCell] | None = None) -> SweepResult:
         """Measure every cell (deduplicated) and return aligned metrics.
 
         Store spills follow the ``spill_batch`` cadence, with a final
-        drain at the end of the pass either way, so a fresh process
+        flush at the end of the pass either way, so a fresh process
         restoring from the store right after :meth:`run` returns sees
-        every measured cell's state (fan-out drains are best-effort
-        per worker; :meth:`close` is the hard guarantee).
+        every measured cell's state.
         """
         cells = self.cells if cells is None else tuple(cells)
         if not cells:
@@ -1348,73 +884,52 @@ class SweepRunner:
     def _run_armed(
         self, cells: tuple[SweepCell, ...], started: float
     ) -> SweepResult:
-        recovery = _RecoveryLog()
         unique: dict[SweepCell, CellMetrics | None] = dict.fromkeys(cells)
-        order = list(unique)
         prewarm_planned = 0
         prewarm_seconds = 0.0
         prewarm_stages: dict[str, float] = {}
         if self.prewarm:
-            faults.maybe_inject("prewarm")
             prewarm_planned, prewarm_seconds, prewarm_stages = (
-                self._prewarm_cold_cells(order)
+                self._prewarm_cold_cells(list(unique))
             )
-        if self.workers == 1:
-            touched: dict[tuple, WorkloadContext] = {}
-            cells_since_spill = 0
-            for cell in order:
-                context = self.context(cell.workload)
-                touched[workload_signature(cell.workload)] = context
-                writes_before = (
-                    self.store.counters()["writes"]
-                    if self.store is not None
-                    else 0
-                )
-                metrics = context.run(cell)
-                if self.store is not None:
-                    cells_since_spill += 1
-                    if (
-                        self.spill_batch
-                        and cells_since_spill >= self.spill_batch
-                    ):
-                        for dirty in touched.values():
-                            dirty.persist()
-                        cells_since_spill = 0
-                    metrics = dataclasses.replace(
-                        metrics,
-                        store_writes=(
-                            self.store.counters()["writes"] - writes_before
-                        ),
-                    )
-                unique[cell] = metrics
+        touched: dict[tuple, WorkloadContext] = {}
+        cells_since_spill = 0
+        for cell in unique:
+            context = self.context(cell.workload)
+            touched[workload_signature(cell.workload)] = context
+            writes_before = (
+                self.store.counters()["writes"]
+                if self.store is not None
+                else 0
+            )
+            metrics = context.run(cell)
             if self.store is not None:
-                for context in touched.values():
-                    context.persist()
-            telemetry = (self._serial_telemetry(unique),)
-        else:
-            preseed = (
-                self._export_prewarm_state() if prewarm_planned else {}
-            )
-            outcomes, ran, steals = self._run_on_pool(
-                order, preseed, recovery
-            )
-            for cell, metrics in zip(order, outcomes):
-                unique[cell] = metrics
-            self._drain_workers()
-            telemetry = self._collect_worker_telemetry(ran, steals)
-        metrics = tuple(unique[cell] for cell in cells)
+                cells_since_spill += 1
+                if self.spill_batch and cells_since_spill >= self.spill_batch:
+                    for dirty in touched.values():
+                        dirty.persist()
+                    cells_since_spill = 0
+                metrics = dataclasses.replace(
+                    metrics,
+                    store_writes=(
+                        self.store.counters()["writes"] - writes_before
+                    ),
+                )
+            unique[cell] = metrics
+        for context in touched.values():
+            context.persist()
         store_stats = self._store_stats_delta()
         return SweepResult(
             cells=tuple(cells),
-            metrics=metrics,
+            metrics=tuple(unique[cell] for cell in cells),
             unique_cells=len(unique),
             wall_seconds=time.perf_counter() - started,
             store_stats=store_stats,
             prewarm_planned=prewarm_planned,
             prewarm_seconds=prewarm_seconds,
             prewarm_stage_seconds=tuple(prewarm_stages.items()),
-            worker_telemetry=telemetry,
-            fault_stats=self._fault_stats(recovery, store_stats),
+            worker_telemetry=(self._telemetry(unique),),
+            fault_stats=self._fault_stats(store_stats),
         )
 
     def _prewarm_cold_cells(
@@ -1468,188 +983,30 @@ class SweepRunner:
             planned += len(shapes)
         return planned, time.perf_counter() - started, stages
 
-    def _export_prewarm_state(self) -> dict:
-        """Make the parent's prewarm-seeded state visible to workers.
-
-        With a store, each prewarmed context is persisted — shard
-        workers restore it on their first cell of the workload (the
-        spill is counted like any other write).  Without a store, the
-        state is exported as :class:`~repro.core.cache_store.
-        WorkloadState` snapshots, returned here for the dispatcher to
-        ship to every slot (``_sweep_worker_preseed``) — stealing
-        means any slot may end up building any workload's context, so
-        every slot gets the full map.
-        """
-        preseed: dict = {}
-        for signature, context in self._contexts.items():
-            if self.store is not None:
-                context.persist()
-            else:
-                preseed[signature] = context.export_state()
-        return preseed
-
-    def _serial_telemetry(self, unique: dict) -> WorkerTelemetry:
-        """The serial pass's single telemetry row (parent process)."""
-        builds = (
-            self._parent_context_builds
-            - self._parent_attributed["context_builds"]
-        )
-        restore = (
-            self._parent_restore_seconds
-            - self._parent_attributed["restore_seconds"]
-        )
-        self._sync_parent_attributed()
+    def _telemetry(self, unique: dict) -> WorkerTelemetry:
+        """The pass's telemetry row; context builds and their
+        wall-clock are reported once, by the pass that follows them."""
         stages: dict[str, float] = {}
         for metrics in unique.values():
-            if metrics is not None:
-                stage_timing.accumulate(stages, metrics.stage_seconds)
-        return WorkerTelemetry(
+            stage_timing.accumulate(stages, metrics.stage_seconds)
+        row = WorkerTelemetry(
             worker=0,
             pid=os.getpid(),
             cells=len(unique),
-            steals=0,
-            context_builds=builds,
-            restore_seconds=restore,
+            context_builds=self._context_builds,
+            restore_seconds=self._restore_seconds,
             stage_seconds=tuple(sorted(stages.items())),
         )
-
-    def _sync_parent_attributed(self) -> None:
-        self._parent_attributed = {
-            "context_builds": self._parent_context_builds,
-            "restore_seconds": self._parent_restore_seconds,
-        }
-
-    def _collect_worker_telemetry(
-        self, ran: dict[int, int], steals: dict[int, int]
-    ) -> tuple[WorkerTelemetry, ...]:
-        """Per-slot telemetry rows for the pass just finished.
-
-        Cells and steals are parent-side ground truth (the dispatcher
-        counted them); context builds, restore seconds and stage
-        breakdowns come from the workers' cumulative drain reports,
-        attributed as deltas against what earlier passes already
-        claimed.  The parent's own prewarm context builds are synced
-        into the attributed baseline so they never leak into a later
-        serial pass's row.
-        """
-        self._sync_parent_attributed()
-        rows = []
-        for slot in range(self.workers):
-            cells = ran.get(slot, 0)
-            stolen = steals.get(slot, 0)
-            cumulative = self._slot_telemetry.get(slot)
-            if cumulative is None:
-                # Drain could not reach this worker (broken pool):
-                # report what the dispatcher knows first-hand.
-                rows.append(
-                    WorkerTelemetry(
-                        worker=slot, pid=0, cells=cells, steals=stolen
-                    )
-                )
-                continue
-            attributed = self._slot_telemetry_attributed.get(slot) or {
-                "context_builds": 0,
-                "restore_seconds": 0.0,
-                "stages": {},
-            }
-            builds = max(
-                cumulative["context_builds"] - attributed["context_builds"], 0
-            )
-            restore = max(
-                cumulative["restore_seconds"] - attributed["restore_seconds"],
-                0.0,
-            )
-            stages = {}
-            for stage, seconds in cumulative["stages"].items():
-                delta = seconds - attributed["stages"].get(stage, 0.0)
-                if delta > 0:
-                    stages[stage] = delta
-            self._slot_telemetry_attributed[slot] = {
-                "context_builds": cumulative["context_builds"],
-                "restore_seconds": cumulative["restore_seconds"],
-                "stages": dict(cumulative["stages"]),
-            }
-            rows.append(
-                WorkerTelemetry(
-                    worker=slot,
-                    pid=cumulative["pid"],
-                    cells=cells,
-                    steals=stolen,
-                    context_builds=builds,
-                    restore_seconds=restore,
-                    stage_seconds=tuple(sorted(stages.items())),
-                )
-            )
-        return tuple(rows)
-
-    def _drain_workers(self) -> None:
-        """Flush every slot worker's batched spills (best-effort).
-
-        One flush task per slot; the tasks are idempotent, so a drain
-        that misses a worker costs durability-until-exit at worst,
-        never correctness — the exit flush registered in the worker
-        covers the gap.  Counter and telemetry reports are cumulative
-        per worker, so collecting one twice is harmless.
-        """
-        with self._pool_lock:
-            slots = list(self._slots)
-        for slot, pool in enumerate(slots):
-            if pool is None:
-                continue
-            try:
-                pid, counters, telemetry = pool.submit(
-                    _sweep_worker_flush
-                ).result()
-            except (BrokenProcessPool, RuntimeError):  # pragma: no cover
-                continue  # drain is best-effort; exit flush still runs
-            if counters:
-                self._worker_counters[pid] = counters
-            self._slot_telemetry[slot] = {**telemetry, "pid": pid}
-
-    def _counter_totals(self) -> dict[str, int]:
-        """Cumulative store counters across the parent, every live
-        worker's latest report, and workers retired by pool
-        teardowns."""
-        totals = dict(self.store.counters()) if self.store is not None else {}
-        for counters in self._worker_counters.values():
-            for key, value in counters.items():
-                totals[key] = totals.get(key, 0) + value
-        for key, value in self._counters_retired.items():
-            totals[key] = totals.get(key, 0) + value
-        return totals
-
-    def _retire_worker_counters(self) -> None:
-        """Fold live per-pid counters into the retired totals.
-
-        Called when pools are torn down: the next pool generation may
-        reuse a pid, and replacing a dead worker's cumulative counters
-        with a fresh worker's would silently drop the old work from
-        every later delta.
-        """
-        for counters in self._worker_counters.values():
-            for key, value in counters.items():
-                self._counters_retired[key] = (
-                    self._counters_retired.get(key, 0) + value
-                )
-        self._worker_counters.clear()
-
-    def _rebaseline_counters(self) -> None:
-        """Attribute everything counted so far to no pass at all.
-
-        The broken-pool retry hook: a first attempt that died mid-pass
-        may have spilled partial state (counted by workers whose
-        reports the teardown collected) which the retry will recompute
-        and recount — without re-baselining, the pass's
-        ``store_stats`` delta would double-count those writes.
-        """
-        self._counters_attributed = self._counter_totals()
+        self._context_builds = 0
+        self._restore_seconds = 0.0
+        return row
 
     def _store_stats_delta(self) -> StoreStats | None:
         """This pass's store accounting: on-disk totals plus the
         counter deltas not yet attributed to an earlier pass."""
         if self.store is None:
             return None
-        totals = self._counter_totals()
+        totals = self.store.counters()
         delta = {
             key: totals.get(key, 0) - self._counters_attributed.get(key, 0)
             for key in (
@@ -1668,13 +1025,13 @@ class SweepRunner:
         )
 
     def _fault_stats(
-        self, recovery: _RecoveryLog, store_stats: StoreStats | None
+        self, store_stats: StoreStats | None
     ) -> FaultStats | None:
         """This pass's fault report: the schedule ledger's new lines
-        (injections realised anywhere — including workers that died
-        before they could report) plus the parent's recovery counters
-        and the store's lock-break delta.  None when no schedule was
-        armed and nothing recovered (the common case stays silent)."""
+        (injections realised anywhere — including pool workers that
+        died before they could report) plus the store's lock-break
+        delta.  None when no schedule was armed and no lock was broken
+        (the common case stays silent)."""
         injections: dict[str, int] = {}
         if self.fault_schedule is not None:
             labels = self.fault_schedule.read_ledger()
@@ -1682,339 +1039,22 @@ class SweepRunner:
                 injections[label] = injections.get(label, 0) + 1
             self._ledger_seen = len(labels)
         lock_breaks = store_stats.lock_breaks if store_stats else 0
-        if self.fault_schedule is None and not recovery.any() and not lock_breaks:
+        if self.fault_schedule is None and not lock_breaks:
             return None
         return FaultStats(
             injections=tuple(sorted(injections.items())),
-            cell_retries=recovery.cell_retries,
-            pool_restarts=recovery.pool_restarts,
-            shard_reassignments=recovery.shard_reassignments,
-            degraded_cells=recovery.degraded_cells,
-            watchdog_kills=recovery.watchdog_kills,
             lock_breaks=lock_breaks,
         )
 
-    def _run_on_pool(
-        self,
-        cells: list[SweepCell],
-        preseed: dict,
-        recovery: _RecoveryLog,
-    ) -> tuple[list[CellMetrics], dict[int, int], dict[int, int]]:
-        """Fan unique cells across the slot pools.
-
-        Per-cell failures never reach here — :meth:`_run_sharded`
-        absorbs them through the graduated escalation (resubmit →
-        pool restart → shard reassignment → serial degradation).  The
-        outer retry survives only a *catastrophic* pass failure (e.g.
-        every preseed dying), and because ``results`` lives outside
-        the attempt loop, the retry recomputes **only unfinished
-        cells** — work the first attempt completed is kept.  Before
-        the retry the counter baseline is re-anchored
-        (:meth:`_rebaseline_counters`) so store writes the failed
-        attempt already performed are not double-counted.
-        """
-        results: dict[SweepCell, CellMetrics] = {}
-        ran = dict.fromkeys(range(self.workers), 0)
-        steals = dict.fromkeys(range(self.workers), 0)
-        for attempt in (0, 1):
-            try:
-                return self._run_sharded(
-                    cells, preseed, results, ran, steals, recovery
-                )
-            except BrokenProcessPool:
-                if attempt:
-                    raise
-                self.close()
-                self._rebaseline_counters()
-        raise AssertionError("unreachable: both sweep attempts returned")
-
-    def _run_sharded(
-        self,
-        cells: list[SweepCell],
-        preseed: dict,
-        results: dict,
-        ran: dict[int, int],
-        steals: dict[int, int],
-        recovery: _RecoveryLog,
-    ) -> tuple[list[CellMetrics], dict[int, int], dict[int, int]]:
-        """One work-stealing dispatch pass with graduated recovery.
-
-        Keeps exactly one cell in flight per slot (the scheduler's
-        steal decisions must see up-to-date shard sizes), counts
-        per-slot cells and steals, and returns metrics in request
-        order.  Cells already present in ``results`` (a previous
-        attempt's completions) are not re-run.
-
-        Failure handling is the escalation ladder: a slot whose
-        flight dies gets its pool restarted and the cell goes to the
-        retry queue with deterministic bounded backoff; a slot
-        failing ``max_slot_restarts + 1`` times in a row is retired
-        and its shards reassigned to surviving slots; a cell
-        exhausting ``max_cell_retries`` — or any work left when no
-        slot survives — runs serially in the parent.  A flight
-        outliving ``watchdog_seconds`` is presumed hung: its worker
-        is killed and the death follows the same ladder.  Recovery
-        affects only *where and when* a cell runs, so results remain
-        bit-identical to the fault-free serial pass.  Exceptions
-        raised *inside* a worker's cell computation are genuine and
-        propagate.
-        """
-        todo = [cell for cell in cells if cell not in results]
-        scheduler = (
-            _ShardScheduler(todo, self.workers) if todo else None
-        )
-        active = set(range(self.workers))
-        failures = dict.fromkeys(range(self.workers), 0)
-        retry_counts: dict[SweepCell, int] = {}
-        retry_queue: list[tuple[float, SweepCell]] = []
-        inflight: dict[Future, _Flight] = {}
-
-        def _degrade(cell: SweepCell) -> None:
-            results[cell] = self._run_cell_inprocess(cell)
-            recovery.degraded_cells += 1
-
-        def _retire(slot: int) -> None:
-            active.discard(slot)
-            if scheduler is not None and active:
-                recovery.shard_reassignments += scheduler.reassign(
-                    slot, sorted(active)
-                )
-
-        def _fail(slot: int, cell: SweepCell | None) -> None:
-            """One slot's flight (or submit) died: restart or retire
-            the slot, requeue or degrade the cell."""
-            self._restart_slot(slot)
-            recovery.pool_restarts += 1
-            failures[slot] += 1
-            if failures[slot] > self.max_slot_restarts and slot in active:
-                _retire(slot)
-            if cell is None:
-                return
-            retries = retry_counts.get(cell, 0) + 1
-            retry_counts[cell] = retries
-            if retries > self.max_cell_retries or not active:
-                _degrade(cell)
-                return
-            recovery.cell_retries += 1
-            backoff = min(
-                RETRY_BACKOFF_SECONDS * (2 ** (retries - 1)),
-                RETRY_BACKOFF_MAX_SECONDS,
-            )
-            retry_queue.append((time.monotonic() + backoff, cell))
-
-        if todo and preseed:
-            for slot in sorted(active):
-                while slot in active and not self._preseed_slot(
-                    slot, preseed
-                ):
-                    _fail(slot, None)
-
-        def _next_work(slot: int) -> tuple[SweepCell, bool] | None:
-            now = time.monotonic()
-            for i, (eligible, queued) in enumerate(retry_queue):
-                if eligible <= now:
-                    del retry_queue[i]
-                    return queued, False
-            if scheduler is not None:
-                return scheduler.next_cell(slot)
-            return None
-
-        busy: set[int] = set()
-        while True:
-            for slot in sorted(active - busy):
-                nxt = _next_work(slot)
-                if nxt is None:
-                    continue
-                cell, stolen = nxt
-                if stolen:
-                    steals[slot] += 1
-                try:
-                    future = self._submit_to_slot(
-                        slot, _sweep_worker_run, cell
-                    )
-                except BrokenProcessPool:
-                    _fail(slot, cell)
-                    continue
-                deadline = (
-                    time.monotonic() + self.watchdog_seconds
-                    if self.watchdog_seconds is not None
-                    else None
-                )
-                inflight[future] = _Flight(slot, cell, deadline)
-                busy.add(slot)
-            if not inflight:
-                pending = bool(retry_queue) or (
-                    scheduler is not None and scheduler.remaining() > 0
-                )
-                if not pending:
-                    break
-                if retry_queue and active:
-                    # Only backoff timers stand between us and more
-                    # dispatch: sleep until the earliest is eligible.
-                    soonest = min(e for e, _ in retry_queue)
-                    time.sleep(max(0.0, soonest - time.monotonic()))
-                    continue
-                # Final escalation rung: no slot can serve the rest.
-                while retry_queue:
-                    __, queued = retry_queue.pop()
-                    _degrade(queued)
-                if scheduler is not None:
-                    while True:
-                        nxt = scheduler.next_cell(0)
-                        if nxt is None:
-                            break
-                        _degrade(nxt[0])
-                break
-            done, __ = wait(
-                inflight,
-                timeout=self._wait_timeout(inflight, retry_queue),
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                now = time.monotonic()
-                for flight in inflight.values():
-                    if flight.deadline is not None and now >= flight.deadline:
-                        # Hung flight: kill the worker; the future
-                        # then fails as BrokenProcessPool and takes
-                        # the normal escalation path.  Deadline
-                        # cleared so the kill happens once.
-                        if self._kill_slot_workers(flight.slot):
-                            recovery.watchdog_kills += 1
-                        flight.deadline = None
-                continue
-            for future in done:
-                flight = inflight.pop(future)
-                busy.discard(flight.slot)
-                try:
-                    metrics = future.result()
-                except BrokenProcessPool:
-                    _fail(flight.slot, flight.cell)
-                    continue
-                results[flight.cell] = metrics
-                ran[flight.slot] += 1
-                failures[flight.slot] = 0
-        return [results[cell] for cell in cells], ran, steals
-
-    def _wait_timeout(
-        self, inflight: dict, retry_queue: list
-    ) -> float | None:
-        """How long the dispatch loop may block: until the nearest
-        watchdog deadline or retry-eligibility, whichever is sooner
-        (None blocks until a completion when neither applies)."""
-        now = time.monotonic()
-        bounds = [
-            flight.deadline - now
-            for flight in inflight.values()
-            if flight.deadline is not None
-        ]
-        if retry_queue:
-            bounds.append(min(e for e, _ in retry_queue) - now)
-        if not bounds:
-            return None
-        return max(0.01, min(bounds))
-
-    def _preseed_slot(self, slot: int, preseed: dict) -> bool:
-        """Ship the prewarm snapshot map to one slot; False when the
-        slot's pool died trying (the caller escalates)."""
-        try:
-            self._submit_to_slot(slot, _sweep_worker_preseed, preseed).result()
-        except BrokenProcessPool:
-            return False
-        return True
-
-    def _restart_slot(self, slot: int) -> None:
-        """Tear one slot's (broken) pool down; the next submit lazily
-        starts a fresh worker.  The dead worker's last drain report
-        stays in ``_worker_counters`` under its pid — its store writes
-        remain attributed — and the replacement registers under a new
-        pid (same-pid reuse is folded by :meth:`close`)."""
-        with self._pool_lock:
-            pool = self._slots[slot] if slot < len(self._slots) else None
-            finalizer = (
-                self._slot_finalizers[slot]
-                if slot < len(self._slot_finalizers)
-                else None
-            )
-            if pool is not None:
-                self._slots[slot] = None
-                self._slot_finalizers[slot] = None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if finalizer is not None:
-            finalizer()
-
-    def _kill_slot_workers(self, slot: int) -> bool:
-        """SIGKILL one slot's worker process(es) — the watchdog's
-        hammer for a hung flight (``shutdown`` alone would wait on the
-        hung task forever).  False when the slot has no live pool."""
-        with self._pool_lock:
-            pool = self._slots[slot] if slot < len(self._slots) else None
-        if pool is None:
-            return False
-        processes = getattr(pool, "_processes", None) or {}
-        killed = False
-        for process in list(processes.values()):
-            if process.is_alive():
-                process.kill()
-                killed = True
-        return killed
-
-    def _run_cell_inprocess(self, cell: SweepCell) -> CellMetrics:
-        """Serial degradation: run one cell in the parent, exactly as
-        the ``workers == 1`` path would (same contexts, same store
-        accounting) — the executor's of-last-resort rung when pools
-        keep dying.  The parent-side cell computation does not visit
-        the ``cell`` injection point: killing the parent is the
-        campaign ending, not a fault to recover from."""
-        context = self.context(cell.workload)
-        writes_before = (
-            self.store.counters()["writes"] if self.store is not None else 0
-        )
-        metrics = context.run(cell)
-        if self.store is not None:
-            # Persist immediately: degraded cells have no worker drain
-            # to flush them, and close() only drains workers.
-            context.persist()
-            metrics = dataclasses.replace(
-                metrics,
-                store_writes=(
-                    self.store.counters()["writes"] - writes_before
-                ),
-            )
-        return metrics
-
     def close(self) -> None:
-        """Shut the worker pools down.
+        """Shut the shared solver pool down.
 
-        The serial path's in-process contexts survive; with
-        ``workers > 1`` the warm per-workload state lives inside the
-        worker processes and is discarded with them — the next
-        :meth:`run` starts fresh slots whose caches are cold (or
-        store-restored, when a ``store`` is configured).  Workers are
-        drained first so their batched spills land (and are counted)
-        before shutdown; the per-worker exit flush remains the
-        backstop for anything a best-effort drain missed.  Collected
-        counters are retired, not dropped — later passes' deltas stay
-        correct across pool generations.
+        Contexts and their warm state survive: they hold tenant
+        clients of the pool, which restarts lazily if the runner is
+        used again.
         """
-        self._drain_workers()
-        with self._pool_lock:
-            slots, self._slots = self._slots, []
-            finalizers, self._slot_finalizers = self._slot_finalizers, []
-            solver_pool = self._solver_pool
-        for pool in slots:
-            if pool is not None:
-                pool.shutdown()
-        for finalizer in finalizers:
-            if finalizer is not None:
-                finalizer()  # retires the pool from the exit registry too
-        self._retire_worker_counters()
-        self._slot_telemetry.clear()
-        self._slot_telemetry_attributed.clear()
-        if solver_pool is not None:
-            # Not discarded: live contexts hold tenant clients of this
-            # pool, which restarts lazily if the runner is used again.
-            solver_pool.close()
+        if self._solver_pool is not None:
+            self._solver_pool.close()
 
     def __enter__(self) -> "SweepRunner":
         return self

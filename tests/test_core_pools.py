@@ -1,21 +1,20 @@
-"""Tests for repro.core.pools under the sharded sweep dispatcher.
+"""Tests for repro.core.pools and the one pool it guards.
 
-The lifecycle guard is exercised indirectly by every fan-out suite;
-these tests pin the contracts the scale-out executor leans on:
-``close()`` racing a ``run()`` resolves through the broken-pool retry,
-the per-worker exit flush lands batched spills that a best-effort
-drain missed, and the pool registry returns to baseline once a
-campaign's runner is closed.
+The lifecycle guard is exercised indirectly by every pooled suite;
+these tests pin the contracts the solver pool leans on: ``close()``
+racing a solve resolves through the rebuild-and-resume path, the pool
+registry returns to baseline once a campaign's runner (or a solver's
+private pool) is closed, and a dropped solver releases its private
+pool without a ``close()``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core import pools
-from repro.core.solver import SolverConfig
+from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
+from repro.core.types import SequenceBatch
 from repro.cluster.topology import standard_cluster
 from repro.data.distributions import GITHUB
 from repro.experiments.sweep import SweepRunner, grid_cells
@@ -36,34 +35,33 @@ def workload():
     )
 
 
-class TestSlotLifecycle:
-    def test_run_survives_a_concurrent_close(self, workload):
-        # A close() that lands between dispatches shuts the slot pools
-        # down under the scheduler's feet; the next submit then raises
-        # the pool's RuntimeError, which the runner normalises to
-        # BrokenProcessPool and retries on fresh slots.  Simulate the
-        # race deterministically: warm the slots, then shut the pools
-        # down directly (without clearing the runner's slot table, as
-        # a concurrent close would have after the dispatch read it).
-        cells = grid_cells(["flexsp", "deepspeed"], [workload])
-        with SweepRunner(
-            cells, solver_config=SOLVER, workers=2
-        ) as runner:
-            first = runner.run()
-            for pool in runner._slots:
-                pool.shutdown()
-            second = runner.run()
-            for a, b in zip(first.metrics, second.metrics):
-                assert a.deterministic() == b.deterministic()
-            # The retry recreated live slot pools.
-            assert all(pool is not None for pool in runner._slots)
+class TestPoolLifecycle:
+    def test_run_survives_a_concurrent_close(self, cost_model8):
+        # A close() that lands between dispatches shuts the executor
+        # down under the planner's feet; the next submit then raises
+        # the executor's RuntimeError, and the pool rebuilds and
+        # resubmits.  Simulate the race deterministically: shut the
+        # executor down directly, without clearing the pool's handle,
+        # as a concurrent close would have after the dispatch read it.
+        batch = SequenceBatch(lengths=(4096, 8192, 2048, 1024, 512) * 2)
+        reference = FlexSPSolver(cost_model8, SOLVER)
+        shapes = reference.pending_shapes(batch)
+        expected = reference.plan_shapes_cold(shapes)
+        with SolverPool(workers=2) as pool:
+            client = pool.client(cost_model8, SOLVER)
+            assert client.plan_shapes(shapes) == expected
+            stale = pool._pool
+            stale.shutdown()
+            assert client.plan_shapes(shapes) == expected
+            # The retry recreated a live executor.
+            assert pool._pool is not None and pool._pool is not stale
 
     def test_live_pool_count_returns_to_baseline(self, workload):
         baseline = pools.live_pool_count()
         runner = SweepRunner(
-            grid_cells(["deepspeed"], [workload]),
+            grid_cells(["flexsp"], [workload]),
             solver_config=SOLVER,
-            workers=2,
+            solver_workers=2,
         )
         runner.run()
         assert pools.live_pool_count() > baseline
@@ -73,9 +71,9 @@ class TestSlotLifecycle:
     def test_close_is_idempotent(self, workload):
         baseline = pools.live_pool_count()
         runner = SweepRunner(
-            grid_cells(["deepspeed"], [workload]),
+            grid_cells(["flexsp"], [workload]),
             solver_config=SOLVER,
-            workers=2,
+            solver_workers=2,
         )
         runner.run()
         runner.close()
@@ -83,38 +81,27 @@ class TestSlotLifecycle:
         assert pools.live_pool_count() == baseline
 
 
-class TestWorkerExitFlush:
-    def test_exit_flush_lands_batched_spills(self, workload, tmp_path):
-        # A spill batch larger than the pass means no mid-run spill
-        # cadence fires in the workers; close() (drain + worker exit)
-        # is the durability point.  A fresh serial runner must restore
-        # everything the workers measured.
-        cells = grid_cells(
-            ["flexsp", "deepspeed"], [workload], num_iterations=2
+class TestPrivatePool:
+    def test_solver_close_releases_its_private_pool(self, cost_model8):
+        baseline = pools.live_pool_count()
+        solver = FlexSPSolver(
+            cost_model8, SolverConfig(backend="greedy", workers=2)
         )
-        with SweepRunner(
-            cells, solver_config=SOLVER, workers=2,
-            store=tmp_path, spill_batch=100,
-        ) as runner:
-            fanned = runner.run()
-        restored = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, store=tmp_path
-        ).run()
-        for a, b in zip(fanned.metrics, restored.metrics):
-            assert a.deterministic() == b.deterministic()
-        assert restored.metric("flexsp", workload.name).plan_cache_hit_rate == 1.0
-        assert restored.store_stats.writes == 0
+        solver.solve((4096, 2048, 1024, 8192) * 2)
+        assert pools.live_pool_count() == baseline + 1
+        solver.close()
+        solver.close()
+        assert pools.live_pool_count() == baseline
 
-    def test_register_worker_exit_flush_is_idempotent_per_process(self):
-        calls = []
-
-        def flush():
-            calls.append(1)
-
-        key = (os.getpid(), flush)
-        assert key not in pools._EXIT_FLUSHES
-        pools.register_worker_exit_flush(flush)
-        assert key in pools._EXIT_FLUSHES
-        registered = len(pools._EXIT_FLUSHES)
-        pools.register_worker_exit_flush(flush)
-        assert len(pools._EXIT_FLUSHES) == registered
+    def test_dropped_solver_releases_its_private_pool(self, cost_model8):
+        # Tenant handles are interned weakly, so a private pool is not
+        # kept alive by a reference cycle: dropping the solver frees
+        # the pool, whose finalizer shuts the executor down.
+        baseline = pools.live_pool_count()
+        solver = FlexSPSolver(
+            cost_model8, SolverConfig(backend="greedy", workers=2)
+        )
+        solver.solve((4096, 2048, 1024, 8192) * 2)
+        assert pools.live_pool_count() == baseline + 1
+        del solver
+        assert pools.live_pool_count() == baseline

@@ -59,6 +59,11 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="capacity_safety"):
             SolverConfig(capacity_safety=0.0)
 
+    def test_throwaway_pool_option_is_gone(self):
+        # A private pool always persists across solves.
+        with pytest.raises(TypeError, match="persistent_workers"):
+            SolverConfig(persistent_workers=False)
+
 
 class TestSolve:
     def test_plan_covers_batch(self, cost_model8):
@@ -137,6 +142,25 @@ class TestAblationHooks:
         assert ablated.config.sort_sequences is False
         assert solver.config.sort_sequences is True
 
+    def test_ablated_keeps_an_injected_pool(self, cost_model8):
+        with SolverPool(workers=2) as pool:
+            config = SolverConfig(num_trials=2, backend="greedy")
+            solver = FlexSPSolver(
+                cost_model8, config, service=pool.client(cost_model8, config)
+            )
+            ablated = solver.ablated(sort_sequences=False)
+            assert ablated._service.pool is pool
+            assert ablated._own_pool is None
+
+    def test_ablated_does_not_share_a_private_pool(self, cost_model8):
+        # Closing the original must not leave the copy planning on a
+        # pool nobody owns: the copy gets a private pool of its own.
+        solver = fast_solver(cost_model8, backend="greedy", workers=2)
+        ablated = solver.ablated(sort_sequences=False)
+        assert ablated._own_pool is not None
+        assert ablated._own_pool is not solver._own_pool
+        assert ablated._service.pool is ablated._own_pool
+
     def test_no_sort_still_valid(self, cost_model8):
         batch = SequenceBatch(lengths=(16384, 1024, 8192, 512, 4096, 2048))
         plan = fast_solver(cost_model8, sort_sequences=False).solve(batch)
@@ -159,10 +183,29 @@ class TestParallelSolve:
         parallel = fast_solver(cost_model8, backend="greedy", workers=2).solve(batch)
         assert parallel.predicted_time == pytest.approx(serial.predicted_time)
 
+    def test_single_worker_never_builds_a_pool(self, cost_model8):
+        solver = fast_solver(cost_model8, backend="greedy")
+        solver.solve((4096, 2048, 1024, 8192) * 2)
+        assert solver._own_pool is None and solver._service is None
 
-class TestSolverServiceRecovery:
+    def test_closed_private_pool_restarts_on_the_next_solve(self, cost_model8):
+        solver = fast_solver(cost_model8, backend="greedy", workers=2)
+        serial = fast_solver(cost_model8, backend="greedy")
+        solver.solve((4096, 2048, 1024, 8192) * 2)
+        solver.close()
+        assert solver._own_pool._pool is None
+        batch = (4000, 2000, 1000, 8000) * 2  # uncached: pooled again
+        try:
+            restarted = solver.solve(batch)
+            assert solver._own_pool._pool is not None
+        finally:
+            solver.close()
+        assert restarted.microbatches == serial.solve(batch).microbatches
+
+
+class TestPrivatePoolRecovery:
     def test_recovers_after_worker_death(self, cost_model8):
-        """A SIGKILLed worker must not poison the persistent pool."""
+        """A SIGKILLed worker must not poison the private pool."""
         import os
         import signal
 
@@ -170,9 +213,9 @@ class TestSolverServiceRecovery:
         with solver:
             first = solver.solve((4096, 2048, 1024, 8192) * 2)
             assert first.num_sequences == 8
-            service = solver._service
-            assert service is not None and service._pool is not None
-            for pid in list(service._pool._processes):
+            pool = solver._own_pool
+            assert pool is not None and pool._pool is not None
+            for pid in list(pool._pool._processes):
                 os.kill(pid, signal.SIGKILL)
             # A different batch (no cache hits) must transparently
             # rebuild the pool and still match a serial solve.

@@ -46,7 +46,7 @@ CONTEXT = 32 * 1024
 
 
 def small_runner(**kwargs) -> SweepRunner:
-    return SweepRunner(solver_config=SOLVER, workers=1, **kwargs)
+    return SweepRunner(solver_config=SOLVER, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -329,8 +329,8 @@ class TestMilpDeterminism:
             planner=PlannerConfig(node_limit=50, mip_rel_gap=0.05),
         )
         cell = SweepCell(system="flexsp", workload=workload, num_iterations=2)
-        first = SweepRunner([cell], solver_config=config, workers=1).run()
-        second = SweepRunner([cell], solver_config=config, workers=1).run()
+        first = SweepRunner([cell], solver_config=config).run()
+        second = SweepRunner([cell], solver_config=config).run()
         assert (
             first.metrics[0].deterministic()
             == second.metrics[0].deterministic()
@@ -351,11 +351,27 @@ class TestCampaignWithStoreAndPool:
             assert a.deterministic() == b.deterministic()
         assert warm.plan_cache_hit_rate == 1.0
 
-    def test_shared_solver_pool_is_bit_identical(self, campaign, result):
-        with small_runner(solver_workers=2) as runner:
+    @pytest.mark.parametrize("backend", ["greedy", "milp"])
+    def test_shared_solver_pool_is_bit_identical(
+        self, campaign, result, backend
+    ):
+        """The prewarm plans the campaign on the shared pool — for the
+        MILP under a deterministic node limit as for greedy — and the
+        pooled pass matches the in-process one bit for bit."""
+        if backend == "greedy":
+            config, reference = SOLVER, result
+        else:
+            config = SolverConfig(
+                backend="milp",
+                num_trials=2,
+                planner=PlannerConfig(node_limit=200),
+            )
+            reference = campaign.run(SweepRunner(solver_config=config))
+        with SweepRunner(solver_config=config, solver_workers=2) as runner:
             pooled = campaign.run(runner)
-            assert runner._solver_pool is not None
-        for a, b in zip(result.sweep.metrics, pooled.sweep.metrics):
+            assert pooled.sweep.prewarm_planned > 0
+            assert runner._solver_pool.dispatched > 0
+        for a, b in zip(reference.sweep.metrics, pooled.sweep.metrics):
             assert a.deterministic() == b.deterministic()
 
     def test_corrupted_store_never_crashes_a_campaign(
@@ -387,7 +403,7 @@ class TestCampaignWithStoreAndPool:
         self, campaign, tmp_path
     ):
         """The campaign summary carries the write-amplification figure
-        and the default drain cadence beats spill-per-cell."""
+        and the default end-of-pass cadence beats spill-per-cell."""
         per_cell = campaign.run(
             small_runner(store=tmp_path / "per_cell", spill_batch=1)
         )
@@ -419,6 +435,22 @@ class TestCampaignCli:
 
         with pytest.raises(KeyError, match="unknown campaign"):
             main(["--campaign", "nope", "--no-store"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--campaign", "smoke", "--no-store", "--workers", "2"],
+            ["--campaign", "smoke", "--no-store", "--watchdog-seconds", "5"],
+            ["--calibrate-workers"],
+        ],
+        ids=["workers", "watchdog-seconds", "calibrate-workers"],
+    )
+    def test_removed_fan_out_flags_error_cleanly(self, argv, capsys):
+        from repro.bench import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code != 0
 
     def test_milp_smoke_reports_trial_pruning(
         self, tmp_path, monkeypatch, capsys

@@ -1,4 +1,4 @@
-"""Tests for repro.experiments.sweep: the parallel sweep runner."""
+"""Tests for repro.experiments.sweep: the sweep runner."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.experiments.sweep import (
     SweepCell,
     SweepRunner,
     WorkloadContext,
-    _ShardScheduler,
     grid_cells,
     workload_signature,
 )
@@ -115,7 +114,7 @@ class TestWorkloadContext:
 class TestSweepRunner:
     def test_matches_direct_run(self, workload):
         cell = SweepCell(system="deepspeed", workload=workload, num_iterations=2)
-        result = SweepRunner([cell], solver_config=SOLVER, workers=1).run()
+        result = SweepRunner([cell], solver_config=SOLVER).run()
         direct = run_system(DeepSpeedUlyssesSystem(workload), workload, 2)
         metrics = result.metrics[0]
         assert isinstance(metrics, CellMetrics)
@@ -127,7 +126,7 @@ class TestSweepRunner:
 
     def test_deduplicates_cells(self, workload):
         cell = SweepCell(system="megatron", workload=workload)
-        result = SweepRunner([cell, cell, cell], solver_config=SOLVER, workers=1).run()
+        result = SweepRunner([cell, cell, cell], solver_config=SOLVER).run()
         assert result.unique_cells == 1
         assert len(result.metrics) == 3
         assert result.metrics[0] is result.metrics[1] is result.metrics[2]
@@ -136,7 +135,7 @@ class TestSweepRunner:
         cells = grid_cells(
             ["flexsp", "deepspeed", "batchada", "megatron"], [workload]
         )
-        result = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
+        result = SweepRunner(cells, solver_config=SOLVER).run()
         flexsp = result.metric("flexsp", workload.name)
         deepspeed = result.metric("deepspeed", workload.name)
         assert flexsp.mean_iteration_seconds <= deepspeed.mean_iteration_seconds * 1.02
@@ -147,7 +146,6 @@ class TestSweepRunner:
         runner = SweepRunner(
             grid_cells(["flexsp"], [workload], num_iterations=2),
             solver_config=SOLVER,
-            workers=1,
         )
         cold = runner.run()
         warm = runner.run()
@@ -157,40 +155,46 @@ class TestSweepRunner:
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ValueError, match="at least one cell"):
-            SweepRunner([], solver_config=SOLVER, workers=1).run()
+            SweepRunner([], solver_config=SOLVER).run()
 
     def test_run_accepts_explicit_cells(self, workload, other_workload):
-        runner = SweepRunner(solver_config=SOLVER, workers=1)
+        runner = SweepRunner(solver_config=SOLVER)
         result = runner.run(grid_cells(["deepspeed"], [other_workload]))
         assert result.metrics[0].workload == other_workload.name
 
-    def test_scalar_and_vectorized_sweeps_identical(self, workload):
-        cells = grid_cells(
-            ["flexsp", "deepspeed", "batchada", "megatron"], [workload],
-            num_iterations=2,
-        )
-        fast = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
-        scalar = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, vectorized=False
-        ).run()
-        for fast_metrics, scalar_metrics in zip(fast.metrics, scalar.metrics):
-            assert fast_metrics.deterministic() == scalar_metrics.deterministic()
-
     def test_parallel_matches_serial(self, workload, other_workload):
-        cells = grid_cells(
-            ["deepspeed", "megatron"], [workload, other_workload]
-        )
-        serial = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
-        with SweepRunner(cells, solver_config=SOLVER, workers=2) as parallel:
-            fanned = parallel.run()
-            assert parallel._slots and parallel._slots[0] is not None
-            first_slots = list(parallel._slots)
-            again = parallel.run()  # slot pools persist across sweeps
-            assert list(parallel._slots) == first_slots
-        for a, b in zip(serial.metrics, fanned.metrics):
+        # Parallelism lives in the one shared solver pool: the prewarm
+        # plans there, and the pool persists across sweeps.
+        cells = grid_cells(["flexsp", "deepspeed"], [workload])
+        later = grid_cells(["flexsp", "deepspeed"], [other_workload])
+        serial = SweepRunner(cells, solver_config=SOLVER).run()
+        serial_later = SweepRunner(later, solver_config=SOLVER).run()
+        with SweepRunner(
+            cells, solver_config=SOLVER, solver_workers=2
+        ) as parallel:
+            pooled = parallel.run()
+            first_pool = parallel._solver_pool._pool
+            assert first_pool is not None
+            assert parallel._solver_pool.dispatched > 0
+            again = parallel.run(later)  # cold cells: planned on the pool
+            assert parallel._solver_pool._pool is first_pool
+        for a, b in zip(serial.metrics, pooled.metrics):
             assert a.deterministic() == b.deterministic()
-        for a, b in zip(serial.metrics, again.metrics):
+        for a, b in zip(serial_later.metrics, again.metrics):
             assert a.deterministic() == b.deterministic()
+
+    def test_removed_fan_out_options_fail_loudly(self):
+        # The runner measures cells serially and has no fan-out knobs;
+        # a call passing one must raise, never run with another meaning.
+        for option in (
+            "workers",
+            "vectorized",
+            "watchdog_seconds",
+            "max_cell_retries",
+            "max_slot_restarts",
+        ):
+            with pytest.raises(TypeError, match=option):
+                SweepRunner(solver_config=SOLVER, **{option: 2})
 
     def test_build_system_still_standalone(self, workload):
         # The injection hooks must not break plain construction.
@@ -216,9 +220,9 @@ class TestColdBatching:
 
     def test_prewarmed_pass_bit_identical_to_unprewarmed(self, workload):
         cells = self._cells(workload)
-        warmed = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
+        warmed = SweepRunner(cells, solver_config=SOLVER).run()
         plain = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, prewarm=False
+            cells, solver_config=SOLVER, prewarm=False
         ).run()
         for a, b in zip(warmed.metrics, plain.metrics):
             assert a.deterministic() == b.deterministic()
@@ -228,7 +232,7 @@ class TestColdBatching:
 
     def test_prewarmed_cells_replay_from_cache(self, workload):
         cells = self._cells(workload)
-        result = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
+        result = SweepRunner(cells, solver_config=SOLVER).run()
         for metrics in result.metrics:
             assert metrics.plan_cache_hit_rate == 1.0
 
@@ -238,7 +242,7 @@ class TestColdBatching:
         context — the prewarmer must plan the union once and seed
         both caches."""
         cells = self._cells(workload)
-        runner = SweepRunner(cells, solver_config=SOLVER, workers=1)
+        runner = SweepRunner(cells, solver_config=SOLVER)
         result = runner.run()
         context = runner.context(workload)
         solvers = [
@@ -256,12 +260,12 @@ class TestColdBatching:
 
     def test_prewarm_stage_breakdown_recorded(self, workload):
         cells = self._cells(workload)
-        warmed = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
+        warmed = SweepRunner(cells, solver_config=SOLVER).run()
         stages = dict(warmed.prewarm_stage_seconds)
         assert stages.get("lpt", 0.0) > 0.0
         # Unprewarmed cells carry the breakdown on the cell instead.
         plain = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, prewarm=False
+            cells, solver_config=SOLVER, prewarm=False
         ).run()
         cell_stages = dict(plain.metrics[0].stage_seconds)
         assert cell_stages.get("lpt", 0.0) > 0.0
@@ -271,13 +275,13 @@ class TestColdBatching:
             backend="greedy", num_trials=2, plan_cache=False
         )
         cells = [SweepCell(system="flexsp", workload=workload)]
-        result = SweepRunner(cells, solver_config=config, workers=1).run()
+        result = SweepRunner(cells, solver_config=config).run()
         assert result.prewarm_planned == 0
         assert result.metrics[0].feasible
 
 
 class TestSpillBatching:
-    """Batched per-worker spills: fewer store writes, identical state."""
+    """Batched end-of-pass spills: fewer store writes, identical state."""
 
     def _cells(self, workload, other_workload):
         return grid_cells(
@@ -287,24 +291,24 @@ class TestSpillBatching:
 
     def test_rejects_negative_spill_batch(self):
         with pytest.raises(ValueError, match="spill_batch"):
-            SweepRunner(solver_config=SOLVER, workers=1, spill_batch=-1)
+            SweepRunner(solver_config=SOLVER, spill_batch=-1)
 
     def test_batched_drain_writes_less_than_per_cell_spills(
         self, workload, other_workload, tmp_path
     ):
         cells = self._cells(workload, other_workload)
         per_cell = SweepRunner(
-            cells, solver_config=SOLVER, workers=1,
+            cells, solver_config=SOLVER,
             store=tmp_path / "per_cell", spill_batch=1,
         ).run()
         batched = SweepRunner(
-            cells, solver_config=SOLVER, workers=1,
+            cells, solver_config=SOLVER,
             store=tmp_path / "batched", spill_batch=0,
         ).run()
         # Same measurements at every cadence...
         for a, b in zip(per_cell.metrics, batched.metrics):
             assert a.deterministic() == b.deterministic()
-        # ...but the drain cadence merge-saves once per dirty workload
+        # ...but the end-of-pass cadence merge-saves once per dirty workload
         # instead of once per state-changing cell.
         assert batched.store_stats.writes < per_cell.store_stats.writes
         assert batched.store_stats.writes == 2  # one per workload
@@ -314,8 +318,7 @@ class TestSpillBatching:
     ):
         cells = self._cells(workload, other_workload)
         result = SweepRunner(
-            cells, solver_config=SOLVER, workers=1,
-            store=tmp_path, spill_batch=1,
+            cells, solver_config=SOLVER, store=tmp_path, spill_batch=1,
         ).run()
         assert (
             sum(m.store_writes for m in result.metrics)
@@ -327,10 +330,10 @@ class TestSpillBatching:
     ):
         cells = self._cells(workload, other_workload)
         cold = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, store=tmp_path
+            cells, solver_config=SOLVER, store=tmp_path
         ).run()
         restored = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, store=tmp_path
+            cells, solver_config=SOLVER, store=tmp_path
         ).run()
         for a, b in zip(cold.metrics, restored.metrics):
             assert a.deterministic() == b.deterministic()
@@ -339,186 +342,47 @@ class TestSpillBatching:
         assert restored.store_stats.writes == 0
         assert restored.store_stats.hits == 2
 
-    def test_parallel_batched_spills_drain_to_the_store(
+    def test_pooled_pass_spills_to_the_store(
         self, workload, other_workload, tmp_path
     ):
+        # Plans computed on the solver pool are seeded into the
+        # parent's caches, so the end-of-pass spill carries them: a
+        # fresh runner restores everything, warm and bit-identical.
         cells = self._cells(workload, other_workload)
         with SweepRunner(
-            cells, solver_config=SOLVER, workers=2, store=tmp_path
-        ) as fanned:
-            first = fanned.run()
-            # Drain collection is best-effort per worker (the pool does
-            # not guarantee one flush task lands on each), so only the
-            # stats' presence is asserted here; exact write counts are
-            # pinned by the deterministic serial tests above.
-            assert first.store_stats is not None
-        # After close() — the hard durability point (drain + worker
-        # exit flush) — a fresh serial runner restores everything the
-        # workers measured: warm and bit-identical.
+            cells, solver_config=SOLVER, solver_workers=2, store=tmp_path
+        ) as pooled:
+            first = pooled.run()
+        assert first.store_stats.writes == 2
         restored = SweepRunner(
-            cells, solver_config=SOLVER, workers=1, store=tmp_path
+            cells, solver_config=SOLVER, store=tmp_path
         ).run()
         for a, b in zip(first.metrics, restored.metrics):
             assert a.deterministic() == b.deterministic()
         assert restored.metric("flexsp", workload.name).plan_cache_hit_rate == 1.0
+        assert restored.store_stats.writes == 0
 
     def test_no_store_reports_no_stats(self, workload):
         result = SweepRunner(
             grid_cells(["deepspeed"], [workload]),
             solver_config=SOLVER,
-            workers=1,
         ).run()
         assert result.store_stats is None
         assert result.metrics[0].store_writes == 0
 
 
-class TestShardScheduler:
-    """The work-stealing dispatch policy, in isolation."""
-
-    def test_rejects_nonpositive_slots(self, workload):
-        with pytest.raises(ValueError, match="slots"):
-            _ShardScheduler(grid_cells(["flexsp"], [workload]), 0)
-
-    def test_groups_cells_into_one_shard_per_workload(
-        self, workload, other_workload
-    ):
-        cells = grid_cells(
-            ["flexsp", "deepspeed"], [workload, other_workload]
-        )
-        scheduler = _ShardScheduler(cells, slots=2)
-        assert scheduler.shard_count == 2
-        assert scheduler.remaining() == 4
-
-    def test_lpt_assigns_heaviest_shard_to_least_loaded_slot(
-        self, workload, other_workload
-    ):
-        # Shard 0 (workload, 3 cells) outweighs shard 1 (other, 1 cell).
-        cells = grid_cells(["flexsp", "deepspeed", "megatron"], [workload])
-        cells += grid_cells(["flexsp"], [other_workload])
-        scheduler = _ShardScheduler(cells, slots=2)
-        assert scheduler.owners == [[0], [1]]
-
-    def test_own_shard_is_served_in_request_order(self, workload):
-        cells = grid_cells(["flexsp", "deepspeed", "megatron"], [workload])
-        scheduler = _ShardScheduler(cells, slots=1)
-        served = [scheduler.next_cell(0) for _ in cells]
-        assert served == [(cell, False) for cell in cells]
-        assert scheduler.next_cell(0) is None
-
-    def test_idle_slot_steals_from_the_tail_of_the_heaviest_shard(
-        self, workload, other_workload
-    ):
-        cells = grid_cells(["flexsp", "deepspeed", "megatron"], [workload])
-        cells += grid_cells(["flexsp"], [other_workload])
-        scheduler = _ShardScheduler(cells, slots=2)
-        assert scheduler.next_cell(1) == (cells[3], False)  # own shard
-        # Slot 1's shard is dry: it steals the *last* cell of slot 0's
-        # shard — the owner keeps eating from the head.
-        assert scheduler.next_cell(1) == (cells[2], True)
-        assert scheduler.next_cell(0) == (cells[0], False)
-
-    def test_single_workload_forces_steals(self, workload):
-        cells = grid_cells(["flexsp", "deepspeed"], [workload])
-        scheduler = _ShardScheduler(cells, slots=2)
-        assert scheduler.owners == [[0], []]
-        cell, stolen = scheduler.next_cell(1)
-        assert stolen
-        assert cell == cells[-1]
-
-
-class TestSchedulerProperty:
-    """Property: any polling order serves every cell exactly once."""
-
-    def test_property_every_cell_served_exactly_once(
-        self, workload, other_workload
-    ):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
-
-        workloads = [workload, other_workload]
-        systems = ["flexsp", "deepspeed", "megatron"]
-
-        @given(
-            picks=st.lists(
-                st.tuples(
-                    st.integers(0, len(workloads) - 1),
-                    st.integers(0, len(systems) - 1),
-                ),
-                min_size=1,
-                max_size=12,
-            ),
-            slots=st.integers(1, 4),
-            data=st.data(),
-        )
-        @settings(max_examples=60, deadline=None)
-        def check(picks, slots, data):
-            cells = [
-                SweepCell(system=systems[s], workload=workloads[w])
-                for w, s in picks
-            ]
-            scheduler = _ShardScheduler(cells, slots)
-            served = []
-            while scheduler.remaining():
-                slot = data.draw(st.integers(0, slots - 1))
-                nxt = scheduler.next_cell(slot)
-                if nxt is not None:
-                    served.append(nxt[0])
-            assert len(served) == len(cells)
-            assert sorted(map(id, served)) == sorted(map(id, cells))
-            assert all(
-                scheduler.next_cell(slot) is None for slot in range(slots)
-            )
-
-        check()
-
-
-class TestScaleOut:
-    """The sharded fan-out path: bit-identity, prewarm, telemetry."""
-
-    def test_forced_steal_stays_bit_identical(self, workload):
-        # One workload, two slots: slot 1 owns nothing, so every cell
-        # it runs is a steal — the adversarial case for the identity
-        # contract (a stolen cell runs against a duplicate context).
-        cells = grid_cells(
-            ["flexsp", "deepspeed", "megatron"], [workload],
-            num_iterations=2,
-        )
-        serial = SweepRunner(cells, solver_config=SOLVER, workers=1).run()
-        with SweepRunner(
-            cells, solver_config=SOLVER, workers=2
-        ) as runner:
-            parallel = runner.run()
-        for a, b in zip(serial.metrics, parallel.metrics):
-            assert a.deterministic() == b.deterministic()
-        assert sum(t.steals for t in parallel.worker_telemetry) >= 1
-        assert sum(t.cells for t in parallel.worker_telemetry) == len(cells)
-
-    def test_context_builds_bounded_by_workloads_plus_steals(
-        self, workload, other_workload
-    ):
-        cells = grid_cells(
-            ["flexsp", "deepspeed"], [workload, other_workload]
-        )
-        with SweepRunner(
-            cells, solver_config=SOLVER, workers=2
-        ) as runner:
-            result = runner.run()
-        telemetry = result.worker_telemetry
-        assert len(telemetry) == 2
-        builds = sum(t.context_builds for t in telemetry)
-        steals = sum(t.steals for t in telemetry)
-        assert builds <= 2 + steals  # unique workloads + duplicates paid
-        assert all(t.pid != 0 for t in telemetry)
+class TestPooledPrewarm:
+    """The pooled path: bit-identity, prewarm, telemetry."""
 
     def test_parallel_prewarm_plans_cold_flexsp_cells(self, workload):
-        # The workers>1 prewarm restriction is gone: a cold parallel
-        # pass batch-plans up front and ships the state to the slots,
-        # so the workers' solve phase runs fully warm.
+        # A cold pooled pass plans every shape up front on the solver
+        # pool, so the cells' solve phase runs fully warm.
         cells = grid_cells(["flexsp"], [workload], num_iterations=2)
         with SweepRunner(
-            cells, solver_config=SOLVER, workers=2
+            cells, solver_config=SOLVER, solver_workers=2
         ) as runner:
             result = runner.run()
+            assert runner._solver_pool.dispatched == result.prewarm_planned
         assert result.prewarm_planned > 0
         assert result.metrics[0].plan_cache_hit_rate == 1.0
 
@@ -526,11 +390,9 @@ class TestScaleOut:
         self, workload, tmp_path
     ):
         cells = grid_cells(["flexsp"], [workload], num_iterations=2)
-        serial = SweepRunner(
-            cells, solver_config=SOLVER, workers=1
-        ).run()
+        serial = SweepRunner(cells, solver_config=SOLVER).run()
         with SweepRunner(
-            cells, solver_config=SOLVER, workers=2, store=tmp_path
+            cells, solver_config=SOLVER, solver_workers=2, store=tmp_path
         ) as runner:
             parallel = runner.run()
         assert parallel.prewarm_planned > 0
@@ -544,7 +406,6 @@ class TestScaleOut:
         runner = SweepRunner(
             grid_cells(["deepspeed"], [workload]),
             solver_config=SOLVER,
-            workers=1,
         )
         first = runner.run()
         assert len(first.worker_telemetry) == 1
@@ -552,187 +413,122 @@ class TestScaleOut:
         assert row.pid == os.getpid()
         assert row.cells == 1
         assert row.context_builds == 1
-        assert row.steals == 0
         # Telemetry is per-pass: a warm rerun builds no new context.
         again = runner.run()
         assert again.worker_telemetry[0].context_builds == 0
 
-    def test_rebaseline_prevents_double_counted_retry_writes(
-        self, workload, tmp_path
+    def test_context_builds_equal_unique_workloads(
+        self, workload, other_workload
     ):
-        # Satellite: the broken-pool retry re-anchors the counter
-        # baseline, so writes the failed attempt already performed are
-        # attributed to no pass — the retry's delta stays honest.
-        runner = SweepRunner(
-            grid_cells(["deepspeed"], [workload]),
-            solver_config=SOLVER,
-            workers=1,
-            store=tmp_path,
+        # Each workload's context is built once, by the prewarm or the
+        # first cell that needs it, however many cells share it.
+        cells = grid_cells(
+            ["flexsp", "deepspeed", "megatron"], [workload, other_workload]
         )
-        first = runner.run()
-        assert first.store_stats.writes > 0
-        runner._rebaseline_counters()
-        assert runner._counters_attributed == runner._counter_totals()
-        # Everything counted so far is attributed: the next delta is 0.
-        assert runner._store_stats_delta().writes == 0
+        with SweepRunner(
+            cells, solver_config=SOLVER, solver_workers=2
+        ) as runner:
+            result = runner.run()
+        (row,) = result.worker_telemetry
+        assert row.cells == len(cells)
+        assert row.context_builds == 2
 
 
 class TestFaultRecovery:
-    """Graduated recovery under the deterministic fault plane: every
+    """Recovery under the deterministic fault plane: every survivable
     schedule must yield metrics bit-identical to the fault-free serial
-    pass, with the recovery accounted in ``SweepResult.fault_stats``
+    pass, with the injection recorded in ``SweepResult.fault_stats``
     and no worker pool left behind."""
 
     def _serial(self, cells):
-        return SweepRunner(cells, solver_config=SOLVER, workers=1).run()
+        return SweepRunner(cells, solver_config=SOLVER).run()
+
+    def _chaotic(self, cells, spec, tmp_path):
+        from repro.core.faults import FaultSchedule
+        from repro.core.pools import live_pool_count
+
+        baseline_pools = live_pool_count()
+        schedule = FaultSchedule.parse(spec)
+        with SweepRunner(
+            cells,
+            solver_config=SOLVER,
+            solver_workers=2,
+            store=tmp_path,
+            fault_schedule=schedule,
+        ) as runner:
+            result = runner.run()
+        assert live_pool_count() == baseline_pools
+        return result
 
     def test_no_faults_means_no_fault_stats(self, workload):
         result = self._serial(grid_cells(["deepspeed"], [workload]))
         assert result.fault_stats is None
 
     def test_worker_kill_recovers_bit_identical(
-        self, workload, other_workload
+        self, workload, other_workload, tmp_path
     ):
-        from repro.core.faults import FaultSchedule
-        from repro.core.pools import live_pool_count
-
+        # A planner worker dies mid-prewarm: the pool is rebuilt and
+        # only the shapes still missing are planned again.
         cells = grid_cells(
             ["flexsp", "deepspeed"], [workload, other_workload]
         )
         serial = self._serial(cells)
-        baseline_pools = live_pool_count()
-        schedule = FaultSchedule.parse("worker_kill@cell:0")
-        with SweepRunner(
-            cells,
-            solver_config=SOLVER,
-            workers=2,
-            fault_schedule=schedule,
-        ) as runner:
-            chaotic = runner.run()
-        stats = chaotic.fault_stats
-        assert stats is not None
-        assert dict(stats.injections) == {"worker_kill@cell": 1}
-        assert stats.cell_retries >= 1
-        assert stats.pool_restarts >= 1
+        chaotic = self._chaotic(cells, "worker_kill@plan:0", tmp_path)
+        assert dict(chaotic.fault_stats.injections) == {
+            "worker_kill@plan": 1
+        }
         for a, b in zip(serial.metrics, chaotic.metrics):
             assert a.deterministic() == b.deterministic()
-        assert live_pool_count() == baseline_pools
 
-    def test_repeated_death_degrades_to_serial_bit_identical(
-        self, workload
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "worker_kill@spawn:0",
+            "worker_kill@plan:2",
+            "torn_write@spill:0",
+            "stale_lock@lock:0",
+        ],
+    )
+    def test_single_fault_recovers_bit_identical(
+        self, workload, other_workload, tmp_path, spec
     ):
-        from repro.core.faults import FaultSchedule
-        from repro.core.pools import live_pool_count
-
         cells = grid_cells(
-            ["flexsp", "deepspeed", "megatron"], [workload]
+            ["flexsp", "deepspeed"], [workload, other_workload]
         )
         serial = self._serial(cells)
-        baseline_pools = live_pool_count()
-        schedule = FaultSchedule.parse("worker_kill@cell:*")
-        with SweepRunner(
-            cells,
-            solver_config=SOLVER,
-            workers=2,
-            fault_schedule=schedule,
-            max_slot_restarts=0,
-        ) as runner:
-            chaotic = runner.run()
-        stats = chaotic.fault_stats
-        assert stats is not None
-        assert stats.total_injections >= 1
-        # Every slot retires after its first death; everything left
-        # drains on the final serial rung.
-        assert stats.degraded_cells >= 1
-        for a, b in zip(serial.metrics, chaotic.metrics):
-            assert a.deterministic() == b.deterministic()
-        assert live_pool_count() == baseline_pools
-
-    def test_watchdog_kills_hung_cell_and_recovers(self, workload):
-        import time
-
-        from repro.core.faults import FaultSchedule
-
-        cells = grid_cells(["deepspeed", "megatron"], [workload])
-        serial = self._serial(cells)
-        schedule = FaultSchedule.parse("hang@cell:0", hang_seconds=30.0)
-        started = time.perf_counter()
-        with SweepRunner(
-            cells,
-            solver_config=SOLVER,
-            workers=2,
-            fault_schedule=schedule,
-            watchdog_seconds=1.5,
-        ) as runner:
-            chaotic = runner.run()
-        wall = time.perf_counter() - started
-        assert wall < schedule.hang_seconds / 2  # watchdog, not the nap
-        stats = chaotic.fault_stats
-        assert stats is not None
-        assert stats.watchdog_kills == 1
+        chaotic = self._chaotic(cells, spec, tmp_path)
+        label = spec.rsplit(":", 1)[0]
+        assert dict(chaotic.fault_stats.injections) == {label: 1}
+        # Only a stale lock leaves a broken lock behind.
+        assert chaotic.fault_stats.lock_breaks == (
+            1 if label == "stale_lock@lock" else 0
+        )
         for a, b in zip(serial.metrics, chaotic.metrics):
             assert a.deterministic() == b.deterministic()
 
-    def test_broken_pass_retry_keeps_completed_cells(
-        self, workload, monkeypatch
+    def test_pool_dying_on_every_task_raises_instead_of_hanging(
+        self, workload, tmp_path
     ):
-        # Satellite: the whole-pass BrokenProcessPool retry used to
-        # recompute every cell; now the retry sees prior completions
-        # in ``results`` and recomputes only what is missing.
+        # No serial fallback hides a pool that cannot plan at all: two
+        # rounds without a completed shape end the pass with an error.
         from concurrent.futures.process import BrokenProcessPool
 
-        cells = grid_cells(
-            ["flexsp", "deepspeed", "megatron"], [workload]
-        )
-        serial = self._serial(cells)
-        runner = SweepRunner(cells, solver_config=SOLVER, workers=2)
-        original = SweepRunner._run_sharded
-        attempts = []
-
-        def flaky(self, cells_arg, preseed, results, ran, steals, recovery):
-            todo = [c for c in cells_arg if c not in results]
-            attempts.append(list(todo))
-            if len(attempts) == 1:
-                # Finish two cells, then die catastrophically.
-                for cell in todo[:2]:
-                    results[cell] = self._run_cell_inprocess(cell)
-                raise BrokenProcessPool("injected pass failure")
-            return original(
-                self, cells_arg, preseed, results, ran, steals, recovery
-            )
-
-        monkeypatch.setattr(SweepRunner, "_run_sharded", flaky)
-        with runner:
-            result = runner.run()
-        assert len(attempts) == 2
-        assert set(attempts[1]) == set(cells) - set(attempts[0][:2])
-        for a, b in zip(serial.metrics, result.metrics):
-            assert a.deterministic() == b.deterministic()
+        cells = grid_cells(["flexsp"], [workload])
+        with pytest.raises(BrokenProcessPool):
+            self._chaotic(cells, "worker_kill@plan:*", tmp_path)
 
 
 class TestWorkersDefaults:
-    """Regression: ``SweepRunner(workers=None)`` used to mean
-    ``os.cpu_count()`` while the CLI's ``--workers`` defaulted to 1 —
-    a library caller could fan out by accident.  The library now
-    matches the CLI: None = serial, 0 = every CPU."""
-
-    def test_workers_none_means_serial(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert SweepRunner().workers == 1
-        assert SweepRunner(workers=None).workers == 1
+    """``solver_workers`` is the runner's one width: None adopts the
+    solver config, 0 means every CPU, negatives are rejected."""
 
     def test_workers_zero_means_all_cpus(self, monkeypatch):
         import os
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert SweepRunner(workers=0).workers == 8
-        assert SweepRunner(workers=0, solver_workers=0).solver_workers == 8
+        assert SweepRunner(solver_workers=0).solver_workers == 8
 
     def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            SweepRunner(workers=-1)
         with pytest.raises(ValueError, match="solver_workers"):
             SweepRunner(solver_workers=-2)
 
