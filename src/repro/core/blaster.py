@@ -12,6 +12,13 @@ accumulation.  The blaster follows the paper's three takeaways:
 3. Token counts should be even across micro-batches — choose the cut
    points by dynamic programming minimising the maximum segment token
    sum (Eq. 23/24).
+
+The DP needs no inner search over split points: with positive lengths
+each layer's leftmost argmin sits at the crossing of a nondecreasing
+and a strictly decreasing term, so one ``np.searchsorted`` fills a
+whole layer (:func:`balanced_cut_points_multi`).  The same argument
+holds for any order of the lengths, so the Fig. 7 "w/o Sort" path
+takes the same DP.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from collections.abc import Sequence as SequenceABC
 
 import numpy as np
 
-from repro.core._dp import DP_INF, solve_monotone_layer
 from repro.core.types import SequenceBatch
 
 #: The paper's default number of micro-batch-count trials M'.
@@ -40,16 +46,19 @@ def min_microbatch_count(batch_tokens: float, cluster_token_capacity: float) -> 
 
 
 def balanced_cut_points(lengths: SequenceABC[int], num_chunks: int) -> list[int]:
-    """Cut a sorted length list into chunks with balanced token sums.
+    """Cut a length list into contiguous chunks with balanced token sums.
 
     Implements the Appendix A dynamic program: ``DP[k][i]`` is the best
     achievable maximum chunk-token-sum when splitting the first ``k``
     sequences into ``i`` chunks,
 
-        DP[k][i] = min_j max(DP[j][i-1], sum(s_{j+1}..s_k)).
+        DP[k][i] = min_j max(DP[j][i-1], sum(s_{j+1}..s_k)),
+
+    taking the smallest ``j`` among equally good split points.
 
     Args:
-        lengths: Sequence lengths, already sorted (takeaway 2 ordering).
+        lengths: Positive sequence lengths in cutting order — sorted
+            for takeaway 2, arrival order for the "w/o Sort" ablation.
         num_chunks: Number of chunks M; must not exceed ``len(lengths)``.
 
     Returns:
@@ -70,9 +79,11 @@ def balanced_cut_points_multi(
     for.  The solver's trial loop blasts the *same sorted batch* at
     ``M_min .. M_min + M' - 1``, so running the layers once up to
     ``max(chunk_counts)`` and backtracking each requested count from
-    the shared choice matrix does the work of M' separate DPs for the
-    price of one; every count's cuts are bit-identical to an
-    independent :func:`balanced_cut_points` call.
+    the shared per-layer argmins does the work of M' separate DPs for
+    the price of one; every count's cuts are bit-identical to an
+    independent :func:`balanced_cut_points` call.  Each layer costs one
+    ``np.searchsorted`` and a handful of elementwise numpy operations
+    over its ``n`` positions (see the comment in the body).
 
     Returns:
         ``{count: cuts}`` for every requested count (duplicates
@@ -89,6 +100,9 @@ def balanced_cut_points_multi(
             f"cannot split {k_total} sequences into {counts[-1]} non-empty "
             "micro-batches"
         )
+    arr = np.asarray(lengths, dtype=np.int64)
+    if arr.min() <= 0:
+        raise ValueError("sequence lengths must be positive")
     results: dict[int, list[int]] = {}
     # Trivial splits need no DP: one chunk takes everything; as many
     # chunks as sequences forces singleton chunks.
@@ -100,37 +114,39 @@ def balanced_cut_points_multi(
     if not needed:
         return results
     max_chunks = needed[-1]
-    arr = np.asarray(lengths, dtype=np.int64)
     prefix = np.concatenate(([0], np.cumsum(arr)))
 
-    # Each DP layer has monotone leftmost argmins: the chunk sum
-    # ``prefix[k] - prefix[j]`` shifts by a positive constant as k
-    # grows (lengths are positive) while DP[j][i-1] is nondecreasing
-    # in j, so the f/segment crossing point only moves right — the
-    # shared level-batched divide-and-conquer argmin applies.
-    dp = np.full(k_total + 1, DP_INF, dtype=np.int64)
-    dp[0] = 0
-    choice = np.zeros((k_total + 1, max_chunks + 1), dtype=np.int64)
-    for i in range(1, max_chunks + 1):
-        new_dp = np.full(k_total + 1, DP_INF, dtype=np.int64)
-
-        def flat_cost(k, lens, flat_j):
-            seg = np.repeat(prefix[k], lens) - prefix[flat_j]
-            return np.maximum(dp[flat_j], seg)
-
-        def assign(k, best, opt):
-            new_dp[k] = best
-            choice[k, i] = opt
-
-        solve_monotone_layer(i, k_total, i - 1, k_total - 1, flat_cost, assign)
-        dp = new_dp
+    # Layer 1 is ``prefix`` itself (its one split point is j = 0).  In
+    # layer i >= 2 the candidate ``max(DP[j][i-1], prefix[k] -
+    # prefix[j])`` pairs a term nondecreasing in j (DP, for positive
+    # lengths) with one strictly decreasing in j (the chunk sum).  Let
+    # c be the first j where the DP term reaches the chunk sum: below
+    # c the candidates are chunk sums and strictly fall, from c on
+    # they are DP values and never fall, so the leftmost argmin is
+    # c - 1 or c.  The key ``DP[j][i-1] + prefix[j]`` is strictly
+    # increasing and reaches ``prefix[k]`` exactly at c, so one
+    # searchsorted finds c for every k of the layer.  When no j < k
+    # reaches it, c is clipped to k - 1, whose chunk sum is then the
+    # minimum for that k.  ``dp[k]`` holds layer i - 1 for k >= i - 1
+    # while layer i fills; lower entries are never read.
+    dp = prefix
+    choice: dict[int, np.ndarray] = {}  # choice[i][k - i]: argmin j
+    for i in range(2, max_chunks + 1):
+        target = prefix[i:]
+        crossing = np.searchsorted(
+            dp[i - 1 : k_total] + prefix[i - 1 : k_total], target
+        )
+        c = np.minimum(crossing, np.arange(k_total - i + 1)) + (i - 1)
+        at_c = np.maximum(dp[c], target - prefix[c])
+        before_c = target - prefix[c - 1]
+        pick_before = (before_c <= at_c) & (c > i - 1)
+        choice[i] = np.where(pick_before, c - 1, c)
+        dp = np.concatenate((dp[:i], np.where(pick_before, before_c, at_c)))
 
     for num_chunks in needed:
-        cuts: list[int] = []
-        k = k_total
-        for i in range(num_chunks, 0, -1):
-            cuts.append(k)
-            k = int(choice[k][i])
+        cuts = [k_total]
+        for i in range(num_chunks, 1, -1):
+            cuts.append(int(choice[i][cuts[-1] - i]))
         cuts.reverse()
         results[num_chunks] = cuts
     return results

@@ -14,8 +14,9 @@ lengths across buckets can never help).  The per-layer segment cost
 concave quadrangle inequality (``w(j1,k1) + w(j2,k2) <= w(j1,k2) +
 w(j2,k1)`` reduces to ``(s_k1 - s_k2)(cnt_j2 - cnt_j1) <= 0``), so
 each layer's leftmost argmin is monotone in ``k`` and the layer is
-solved by divide-and-conquer argmin in O(n log n) numpy-vectorised
-work — O(n log n * Q) total instead of the naive O(n^2 * Q).
+solved by divide-and-conquer argmin (:func:`_solve_monotone_layer`) in
+O(n log n) numpy-vectorised work — O(n log n * Q) total instead of
+the naive O(n^2 * Q).
 
 The naive alternative (fixed-width intervals) is kept for the Table 4
 / Fig. 7 ablations.
@@ -23,15 +24,18 @@ The naive alternative (fixed-width intervals) is kept for the Table 4
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._dp import DP_INF, solve_monotone_layer
-
 #: The paper's default bucket count (S4.1.3).
 DEFAULT_NUM_BUCKETS = 16
+
+#: Unreachable-state sentinel of the DP (``np.iinfo(np.int64).max //
+#: 4`` — headroom for one int64 add).
+_DP_INF = np.iinfo(np.int64).max // 4
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,72 @@ class Bucket:
     def deviation(self) -> int:
         """Total bucketing error contributed by this bucket."""
         return self.upper * self.count - sum(self.lengths)
+
+
+def _solve_monotone_layer(
+    k_first: int,
+    k_last: int,
+    j_first: int,
+    j_last: int,
+    flat_cost: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    assign: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+) -> None:
+    """Fill one DP layer ``new[k] = min_{j in [j_first, k-1]} cost(j, k)``
+    for ``k in [k_first, k_last]``, given that its leftmost argmin is
+    nondecreasing in ``k``.
+
+    All nodes of one divide-and-conquer recursion level are evaluated
+    together: their candidate ranges are flattened into one array and
+    reduced with one segmented ``np.minimum.reduceat`` pass, leaving
+    O(log n) numpy calls per layer and no per-``k`` Python work.  Ties
+    resolve to the *smallest* ``j``, matching ``np.argmin`` over the
+    full range in a quadratic DP, so reconstructed edges are
+    bit-identical to it.
+
+    Args:
+        k_first, k_last: Inclusive range of positions to solve.
+        j_first, j_last: Inclusive range of candidate split points;
+            each ``k`` considers ``j in [j_first, min(j_last, k - 1)]``
+            (monotonically narrowed as the recursion splits).
+        flat_cost: ``(k, lens, flat_j) -> candidates`` where ``k`` is
+            the per-node midpoint array, ``lens`` the per-node
+            candidate counts, and ``flat_j`` the flattened candidate
+            split points; returns the flattened candidate costs
+            (``np.repeat(per_node_value, lens)`` broadcasts node-level
+            terms).
+        assign: ``(k, best, opt) -> None`` records each midpoint's
+            optimal cost and leftmost-argmin split point.
+    """
+    k_lo = np.asarray([k_first], dtype=np.int64)
+    k_hi = np.asarray([k_last], dtype=np.int64)
+    j_lo = np.asarray([j_first], dtype=np.int64)
+    j_hi = np.asarray([j_last], dtype=np.int64)
+    while k_lo.size:
+        k = (k_lo + k_hi) // 2
+        j_top = np.minimum(j_hi, k - 1)
+        lens = j_top - j_lo + 1
+        starts = np.concatenate(([0], np.cumsum(lens[:-1])))
+        total = int(lens.sum())
+        flat_j = np.repeat(j_lo - starts, lens) + np.arange(total)
+        candidates = flat_cost(k, lens, flat_j)
+        best = np.minimum.reduceat(candidates, starts)
+        # Leftmost argmin per node (ties resolve to the smallest j,
+        # matching the reference quadratic DP's np.argmin).
+        at_min = candidates == np.repeat(best, lens)
+        first = np.minimum.reduceat(
+            np.where(at_min, np.arange(total), total), starts
+        )
+        opt = flat_j[first]
+        assign(k, best, opt)
+        # Children: left halves inherit [j_lo, opt], right [opt, j_hi].
+        left = k_lo <= k - 1
+        right = k + 1 <= k_hi
+        k_lo, k_hi, j_lo, j_hi = (
+            np.concatenate((k_lo[left], k[right] + 1)),
+            np.concatenate((k[left] - 1, k_hi[right])),
+            np.concatenate((j_lo[left], opt[right])),
+            np.concatenate((opt[left], j_hi[right])),
+        )
 
 
 def _unique_sorted(lengths: SequenceABC[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -104,13 +174,13 @@ def optimal_buckets(
     # err[j] holds err[j][q-1] while filling err[.][q]; boundary[k][q]
     # records the argmin j for reconstruction.  The segment cost is
     # concave-Monge, so each layer's leftmost argmin is monotone in k
-    # and the layer is solved by the shared level-batched
-    # divide-and-conquer argmin.
-    err = np.full(n + 1, DP_INF, dtype=np.int64)
+    # and the layer is solved by the level-batched divide-and-conquer
+    # argmin.
+    err = np.full(n + 1, _DP_INF, dtype=np.int64)
     err[0] = 0
     boundary = np.zeros((n + 1, q_max + 1), dtype=np.int64)
     for q in range(1, q_max + 1):
-        new_err = np.full(n + 1, DP_INF, dtype=np.int64)
+        new_err = np.full(n + 1, _DP_INF, dtype=np.int64)
 
         def flat_cost(k, lens, flat_j):
             # Cost of making (j, k] one bucket with upper limit
@@ -124,7 +194,7 @@ def optimal_buckets(
             new_err[k] = best
             boundary[k, q] = opt
 
-        solve_monotone_layer(q, n, q - 1, n - 1, flat_cost, assign)
+        _solve_monotone_layer(q, n, q - 1, n - 1, flat_cost, assign)
         err = new_err
 
     # Walk boundaries back to recover the bucket edges.

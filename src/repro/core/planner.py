@@ -23,15 +23,17 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.core import stage_timing
 from repro.core.bucketing import DEFAULT_NUM_BUCKETS, Bucket, bucket_sequences
 from repro.core.types import GroupAssignment, MicroBatchPlan
 from repro.cost.model import CostModel, CostTable, cost_table
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 #: Re-entrancy/ref count of :func:`_quiet_stdout` with the saved
@@ -438,6 +440,8 @@ class _MilpSkeleton:
         uppers: np.ndarray,
         w_distinct: np.ndarray | None = None,
     ) -> sparse.csc_array:
+        from scipy import sparse
+
         data = self.values(table, uppers, w_distinct)[self.perm]
         return sparse.csc_array(
             (data, self.indices, self.indptr),
@@ -590,7 +594,12 @@ def _build_and_solve(
     (bucket count, degree list).  Every coefficient value and the row
     ordering are identical to the original from-scratch COO assembly,
     so HiGHS receives a bit-for-bit equal problem.
+
+    scipy is imported here, not at module level, so processes that only
+    plan greedily never load HiGHS.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     build_started = time.perf_counter()
     table = cost_table(model)
     if table.activation_budget <= 0:

@@ -471,8 +471,9 @@ class FlexSPSolver:
         # pipeline prefetches with a thread pool); the cache locks
         # internally, but the blast memo needs this guard.
         self._memo_lock = threading.Lock()
-        #: Tiny LRU of blasted trial shapes per batch — pending_shapes
-        #: (the prewarm probe) and the following solve() share one DP.
+        #: Tiny LRU of planner-ready trial keys per batch — a probe
+        #: (pending_shapes, is_warm) and the following solve() share
+        #: one DP and one canonicalization.
         self._trial_memo: OrderedDict[
             tuple[int, ...],
             tuple[list[int], list[list[tuple[int, ...]] | None]],
@@ -495,19 +496,21 @@ class FlexSPSolver:
         capacity = self.model.cluster_token_capacity() * self.config.capacity_safety
         return min_microbatch_count(batch.total_tokens, capacity)
 
-    def _trial_shapes(
+    def _trial_keys(
         self, batch: SequenceBatch
     ) -> tuple[list[int], list[list[tuple[int, ...]] | None]]:
-        """Every trial's micro-batch shapes — one shared balanced-cut
-        DP for the whole trial sweep (the layers are count-independent,
-        see :func:`~repro.core.blaster.blast_multi`).  ``None`` slots
-        mark counts that cannot split the batch.
+        """Every trial's micro-batches as the planner receives them —
+        canonical (the cache key) when caching, else raw — from one
+        shared balanced-cut DP for the whole trial sweep (the layers are
+        count-independent, see :func:`~repro.core.blaster.blast_multi`).
+        ``None`` slots mark counts that cannot split the batch.
 
         Memoised on the batch's lengths (small LRU): the campaign
-        prewarmer asks for a batch's shapes via :meth:`pending_shapes`
-        and the measurement's :meth:`solve` immediately re-derives the
-        same split — the DP is pure, so the repeat is served from the
-        memo bit-identically.
+        prewarmer's :meth:`pending_shapes` and the plan service's
+        :meth:`is_warm` are each followed by a :meth:`solve` of the same
+        batch, and the blast and canonicalization are pure, so the
+        repeat is served from the memo bit-identically.  Callers must
+        not mutate the returned lists.
         """
         key = batch.lengths
         memo = self._trial_memo
@@ -525,15 +528,18 @@ class FlexSPSolver:
         if not trials:
             trials = [len(batch.lengths)]
         blasted = blast_multi(batch, trials, sort=self.config.sort_sequences)
-        trial_shapes: list[list[tuple[int, ...]] | None] = [
-            [mb.lengths for mb in blasted[m]] if m in blasted else None
+        planner_shape = tuple if self.cache is None else canonical_shape
+        keys: list[list[tuple[int, ...]] | None] = [
+            [planner_shape(mb.lengths) for mb in blasted[m]]
+            if m in blasted
+            else None
             for m in trials
         ]
         with self._memo_lock:
-            memo[key] = (trials, trial_shapes)
+            memo[key] = (trials, keys)
             while len(memo) > 16:
                 memo.popitem(last=False)
-        return trials, trial_shapes
+        return trials, keys
 
     def pending_shapes(
         self, batch: SequenceBatch | tuple[int, ...]
@@ -599,19 +605,6 @@ class FlexSPSolver:
             for i, shapes in enumerate(keys)
             if shapes is not None and lower[i] <= _PRUNE_MARGIN * best
         )
-
-    def _trial_keys(
-        self, batch: SequenceBatch
-    ) -> tuple[list[int], list[list[tuple[int, ...]] | None]]:
-        """:meth:`_trial_shapes` with every micro-batch as the planner
-        receives it: canonical (the cache key) when caching, else raw."""
-        trials, trial_shapes = self._trial_shapes(batch)
-        if self.cache is None:
-            return trials, trial_shapes
-        return trials, [
-            None if shapes is None else [canonical_shape(s) for s in shapes]
-            for shapes in trial_shapes
-        ]
 
     def _trial_bounds(
         self, keys: list[list[tuple[int, ...]] | None]

@@ -69,6 +69,12 @@ class TestBalancedCutPoints:
         with pytest.raises(ValueError, match="num_chunks"):
             balanced_cut_points([1], 0)
 
+    def test_rejects_nonpositive_lengths(self):
+        """The one-searchsorted layer step relies on every chunk sum
+        strictly falling as its start moves right."""
+        with pytest.raises(ValueError, match="positive"):
+            balanced_cut_points([3, 0, 2], 2)
+
     def test_multi_mixes_trivial_and_dp_counts(self):
         """Counts 1 and len(lengths) skip the DP; count 3 runs it in
         the same call."""

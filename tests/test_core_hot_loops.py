@@ -6,11 +6,13 @@ The greedy planner's scalar and stacked LPT passes
 numpy/scalar implementation each.  These tests hold them to plain
 references that share no code with them:
 
-* **Quadratic DPs.**  Both DPs fill each layer with the shared
-  divide-and-conquer argmin of :mod:`repro.core._dp`, whose tie-break
-  must match a leftmost argmin over every split point.  The textbook
-  O(n^2) recurrences below take that argmin, so bucket edges and cut
-  points must come out equal, not merely equally good.
+* **Quadratic DPs.**  The bucketing DP fills each layer with a
+  divide-and-conquer argmin and the blaster DP with one searchsorted
+  per layer; both must break ties like a leftmost argmin over every
+  split point.  The textbook O(n^2) recurrences below take that
+  argmin, so bucket edges and cut points must come out equal, not
+  merely equally good.  The blaster is checked on sorted lengths and
+  on arrival order (the Fig. 7 "w/o Sort" path), up to 600 sequences.
 * **Exhaustive search.**  On small instances every bucket-edge set
   and every cut-point set is enumerated; the DPs must reach the true
   optimum of Eq. 15 and Eq. 23.
@@ -53,9 +55,9 @@ DP_FAMILIES = ("uniform", "long_tail", "quantized", "all_equal", "arithmetic")
 
 
 def _dp_lengths(
-    family: str, rng: np.random.Generator, max_count: int
+    family: str, rng: np.random.Generator, max_count: int, min_count: int = 2
 ) -> list[int]:
-    count = int(rng.integers(2, max_count + 1))
+    count = int(rng.integers(min_count, max_count + 1))
     if family == "uniform":
         return [int(s) for s in rng.integers(1, 5_000, size=count)]
     if family == "long_tail":
@@ -153,6 +155,14 @@ def _quadratic_cuts(lengths, counts) -> dict[int, list[int]]:
     return result
 
 
+def _cut_orders(lengths, rng: np.random.Generator) -> list[list[int]]:
+    """The orders the blaster cuts in: sorted (takeaway 2) and a
+    shuffled arrival order ("w/o Sort"), once each when they agree."""
+    ordered = sorted(lengths)
+    arrival = [int(s) for s in rng.permutation(lengths)]
+    return [ordered] if arrival == ordered else [ordered, arrival]
+
+
 def _best_max_chunk(lengths, count: int) -> int:
     """Eq. 23 minimised over every placement of ``count - 1`` cuts."""
     n = len(lengths)
@@ -220,27 +230,45 @@ class TestBlasterDP:
     @pytest.mark.parametrize("family", DP_FAMILIES)
     def test_matches_quadratic_dp(self, family):
         rng = np.random.default_rng(17)
+        instances = []
         for __ in range(8):
-            lengths = sorted(_dp_lengths(family, rng, max_count=48))
+            lengths = _dp_lengths(family, rng, max_count=48)
             n = len(lengths)
             top = int(rng.integers(1, n + 1))
             # 1 and n take the no-DP shortcuts; they must agree with
             # the table too.
-            counts = sorted({1, n, *range(max(1, top - 2), top + 1)})
-            assert balanced_cut_points_multi(lengths, counts) == (
-                _quadratic_cuts(lengths, counts)
+            instances.append(
+                (lengths, sorted({1, n, *range(max(1, top - 2), top + 1)}))
             )
+        # A long batch with a trial window of up to a dozen counts.
+        lengths = _dp_lengths(family, rng, max_count=600, min_count=300)
+        top = int(rng.integers(3, 13))
+        instances.append((lengths, [1, *range(top - 2, top + 1)]))
+        for lengths, counts in instances:
+            for order in _cut_orders(lengths, rng):
+                assert balanced_cut_points_multi(order, counts) == (
+                    _quadratic_cuts(order, counts)
+                )
 
     @given(
         lengths=st.lists(
-            st.integers(min_value=1, max_value=50_000), min_size=1, max_size=40
+            st.integers(min_value=1, max_value=8)
+            | st.integers(min_value=1, max_value=50_000),
+            min_size=1,
+            max_size=120,
         ),
+        sort=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_matches_quadratic_dp_property(self, lengths, data):
-        lengths = sorted(lengths)
-        count = data.draw(st.integers(min_value=1, max_value=len(lengths)))
+    def test_matches_quadratic_dp_property(self, lengths, sort, data):
+        """Small values (1-8) make ties between split points common;
+        ``sort=False`` cuts in arrival order, the "w/o Sort" path."""
+        if sort:
+            lengths = sorted(lengths)
+        count = data.draw(
+            st.integers(min_value=1, max_value=min(len(lengths), 40))
+        )
         counts = tuple(c for c in (1, 2, count) if c <= len(lengths))
         assert balanced_cut_points_multi(lengths, counts) == (
             _quadratic_cuts(lengths, counts)

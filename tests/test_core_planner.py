@@ -1,5 +1,9 @@
 """Tests for repro.core.planner: the MILP parallelism planner."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.planner import (
@@ -193,3 +197,45 @@ class TestQuietStdout:
         os.write(1, b"restored\n")
         out, __ = capfd.readouterr()
         assert "restored" in out
+
+
+#: Runs in a fresh interpreter: the test process has long since loaded
+#: scipy through other tests.
+LAZY_SCIPY_SCRIPT = """
+import sys
+
+sys.path.insert(0, {src!r})
+import repro.service  # noqa: F401
+from repro.cluster.topology import standard_cluster
+from repro.core.planner import PlannerConfig
+from repro.core.solver import FlexSPSolver, SolverConfig
+from repro.cost.profiler import fit_cost_model
+from repro.model.config import GPT_7B
+from repro.model.memory import ActivationCheckpointing
+
+model = fit_cost_model(
+    GPT_7B.with_max_context(64 * 1024),
+    standard_cluster(8),
+    ActivationCheckpointing.NONE,
+)
+batch = (4096, 8192, 2048, 1024)
+FlexSPSolver(model, SolverConfig(backend="greedy")).solve(batch)
+print("scipy.optimize" in sys.modules)
+milp = SolverConfig(num_trials=1, planner=PlannerConfig(node_limit=50))
+FlexSPSolver(model, milp).solve(batch)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_a_milp_solve():
+    """Greedy-only processes (plan server, load generator, campaigns,
+    greedy pool workers) must not pay HiGHS's import time and memory."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCIPY_SCRIPT.format(src=str(src))],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
