@@ -1,13 +1,18 @@
 """Shared benchmark fixtures.
 
 Every benchmark regenerates one of the paper's tables or figures and
-prints it in a paper-comparable text format (see EXPERIMENTS.md for
-the side-by-side record).  Output is emitted outside pytest's capture
-so that ``pytest benchmarks/ --benchmark-only`` shows the tables, and
-each table is also archived.  Tables and ``BENCH_*.json`` records land
-in the committed ``benchmarks/results/`` only when ``python -m
-repro.bench`` started the run (it sets ``REPRO_BENCH_RECORD=1``); any
-other pytest run — tier-1 included — writes them to a pytest temp dir.
+prints it in a paper-comparable text format.  Output is emitted
+outside pytest's capture so that ``pytest benchmarks/`` shows the
+tables, and each table is also archived.  Tables and ``BENCH_*.json``
+records land in the committed ``benchmarks/results/`` only when
+``python -m repro.bench`` started the run (it sets
+``REPRO_BENCH_RECORD=1``); any other pytest run — tier-1 included —
+writes them to a pytest temp dir.
+
+The campaign artefacts (Fig. 4, Fig. 6, Table 1, Fig. 7, Fig. 8) are
+measured once per session through the campaign engine, in two passes
+the artefact benchmarks assert over (:func:`greedy_pass`,
+:func:`solver_cost_pass`).
 
 Scale: benchmarks default to a reduced protocol — the paper's cluster
 shapes and context limits, but smaller global batches and 1-2 measured
@@ -25,6 +30,17 @@ import pytest
 
 from repro.core.planner import PlannerConfig
 from repro.core.solver import SolverConfig
+from repro.experiments.campaign import (
+    Campaign,
+    CampaignResult,
+    fig4_artefact,
+    fig6_artefact,
+    fig7_artefact,
+    fig8_artefact,
+    table1_artefact,
+)
+from repro.experiments.sweep import SweepRunner
+from repro.model.config import GPT_7B, GPT_13B, GPT_30B
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -187,20 +203,64 @@ def bench_batch_size() -> int:
 
 
 @pytest.fixture(scope="session")
-def bench_iterations() -> int:
-    return NUM_ITERATIONS
-
-
-@pytest.fixture(scope="session")
 def bench_solver_config() -> SolverConfig:
     return BENCH_SOLVER
 
 
-_SYSTEM_CACHE: dict = {}
+@pytest.fixture(scope="session")
+def greedy_pass() -> CampaignResult:
+    """Fig. 4, Fig. 6 and Table 1, measured in one storeless campaign
+    pass on the greedy backend (prewarm on).
+
+    Their claims are "FlexSP wins" claims, which hold on the greedy
+    planner; the MILP never returns a worse plan than greedy.
+    """
+    campaign = Campaign(
+        name="bench-greedy",
+        artefacts=(
+            fig4_artefact(
+                global_batch_size=GLOBAL_BATCH,
+                num_iterations=NUM_ITERATIONS,
+                models=(GPT_7B, GPT_13B, GPT_30B),
+                contexts=(192 * 1024, 384 * 1024),
+            ),
+            fig6_artefact(
+                global_batch_size=GLOBAL_BATCH,
+                num_iterations=NUM_ITERATIONS,
+                context_points=tuple(
+                    k * 1024 for k in (64, 128, 192, 256, 384)
+                ),
+            ),
+            table1_artefact(),
+        ),
+    )
+    solver = SolverConfig(backend="greedy", num_trials=BENCH_SOLVER.num_trials)
+    with SweepRunner(solver_config=solver) as runner:
+        return campaign.run(runner)
 
 
 @pytest.fixture(scope="session")
-def system_cache():
-    """Memoises constructed systems across benchmarks (profiling and
-    baseline tuning are deterministic per workload)."""
-    return _SYSTEM_CACHE
+def solver_cost_pass() -> CampaignResult:
+    """Fig. 7 and Fig. 8, measured in one storeless campaign pass on
+    :data:`BENCH_SOLVER` with the prewarm off.
+
+    Their claims are about solver cost, so every cell must solve its
+    own plans: with the prewarm on, a cell replays seeded plans and
+    ``mean_solve_seconds`` measures cache replay.
+    """
+    campaign = Campaign(
+        name="bench-solver-cost",
+        artefacts=(
+            fig7_artefact(
+                global_batch_size=GLOBAL_BATCH,
+                num_iterations=NUM_ITERATIONS,
+                contexts=(192 * 1024, 384 * 1024),
+            ),
+            fig8_artefact(
+                sequences_per_gpu=2,
+                gpu_counts=(64, 128, 256) + ((512,) if FULL else ()),
+            ),
+        ),
+    )
+    with SweepRunner(solver_config=BENCH_SOLVER, prewarm=False) as runner:
+        return campaign.run(runner)

@@ -1,4 +1,4 @@
-"""Extension ablations beyond the paper's own (DESIGN.md).
+"""Extension ablations beyond the paper's own Fig. 7.
 
 1. MILP backend (HiGHS, with greedy incumbent) vs pure greedy LPT —
    plan quality and solve wall-time.
@@ -41,7 +41,7 @@ def _solve(model, batch, config):
     return plan.predicted_time, time.perf_counter() - start
 
 
-def test_ablation_milp_vs_greedy_backend(benchmark, emit, setup):
+def test_ablation_milp_vs_greedy_backend(emit, setup):
     model, batch = setup
     planner = PlannerConfig(time_limit=1.0, mip_rel_gap=0.05)
 
@@ -52,7 +52,7 @@ def test_ablation_milp_vs_greedy_backend(benchmark, emit, setup):
             num_trials=2, backend="greedy", planner=planner))
         return {"milp": milp, "greedy": greedy}
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     emit(
         format_table(
             ["backend", "predicted iteration (s)", "solve wall (s)"],
@@ -69,7 +69,7 @@ def test_ablation_milp_vs_greedy_backend(benchmark, emit, setup):
     assert results["greedy"][1] < results["milp"][1] / 3
 
 
-def test_ablation_bucket_count_sweep(benchmark, emit, setup):
+def test_ablation_bucket_count_sweep(emit, setup):
     model, batch = setup
     base = SolverConfig(
         num_trials=2, planner=PlannerConfig(time_limit=1.0, mip_rel_gap=0.05)
@@ -82,7 +82,7 @@ def test_ablation_bucket_count_sweep(benchmark, emit, setup):
             results[q] = _solve(model, batch, cfg)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     emit(
         format_table(
             ["Q", "predicted iteration (s)", "solve wall (s)"],
@@ -99,7 +99,7 @@ def test_ablation_bucket_count_sweep(benchmark, emit, setup):
     assert max(predictions) < 1.5 * min(predictions)
 
 
-def test_ablation_trial_count_sweep(benchmark, emit, setup):
+def test_ablation_trial_count_sweep(emit, setup):
     model, batch = setup
     planner = PlannerConfig(time_limit=1.0, mip_rel_gap=0.05)
 
@@ -110,7 +110,7 @@ def test_ablation_trial_count_sweep(benchmark, emit, setup):
             results[trials] = _solve(model, batch, cfg)
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = run()
     emit(
         format_table(
             ["M'", "predicted iteration (s)", "solve wall (s)"],

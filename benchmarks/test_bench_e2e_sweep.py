@@ -207,11 +207,16 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
 @pytest.mark.skipif(not FULL, reason="full 18-cell grid only with REPRO_BENCH_FULL=1")
 def test_e2e_sweep_full_grid(emit, bench_json_history, bench_batch_size):
     """The complete Fig. 4 grid through the sweep runner (full protocol)."""
-    from repro.experiments.workloads import fig4_workloads
+    from repro.experiments.campaign import fig4_artefact
+    from repro.model.config import GPT_13B, GPT_30B
 
-    cells = grid_cells(
-        SYSTEMS, fig4_workloads(global_batch_size=bench_batch_size), NUM_ITERATIONS
-    )
+    cells = fig4_artefact(
+        global_batch_size=bench_batch_size,
+        num_iterations=NUM_ITERATIONS,
+        models=(GPT_7B, GPT_13B, GPT_30B),
+        contexts=(192 * 1024, 384 * 1024),
+        systems=SYSTEMS,
+    ).cells
     runner = SweepRunner(cells, solver_config=SWEEP_SOLVER)
     result = runner.run()
     flexsp_wins = 0

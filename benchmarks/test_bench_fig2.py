@@ -19,7 +19,7 @@ from repro.experiments.reporting import format_histogram
 SAMPLES = 100_000
 
 
-def test_fig2_length_distributions(benchmark, emit):
+def test_fig2_length_distributions(emit):
     def run():
         rng = np.random.default_rng(0)
         return {
@@ -27,7 +27,7 @@ def test_fig2_length_distributions(benchmark, emit):
             for dist in (GITHUB, COMMONCRAWL, WIKIPEDIA)
         }
 
-    histograms = benchmark.pedantic(run, rounds=1, iterations=1)
+    histograms = run()
 
     sections = []
     for name, hist in histograms.items():

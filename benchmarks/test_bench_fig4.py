@@ -10,104 +10,42 @@ DeepSpeed and FlexSP; the FlexSP speedup is largest on Wikipedia (the
 most skewed corpus) and smallest on GitHub; Megatron-LM generally
 trails DeepSpeed (Appendix D).
 
-Benchmark protocol here: reduced global batch (128) and one measured
-iteration per cell unless REPRO_BENCH_FULL=1 — see conftest.
+Benchmark protocol here: the ``fig4`` artefact of the session's greedy
+campaign pass (see conftest), reduced global batch (128) and one
+measured iteration per cell unless REPRO_BENCH_FULL=1.
 """
 
-import pytest
+from repro.experiments.reporting import format_artefact
 
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_system
-from repro.experiments.systems import (
-    DeepSpeedUlyssesSystem,
-    FlexSPBatchAdaSystem,
-    FlexSPSystem,
-    MegatronLMSystem,
-)
-from repro.experiments.workloads import fig4_workloads
+#: The 18 workloads of the paper's grid, by name.
+WORKLOADS = [
+    f"{model}/{corpus}/{context}K/64gpu"
+    for model in ("gpt-7b", "gpt-13b", "gpt-30b")
+    for context in (192, 384)
+    for corpus in ("github", "commoncrawl", "wikipedia")
+]
 
 
-def _run_cell(workload, solver_config, iterations, cache):
-    key = ("fig4", workload.name)
-    if key not in cache:
-        systems = [
-            FlexSPSystem(workload, solver_config),
-            DeepSpeedUlyssesSystem(workload),
-            FlexSPBatchAdaSystem(workload),
-            MegatronLMSystem(workload),
-        ]
-        cache[key] = {
-            s.name: run_system(s, workload, iterations) for s in systems
-        }
-    return cache[key]
+def test_fig4_end_to_end_grid(emit, greedy_pass):
+    fig4 = greedy_pass.artefact("fig4")
+    emit(format_artefact(fig4))
 
-
-@pytest.fixture(scope="module")
-def grid(bench_batch_size):
-    return fig4_workloads(global_batch_size=bench_batch_size)
-
-
-def test_fig4_end_to_end_grid(
-    benchmark, emit, grid, bench_solver_config, bench_iterations, system_cache
-):
-    def run():
-        rows = []
-        results = {}
-        for workload in grid:
-            cell = _run_cell(
-                workload, bench_solver_config, bench_iterations, system_cache
-            )
-            results[workload.name] = cell
-            flexsp = cell["FlexSP"].mean_iteration_seconds
-            deepspeed = cell["DeepSpeed"].mean_iteration_seconds
-            batchada = cell["FlexSP-BatchAda"].mean_iteration_seconds
-            megatron = cell["Megatron-LM"].mean_iteration_seconds
-            rows.append(
-                [
-                    workload.name,
-                    f"{flexsp:.1f}",
-                    f"{batchada:.1f}",
-                    f"{deepspeed:.1f}",
-                    f"{megatron:.1f}",
-                    f"{deepspeed / flexsp:.2f}x",
-                    f"{megatron / flexsp:.2f}x",
-                ]
-            )
-        return rows, results
-
-    rows, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        format_table(
-            [
-                "workload",
-                "FlexSP (s)",
-                "BatchAda (s)",
-                "DeepSpeed (s)",
-                "Megatron (s)",
-                "vs DS",
-                "vs MLM",
-            ],
-            rows,
-            title="Fig. 4: end-to-end iteration time, 64 GPUs "
-            "(reduced batch; see EXPERIMENTS.md)",
-        )
-    )
+    # The whole grid was measured, and nothing else.
+    assert sorted(fig4.summary["workloads"]) == sorted(WORKLOADS)
 
     speedups_vs_ds = {}
-    for name, cell in results.items():
-        flexsp = cell["FlexSP"].mean_iteration_seconds
-        # FlexSP never loses to any baseline.
-        assert flexsp <= cell["DeepSpeed"].mean_iteration_seconds * 1.02, name
-        assert flexsp <= cell["FlexSP-BatchAda"].mean_iteration_seconds * 1.02, name
-        assert flexsp <= cell["Megatron-LM"].mean_iteration_seconds * 1.02, name
-        # BatchAda sits between FlexSP and DeepSpeed.
-        assert (
-            cell["FlexSP-BatchAda"].mean_iteration_seconds
-            <= cell["DeepSpeed"].mean_iteration_seconds * 1.02
-        ), name
-        speedups_vs_ds[name] = (
-            cell["DeepSpeed"].mean_iteration_seconds / flexsp
+    for name in WORKLOADS:
+        flexsp, deepspeed, batchada, megatron = (
+            fig4.metric(system, name).mean_iteration_seconds
+            for system in ("flexsp", "deepspeed", "batchada", "megatron")
         )
+        # FlexSP never loses to any baseline.
+        assert flexsp <= deepspeed * 1.02, name
+        assert flexsp <= batchada * 1.02, name
+        assert flexsp <= megatron * 1.02, name
+        # BatchAda sits between FlexSP and DeepSpeed.
+        assert batchada <= deepspeed * 1.02, name
+        speedups_vs_ds[name] = deepspeed / flexsp
 
     # A real speedup exists somewhere in the grid (paper: up to 1.72x).
     assert max(speedups_vs_ds.values()) > 1.15

@@ -8,117 +8,57 @@ per-GPU throughput *drops* as the cluster grows (inter-node bandwidth
 degradation) but FlexSP degrades less than the static baselines; under
 growing context limits throughput decreases for everyone (quadratic
 attention) while FlexSP keeps a consistent lead.
+
+Both panels read the ``fig6`` artefact of the session's greedy
+campaign pass (see conftest).
 """
 
-import pytest
+from repro.experiments.reporting import format_artefact
 
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_system
-from repro.experiments.systems import (
-    DeepSpeedUlyssesSystem,
-    FlexSPBatchAdaSystem,
-    FlexSPSystem,
-    MegatronLMSystem,
-)
-from repro.experiments.workloads import (
-    fig6_context_scaling_workloads,
-    fig6_gpu_scaling_workloads,
-)
+GPU_COUNTS = (16, 32, 64)
+CONTEXTS_K = (64, 128, 192, 256, 384)
 
 
-def _throughputs(workload, solver_config, iterations, cache):
-    key = ("fig6", workload.name)
-    if key not in cache:
-        systems = [
-            FlexSPSystem(workload, solver_config),
-            DeepSpeedUlyssesSystem(workload),
-            FlexSPBatchAdaSystem(workload),
-            MegatronLMSystem(workload),
-        ]
-        n = workload.cluster.num_gpus
-        cache[key] = {
-            s.name: run_system(s, workload, iterations).tokens_per_second_per_gpu(n)
-            for s in systems
-        }
-    return cache[key]
+def _tokens_per_gpu(fig6, workload_name):
+    """tokens/s/GPU per system of one Fig. 6 workload."""
+    return {
+        system: fig6.metric(system, workload_name).tokens_per_second_per_gpu
+        for system in ("flexsp", "deepspeed", "batchada", "megatron")
+    }
 
 
-SYSTEMS = ["FlexSP", "FlexSP-BatchAda", "DeepSpeed", "Megatron-LM"]
+def test_fig6_gpu_scaling(emit, greedy_pass):
+    fig6 = greedy_pass.artefact("fig6")
+    emit(format_artefact(fig6))
 
-
-def _table(workloads, label, solver_config, iterations, cache):
-    rows = []
-    cells = {}
-    for w in workloads:
-        tp = _throughputs(w, solver_config, iterations, cache)
-        cells[w.name] = tp
-        rows.append(
-            [w.name]
-            + [f"{tp[s] / 1000:.1f}K" for s in SYSTEMS]
-            + [f"{tp['FlexSP'] / tp['DeepSpeed']:.2f}x"]
-        )
-    return rows, cells
-
-
-def test_fig6_gpu_scaling(
-    benchmark, emit, bench_solver_config, bench_iterations, system_cache,
-    bench_batch_size,
-):
-    workloads = fig6_gpu_scaling_workloads(global_batch_size=bench_batch_size)
-
-    def run():
-        return _table(
-            workloads, "gpus", bench_solver_config, bench_iterations, system_cache
-        )
-
-    rows, cells = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        format_table(
-            ["workload"] + [f"{s} (tok/s/GPU)" for s in SYSTEMS] + ["FlexSP vs DS"],
-            rows,
-            title="Fig. 6 (left): throughput per GPU vs cluster size, 128K",
-        )
-    )
-
-    by_gpus = {w.cluster.num_gpus: cells[w.name] for w in workloads}
+    by_gpus = {
+        n: _tokens_per_gpu(fig6, f"gpt-7b/commoncrawl/128K/{n}gpu")
+        for n in GPU_COUNTS
+    }
     for n, cell in by_gpus.items():
-        assert cell["FlexSP"] >= max(
-            cell["DeepSpeed"], cell["Megatron-LM"]
+        assert cell["flexsp"] >= max(
+            cell["deepspeed"], cell["megatron"]
         ) * 0.98, n
     # Per-GPU throughput decays with cluster growth for the static
     # baseline; FlexSP retains more of its 16-GPU throughput at 64.
-    assert by_gpus[64]["DeepSpeed"] < by_gpus[16]["DeepSpeed"]
-    flexsp_retention = by_gpus[64]["FlexSP"] / by_gpus[16]["FlexSP"]
-    ds_retention = by_gpus[64]["DeepSpeed"] / by_gpus[16]["DeepSpeed"]
+    assert by_gpus[64]["deepspeed"] < by_gpus[16]["deepspeed"]
+    flexsp_retention = by_gpus[64]["flexsp"] / by_gpus[16]["flexsp"]
+    ds_retention = by_gpus[64]["deepspeed"] / by_gpus[16]["deepspeed"]
     assert flexsp_retention >= ds_retention * 0.95
 
 
-def test_fig6_context_scaling(
-    benchmark, emit, bench_solver_config, bench_iterations, system_cache,
-    bench_batch_size,
-):
-    workloads = fig6_context_scaling_workloads(global_batch_size=bench_batch_size)
+def test_fig6_context_scaling(emit, greedy_pass):
+    fig6 = greedy_pass.artefact("fig6")
+    emit(format_artefact(fig6))
 
-    def run():
-        return _table(
-            workloads, "ctx", bench_solver_config, bench_iterations, system_cache
-        )
-
-    rows, cells = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        format_table(
-            ["workload"] + [f"{s} (tok/s/GPU)" for s in SYSTEMS] + ["FlexSP vs DS"],
-            rows,
-            title="Fig. 6 (right): throughput per GPU vs max context, 64 GPUs",
-        )
-    )
-
-    by_ctx = {w.max_context: cells[w.name] for w in workloads}
-    contexts = sorted(by_ctx)
+    by_ctx = {
+        k: _tokens_per_gpu(fig6, f"gpt-7b/commoncrawl/{k}K/64gpu")
+        for k in CONTEXTS_K
+    }
     # FlexSP leads at every context limit.
-    for ctx in contexts:
-        assert by_ctx[ctx]["FlexSP"] >= by_ctx[ctx]["DeepSpeed"] * 0.98, ctx
+    for k, cell in by_ctx.items():
+        assert cell["flexsp"] >= cell["deepspeed"] * 0.98, k
     # FlexSP's throughput does not collapse at the longest contexts:
     # it retains a consistent edge (paper: 1.42x..1.51x).
-    edge_384 = by_ctx[384 * 1024]["FlexSP"] / by_ctx[384 * 1024]["DeepSpeed"]
+    edge_384 = by_ctx[384]["flexsp"] / by_ctx[384]["deepspeed"]
     assert edge_384 > 1.0

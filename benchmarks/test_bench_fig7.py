@@ -13,109 +13,30 @@ plan *quality* from collapsing when bucketing is ablated — so the
 bucketing ablations surface exactly where the paper says they bite:
 in solver cost.  The sorting ablation degrades the executed iteration
 time directly.
+
+Reads the ``fig7`` artefact of the session's solver-cost campaign pass
+(see conftest), where every cell solves its own plans on the MILP.
 """
 
-import time
-from dataclasses import replace
-
-import pytest
-
-from repro.experiments.reporting import format_table
-from repro.experiments.runner import run_system
-from repro.experiments.systems import FlexSPSystem
-from repro.experiments.workloads import Workload
-from repro.cluster.topology import standard_cluster
-from repro.data.distributions import COMMONCRAWL
-from repro.model.config import GPT_7B
+from repro.experiments.reporting import format_artefact
 
 ABLATIONS = ["FlexSP", "w/o Sort", "w/ naive BKT", "w/o BKT"]
 
 
-def _ablated_system(workload, solver_config, ablation):
-    system = FlexSPSystem(workload, solver_config)
-    if ablation == "w/o Sort":
-        system.solver = system.solver.ablated(sort_sequences=False)
-    elif ablation == "w/ naive BKT":
-        system.solver = system.solver.ablated(
-            planner=replace(solver_config.planner, bucketing="naive")
-        )
-    elif ablation == "w/o BKT":
-        system.solver = system.solver.ablated(
-            planner=replace(solver_config.planner, bucketing="none")
-        )
-    return system
+def test_fig7_solver_ablations(emit, solver_cost_pass):
+    fig7 = solver_cost_pass.artefact("fig7")
+    emit(format_artefact(fig7))
 
-
-@pytest.fixture(scope="module")
-def workloads(bench_batch_size):
-    return {
-        "192K": Workload(
-            model=GPT_7B,
-            distribution=COMMONCRAWL,
-            max_context=192 * 1024,
-            cluster=standard_cluster(64),
-            global_batch_size=bench_batch_size,
-        ),
-        "384K": Workload(
-            model=GPT_7B,
-            distribution=COMMONCRAWL,
-            max_context=384 * 1024,
-            cluster=standard_cluster(64),
-            global_batch_size=bench_batch_size,
-        ),
-    }
-
-
-def test_fig7_solver_ablations(
-    benchmark, emit, workloads, bench_solver_config, bench_iterations
-):
-    def run():
-        results = {}
-        for ctx, workload in workloads.items():
-            cells = {}
-            for ablation in ABLATIONS:
-                system = _ablated_system(workload, bench_solver_config, ablation)
-                start = time.perf_counter()
-                result = run_system(system, workload, bench_iterations)
-                wall = time.perf_counter() - start
-                cells[ablation] = (
-                    result.mean_iteration_seconds,
-                    result.mean_solve_seconds,
-                    wall,
-                )
-            results[ctx] = cells
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = []
-    for ctx, cells in results.items():
-        base = cells["FlexSP"][0]
-        for ablation in ABLATIONS:
-            iteration, solve, __ = cells[ablation]
-            rows.append(
-                [
-                    ctx,
-                    ablation,
-                    f"{iteration:.1f}",
-                    f"{iteration / base:.2f}x",
-                    f"{solve:.1f}",
-                ]
-            )
-    emit(
-        format_table(
-            ["max seq", "variant", "iteration (s)", "relative", "solve (s)"],
-            rows,
-            title="Fig. 7: FlexSP solver ablations (CommonCrawl, 64 GPUs)",
-        )
-    )
-
-    for ctx, cells in results.items():
-        base_iter, base_solve, __ = cells["FlexSP"]
+    for ctx in ("192K", "384K"):
+        cells = fig7.summary["workloads"][f"gpt-7b/commoncrawl/{ctx}/64gpu"]
+        iteration = {a: cells[a]["mean_iteration_seconds"] for a in ABLATIONS}
+        solve = {a: cells[a]["mean_solve_seconds"] for a in ABLATIONS}
+        base_iter = iteration["FlexSP"]
         # No ablation beats the full system (beyond noise).
         for ablation in ABLATIONS[1:]:
-            assert cells[ablation][0] >= base_iter * 0.98, f"{ctx}/{ablation}"
+            assert iteration[ablation] >= base_iter * 0.98, f"{ctx}/{ablation}"
         # Sorting ablation degrades executed iteration time.
-        assert cells["w/o Sort"][0] > base_iter * 1.02, ctx
+        assert iteration["w/o Sort"] > base_iter * 1.02, ctx
         # Removing bucketing blows up solver cost (the paper's failure
         # mode for this ablation).
-        assert cells["w/o BKT"][1] > base_solve * 1.3, ctx
+        assert solve["w/o BKT"] > solve["FlexSP"] * 1.3, ctx

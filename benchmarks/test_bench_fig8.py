@@ -7,84 +7,35 @@ solving time — the solver service runs on every node's CPUs, so
 divide by N/8 nodes — stays far below the training time, i.e. solving
 remains fully overlappable.
 
-We sweep 64..256 GPUs by default (512 with REPRO_BENCH_FULL=1); the
-wall-clock budget per MILP is capped exactly as in the deployed
-solver, so solve times here are what a deployment would see.
+We sweep 64..256 GPUs by default (512 with REPRO_BENCH_FULL=1) at 2
+sequences per GPU, reading the ``fig8`` artefact of the session's
+solver-cost campaign pass (see conftest): every cell solves its own
+plans under the benchmark MILP budget, so solve times are what a
+deployment would see.  The training column is the simulated
+iteration time.
 """
 
-import time
-
-import pytest
-
 from benchmarks.conftest import FULL
-from repro.core.solver import FlexSPSolver, SolverConfig
-from repro.core.planner import PlannerConfig
-from repro.cluster.topology import standard_cluster
-from repro.cost.estimator import estimate_iteration_time
-from repro.cost.profiler import fit_cost_model
-from repro.data.dataset import SyntheticCorpus
-from repro.data.distributions import COMMONCRAWL
-from repro.experiments.reporting import format_table
-from repro.model.config import GPT_7B
+from repro.experiments.reporting import format_artefact
 
 GPU_COUNTS = [64, 128, 256] + ([512] if FULL else [])
-MAX_CONTEXT = 192 * 1024
-#: Batch scales proportionally with the cluster (the paper's protocol).
-SEQUENCES_PER_GPU = 2
 
 
-def test_fig8_solver_scalability(benchmark, emit):
-    def run():
-        rows = []
-        checks = []
-        for num_gpus in GPU_COUNTS:
-            cluster = standard_cluster(num_gpus)
-            config = GPT_7B.with_max_context(MAX_CONTEXT)
-            model = fit_cost_model(config, cluster)
-            corpus = SyntheticCorpus(
-                COMMONCRAWL,
-                max_context=MAX_CONTEXT,
-                global_batch_size=SEQUENCES_PER_GPU * num_gpus,
-            )
-            solver = FlexSPSolver(
-                model,
-                SolverConfig(
-                    num_trials=2,
-                    planner=PlannerConfig(time_limit=1.0, mip_rel_gap=0.05),
-                ),
-            )
-            batch = corpus.batch(0).lengths
-            start = time.perf_counter()
-            plan = solver.solve(batch)
-            solve_seconds = time.perf_counter() - start
-            training_seconds = estimate_iteration_time(model, plan)
-            amortized = solve_seconds / (num_gpus // 8)
-            rows.append(
-                [
-                    num_gpus,
-                    f"{training_seconds:.1f}",
-                    f"{solve_seconds:.1f}",
-                    f"{amortized:.2f}",
-                ]
-            )
-            checks.append((num_gpus, training_seconds, solve_seconds, amortized))
-        return rows, checks
+def test_fig8_solver_scalability(emit, solver_cost_pass):
+    fig8 = solver_cost_pass.artefact("fig8")
+    emit(format_artefact(fig8))
 
-    rows, checks = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        format_table(
-            ["# GPUs", "est. training (s)", "solving (s)", "amortized (s)"],
-            rows,
-            title="Fig. 8: per-iteration training vs solver time "
-            "(batch scales with cluster)",
-        )
-    )
+    checks = []
+    for num_gpus in GPU_COUNTS:
+        m = fig8.metric("flexsp", f"gpt-7b/commoncrawl/192K/{num_gpus}gpu")
+        amortized = m.mean_solve_seconds / (num_gpus // 8)
+        checks.append((num_gpus, m.mean_iteration_seconds, amortized))
 
-    trainings = [c[1] for c in checks]
-    # Estimated training time stays at a similar level as the cluster
-    # and batch scale together (weak scaling).
+    trainings = [training for __, training, __ in checks]
+    # Training time stays at a similar level as the cluster and batch
+    # scale together (weak scaling).
     assert max(trainings) < 3 * min(trainings)
     # Amortized solving is always overlappable: well under the
     # training time of one iteration.
-    for num_gpus, training, __, amortized in checks:
+    for num_gpus, training, amortized in checks:
         assert amortized < training, f"{num_gpus} GPUs"

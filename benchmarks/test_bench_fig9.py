@@ -22,7 +22,7 @@ HOLDOUT_LENGTHS = (3072, 6144, 12288, 24576, 49152)
 HOLDOUT_COUNTS = (2, 8)
 
 
-def test_fig9_estimation_accuracy(benchmark, emit):
+def test_fig9_estimation_accuracy(emit):
     cluster = standard_cluster(64)
     config = GPT_7B.with_max_context(384 * 1024)
 
@@ -36,7 +36,7 @@ def test_fig9_estimation_accuracy(benchmark, emit):
             probe_counts=HOLDOUT_COUNTS,
         )
 
-    errors = benchmark.pedantic(run, rounds=1, iterations=1)
+    errors = run()
 
     by_degree: dict[int, list[float]] = {}
     for degree, __, err in errors:

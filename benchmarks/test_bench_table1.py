@@ -9,93 +9,42 @@ SP degree that doubles as length doubles (32K needs 8, 64K needs 16,
 128K needs 32, 256K needs 64); among feasible degrees the smallest is
 fastest; the All-to-All share collapses once the group fits inside a
 node (SP <= 8).
+
+Reads the ``table1`` artefact of the session's greedy campaign pass
+(see conftest): exactly the paper's protocol, since the simulator is
+analytic and the full scale costs nothing.
 """
 
-import pytest
-
-from repro.baselines.homogeneous import homogeneous_plan
-from repro.cost.profiler import fit_cost_model
-from repro.cluster.topology import standard_cluster
-from repro.experiments.reporting import format_table
-from repro.model.config import GPT_7B
-from repro.simulator.executor import IterationExecutor
-
-#: (sequence length, batch size) rows of Table 1: 4M tokens per row,
-#: exactly the paper's protocol (the simulator is analytic, so the
-#: full scale costs nothing).
-ROWS = [
-    (4 * 1024, 1024),
-    (8 * 1024, 512),
-    (16 * 1024, 256),
-    (32 * 1024, 128),
-    (64 * 1024, 64),
-    (128 * 1024, 32),
-    (256 * 1024, 16),
-]
-DEGREES = [64, 32, 16, 8, 4]
+from repro.experiments.reporting import format_artefact
 
 
-@pytest.fixture(scope="module")
-def setup():
-    cluster = standard_cluster(64)
-    config = GPT_7B.with_max_context(384 * 1024)
-    model = fit_cost_model(config, cluster)
-    executor = IterationExecutor(config=config, cluster=cluster)
-    return cluster, config, model, executor
+def test_table1_iteration_time_and_alltoall_share(emit, greedy_pass):
+    table1 = greedy_pass.artefact("table1")
+    emit(format_artefact(table1))
 
+    rows = table1.summary["rows"]
 
-def _cell(model, executor, seq, bs, degree):
-    if not model.fits([seq], degree):
-        return "OOM"
-    plan = homogeneous_plan((seq,) * bs, model, degree)
-    result = executor.run(plan)
-    return f"{result.iteration_seconds:.1f}s/{100 * result.alltoall_fraction:.0f}%"
+    def entry(seq_k, bs, degree):
+        """``"<seconds>s/<share>%"`` or ``"OOM"``."""
+        return rows[f"{seq_k}K x {bs}"]["degrees"][str(degree)]
 
-
-def test_table1_iteration_time_and_alltoall_share(benchmark, emit, setup):
-    cluster, config, model, executor = setup
-
-    def run():
-        rows = []
-        for seq, bs in ROWS:
-            row = [f"{seq // 1024}K x {bs}"]
-            for degree in DEGREES:
-                row.append(_cell(model, executor, seq, bs, degree))
-            rows.append(row)
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        format_table(
-            ["seq x bs"] + [f"SP={d}" for d in DEGREES],
-            rows,
-            title="Table 1: GPT-7B iteration time / All-to-All share, "
-            "64 GPUs, 4M tokens per row (paper protocol)",
-        )
-    )
-
-    cells = {
-        (seq, d): _cell(model, executor, seq, bs, d)
-        for (seq, bs) in ROWS
-        for d in DEGREES
-    }
     # OOM frontier matches the paper exactly.
-    assert cells[(32 * 1024, 4)] == "OOM"
-    assert cells[(64 * 1024, 8)] == "OOM"
-    assert cells[(128 * 1024, 16)] == "OOM"
-    assert cells[(256 * 1024, 32)] == "OOM"
-    assert cells[(256 * 1024, 64)] != "OOM"
+    assert entry(32, 128, 4) == "OOM"
+    assert entry(64, 64, 8) == "OOM"
+    assert entry(128, 32, 16) == "OOM"
+    assert entry(256, 16, 32) == "OOM"
+    assert entry(256, 16, 64) != "OOM"
 
-    def seconds(cell):
-        return float(cell.split("s/")[0])
+    def seconds(value):
+        return float(value.split("s/")[0])
 
     # Smaller feasible degrees are faster for short sequences.
-    assert seconds(cells[(8 * 1024, 8)]) < seconds(cells[(8 * 1024, 32)])
-    assert seconds(cells[(8 * 1024, 4)]) < seconds(cells[(8 * 1024, 64)])
+    assert seconds(entry(8, 512, 8)) < seconds(entry(8, 512, 32))
+    assert seconds(entry(8, 512, 4)) < seconds(entry(8, 512, 64))
 
-    def share(cell):
-        return float(cell.split("/")[1].rstrip("%"))
+    def share(value):
+        return float(value.split("/")[1].rstrip("%"))
 
     # All-to-All share collapses inside a node.
-    assert share(cells[(8 * 1024, 8)]) < 15
-    assert share(cells[(8 * 1024, 64)]) > 30
+    assert share(entry(8, 512, 8)) < 15
+    assert share(entry(8, 512, 64)) > 30

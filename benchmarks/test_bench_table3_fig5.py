@@ -39,26 +39,23 @@ CASE_STUDY_BATCH = 512
 
 
 @pytest.fixture(scope="module")
-def case_study(bench_solver_config, system_cache):
-    key = ("case-study", CASE_STUDY_BATCH)
-    if key not in system_cache:
-        workload = case_study_workload(global_batch_size=CASE_STUDY_BATCH)
-        flexsp = FlexSPSystem(workload, bench_solver_config)
-        deepspeed = DeepSpeedUlyssesSystem(workload)
-        batchada = FlexSPBatchAdaSystem(workload)
-        cases = {}
-        for case, step in (("Case 1", 0), ("Case 2", 1)):
-            batch = workload.corpus().batch(step).lengths
-            cases[case] = {
-                "FlexSP": flexsp.run_iteration(batch),
-                "DeepSpeed": deepspeed.run_iteration(batch),
-                "FlexSP-BatchAda": batchada.run_iteration(batch),
-            }
-        system_cache[key] = cases
-    return system_cache[key]
+def case_study(bench_solver_config):
+    workload = case_study_workload(global_batch_size=CASE_STUDY_BATCH)
+    flexsp = FlexSPSystem(workload, bench_solver_config)
+    deepspeed = DeepSpeedUlyssesSystem(workload)
+    batchada = FlexSPBatchAdaSystem(workload)
+    cases = {}
+    for case, step in (("Case 1", 0), ("Case 2", 1)):
+        batch = workload.corpus().batch(step).lengths
+        cases[case] = {
+            "FlexSP": flexsp.run_iteration(batch),
+            "DeepSpeed": deepspeed.run_iteration(batch),
+            "FlexSP-BatchAda": batchada.run_iteration(batch),
+        }
+    return cases
 
 
-def test_table3_heterogeneous_group_layouts(benchmark, emit, case_study):
+def test_table3_heterogeneous_group_layouts(emit, case_study):
     def run():
         rows = []
         for case, outcomes in case_study.items():
@@ -67,7 +64,7 @@ def test_table3_heterogeneous_group_layouts(benchmark, emit, case_study):
                 rows.append([case, system, "  ".join(layouts)])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         format_table(
             ["case", "system", "SP-group layout per micro-batch"],
@@ -103,7 +100,7 @@ def test_table3_heterogeneous_group_layouts(benchmark, emit, case_study):
         assert min(flex_degrees) <= 8, case
 
 
-def test_fig5a_alltoall_breakdown(benchmark, emit, case_study):
+def test_fig5a_alltoall_breakdown(emit, case_study):
     def run():
         rows = []
         for case, outcomes in case_study.items():
@@ -120,7 +117,7 @@ def test_fig5a_alltoall_breakdown(benchmark, emit, case_study):
                 )
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = run()
     emit(
         format_table(
             ["case", "system", "total (s)", "All-to-All (s)", "share"],
@@ -142,11 +139,11 @@ def test_fig5a_alltoall_breakdown(benchmark, emit, case_study):
         assert flexsp.iteration_seconds < deepspeed.iteration_seconds, case
 
 
-def test_fig5b_lengths_by_assigned_degree(benchmark, emit, case_study):
+def test_fig5b_lengths_by_assigned_degree(emit, case_study):
     def run():
         return case_study["Case 2"]["FlexSP"].plan.assignment_by_degree()
 
-    by_degree = benchmark.pedantic(run, rounds=1, iterations=1)
+    by_degree = run()
     emit(format_violin_summary(by_degree))
 
     degrees = sorted(by_degree)

@@ -44,14 +44,14 @@ def _error_ratios(dist):
     return worst_dp, worst_naive
 
 
-def test_table4_bucketing_token_error(benchmark, emit):
+def test_table4_bucketing_token_error(emit):
     def run():
         return {
             dist.name: _error_ratios(dist)
             for dist in (GITHUB, COMMONCRAWL, WIKIPEDIA)
         }
 
-    ratios = benchmark.pedantic(run, rounds=1, iterations=1)
+    ratios = run()
     emit(
         format_table(
             ["method", "github", "commoncrawl", "wikipedia"],

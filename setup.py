@@ -24,6 +24,6 @@ setup(
         "scipy",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark"],
+        "test": ["pytest", "hypothesis"],
     },
 )

@@ -98,7 +98,8 @@ process pool is always an explicit opt-in.
 
 ``--profile`` prints the per-stage SolveStats timing breakdown
 (enumerate / lpt / milp_build / milp_solve) — in campaign mode per
-epoch, in pytest mode through the suites that support it (e.g.
+epoch, with the trials pruned and the workload contexts built, in
+pytest mode through the suites that support it (e.g.
 ``python -m repro.bench solver_throughput --profile``); the breakdown
 is part of the appended bench records either way.  ``--no-prewarm``
 disables the campaign-level cold-batching pass that plans the grid's
@@ -167,77 +168,12 @@ def append_history(path: pathlib.Path, records: list[dict]) -> None:
     )
 
 
-def _campaign_tables(result) -> str:
-    """Render every artefact summary as aligned text tables."""
-    from repro.experiments.reporting import format_table
-
-    blocks = []
-    for artefact_result in result.artefacts:
-        summary = artefact_result.summary
-        title = artefact_result.artefact.title
-        if "rows" in summary:  # Table 1 frontier
-            degrees = sorted(
-                {
-                    int(d)
-                    for row in summary["rows"].values()
-                    for d in row["degrees"]
-                },
-                reverse=True,
-            )
-            rows = [
-                [label]
-                + [row["degrees"].get(str(d), "-") for d in degrees]
-                + [row["min_feasible_degree"]]
-                for label, row in summary["rows"].items()
-            ]
-            headers = ["seq x bs"] + [f"SP={d}" for d in degrees] + ["min ok"]
-        elif "clusters" in summary:  # Fig. 8 scaling
-            headers = ["# GPUs", "training (s)", "solving (s)", "amortized (s)"]
-            rows = [
-                [
-                    n,
-                    f"{c['training_seconds']:.1f}",
-                    f"{c['solve_seconds']:.2f}",
-                    f"{c['amortized_solve_seconds']:.3f}",
-                ]
-                for n, c in summary["clusters"].items()
-            ]
-        elif artefact_result.artefact.key == "fig7":  # ablations
-            headers = ["workload", "variant", "iteration (s)", "relative"]
-            rows = [
-                [
-                    workload,
-                    variant,
-                    f"{entry['mean_iteration_seconds']:.1f}",
-                    f"{entry.get('relative', 1.0):.2f}x",
-                ]
-                for workload, variants in summary["workloads"].items()
-                for variant, entry in variants.items()
-            ]
-        else:  # throughput grids (Fig. 4 / Fig. 6)
-            headers = ["workload", "system", "iteration (s)", "tok/s/GPU", "ckpt"]
-            rows = [
-                [
-                    workload,
-                    system,
-                    "OOM"
-                    if entry["status"] == "oom"
-                    else f"{entry['mean_iteration_seconds']:.1f}",
-                    f"{entry['tokens_per_second_per_gpu']:.0f}",
-                    row["checkpointing"],
-                ]
-                for workload, row in summary["workloads"].items()
-                for system, entry in row["systems"].items()
-            ]
-        blocks.append(format_table(headers, rows, title=title))
-    return "\n\n".join(blocks)
-
-
 def run_campaign(args: argparse.Namespace) -> int:
     """Execute one campaign pass and append the trajectory record."""
     from repro.core.planner import PlannerConfig
     from repro.core.solver import SolverConfig
     from repro.experiments.campaign import build_campaign
+    from repro.experiments.reporting import format_artefact
     from repro.experiments.sweep import SweepRunner
 
     planner = PlannerConfig(node_limit=args.node_limit)
@@ -312,18 +248,11 @@ def run_campaign(args: argparse.Namespace) -> int:
                     f"{pruning['microbatches']} micro-batches dropped "
                     f"unplanned"
                 )
-                for t in result.sweep.worker_telemetry:
-                    stages = ", ".join(
-                        f"{stage} {seconds:.3f}s"
-                        for stage, seconds in t.stage_seconds
-                    )
-                    print(
-                        f"[{campaign.name}] epoch {epoch} worker "
-                        f"{t.worker} (pid {t.pid}): {t.cells} cells, "
-                        f"{t.context_builds} context builds "
-                        f"({t.restore_seconds:.3f}s)"
-                        + (f"; {stages}" if stages else "")
-                    )
+                print(
+                    f"[{campaign.name}] epoch {epoch} contexts: "
+                    f"{result.sweep.context_builds} built in "
+                    f"{result.sweep.context_build_seconds:.3f}s"
+                )
             stats = result.sweep.store_stats
             if stats is not None:
                 print(
@@ -349,7 +278,7 @@ def run_campaign(args: argparse.Namespace) -> int:
                     f"broken"
                 )
     print()
-    print(_campaign_tables(result))
+    print("\n\n".join(format_artefact(r) for r in result.artefacts))
     path = results_dir / "BENCH_campaign.json"
     append_history(path, records)
     print(f"\nappended {len(records)} record(s) to {path}")

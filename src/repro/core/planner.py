@@ -17,9 +17,6 @@ symmetry-breaking order constraints over same-degree groups.
 
 from __future__ import annotations
 
-import contextlib
-import os
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -34,81 +31,6 @@ from repro.cost.model import CostModel, CostTable, cost_table
 
 if TYPE_CHECKING:
     from scipy import sparse
-
-
-#: Re-entrancy/ref count of :func:`_quiet_stdout` with the saved
-#: descriptors of the *outermost* entry.  Descriptors 1/2 are
-#: process-wide, so the silencer refcounts across nested *and
-#: concurrent* uses (the pipeline solves from a thread pool): the
-#: first entrant redirects, the last exiter restores.
-_QUIET_LOCK = threading.Lock()
-_QUIET_DEPTH = 0
-_QUIET_SAVED: list[tuple[int, int]] = []
-
-
-@contextlib.contextmanager
-def _quiet_stdout():
-    """Silence HiGHS's unconditional C++ diagnostics during a solve.
-
-    HiGHS prints branch-and-bound internals straight to file descriptor
-    1 and warnings (e.g. time-limit notices) to descriptor 2, bypassing
-    ``sys.stdout``/``sys.stderr``; both descriptors are redirected to
-    the null device for the duration.  Re-entrant and thread-safe:
-    nested or concurrent entries share one redirection, and only the
-    final exit restores the original descriptors.  Streams without a
-    usable descriptor are skipped individually.
-    """
-    global _QUIET_DEPTH
-    with _QUIET_LOCK:
-        _QUIET_DEPTH += 1
-        if _QUIET_DEPTH == 1:
-            _redirect_to_devnull()
-    try:
-        yield
-    finally:
-        with _QUIET_LOCK:
-            _QUIET_DEPTH -= 1
-            if _QUIET_DEPTH == 0:
-                for fd, saved in _QUIET_SAVED:
-                    os.dup2(saved, fd)
-                    os.close(saved)
-                _QUIET_SAVED.clear()
-
-
-def _redirect_to_devnull() -> None:
-    """Point descriptors 1/2 at the null device, stashing duplicates
-    in ``_QUIET_SAVED``.  On any failure (e.g. fd exhaustion) the
-    partial redirect is rolled back and the solve proceeds unsilenced
-    — never raising, never leaking descriptors or depth state.
-    """
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            stream.flush()
-        except (OSError, ValueError, AttributeError):
-            pass
-    saved: list[tuple[int, int]] = []
-    try:
-        # HiGHS writes through the C runtime's stdout/stderr, i.e. the
-        # process-level descriptors — not the sys.std* objects (which
-        # pytest may have swapped for pipe-less buffers).
-        for fd in (1, 2):
-            try:
-                saved.append((fd, os.dup(fd)))
-            except OSError:
-                continue
-        if saved:
-            with open(os.devnull, "w") as devnull:
-                for fd, __ in saved:
-                    os.dup2(devnull.fileno(), fd)
-    except OSError:
-        for fd, dup in saved:
-            try:
-                os.dup2(dup, fd)
-                os.close(dup)
-            except OSError:
-                pass
-        return
-    _QUIET_SAVED.extend(saved)
 
 
 class PlanInfeasibleError(Exception):
@@ -644,14 +566,13 @@ def _build_and_solve(
         options["time_limit"] = config.time_limit
     stage_timing.add("milp_build", time.perf_counter() - build_started)
     solve_started = time.perf_counter()
-    with _quiet_stdout():
-        result = milp(
-            c=skeleton.objective,
-            constraints=constraints,
-            integrality=skeleton.integrality,
-            bounds=Bounds(var_lower, var_upper),
-            options=options,
-        )
+    result = milp(
+        c=skeleton.objective,
+        constraints=constraints,
+        integrality=skeleton.integrality,
+        bounds=Bounds(var_lower, var_upper),
+        options=options,
+    )
     stage_timing.add("milp_solve", time.perf_counter() - solve_started)
     return result, skeleton.a_index, c_index
 

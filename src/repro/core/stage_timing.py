@@ -64,7 +64,7 @@ def accumulate(totals: dict[str, float], stages) -> dict[str, float]:
     frames vs the serialised tuples on
     :class:`~repro.experiments.sweep.CellMetrics`).  The single
     definition of stage-total aggregation, shared by the sweep's
-    per-worker telemetry and the campaign's ``--profile`` report.
+    prewarm and the campaign's ``--profile`` report.
     """
     pairs = stages.items() if isinstance(stages, dict) else stages
     for stage, seconds in pairs:

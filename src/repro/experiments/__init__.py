@@ -45,7 +45,7 @@ from repro.experiments.systems import (
     MegatronLMSystem,
     build_system,
 )
-from repro.experiments.workloads import Workload, fig4_workloads
+from repro.experiments.workloads import Workload
 
 __all__ = [
     "IterationOutcome",
@@ -55,7 +55,6 @@ __all__ = [
     "MegatronLMSystem",
     "build_system",
     "Workload",
-    "fig4_workloads",
     "RunResult",
     "run_system",
     "SweepCell",

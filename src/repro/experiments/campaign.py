@@ -385,12 +385,6 @@ class CampaignResult:
         }
 
     @property
-    def total_context_builds(self) -> int:
-        """Workload-context constructions this pass (cold builds and
-        store restores alike)."""
-        return sum(t.context_builds for t in self.sweep.worker_telemetry)
-
-    @property
     def store_write_amplification(self) -> float | None:
         """Store data-file writes per measured cell for this pass —
         the figure the batched-spill engine drives below the
@@ -417,24 +411,10 @@ class CampaignResult:
                 "planned_shapes": self.sweep.prewarm_planned,
                 "seconds": round(self.sweep.prewarm_seconds, 4),
             },
-            "workers": {
-                "count": len(self.sweep.worker_telemetry),
-                "context_builds": self.total_context_builds,
-                "per_worker": [
-                    {
-                        "worker": t.worker,
-                        "pid": t.pid,
-                        "cells": t.cells,
-                        "context_builds": t.context_builds,
-                        "restore_seconds": round(t.restore_seconds, 4),
-                        "stage_seconds": {
-                            stage: round(seconds, 4)
-                            for stage, seconds in t.stage_seconds
-                        },
-                    }
-                    for t in self.sweep.worker_telemetry
-                ],
-            },
+            "context_builds": self.sweep.context_builds,
+            "context_build_seconds": round(
+                self.sweep.context_build_seconds, 4
+            ),
             "artefacts": {
                 r.artefact.key: r.summary for r in self.artefacts
             },

@@ -1,13 +1,20 @@
 """Text reporting in the paper's table formats.
 
-Benchmarks print these tables so ``pytest benchmarks/ --benchmark-only``
-regenerates every table and figure as human-readable output that can
-be compared against the paper side by side.
+Benchmarks print these tables so ``pytest benchmarks/`` regenerates
+every table and figure as human-readable output that can be compared
+against the paper side by side.  Campaign artefacts (Fig. 4, Fig. 6,
+Table 1, Fig. 7, Fig. 8) render through one function,
+:func:`format_artefact`, shared by the campaign CLI and the artefact
+benchmarks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.experiments.campaign import ArtefactResult
 
 
 def format_table(
@@ -34,6 +41,63 @@ def format_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def format_artefact(result: "ArtefactResult") -> str:
+    """Render one campaign artefact's summary as an aligned table."""
+    summary = result.summary
+    if "rows" in summary:  # Table 1 frontier
+        degrees = sorted(
+            {int(d) for row in summary["rows"].values() for d in row["degrees"]},
+            reverse=True,
+        )
+        headers = ["seq x bs"] + [f"SP={d}" for d in degrees] + ["min ok"]
+        rows = [
+            [label]
+            + [row["degrees"].get(str(d), "-") for d in degrees]
+            + [row["min_feasible_degree"]]
+            for label, row in summary["rows"].items()
+        ]
+    elif "clusters" in summary:  # Fig. 8 scaling
+        headers = ["# GPUs", "training (s)", "solving (s)", "amortized (s)"]
+        rows = [
+            [
+                n,
+                f"{c['training_seconds']:.1f}",
+                f"{c['solve_seconds']:.2f}",
+                f"{c['amortized_solve_seconds']:.3f}",
+            ]
+            for n, c in summary["clusters"].items()
+        ]
+    elif result.artefact.key == "fig7":  # ablations
+        headers = ["workload", "variant", "iteration (s)", "relative", "solve (s)"]
+        rows = [
+            [
+                workload,
+                variant,
+                f"{entry['mean_iteration_seconds']:.1f}",
+                f"{entry.get('relative', 1.0):.2f}x",
+                f"{entry['mean_solve_seconds']:.2f}",
+            ]
+            for workload, variants in summary["workloads"].items()
+            for variant, entry in variants.items()
+        ]
+    else:  # throughput grids (Fig. 4 / Fig. 6)
+        headers = ["workload", "system", "iteration (s)", "tok/s/GPU", "ckpt"]
+        rows = [
+            [
+                workload,
+                system,
+                "OOM"
+                if entry["status"] == "oom"
+                else f"{entry['mean_iteration_seconds']:.1f}",
+                f"{entry['tokens_per_second_per_gpu']:.0f}",
+                row["checkpointing"],
+            ]
+            for workload, row in summary["workloads"].items()
+            for system, entry in row["systems"].items()
+        ]
+    return format_table(headers, rows, title=result.artefact.title)
 
 
 def format_seconds(seconds: float) -> str:

@@ -39,10 +39,10 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   The prewarm is where a cold campaign spends its planning time, so
   the cells are then measured serially in this process, replaying
   seeded plans.
-* **Telemetry.**  Every pass reports one :class:`WorkerTelemetry` row
-  — cells run, context builds, context build/restore seconds and the
-  solve-stage breakdown — surfaced by ``python -m repro.bench
-  --campaign ... --profile``.
+* **Context accounting.**  Every pass reports the workload contexts
+  it built (cold builds and store restores alike) and their
+  wall-clock, surfaced by ``python -m repro.bench --campaign ...
+  --profile``.
 * **Batched spills.**  Dirty store state is merge-saved once per
   workload at the end of a :meth:`SweepRunner.run` pass instead of
   after every cell; ``spill_batch`` restores per-cell spilling (``1``,
@@ -343,35 +343,6 @@ def find_cell_metrics(
 
 
 @dataclass(frozen=True)
-class WorkerTelemetry:
-    """The measuring process's share of a sweep pass (host-side
-    accounting).
-
-    Cells are measured in the runner's own process, so a pass reports
-    one row (``worker=0``, that process's pid).  Everything here is
-    wall-clock/bookkeeping — never part of the bit-identical metrics
-    contract.
-
-    Attributes:
-        worker: Row index (always 0).
-        pid: The measuring process's id.
-        cells: Unique cells measured during the pass.
-        context_builds: :class:`WorkloadContext` constructions
-            (cold builds and store restores alike) during the pass.
-        restore_seconds: Wall-clock those constructions took.
-        stage_seconds: The cells' cold-path solve-stage breakdown
-            (same vocabulary as :attr:`CellMetrics.stage_seconds`).
-    """
-
-    worker: int
-    pid: int
-    cells: int
-    context_builds: int = 0
-    restore_seconds: float = 0.0
-    stage_seconds: tuple[tuple[str, float], ...] = ()
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """Outcome of one sweep pass.
 
@@ -392,8 +363,9 @@ class SweepResult:
             ``wall_seconds``).
         prewarm_stage_seconds: Its cold-path stage breakdown, same
             vocabulary as :attr:`CellMetrics.stage_seconds`.
-        worker_telemetry: The pass's accounting row (see
-            :class:`WorkerTelemetry`).
+        context_builds: :class:`WorkloadContext` constructions (cold
+            builds and store restores alike) during the pass.
+        context_build_seconds: Wall-clock those constructions took.
         fault_stats: Fault accounting for this pass
             (:class:`~repro.core.faults.FaultStats`): realised
             injections from the armed schedule's ledger plus the
@@ -409,7 +381,8 @@ class SweepResult:
     prewarm_planned: int = 0
     prewarm_seconds: float = 0.0
     prewarm_stage_seconds: tuple[tuple[str, float], ...] = ()
-    worker_telemetry: tuple[WorkerTelemetry, ...] = ()
+    context_builds: int = 0
+    context_build_seconds: float = 0.0
     fault_stats: FaultStats | None = None
 
     def metric(
@@ -845,9 +818,9 @@ class SweepRunner:
         #: so each SweepResult carries this pass's counter deltas.
         self._counters_attributed: dict[str, int] = {}
         #: Context constructions (and their wall-clock) not yet
-        #: reported in a pass's telemetry row.
+        #: reported by a pass.
         self._context_builds = 0
-        self._restore_seconds = 0.0
+        self._context_build_seconds = 0.0
 
     def context(self, workload: Workload) -> WorkloadContext:
         """The (memoised) shared context of ``workload``."""
@@ -862,7 +835,7 @@ class SweepRunner:
                 solver_pool=self._solver_pool,
             )
             self._context_builds += 1
-            self._restore_seconds += time.perf_counter() - started
+            self._context_build_seconds += time.perf_counter() - started
             self._contexts[key] = context
         return context
 
@@ -919,7 +892,7 @@ class SweepRunner:
         for context in touched.values():
             context.persist()
         store_stats = self._store_stats_delta()
-        return SweepResult(
+        result = SweepResult(
             cells=tuple(cells),
             metrics=tuple(unique[cell] for cell in cells),
             unique_cells=len(unique),
@@ -928,9 +901,15 @@ class SweepRunner:
             prewarm_planned=prewarm_planned,
             prewarm_seconds=prewarm_seconds,
             prewarm_stage_seconds=tuple(prewarm_stages.items()),
-            worker_telemetry=(self._telemetry(unique),),
+            context_builds=self._context_builds,
+            context_build_seconds=self._context_build_seconds,
             fault_stats=self._fault_stats(store_stats),
         )
+        # Every context built since the previous pass is reported
+        # once, by this one.
+        self._context_builds = 0
+        self._context_build_seconds = 0.0
+        return result
 
     def _prewarm_cold_cells(
         self, cells: list[SweepCell]
@@ -982,24 +961,6 @@ class SweepRunner:
                     solver.seed_plan(shape, outcome)
             planned += len(shapes)
         return planned, time.perf_counter() - started, stages
-
-    def _telemetry(self, unique: dict) -> WorkerTelemetry:
-        """The pass's telemetry row; context builds and their
-        wall-clock are reported once, by the pass that follows them."""
-        stages: dict[str, float] = {}
-        for metrics in unique.values():
-            stage_timing.accumulate(stages, metrics.stage_seconds)
-        row = WorkerTelemetry(
-            worker=0,
-            pid=os.getpid(),
-            cells=len(unique),
-            context_builds=self._context_builds,
-            restore_seconds=self._restore_seconds,
-            stage_seconds=tuple(sorted(stages.items())),
-        )
-        self._context_builds = 0
-        self._restore_seconds = 0.0
-        return row
 
     def _store_stats_delta(self) -> StoreStats | None:
         """This pass's store accounting: on-disk totals plus the

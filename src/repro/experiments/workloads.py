@@ -4,7 +4,9 @@ A workload fixes the model, the corpus, the maximum context length,
 the cluster and the batching protocol.  The end-to-end grid (Fig. 4)
 is {GPT-7B, 13B, 30B} x {GitHub, CommonCrawl, Wikipedia} x
 {192K, 384K} on 64 GPUs with global batch 512; the scalability study
-(Fig. 6) varies cluster size and context limit on CommonCrawl.
+(Fig. 6) varies cluster size and context limit on CommonCrawl.  The
+grids themselves are declared once, by the artefact builders of
+:mod:`repro.experiments.campaign`.
 """
 
 from __future__ import annotations
@@ -13,13 +15,8 @@ from dataclasses import dataclass, field
 
 from repro.cluster.topology import ClusterSpec, standard_cluster
 from repro.data.dataset import DEFAULT_GLOBAL_BATCH_SIZE, SyntheticCorpus
-from repro.data.distributions import (
-    COMMONCRAWL,
-    GITHUB,
-    WIKIPEDIA,
-    LogNormalMixture,
-)
-from repro.model.config import GPT_7B, GPT_13B, GPT_30B, ModelConfig
+from repro.data.distributions import COMMONCRAWL, LogNormalMixture
+from repro.model.config import GPT_7B, ModelConfig
 from repro.model.memory import ActivationCheckpointing, default_checkpointing
 
 
@@ -82,59 +79,6 @@ class Workload:
             global_batch_size=self.global_batch_size,
             seed=self.seed,
         )
-
-
-def fig4_workloads(
-    num_gpus: int = 64, global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE
-) -> list[Workload]:
-    """The 18 end-to-end configurations of Fig. 4."""
-    cluster = standard_cluster(num_gpus)
-    workloads = []
-    for model in (GPT_7B, GPT_13B, GPT_30B):
-        for max_context in (192 * 1024, 384 * 1024):
-            for dist in (GITHUB, COMMONCRAWL, WIKIPEDIA):
-                workloads.append(
-                    Workload(
-                        model=model,
-                        distribution=dist,
-                        max_context=max_context,
-                        cluster=cluster,
-                        global_batch_size=global_batch_size,
-                    )
-                )
-    return workloads
-
-
-def fig6_gpu_scaling_workloads(
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE,
-) -> list[Workload]:
-    """Fig. 6 left panel: 16/32/64 GPUs at 128K on CommonCrawl."""
-    return [
-        Workload(
-            model=GPT_7B,
-            distribution=COMMONCRAWL,
-            max_context=128 * 1024,
-            cluster=standard_cluster(n),
-            global_batch_size=global_batch_size,
-        )
-        for n in (16, 32, 64)
-    ]
-
-
-def fig6_context_scaling_workloads(
-    global_batch_size: int = DEFAULT_GLOBAL_BATCH_SIZE,
-) -> list[Workload]:
-    """Fig. 6 right panel: 64K..384K context on 64 GPUs, CommonCrawl."""
-    return [
-        Workload(
-            model=GPT_7B,
-            distribution=COMMONCRAWL,
-            max_context=k * 1024,
-            cluster=standard_cluster(64),
-            global_batch_size=global_batch_size,
-        )
-        for k in (64, 128, 192, 256, 384)
-    ]
 
 
 def case_study_workload(

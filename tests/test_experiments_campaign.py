@@ -32,6 +32,7 @@ from repro.experiments.campaign import (
     table1_artefact,
 )
 from repro.experiments.registry import artefact_grid
+from repro.experiments.reporting import format_artefact
 from repro.experiments.runner import run_system
 from repro.experiments.sweep import SweepCell, SweepRunner
 from repro.experiments.systems import FlexSPSystem
@@ -158,6 +159,12 @@ class TestDedupAcrossArtefacts:
             "fig7",
             "fig8",
         }
+        # Each workload's context is built once, by this pass.
+        workloads = {cell.workload for cell in campaign.cells}
+        assert summary["context_builds"] == len(workloads)
+        assert summary["context_build_seconds"] == round(
+            result.sweep.context_build_seconds, 4
+        )
 
     def test_summary_carries_stage_breakdown_and_prewarm(self, result):
         """The trajectory record surfaces the cold-path engine: the
@@ -173,6 +180,27 @@ class TestDedupAcrossArtefacts:
         assert stages["lpt"] > 0.0
         # The greedy backend plans every trial.
         assert summary["pruning"] == {"trials": 0, "microbatches": 0}
+
+
+class TestArtefactTables:
+    """One renderer prints every artefact, for the CLI and benchmarks."""
+
+    @pytest.mark.parametrize(
+        "key, header",
+        [
+            ("fig4", "tok/s/GPU"),
+            ("fig6", "tok/s/GPU"),
+            ("table1", "min ok"),
+            ("fig7", "solve (s)"),
+            ("fig8", "amortized (s)"),
+        ],
+    )
+    def test_artefact_renders_its_own_columns(self, result, key, header):
+        artefact_result = result.artefact(key)
+        title, headers, __, *rows = format_artefact(artefact_result).split("\n")
+        assert title == artefact_result.artefact.title
+        assert header in headers
+        assert rows
 
 
 class TestBitIdenticalToPreRefactorPaths:
@@ -204,10 +232,11 @@ class TestBitIdenticalToPreRefactorPaths:
         result = small_runner().run(artefact.cells)
         metrics = result.metrics[0]
 
-        # Pre-refactor path (benchmarks/test_bench_table1.py's _cell):
-        # one fit, fixed-length batch, homogeneous plan, executor — at
-        # the same checkpointing policy the workload selects (64K on
-        # one node escalates; the paper's 64-GPU protocol does not).
+        # Reference path (the Table 1 benchmark's own loop before it
+        # read the campaign): one fit, fixed-length batch, homogeneous
+        # plan, executor — at the same checkpointing policy the
+        # workload selects (64K on one node escalates; the paper's
+        # 64-GPU protocol does not).
         workload = artefact.cells[0].workload
         cluster = standard_cluster(NUM_GPUS)
         config = GPT_7B.with_max_context(64 * 1024)

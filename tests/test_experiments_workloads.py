@@ -2,14 +2,10 @@
 
 import pytest
 
+from repro.data.dataset import DEFAULT_GLOBAL_BATCH_SIZE
 from repro.data.distributions import COMMONCRAWL
-from repro.experiments.workloads import (
-    Workload,
-    case_study_workload,
-    fig4_workloads,
-    fig6_context_scaling_workloads,
-    fig6_gpu_scaling_workloads,
-)
+from repro.experiments.campaign import fig4_artefact, fig6_artefact
+from repro.experiments.workloads import Workload, case_study_workload
 from repro.model.config import GPT_7B, GPT_13B, GPT_30B
 from repro.model.memory import ActivationCheckpointing
 
@@ -43,22 +39,51 @@ class TestWorkload:
             Workload(model=GPT_7B, distribution=COMMONCRAWL, max_context=0)
 
 
-class TestGrids:
-    def test_fig4_grid_is_eighteen(self):
-        workloads = fig4_workloads()
-        assert len(workloads) == 18
-        assert len({w.name for w in workloads}) == 18
+def _workloads(artefact) -> list[Workload]:
+    """An artefact's distinct workloads, by name, in presentation order."""
+    by_name = {cell.workload.name: cell.workload for cell in artefact.cells}
+    return list(by_name.values())
 
-    def test_fig4_covers_both_contexts(self):
-        contexts = {w.max_context for w in fig4_workloads()}
+
+class TestGrids:
+    """The paper's grids, as the campaign's artefact builders declare them."""
+
+    @pytest.fixture(scope="class")
+    def fig4(self):
+        return fig4_artefact(
+            global_batch_size=DEFAULT_GLOBAL_BATCH_SIZE,
+            models=(GPT_7B, GPT_13B, GPT_30B),
+            contexts=(192 * 1024, 384 * 1024),
+        )
+
+    def test_fig4_grid_is_eighteen(self, fig4):
+        workloads = _workloads(fig4)
+        assert len(workloads) == 18
+        assert len(fig4.cells) == 18 * len({c.system for c in fig4.cells})
+
+    def test_fig4_covers_both_contexts(self, fig4):
+        contexts = {w.max_context for w in _workloads(fig4)}
         assert contexts == {192 * 1024, 384 * 1024}
 
     def test_fig6_gpu_scaling_sizes(self):
-        sizes = [w.cluster.num_gpus for w in fig6_gpu_scaling_workloads()]
+        fig6 = fig6_artefact(global_batch_size=DEFAULT_GLOBAL_BATCH_SIZE)
+        sizes = [
+            w.cluster.num_gpus
+            for w in _workloads(fig6)
+            if w.max_context == 128 * 1024
+        ]
         assert sizes == [16, 32, 64]
 
     def test_fig6_context_scaling_contexts(self):
-        contexts = [w.max_context // 1024 for w in fig6_context_scaling_workloads()]
+        points = tuple(k * 1024 for k in (64, 128, 192, 256, 384))
+        fig6 = fig6_artefact(
+            global_batch_size=DEFAULT_GLOBAL_BATCH_SIZE, context_points=points
+        )
+        contexts = sorted(
+            w.max_context // 1024
+            for w in _workloads(fig6)
+            if w.cluster.num_gpus == 64
+        )
         assert contexts == [64, 128, 192, 256, 384]
 
     def test_case_study_matches_section_6_3(self):
