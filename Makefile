@@ -110,8 +110,8 @@ bench-service-net-smoke:
 bench-solver:
 	$(PYTHON) -m repro.bench solver_throughput
 
-# End-to-end experiment-sweep benchmark (batched simulation + sweep
-# runner vs. the sequential scalar reference); appends to
+# End-to-end experiment-sweep benchmark (persistent sweep runner vs. a
+# sequential rebuild-everything reference); appends to
 # benchmarks/results/BENCH_e2e.json for trajectory tracking.
 bench-e2e:
 	$(PYTHON) -m repro.bench e2e_sweep

@@ -1,5 +1,5 @@
-"""End-to-end experiment-sweep benchmark: batched simulation + sweep
-runner vs. the pre-PR sequential scalar pipeline.
+"""End-to-end experiment-sweep benchmark: the persistent sweep runner
+vs. a sequential rebuild-everything pipeline.
 
 The campaign is a Fig. 4-style grid (GPT-7B x three corpora at 192K on
 64 GPUs) plus an overlapping Fig. 6-style context slice — the shape of
@@ -10,17 +10,17 @@ a persistent service whose per-workload state (fitted cost models,
 corpus batches, tuned baselines, FlexSP's plan cache) stays warm
 across regenerations.
 
-The *reference* path is the faithful pre-PR pipeline: a strictly
-sequential (system, workload) loop that rebuilds every system from
-scratch for every cell of every epoch — per-system cost-model fits,
-scalar tuner loops (``vectorized=False``), per-system corpus
-resampling, and the scalar per-micro-batch timing kernels in the
-executor.  Both paths use the same greedy solver backend, so plan
-*solving* is identical work where it cannot be reused; the measured
-difference is this PR's surface (simulation, tuning, corpus and
-cross-cell/cross-epoch reuse).
+The *reference* path is a strictly sequential (system, workload) loop
+that rebuilds every system from scratch for every cell of every epoch:
+per-system cost-model fits, baseline tuning, per-system corpus
+resampling and a fresh executor.  Both paths run the same evaluators
+(the simulator and the baselines have one evaluation path each) and
+the same greedy solver backend, so plan *solving* is identical work
+where it cannot be reused; the measured difference is the sweep
+runner's reuse (cost models, corpora, tuned baselines and plan caches,
+across cells and across epochs).
 
-Contract (the PR's acceptance bar):
+Contract:
 
 * >= 4x wall-clock for the multi-epoch campaign;
 * per-cell metrics (mean iteration seconds, comm fractions,
@@ -95,24 +95,24 @@ def _campaign(global_batch_size: int):
 
 
 def _reference_cell(cell):
-    """Pre-PR behaviour for one cell: build the system from scratch on
-    the scalar paths and measure it over freshly sampled batches."""
+    """One cell with no reuse: build the system from scratch and measure
+    it over freshly sampled batches."""
     workload = cell.workload
     if cell.system == "flexsp":
-        system = FlexSPSystem(workload, SWEEP_SOLVER, vectorized=False)
+        system = FlexSPSystem(workload, SWEEP_SOLVER)
     elif cell.system == "deepspeed":
-        system = DeepSpeedUlyssesSystem(workload, vectorized=False)
+        system = DeepSpeedUlyssesSystem(workload)
     elif cell.system == "batchada":
-        system = FlexSPBatchAdaSystem(workload, vectorized=False)
+        system = FlexSPBatchAdaSystem(workload)
     else:
-        system = MegatronLMSystem(workload, vectorized=False)
+        system = MegatronLMSystem(workload)
     return run_system(
         system, workload, cell.num_iterations, start_step=cell.start_step
     )
 
 
 def _reference_epoch(cells):
-    """One sequential scalar pass over every cell (no reuse at all)."""
+    """One sequential pass over every cell (no reuse at all)."""
     metrics = []
     for cell in cells:
         result = _reference_cell(cell)
@@ -133,8 +133,7 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
 
     ref_seconds = sweep_seconds = math.inf
     for __ in range(REPEATS):
-        # Reference: pre-PR sequential scalar regeneration, cold each
-        # epoch.
+        # Reference: sequential regeneration, cold each epoch.
         start = time.perf_counter()
         reference_epochs = [
             _reference_epoch(cells) for __ in range(EPOCHS)
@@ -150,10 +149,9 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
         sweep_epochs = [runner.run() for __ in range(EPOCHS)]
         sweep_seconds = min(sweep_seconds, time.perf_counter() - start)
 
-        # Bit-identical per-cell metrics, every epoch: the batched
-        # kernels, vectorized tuners, memoised state and plan-cache
-        # reuse must not change a single bit of the simulated
-        # measurements.
+        # Bit-identical per-cell metrics, every epoch: memoised state
+        # and plan-cache reuse must not change a single bit of the
+        # simulated measurements.
         for reference, sweep in zip(reference_epochs, sweep_epochs):
             for ref_metrics, cell_metrics in zip(reference, sweep.metrics):
                 assert cell_metrics.deterministic() == ref_metrics
@@ -168,13 +166,13 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
     unique = sweep_epochs[0].unique_cells
     rows = [
         (
-            "reference (sequential scalar)",
+            "reference (sequential rebuild)",
             f"{ref_seconds:.2f}",
             f"{ref_seconds / EPOCHS:.2f}",
             "-",
         ),
         (
-            "sweep runner (batched + memoised)",
+            "sweep runner (memoised)",
             f"{sweep_seconds:.2f}",
             f"{sweep_seconds / EPOCHS:.2f}",
             f"{speedup:.2f}x",

@@ -16,7 +16,7 @@ from repro.cost.model import CostModel
 
 
 def choose_degree_for_batch(
-    lengths: tuple[int, ...], model: CostModel, *, vectorized: bool = True
+    lengths: tuple[int, ...], model: CostModel
 ) -> tuple[int, float]:
     """Best homogeneous SP degree for one specific batch.
 
@@ -37,9 +37,7 @@ def choose_degree_for_batch(
     d = 1
     while d <= model.cluster.num_gpus:
         if model.cluster.num_gpus % d == 0 and model.fits([longest], d):
-            estimate = estimate_homogeneous_iteration(
-                lengths, model, d, vectorized=vectorized
-            )
+            estimate = estimate_homogeneous_iteration(lengths, model, d)
             if best is None or estimate < best[1]:
                 best = (d, estimate)
         d *= 2

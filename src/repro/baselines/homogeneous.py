@@ -115,28 +115,19 @@ def homogeneous_plan(
 
 
 def estimate_homogeneous_iteration(
-    lengths: tuple[int, ...], model: CostModel, sp_degree: int, *,
-    vectorized: bool = True,
+    lengths: tuple[int, ...], model: CostModel, sp_degree: int
 ) -> float:
     """Cost-model estimate of a homogeneous iteration, seconds.
 
     Used by the static tuner and by FlexSP-BatchAda's per-batch degree
     choice; sums the per-round makespans under Eq. 14.
 
-    With ``vectorized`` (the default) every pack's Eq. 14 time is
-    evaluated through the :class:`~repro.cost.model.CostTable` kernels
-    as one array expression, skipping plan-object construction; the
-    result is bit-identical to the scalar path (``vectorized=False``),
-    which walks a full :func:`homogeneous_plan` group by group.
+    Every pack's Eq. 14 time is evaluated through the
+    :class:`~repro.cost.model.CostTable` kernels as one array
+    expression, skipping plan-object construction; the result equals a
+    walk over :func:`homogeneous_plan` pricing each group with
+    ``CostModel.time_with_overheads`` bit-for-bit.
     """
-    if not vectorized:
-        plan = homogeneous_plan(lengths, model, sp_degree)
-        total = 0.0
-        for mb in plan.microbatches:
-            total += max(
-                model.time_with_overheads(g.lengths, g.degree) for g in mb.groups
-            )
-        return total
     num_groups = model.cluster.num_gpus // sp_degree
     if num_groups == 0:
         raise ValueError(

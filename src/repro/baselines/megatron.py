@@ -24,21 +24,16 @@ from itertools import chain
 
 import numpy as np
 
-from repro.cluster.collectives import all_gather_time, all_reduce_time
+from repro.cluster.collectives import all_reduce_time
 from repro.cluster.topology import ClusterSpec
 from repro.core.types import InfeasibleWorkloadError
 from repro.data.packing import best_fit_decreasing
 from repro.model.config import ModelConfig
-from repro.model.flops import (
-    batch_flops,
-    dense_flops_per_token,
-    training_flops_multiplier,
-)
+from repro.model.flops import dense_flops_per_token, training_flops_multiplier
 from repro.model.memory import (
     ActivationCheckpointing,
     activation_bytes_per_token,
 )
-from repro.parallelism.ring import cp_exposed_comm_time, cp_ring_time
 from repro.simulator.timing import (
     MICROBATCH_LAUNCH_OVERHEAD,
     SATURATION_TOKENS,
@@ -151,59 +146,6 @@ def megatron_token_capacity(
     return int(budget / per_token_per_device)
 
 
-def _tp_comm_time(
-    config: ModelConfig, cluster: ClusterSpec, tokens: int, strategy: MegatronStrategy
-) -> float:
-    """TP All-Gather/Reduce-Scatter seconds for one micro-batch."""
-    if strategy.tp == 1:
-        return 0.0
-    link = cluster.link_for_degree(strategy.tp)
-    # Activations are also sequence-split across CP, so each TP
-    # collective moves the replica's tokens divided by cp.
-    buffer_bytes = tokens / strategy.cp * config.hidden_size * config.bytes_per_element
-    rounds = config.num_layers * TP_COLLECTIVES_PER_LAYER_PER_DIRECTION * 2
-    per_round = all_gather_time(buffer_bytes, strategy.tp, link)
-    return rounds * per_round
-
-
-def _cp_comm_time(
-    config: ModelConfig,
-    cluster: ClusterSpec,
-    lengths: tuple[int, ...],
-    strategy: MegatronStrategy,
-    checkpointing: ActivationCheckpointing,
-    compute_seconds: float,
-) -> float:
-    """Exposed CP ring seconds for one micro-batch (after overlap).
-
-    Megatron schedules the next chunk's KV rotation behind the whole
-    block compute, not just the attention matmuls, so the overlap
-    window is the micro-batch's full per-device compute time.
-    """
-    if strategy.cp == 1:
-        return 0.0
-    link = cluster.link_for_degree(strategy.model_shards)
-    tokens = sum(lengths)
-    ring = cp_ring_time(config, tokens, strategy.cp, link)
-    return cp_exposed_comm_time(compute_seconds, ring, overlap_efficiency=0.9)
-
-
-def _compute_time(
-    config: ModelConfig,
-    cluster: ClusterSpec,
-    lengths: tuple[int, ...],
-    strategy: MegatronStrategy,
-    checkpointing: ActivationCheckpointing,
-) -> float:
-    """Per-device compute seconds for one replica micro-batch."""
-    flops = batch_flops(config, lengths) * training_flops_multiplier(checkpointing)
-    shards = strategy.tp * strategy.cp
-    per_device = flops / shards
-    tokens_per_device = sum(lengths) / shards
-    derate = tokens_per_device / (tokens_per_device + SATURATION_TOKENS)
-    return per_device / (cluster.gpu.effective_flops * derate) + MICROBATCH_LAUNCH_OVERHEAD
-
-
 def _pack_replica_times(
     packs: list[tuple[int, ...]],
     config: ModelConfig,
@@ -213,10 +155,15 @@ def _pack_replica_times(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(replica seconds, comm seconds) per pack, as array expressions.
 
-    Mirrors ``_compute_time`` / ``_tp_comm_time`` / ``_cp_comm_time``
-    operation-for-operation (with left-to-right FLOP accumulation per
-    pack), so each lane is bit-identical to the scalar inner loop of
-    :func:`megatron_iteration`.
+    Per pack: saturation-derated per-device compute (FLOPs accumulated
+    left to right, as :func:`~repro.model.flops.batch_flops` does), the
+    TP All-Gather/Reduce-Scatter rounds
+    (:func:`~repro.cluster.collectives.all_gather_time`) and the CP KV
+    ring left exposed after overlap
+    (:func:`~repro.parallelism.ring.cp_ring_time`,
+    :func:`~repro.parallelism.ring.cp_exposed_comm_time`).  Each lane
+    equals a per-pack loop over those scalar functions bit-for-bit
+    (``tests/test_property_timing_batch.py`` holds it to one).
     """
     counts = np.fromiter((len(p) for p in packs), dtype=np.int64, count=len(packs))
     flat = np.fromiter(
@@ -243,6 +190,8 @@ def _pack_replica_times(
         tp_comm = np.zeros(len(packs))
     else:
         link = cluster.link_for_degree(strategy.tp)
+        # Activations are also sequence-split across CP, so each TP
+        # collective moves the replica's tokens divided by cp.
         buffer_bytes = (
             tokens / strategy.cp * config.hidden_size * config.bytes_per_element
         )
@@ -262,6 +211,9 @@ def _pack_replica_times(
         volume = volume / 2.0  # causal striping halves the useful rotation
         rotations = config.num_layers * 2 * max(strategy.cp - 1, 1)
         ring = link.latency * rotations + volume / link.bandwidth
+        # Megatron schedules the next chunk's KV rotation behind the
+        # whole block compute, not just the attention matmuls, so the
+        # overlap window is the pack's full per-device compute time.
         hidden = np.minimum(ring, 0.9 * compute)
         cp_comm = ring - hidden
 
@@ -275,8 +227,6 @@ def megatron_iteration(
     strategy: MegatronStrategy,
     checkpointing: ActivationCheckpointing = ActivationCheckpointing.NONE,
     pack_target: int | None = None,
-    *,
-    vectorized: bool = True,
 ) -> MegatronOutcome:
     """Simulate one Megatron-LM training iteration over a global batch.
 
@@ -289,9 +239,6 @@ def megatron_iteration(
         pack_target: Packing capacity ``c`` in tokens; defaults to the
             replica memory capacity.  The paper's protocol packs to
             the task's maximum context length.
-        vectorized: Evaluate all packs' times as array expressions
-            (bit-identical to the scalar per-pack loop, which
-            ``vectorized=False`` preserves as the reference path).
     """
     capacity = megatron_token_capacity(config, cluster, strategy, checkpointing)
     target = capacity if pack_target is None else min(pack_target, capacity)
@@ -305,40 +252,18 @@ def megatron_iteration(
     packs.sort(key=lambda p: sum(p), reverse=True)
     num_rounds = math.ceil(len(packs) / strategy.dp)
 
+    replica_times, comm_times = _pack_replica_times(
+        packs, config, cluster, strategy, checkpointing
+    )
     total = 0.0
     comm_total = 0.0
-    if vectorized:
-        replica_times, comm_times = _pack_replica_times(
-            packs, config, cluster, strategy, checkpointing
-        )
-        for r in range(num_rounds):
-            chunk = slice(r * strategy.dp, (r + 1) * strategy.dp)
-            round_times = replica_times[chunk]
-            # First occurrence of the maximum — the same pack the
-            # scalar loop's strict ``>`` update keeps.
-            slowest = int(np.argmax(round_times))
-            total += float(round_times[slowest])
-            comm_total += float(comm_times[chunk][slowest])
-    else:
-        for r in range(num_rounds):
-            round_packs = packs[r * strategy.dp : (r + 1) * strategy.dp]
-            round_time = 0.0
-            round_comm = 0.0
-            for pack in round_packs:
-                tokens = sum(pack)
-                compute = _compute_time(
-                    config, cluster, pack, strategy, checkpointing
-                )
-                tp_comm = _tp_comm_time(config, cluster, tokens, strategy)
-                cp_comm = _cp_comm_time(
-                    config, cluster, pack, strategy, checkpointing, compute
-                )
-                replica_time = compute + tp_comm + cp_comm
-                if replica_time > round_time:
-                    round_time = replica_time
-                    round_comm = tp_comm + cp_comm
-            total += round_time
-            comm_total += round_comm
+    for r in range(num_rounds):
+        chunk = slice(r * strategy.dp, (r + 1) * strategy.dp)
+        round_times = replica_times[chunk]
+        # The round's slowest replica, first occurrence of the maximum.
+        slowest = int(np.argmax(round_times))
+        total += float(round_times[slowest])
+        comm_total += float(comm_times[chunk][slowest])
 
     grad_bytes = 2.0 * config.parameter_count() / strategy.tp
     if strategy.dp > 1:

@@ -6,10 +6,13 @@ This module automates the same search: enumerate the feasible static
 strategies, estimate each on a few probe batches from the workload's
 corpus, and keep the fastest.
 
-Both tuners default to the vectorized evaluators — the whole feasible
-strategy space is scored over all probe batches as array expressions —
-and accept ``vectorized=False`` to run the scalar per-(group, pack)
-loops instead; the two paths score (and therefore choose) identically.
+Both tuners score each candidate through the array-expression
+evaluators (:func:`~repro.baselines.homogeneous.estimate_homogeneous_iteration`
+and :func:`~repro.baselines.megatron.megatron_iteration`), summed over
+the probe batches, and keep the first candidate with the lowest total.
+A candidate that cannot host a probe batch is skipped only on
+:class:`~repro.core.types.InfeasibleWorkloadError`; any other error
+propagates.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ def choose_static_degree(
     probe_batches: Iterable[tuple[int, ...]],
     model: CostModel,
     max_context: int,
-    *,
-    vectorized: bool = True,
 ) -> int:
     """Best static SP degree for a DeepSpeed-style system.
 
@@ -62,8 +63,7 @@ def choose_static_degree(
     best_time = None
     for d in candidates:
         total = sum(
-            estimate_homogeneous_iteration(batch, model, d, vectorized=vectorized)
-            for batch in batches
+            estimate_homogeneous_iteration(batch, model, d) for batch in batches
         )
         if best_time is None or total < best_time:
             best_time = total
@@ -78,8 +78,6 @@ def tune_megatron(
     cluster: ClusterSpec,
     max_context: int,
     checkpointing: ActivationCheckpointing = ActivationCheckpointing.NONE,
-    *,
-    vectorized: bool = True,
 ) -> MegatronStrategy:
     """Best (tp, cp, dp) for a Megatron-LM-style system.
 
@@ -99,11 +97,11 @@ def tune_megatron(
             total = sum(
                 megatron_iteration(
                     batch, config, cluster, strategy, checkpointing,
-                    pack_target=max_context, vectorized=vectorized,
+                    pack_target=max_context,
                 ).iteration_seconds
                 for batch in batches
             )
-        except ValueError:
+        except InfeasibleWorkloadError:
             continue
         if best_time is None or total < best_time:
             best_time = total

@@ -5,25 +5,22 @@ micro-batch plans (max over concurrent groups) and iteration plans
 (sum over sequential micro-batches) — the objective structure of the
 planner's optimisation problem (Eq. 5/17).
 
-All helpers evaluate through the memoised vectorized
-:class:`repro.cost.model.CostTable` (array lookups and dot products)
-rather than the scalar model methods; agreement with the scalar path
-is within ~1e-9 relative (reduction order), which the property suite
-pins down.
+Groups are priced with :meth:`CostModel.time_with_overheads` and
+:meth:`CostModel.memory`, the same prices the planner and the
+baselines use, so an estimate equals theirs exactly.
 """
 
 from __future__ import annotations
 
 from repro.core.types import IterationPlan, MicroBatchPlan
-from repro.cost.model import CostModel, cost_table
+from repro.cost.model import CostModel
 
 
 def estimate_microbatch_time(model: CostModel, microbatch: MicroBatchPlan) -> float:
     """Estimated seconds of one micro-batch: slowest concurrent group,
     including the exposed ZeRO-3 gather overhead."""
-    table = cost_table(model)
     return max(
-        table.time_with_overheads(g.lengths, g.degree) for g in microbatch.groups
+        model.time_with_overheads(g.lengths, g.degree) for g in microbatch.groups
     )
 
 
@@ -34,16 +31,14 @@ def estimate_iteration_time(model: CostModel, plan: IterationPlan) -> float:
 
 def microbatch_peak_memory(model: CostModel, microbatch: MicroBatchPlan) -> float:
     """Largest per-device memory over the micro-batch's groups, bytes."""
-    table = cost_table(model)
-    return max(table.memory(g.tokens, g.degree) for g in microbatch.groups)
+    return max(model.memory(g.lengths, g.degree) for g in microbatch.groups)
 
 
 def validate_plan_memory(model: CostModel, plan: IterationPlan) -> None:
     """Raise ValueError if any group in the plan violates Cond. (7)."""
-    table = cost_table(model)
     for i, mb in enumerate(plan.microbatches):
         for g in mb.groups:
-            usage = table.memory(g.tokens, g.degree)
+            usage = model.memory(g.lengths, g.degree)
             if usage > model.memory_budget * (1 + 1e-9):
                 raise ValueError(
                     f"micro-batch {i}: SP={g.degree} group with "

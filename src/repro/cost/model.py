@@ -240,10 +240,9 @@ class CostTable:
     Exactness: every per-entry expression replicates the scalar
     formula operation-for-operation (same IEEE-754 double ops in the
     same order), so coefficients produced from the table are
-    bit-identical to the scalar path; only reductions over *many*
-    lengths (``np.dot``) may differ from Python's sequential ``sum``
-    in the last ulp, which is why :meth:`time_with_overheads` is
-    documented to agree with the scalar model to ~1e-9 relative.
+    bit-identical to the scalar path.  Whole-group times are exact
+    when the caller accumulates :meth:`work_terms` left to right (see
+    :meth:`group_time`).
 
     Attributes:
         model: The wrapped scalar model.
@@ -354,28 +353,14 @@ class CostTable:
             return comp + comm
         return np.maximum(comp + comm + self.exposed_gather, comm + self.gather)
 
-    # ------------------------------------------------------------------
-    # Whole-group evaluation (dot-product reductions; ~1e-9 agreement).
-    # ------------------------------------------------------------------
-
-    def time_with_overheads(self, lengths, degree: int) -> float:
-        """Vectorised ``CostModel.time_with_overheads`` for one group."""
-        terms = self.work_terms(lengths)
-        work = float(terms.sum())
-        tokens = float(np.asarray(lengths, dtype=np.float64).sum())
-        return self.group_time(work, tokens, degree)
-
-    def memory(self, tokens: float, degree: int) -> float:
-        """Eq. 11 from a precomputed token sum (exact scalar replica)."""
-        return tokens / degree * self.memory_per_token + self.model_state_bytes
-
 
 def cost_table(model: CostModel) -> CostTable:
     """Build (or fetch the memoised) :class:`CostTable` of ``model``.
 
     The table is cached on the model instance — like the bandwidth
-    cache — so repeated solves, the estimator, and each solver-service
-    worker pay the construction cost exactly once per process.
+    cache — so repeated solves, the baselines' estimates and each
+    solver-service worker pay the construction cost exactly once per
+    process.
     """
     table = model._table_cache.get("default")
     if table is None:

@@ -128,7 +128,6 @@ class FlexSPSystem:
         workload: Workload,
         solver_config: SolverConfig | None = None,
         cost_model: CostModel | None = None,
-        vectorized: bool = True,
         solver_service=None,
     ):
         self.name = "FlexSP"
@@ -141,7 +140,6 @@ class FlexSPSystem:
             config=workload.model_at_context,
             cluster=workload.cluster,
             checkpointing=workload.checkpointing,
-            vectorized=vectorized,
         )
 
     def plan(self, lengths: tuple[int, ...]) -> tuple[IterationPlan, float]:
@@ -179,7 +177,6 @@ class DeepSpeedUlyssesSystem:
         num_probe_batches: int = 2,
         cost_model: CostModel | None = None,
         probe_batches: list[tuple[int, ...]] | None = None,
-        vectorized: bool = True,
     ):
         self.name = "DeepSpeed"
         self.workload = workload
@@ -191,15 +188,13 @@ class DeepSpeedUlyssesSystem:
                     corpus.batch(step).lengths for step in range(num_probe_batches)
                 ]
             sp_degree = choose_static_degree(
-                probe_batches, self.cost_model, workload.max_context,
-                vectorized=vectorized,
+                probe_batches, self.cost_model, workload.max_context
             )
         self.sp_degree = sp_degree
         self.executor = IterationExecutor(
             config=workload.model_at_context,
             cluster=workload.cluster,
             checkpointing=workload.checkpointing,
-            vectorized=vectorized,
         )
 
     def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
@@ -214,24 +209,19 @@ class FlexSPBatchAdaSystem:
         self,
         workload: Workload,
         cost_model: CostModel | None = None,
-        vectorized: bool = True,
     ):
         self.name = "FlexSP-BatchAda"
         self.workload = workload
-        self.vectorized = vectorized
         self.cost_model = _workload_cost_model(workload, cost_model)
         self.executor = IterationExecutor(
             config=workload.model_at_context,
             cluster=workload.cluster,
             checkpointing=workload.checkpointing,
-            vectorized=vectorized,
         )
 
     def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
         start = time.perf_counter()
-        degree, __ = choose_degree_for_batch(
-            tuple(lengths), self.cost_model, vectorized=self.vectorized
-        )
+        degree, __ = choose_degree_for_batch(tuple(lengths), self.cost_model)
         solve_seconds = time.perf_counter() - start
         plan = homogeneous_plan(tuple(lengths), self.cost_model, degree)
         return _executor_outcome(self.executor, plan, solve_seconds)
@@ -246,11 +236,9 @@ class MegatronLMSystem:
         strategy: MegatronStrategy | None = None,
         num_probe_batches: int = 2,
         probe_batches: list[tuple[int, ...]] | None = None,
-        vectorized: bool = True,
     ):
         self.name = "Megatron-LM"
         self.workload = workload
-        self.vectorized = vectorized
         if strategy is None:
             if probe_batches is None:
                 corpus = workload.corpus()
@@ -263,7 +251,6 @@ class MegatronLMSystem:
                 workload.cluster,
                 workload.max_context,
                 workload.checkpointing,
-                vectorized=vectorized,
             )
         self.strategy = strategy
 
@@ -275,7 +262,6 @@ class MegatronLMSystem:
             self.strategy,
             self.workload.checkpointing,
             pack_target=self.workload.max_context,
-            vectorized=self.vectorized,
         )
         return IterationOutcome(
             iteration_seconds=outcome.iteration_seconds,

@@ -1,14 +1,12 @@
-"""Discrete-event execution substrate.
+"""Simulated execution of iteration plans.
 
 Replaces the paper's PyTorch/NCCL runtime: ground-truth kernel and
-collective timing (:mod:`repro.simulator.timing`), a discrete-event
-engine (:mod:`repro.simulator.engine`), the iteration executor that
-runs plans on a simulated cluster (:mod:`repro.simulator.executor`)
-and the execution trace used for time breakdowns
-(:mod:`repro.simulator.trace`).
+collective timing (:mod:`repro.simulator.timing`), the iteration
+executor that runs plans on a simulated cluster
+(:mod:`repro.simulator.executor`) and the execution trace used for
+time breakdowns (:mod:`repro.simulator.trace`).
 """
 
-from repro.simulator.engine import DiscreteEventEngine, Event
 from repro.simulator.executor import ExecutionResult, IterationExecutor
 from repro.simulator.timing import (
     TimingTable,
@@ -21,8 +19,6 @@ from repro.simulator.timing import (
 from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
 
 __all__ = [
-    "DiscreteEventEngine",
-    "Event",
     "IterationExecutor",
     "ExecutionResult",
     "group_compute_time",

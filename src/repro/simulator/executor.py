@@ -2,13 +2,13 @@
 
 The executor is the stand-in for the paper's PyTorch/NCCL runtime
 engine.  It takes an :class:`repro.core.types.IterationPlan`, lays the
-micro-batches out on the discrete-event clock (sequential
-micro-batches, concurrent SP groups, per-group compute then All-to-All
-then exposed ZeRO gathers; step-level gradient sync and optimizer at
-the end), charges ground-truth timings from
-:mod:`repro.simulator.timing`, manages communication groups through
-the hot-switching pool, and returns the wall-clock result plus a full
-trace.
+micro-batches out on one timeline (sequential micro-batches,
+concurrent SP groups, per-group compute then All-to-All then exposed
+ZeRO gathers; step-level gradient sync and optimizer at the end),
+charges ground-truth timings through the batched
+:class:`~repro.simulator.timing.TimingTable` kernels, manages
+communication groups through the hot-switching pool, and returns the
+wall-clock result plus a full trace.
 """
 
 from __future__ import annotations
@@ -17,17 +17,13 @@ from dataclasses import dataclass, field
 
 from repro.cluster.groups import CommGroupPool
 from repro.cluster.topology import ClusterSpec
-from repro.core.types import IterationPlan, MicroBatchPlan
+from repro.core.types import IterationPlan
 from repro.model.config import ModelConfig
 from repro.model.memory import ActivationCheckpointing
-from repro.simulator.engine import DiscreteEventEngine
 from repro.simulator.timing import (
     gradient_sync_time,
-    group_alltoall_time,
-    group_compute_time,
     optimizer_step_time,
     timing_table,
-    zero3_gather_time,
 )
 from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
 
@@ -74,41 +70,17 @@ class IterationExecutor:
         checkpointing: Activation checkpointing policy in force.
         pool: Communicator pool; persists across iterations so group
             creation is only charged on first use (hot switching).
-        vectorized: Charge timings through the batched
-            :class:`~repro.simulator.timing.TimingTable` kernels (all
-            groups of a plan in one shot) instead of the scalar
-            per-group functions.  Both paths are bit-identical; False
-            keeps the scalar reference path for benchmarks and tests.
     """
 
     config: ModelConfig
     cluster: ClusterSpec
     checkpointing: ActivationCheckpointing = ActivationCheckpointing.NONE
     pool: CommGroupPool = field(default=None)  # type: ignore[assignment]
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.pool is None:
             self.pool = CommGroupPool(cluster=self.cluster)
         self._link_cache: dict[tuple[int, ...], object] = {}
-
-    def _microbatch_group_times(
-        self, mb: MicroBatchPlan
-    ) -> list[tuple[float, float, float, float]]:
-        """(compute, alltoall, exposed zero-gather, creation) per group."""
-        times = []
-        for g in mb.groups:
-            __, creation = self.pool.get(g.device_ranks)
-            compute = group_compute_time(
-                self.config, self.cluster, g.lengths, g.degree, self.checkpointing
-            )
-            link = self.cluster.group_link(g.device_ranks)
-            alltoall = group_alltoall_time(
-                self.config, self.cluster, g.tokens, g.degree, link
-            )
-            gather = zero3_gather_time(self.config, self.cluster, compute)
-            times.append((compute, alltoall, gather, creation))
-        return times
 
     def _group_link(self, ranks: tuple[int, ...]):
         """Memoised topology link lookup (plans revisit the same groups)."""
@@ -121,15 +93,12 @@ class IterationExecutor:
     def _plan_group_times(
         self, plan: IterationPlan
     ) -> list[list[tuple[float, float, float, float]]]:
-        """Per-micro-batch group timing tuples for the whole plan.
+        """(compute, alltoall, exposed zero-gather, creation) per group,
+        per micro-batch.
 
-        The vectorized path charges every group of every micro-batch
-        through the :class:`TimingTable` kernels in one shot; the
-        scalar path evaluates micro-batch by micro-batch.  Results are
-        bit-identical.
+        Every group of every micro-batch is charged through the
+        :class:`TimingTable` kernels in one shot.
         """
-        if not self.vectorized:
-            return [self._microbatch_group_times(mb) for mb in plan.microbatches]
         groups = []
         creations = []
         for mb in plan.microbatches:
@@ -159,7 +128,6 @@ class IterationExecutor:
 
     def run(self, plan: IterationPlan) -> ExecutionResult:
         """Execute ``plan`` and return timing plus trace."""
-        engine = DiscreteEventEngine()
         trace = TraceRecorder(total_devices=self.cluster.num_gpus)
         microbatch_seconds: list[float] = []
         creation_total = 0.0
@@ -175,11 +143,6 @@ class IterationExecutor:
             ):
                 creation_total += creation
                 start = clock
-
-                def _noop(eng: DiscreteEventEngine) -> None:
-                    return None
-
-                engine.schedule(start, _noop)
                 trace.record(
                     TracePhase(
                         kind=PhaseKind.COMPUTE,
@@ -245,7 +208,6 @@ class IterationExecutor:
                     )
                 )
 
-            engine.schedule(clock + makespan, lambda eng: None)
             clock += makespan
             microbatch_seconds.append(makespan)
 
@@ -278,8 +240,6 @@ class IterationExecutor:
                     devices=self.cluster.num_gpus,
                 )
             )
-        engine.schedule(clock, lambda eng: None)
-        engine.run()
 
         return ExecutionResult(
             iteration_seconds=clock,

@@ -13,11 +13,14 @@ Two evaluation surfaces are provided:
 
 * the scalar functions (:func:`group_compute_time`,
   :func:`group_alltoall_time`, :func:`zero3_gather_time`) — the
-  reference definitions, one SP group at a time;
-* :class:`TimingTable` — the same formulas as numpy kernels that
-  evaluate *every* group of an iteration plan in one shot,
-  bit-identical to the scalar path (same IEEE-754 double operations in
-  the same order, including sequential within-group reductions).
+  reference definitions, one SP group at a time.  The profiler probes
+  them, and the tests hold :class:`TimingTable` and the executor to
+  them;
+* :class:`TimingTable` — what the executor charges: the same formulas
+  as numpy kernels that evaluate *every* group of an iteration plan in
+  one shot, bit-identical to the scalar functions (same IEEE-754
+  double operations in the same order, including sequential
+  within-group reductions).
 """
 
 from __future__ import annotations

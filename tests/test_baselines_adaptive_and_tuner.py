@@ -100,3 +100,14 @@ class TestMegatronTuner:
     def test_rejects_no_probes(self, cluster64, gpt7b_64k):
         with pytest.raises(ValueError, match="probe batch"):
             tune_megatron([], gpt7b_64k, cluster64, max_context=1024)
+
+    def test_evaluator_errors_propagate(self, cluster64, gpt7b_64k, monkeypatch):
+        """Only an infeasible strategy is skipped; any other error from
+        the evaluator surfaces instead of silently changing the choice."""
+
+        def broken(*args, **kwargs):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("repro.baselines.tuner.megatron_iteration", broken)
+        with pytest.raises(ValueError, match="boom"):
+            tune_megatron([(8192,) * 4], gpt7b_64k, cluster64, max_context=8192)

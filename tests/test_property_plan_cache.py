@@ -6,9 +6,9 @@ Two invariants guard the solver-throughput subsystem:
   plan, same predicted time — for any batch, since cached plans are
   reused across trials and iterations.
 * The vectorized :class:`repro.cost.model.CostTable` must agree with
-  the scalar :class:`repro.cost.model.CostModel` it replaces (exactly
-  for accumulated-sum kernels, to 1e-9 relative for dot-product
-  reductions).
+  the scalar :class:`repro.cost.model.CostModel` it replaces, exactly,
+  and the plan estimator (:mod:`repro.cost.estimator`) must price
+  groups with the model's own numbers.
 """
 
 import hypothesis.strategies as st
@@ -17,11 +17,29 @@ from hypothesis import given, settings
 
 from repro.core.plan_cache import PlanCache, SolveStats, plan_key
 from repro.core.solver import FlexSPSolver, SolverConfig
+from repro.core.types import GroupAssignment, IterationPlan, MicroBatchPlan
+from repro.cost.estimator import (
+    estimate_iteration_time,
+    estimate_microbatch_time,
+    microbatch_peak_memory,
+)
 from repro.cost.model import cost_table
 
 lengths_strategy = st.lists(
     st.integers(min_value=64, max_value=24_000), min_size=1, max_size=40
 )
+
+
+def one_group(lengths, degree) -> MicroBatchPlan:
+    return MicroBatchPlan(
+        groups=(
+            GroupAssignment(
+                degree=degree,
+                device_ranks=tuple(range(degree)),
+                lengths=tuple(lengths),
+            ),
+        )
+    )
 
 
 def greedy_solver(model, plan_cache: bool) -> FlexSPSolver:
@@ -90,20 +108,22 @@ class TestCostTableMatchesScalarModel:
     @given(lengths=lengths_strategy, data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_time_with_overheads_agrees(self, cost_model8, lengths, data):
-        table = cost_table(cost_model8)
-        degree = data.draw(st.sampled_from(table.degrees))
+        """The estimator prices a group exactly as the planner does."""
+        degree = data.draw(st.sampled_from(cost_table(cost_model8).degrees))
+        mb = one_group(lengths, degree)
         scalar = cost_model8.time_with_overheads(lengths, degree)
-        vectorized = table.time_with_overheads(lengths, degree)
-        assert vectorized == pytest.approx(scalar, rel=1e-9)
+        assert estimate_microbatch_time(cost_model8, mb) == scalar
+        assert estimate_iteration_time(
+            cost_model8, IterationPlan(microbatches=(mb,))
+        ) == scalar
 
     @given(lengths=lengths_strategy, data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_memory_agrees_exactly(self, cost_model8, lengths, data):
-        table = cost_table(cost_model8)
-        degree = data.draw(st.sampled_from(table.degrees))
-        assert table.memory(sum(lengths), degree) == cost_model8.memory(
-            lengths, degree
-        )
+        degree = data.draw(st.sampled_from(cost_table(cost_model8).degrees))
+        assert microbatch_peak_memory(
+            cost_model8, one_group(lengths, degree)
+        ) == cost_model8.memory(lengths, degree)
 
     @given(lengths=lengths_strategy, data=st.data())
     @settings(max_examples=200, deadline=None)
