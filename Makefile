@@ -23,7 +23,8 @@ test-fast:
 # Fig. 8 regenerated in one deduplicated sweep pass, with the
 # persistent cache store (benchmarks/results/campaign_store/) keeping
 # cost-model fits, tuner memos and plan caches warm across runs.
-# Appends to benchmarks/results/BENCH_campaign.json.
+# Prints the pass report and the artefact tables; the repo's perf
+# record is perfbench/ (see perfbench-smoke below).
 bench:
 	$(PYTHON) -m repro.bench --campaign unified
 
@@ -56,8 +57,7 @@ bench-prune:
 
 # Store-sharing benchmark: two concurrent unified campaigns racing one
 # cache store, both bit-identical to a storeless pass (write
-# amplification and lock contention recorded).  Appends to
-# benchmarks/results/BENCH_scaleout.json.
+# amplification and lock contention printed).
 bench-scaleout:
 	$(PYTHON) -m repro.bench scaleout
 
@@ -65,7 +65,7 @@ bench-scaleout:
 # under deterministic fault injection (a planner worker killed mid-plan
 # or at start-up, a torn spill write, a stale store lock), every
 # schedule asserted recorded, bit-identical to the fault-free serial
-# pass and leak-free.  Appends to benchmarks/results/BENCH_chaos.json.
+# pass and leak-free.
 bench-chaos:
 	$(PYTHON) -m repro.bench chaos
 
@@ -79,7 +79,7 @@ bench-chaos-smoke:
 # a seeded Gamma-arrival trace over three heterogeneous tenants twice
 # (burst-cold, then warm churn), with in-flight coalescing, per-tenant
 # admission shedding and every unique served plan verified bit-identical
-# to a cold solve.  Appends to benchmarks/results/BENCH_service.json.
+# to a cold solve; prints the latency table and the service counters.
 bench-service:
 	$(PYTHON) -m repro.bench --service --duration 20 --rate 1.5 \
 		--step-window 4 --max-context 32768 --batch-size 16
@@ -96,7 +96,7 @@ bench-service-smoke:
 # a server crash mid-trace degrading to in-process planning.  Every
 # served plan asserted bit-identical to a cold solve, retries never
 # double-solve, accounting deterministic, sockets/threads/pools
-# released.  Appends to benchmarks/results/BENCH_service.json.
+# released.
 bench-service-net:
 	$(PYTHON) -m repro.bench service_net
 
@@ -105,14 +105,13 @@ bench-service-net:
 bench-service-net-smoke:
 	$(PYTHON) -m repro.bench service_net -k smoke
 
-# Solver-throughput benchmark only; results land in
-# benchmarks/results/BENCH_solver.json for trajectory tracking.
+# Solver-throughput benchmark only: cold/warm plans/sec against the
+# scalar reference loop, plans asserted bit-identical.
 bench-solver:
 	$(PYTHON) -m repro.bench solver_throughput
 
 # End-to-end experiment-sweep benchmark (persistent sweep runner vs. a
-# sequential rebuild-everything reference); appends to
-# benchmarks/results/BENCH_e2e.json for trajectory tracking.
+# sequential rebuild-everything reference, >= 4x asserted).
 bench-e2e:
 	$(PYTHON) -m repro.bench e2e_sweep
 

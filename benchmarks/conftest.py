@@ -3,11 +3,13 @@
 Every benchmark regenerates one of the paper's tables or figures and
 prints it in a paper-comparable text format.  Output is emitted
 outside pytest's capture so that ``pytest benchmarks/`` shows the
-tables, and each table is also archived.  Tables and ``BENCH_*.json``
-records land in the committed ``benchmarks/results/`` only when
-``python -m repro.bench`` started the run (it sets
-``REPRO_BENCH_RECORD=1``); any other pytest run — tier-1 included —
-writes them to a pytest temp dir.
+tables, and each table is also archived as a ``.txt`` file.  Tables
+land in the committed ``benchmarks/results/`` only when ``python -m
+repro.bench`` started the run (it sets ``REPRO_BENCH_RECORD=1``); any
+other pytest run — tier-1 included — writes them to a pytest temp
+dir.  No benchmark writes a perf history: the repo's perf record is
+``perfbench/``, and the ``results/BENCH_*.json`` files are a frozen
+archive.
 
 The campaign artefacts (Fig. 4, Fig. 6, Table 1, Fig. 7, Fig. 8) are
 measured once per session through the campaign engine, in two passes
@@ -22,7 +24,6 @@ iterations — so the whole suite runs in minutes on a laptop.  Set
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
@@ -49,8 +50,7 @@ FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 
 #: Per-stage SolveStats profiling — set by ``python -m repro.bench
 #: <suite> --profile``; suites that support it print their cold-path
-#: stage breakdowns (the numbers land in the bench records even when
-#: off).
+#: stage breakdowns.
 PROFILE = bool(int(os.environ.get("REPRO_BENCH_PROFILE", "0")))
 
 #: Record into the committed ``results/`` — set by ``python -m
@@ -98,89 +98,13 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(guard)
 
 
-#: Wall-clock of each benchmark's call phase, written at session end so
-#: future PRs can diff the perf trajectory (see BENCH_wallclock.json).
-_WALLCLOCK: dict[str, float] = {}
-
-#: The session's archive directory, stashed by :func:`results_dir`.
-_RESULTS_KEY = pytest.StashKey[pathlib.Path]()
-
-
-@pytest.fixture(scope="session", autouse=True)
-def results_dir(request, tmp_path_factory) -> pathlib.Path:
-    """Where this session's tables and records go: the committed
-    ``results/`` under ``python -m repro.bench``, else a temp dir."""
+@pytest.fixture(scope="session")
+def results_dir(tmp_path_factory) -> pathlib.Path:
+    """Where this session's tables go: the committed ``results/`` under
+    ``python -m repro.bench``, else a temp dir."""
     path = RESULTS_DIR if RECORD else tmp_path_factory.mktemp("results")
     path.mkdir(exist_ok=True)
-    request.config.stash[_RESULTS_KEY] = path
     return path
-
-
-def pytest_runtest_logreport(report):
-    if report.when == "call" and report.passed:
-        _WALLCLOCK[report.nodeid] = round(report.duration, 4)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    results = session.config.stash.get(_RESULTS_KEY, None)
-    if _WALLCLOCK and results is not None:
-        # Reduced and REPRO_BENCH_FULL runs use workloads of different
-        # size, so each mode keeps its own trajectory file.
-        suffix = "_full" if FULL else ""
-        path = results / f"BENCH_wallclock{suffix}.json"
-        merged: dict[str, float] = {}
-        if path.exists():
-            try:
-                merged = json.loads(path.read_text())
-            except (OSError, ValueError):
-                merged = {}
-        merged.update(_WALLCLOCK)
-        path.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.fixture()
-def bench_json(request, results_dir):
-    """Write a benchmark's structured metrics to results/BENCH_<name>.json.
-
-    Benchmarks push whatever numbers define their perf contract
-    (plans/sec, hit rates, speedups); each file is overwritten per run
-    so the checked-in trajectory always reflects the latest code.
-    """
-
-    def _write(name: str, payload: dict) -> None:
-        record = {"benchmark": request.node.nodeid, "full_protocol": FULL, **payload}
-        with open(results_dir / f"BENCH_{name}.json", "w") as f:
-            json.dump(record, f, indent=2, sort_keys=True)
-            f.write("\n")
-
-    return _write
-
-
-@pytest.fixture()
-def bench_json_history(request, results_dir):
-    """Append a benchmark's metrics to results/BENCH_<name>.json.
-
-    Unlike :func:`bench_json` (which overwrites), this keeps a
-    ``history`` list so the file accumulates a trajectory across runs
-    and PRs (the ``BENCH_e2e.json`` / ``BENCH_campaign.json``
-    contract).  The file format lives in one place —
-    :func:`repro.bench.append_history` — shared with the campaign CLI.
-    """
-    from repro.bench import append_history
-
-    def _append(name: str, payload: dict) -> None:
-        append_history(
-            results_dir / f"BENCH_{name}.json",
-            [
-                {
-                    "benchmark": request.node.nodeid,
-                    "full_protocol": FULL,
-                    **payload,
-                }
-            ],
-        )
-
-    return _append
 
 
 @pytest.fixture()

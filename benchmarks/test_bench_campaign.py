@@ -9,8 +9,7 @@ The campaign engine's acceptance bar (the multi-layer refactor PR):
 * a **second process** started against the populated
   :class:`~repro.core.cache_store.CacheStore` reaches >= 90 % plan-cache
   hit rate on the repeated campaign, with per-cell metrics
-  bit-identical to the cold run;
-* the record is appended to ``results/BENCH_campaign.json``.
+  bit-identical to the cold run.
 
 The second process is real: the restored pass runs in a forked child
 (via a single-worker process pool), so the only warmth it can possibly
@@ -36,8 +35,10 @@ CAMPAIGN_SOLVER = SolverConfig(backend="greedy", num_trials=2)
 GLOBAL_BATCH = 512 if FULL else 128
 
 
-def _run_campaign(store_root: str | None, spill_batch: int = 0):
-    """One full campaign pass; returns (metrics, hit_rate, wall, summary)."""
+def _run_campaign(store_root: str, spill_batch: int = 0):
+    """One full campaign pass against a store; returns (metrics,
+    hit_rate, wall, counts).  Plain values only: the restored passes
+    return them across a forked process pool."""
     campaign = unified_campaign(global_batch_size=GLOBAL_BATCH)
     runner = SweepRunner(
         solver_config=CAMPAIGN_SOLVER,
@@ -48,21 +49,22 @@ def _run_campaign(store_root: str | None, spill_batch: int = 0):
         started = time.perf_counter()
         result = campaign.run(runner)
         wall = time.perf_counter() - started
-    return (
-        list(result.sweep.metrics),
-        result.plan_cache_hit_rate,
-        wall,
-        result.summary(),
-    )
+    counts = {
+        "cells": len(result.sweep.cells),
+        "unique_cells": result.sweep.unique_cells,
+        "artefacts": [r.artefact.key for r in result.artefacts],
+        "write_amplification": result.store_write_amplification,
+        "store_writes": result.sweep.store_stats.writes,
+        "store_files": result.sweep.store_stats.files,
+    }
+    return list(result.sweep.metrics), result.plan_cache_hit_rate, wall, counts
 
 
-def test_campaign_store_warm_across_processes(
-    emit, bench_json_history, tmp_path
-):
+def test_campaign_store_warm_across_processes(emit, tmp_path):
     store_root = str(tmp_path / "campaign_store")
 
     # Cold pass: this process populates the store from scratch.
-    cold_metrics, cold_hit_rate, cold_wall, summary = _run_campaign(store_root)
+    cold_metrics, cold_hit_rate, cold_wall, counts = _run_campaign(store_root)
 
     # Restored pass: a genuine second process (forked, fresh runner)
     # whose only warmth is the on-disk store.
@@ -82,8 +84,8 @@ def test_campaign_store_warm_across_processes(
         assert warm.status == cold.status
         assert warm.checkpointing == cold.checkpointing
 
-    cells = summary["cells"]
-    unique = summary["unique_cells"]
+    cells = counts["cells"]
+    unique = counts["unique_cells"]
     rows = [
         ("cold (this process)", f"{cold_wall:.2f}", f"{cold_hit_rate:.0%}"),
         (
@@ -95,25 +97,12 @@ def test_campaign_store_warm_across_processes(
     emit(
         f"Unified campaign: {cells} cells ({unique} unique), "
         f"batch {GLOBAL_BATCH}, artefacts "
-        f"{', '.join(summary['artefacts'])}\n"
+        f"{', '.join(counts['artefacts'])}\n"
         + format_table(["pass", "wall (s)", "plan-cache hit rate"], rows)
-    )
-    bench_json_history(
-        "campaign",
-        {
-            "mode": "benchmark",
-            "cells": cells,
-            "unique_cells": unique,
-            "global_batch_size": GLOBAL_BATCH,
-            "cold_wall_seconds": round(cold_wall, 3),
-            "restored_wall_seconds": round(warm_wall, 3),
-            "cold_hit_rate": round(cold_hit_rate, 4),
-            "restored_hit_rate": round(warm_hit_rate, 4),
-        },
     )
 
     # One pass covers every artefact; the grids genuinely overlap.
-    assert set(summary["artefacts"]) == {
+    assert set(counts["artefacts"]) == {
         "fig4",
         "fig6",
         "table1",
@@ -127,9 +116,7 @@ def test_campaign_store_warm_across_processes(
     assert warm_hit_rate >= 0.9, f"restored hit rate {warm_hit_rate:.2%} < 90%"
 
 
-def test_store_write_amplification_below_per_cell_baseline(
-    emit, bench_json_history, tmp_path
-):
+def test_store_write_amplification_below_per_cell_baseline(emit, tmp_path):
     """The store lifecycle acceptance bar: batched per-worker spills
     push write amplification (store data-file writes per measured
     cell) strictly below the historical spill-after-every-cell
@@ -141,15 +128,15 @@ def test_store_write_amplification_below_per_cell_baseline(
     per_cell_root = str(tmp_path / "per_cell_store")
     batched_root = str(tmp_path / "batched_store")
 
-    per_cell_metrics, __, ___, per_cell_summary = _run_campaign(
+    per_cell_metrics, __, ___, per_cell_counts = _run_campaign(
         per_cell_root, spill_batch=1
     )
-    batched_metrics, ____, _____, batched_summary = _run_campaign(batched_root)
+    batched_metrics, ____, _____, batched_counts = _run_campaign(batched_root)
 
     for a, b in zip(per_cell_metrics, batched_metrics):
         assert a.deterministic() == b.deterministic()
-    per_cell_wa = per_cell_summary["store"]["write_amplification"]
-    batched_wa = batched_summary["store"]["write_amplification"]
+    per_cell_wa = per_cell_counts["write_amplification"]
+    batched_wa = batched_counts["write_amplification"]
     assert batched_wa < per_cell_wa, (
         f"batched spills must beat the per-cell baseline: "
         f"{batched_wa} >= {per_cell_wa}"
@@ -160,7 +147,7 @@ def test_store_write_amplification_below_per_cell_baseline(
     with ProcessPoolExecutor(
         max_workers=1, mp_context=get_context("fork")
     ) as pool:
-        warm_metrics, warm_hit_rate, ______, warm_summary = pool.submit(
+        warm_metrics, warm_hit_rate, ______, warm_counts = pool.submit(
             _run_campaign, batched_root
         ).result()
     for a, b in zip(batched_metrics, warm_metrics):
@@ -168,7 +155,7 @@ def test_store_write_amplification_below_per_cell_baseline(
     assert warm_hit_rate >= 0.9
     # The fully warm pass learned nothing, so it spilled (almost)
     # nothing — the restored-run half of the write-amplification fix.
-    assert warm_summary["store"]["writes"] <= warm_summary["store"]["files"]
+    assert warm_counts["store_writes"] <= warm_counts["store_files"]
 
     # Prune half the store (LRU), then run again: never fatal, still
     # bit-identical, cold exactly where eviction hit.
@@ -189,19 +176,6 @@ def test_store_write_amplification_below_per_cell_baseline(
         f"{warm_hit_rate:.0%}, after pruning {len(pruned.evicted)} of "
         f"{len(pruned.evicted) + pruned.files_kept} files: hit rate "
         f"{pruned_hit_rate:.0%}, metrics bit-identical"
-    )
-    bench_json_history(
-        "campaign",
-        {
-            "mode": "benchmark-store-lifecycle",
-            "global_batch_size": GLOBAL_BATCH,
-            "write_amplification_per_cell_spills": per_cell_wa,
-            "write_amplification_batched": batched_wa,
-            "restored_hit_rate": round(warm_hit_rate, 4),
-            "restored_store_writes": warm_summary["store"]["writes"],
-            "pruned_files": len(pruned.evicted),
-            "pruned_hit_rate": round(pruned_hit_rate, 4),
-        },
     )
 
 

@@ -24,8 +24,7 @@ Contract:
 
 * >= 4x wall-clock for the multi-epoch campaign;
 * per-cell metrics (mean iteration seconds, comm fractions,
-  tokens/s/GPU) bit-identical between the two paths, every epoch;
-* results appended to ``results/BENCH_e2e.json``.
+  tokens/s/GPU) bit-identical between the two paths, every epoch.
 """
 
 from __future__ import annotations
@@ -127,7 +126,7 @@ def _reference_epoch(cells):
     return metrics
 
 
-def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
+def test_e2e_sweep_speedup(emit, bench_batch_size):
     batch_size = bench_batch_size if FULL else 96
     cells = _campaign(batch_size)
 
@@ -184,26 +183,13 @@ def test_e2e_sweep_speedup(emit, bench_json_history, bench_batch_size):
         f"{NUM_ITERATIONS} iterations/cell\n"
         + format_table(["path", "total (s)", "per epoch (s)", "speedup"], rows)
     )
-    bench_json_history(
-        "e2e",
-        {
-            "epochs": EPOCHS,
-            "cells": len(cells),
-            "unique_cells": unique,
-            "global_batch_size": batch_size,
-            "iterations_per_cell": NUM_ITERATIONS,
-            "reference_seconds": round(ref_seconds, 3),
-            "sweep_seconds": round(sweep_seconds, 3),
-            "speedup": round(speedup, 2),
-        },
-    )
 
     assert speedup >= 4.0, f"sweep speedup {speedup:.2f}x < 4x"
 
 
 @pytest.mark.slow
 @pytest.mark.skipif(not FULL, reason="full 18-cell grid only with REPRO_BENCH_FULL=1")
-def test_e2e_sweep_full_grid(emit, bench_json_history, bench_batch_size):
+def test_e2e_sweep_full_grid(emit, bench_batch_size):
     """The complete Fig. 4 grid through the sweep runner (full protocol)."""
     from repro.experiments.campaign import fig4_artefact
     from repro.model.config import GPT_13B, GPT_30B
@@ -227,13 +213,5 @@ def test_e2e_sweep_full_grid(emit, bench_json_history, bench_batch_size):
         f"Full Fig. 4 grid via sweep runner: {result.unique_cells} cells "
         f"in {result.wall_seconds:.1f}s; FlexSP <= DeepSpeed on "
         f"{flexsp_wins} workloads"
-    )
-    bench_json_history(
-        "e2e",
-        {
-            "grid": "fig4-full",
-            "cells": len(cells),
-            "wall_seconds": round(result.wall_seconds, 2),
-        },
     )
     assert flexsp_wins == len({c.workload.name for c in cells})

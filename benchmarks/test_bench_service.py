@@ -11,7 +11,7 @@ The acceptance bar:
 * **every** unique served plan bit-identical to a cold
   ``FlexSPSolver`` solve of the same batch on a fresh engine;
 * p50/p99 plan latency, sustained plans/sec, plan-cache hit rate and
-  shed rate appended to ``results/BENCH_service.json``.
+  shed rate printed in the archived table.
 
 The default tier runs in seconds (16K contexts, batch 8);
 ``REPRO_BENCH_FULL=1`` replays a longer trace at the paper's
@@ -32,7 +32,7 @@ RATE = 1.5 if FULL else 0.8
 STEP_WINDOW = 4 if FULL else 2
 
 
-def test_service_trace_latency_under_churn(emit, bench_json_history):
+def test_service_trace_latency_under_churn(emit):
     jobs = service_jobs(
         max_context=MAX_CONTEXT, global_batch_size=GLOBAL_BATCH
     )
@@ -85,4 +85,3 @@ def test_service_trace_latency_under_churn(emit, bench_json_history):
             ["phase", "served", "plans/s", "p50 (ms)", "p99 (ms)"], rows
         )
     )
-    bench_json_history("service", record)

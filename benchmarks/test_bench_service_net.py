@@ -24,10 +24,10 @@ A server crash mid-trace (no drain) must degrade gracefully: the
 client falls back to an in-process service and the remaining requests
 are still answered bit-identically, with the degradation counted.
 
-Latency/retry records append to ``results/BENCH_service.json`` as
-``mode: "service-transport"`` blocks.  ``make bench-service-net`` runs
-the matrix; ``make bench-service-net-smoke`` runs the CI slice
-(``-k smoke``: one injected ``conn_reset``, recovered in seconds).
+Each test prints its latency and retry figures.  ``make
+bench-service-net`` runs the matrix; ``make bench-service-net-smoke``
+runs the CI slice (``-k smoke``: one injected ``conn_reset``,
+recovered in seconds).
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _assert_survived(record: dict, *, schedule: str | None) -> None:
         assert injections.get(label, 0) >= 1, f"{schedule} never fired"
 
 
-def test_smoke_conn_reset_recovered(emit, bench_json_history):
+def test_smoke_conn_reset_recovered(emit):
     """The CI smoke slice: one injected ``conn_reset``, recovered.
 
     Selected by ``make bench-service-net-smoke`` (``-k smoke``) so
@@ -132,10 +132,9 @@ def test_smoke_conn_reset_recovered(emit, bench_json_history):
         f"{record['bit_identical_verified']}/{record['unique_shapes']} "
         "bit-identical to cold solves"
     )
-    bench_json_history("service", record)
 
 
-def test_network_chaos_matrix(emit, bench_json_history):
+def test_network_chaos_matrix(emit):
     """Every survivable network fault, absorbed without degradation."""
     baseline_pools = live_pool_count()
     jobs = _jobs()
@@ -159,7 +158,6 @@ def test_network_chaos_matrix(emit, bench_json_history):
                 f"{transport['p99_ms']:.2f}",
             )
         )
-        bench_json_history("service", record)
     emit(
         f"Transport chaos matrix: {len(MATRIX_SCHEDULES)} schedules over "
         f"{len(jobs)} tenants ({MAX_CONTEXT // 1024}K, batch "
@@ -206,7 +204,7 @@ def test_chaos_accounting_is_deterministic():
     assert first["transport"]["server"]["replayed"] >= 1
 
 
-def test_crash_mid_flight_degrades_to_in_process(emit, bench_json_history):
+def test_crash_mid_flight_degrades_to_in_process(emit):
     """Server aborted (no drain) mid-trace: the client's last rung."""
     baseline_pools = live_pool_count()
     jobs = _jobs(count=2)
@@ -227,4 +225,3 @@ def test_crash_mid_flight_degrades_to_in_process(emit, bench_json_history):
         f"{record['bit_identical_verified']} unique plans bit-identical "
         "to cold solves"
     )
-    bench_json_history("service", record)

@@ -15,17 +15,14 @@ passes, and the one-DP-per-solve blaster), on a 4-trial
 
 * cold (empty plan cache): >= 4x reference plans/sec — comfortably
   past 3x the pre-engine cold figure, which sat at ~1.6x reference
-  (see the ``BENCH_solver.json`` history; measured ~8-9x on the
-  reference container, so the gate keeps a ~2x noise margin for
-  shared CI runners while the recorded figure tracks the real value);
+  (measured ~8-9x on the reference container, so the gate keeps a
+  ~2x noise margin for shared CI runners);
 * warm (recurring batches): >= 3x reference plans/sec;
 * plans and predicted iteration times bit-for-bit equal to the
   reference.
 
-Results are *appended* to ``results/BENCH_solver.json`` so the
-cold-path trajectory stays diffable across PRs; the per-stage
-SolveStats breakdown (enumerate / lpt / milp_build / milp_solve)
-rides each record and is printed under
+The per-stage SolveStats breakdown (enumerate / lpt / milp_build /
+milp_solve) is printed under
 ``python -m repro.bench solver_throughput --profile``.
 """
 
@@ -179,7 +176,7 @@ def _stage_breakdown(plans) -> dict[str, float]:
     return totals
 
 
-def test_solver_throughput(emit, bench_json_history):
+def test_solver_throughput(emit):
     model = fit_cost_model(GPT_7B.with_max_context(64 * 1024), standard_cluster(8))
     batches = _workload(model, dense=True)
 
@@ -241,7 +238,6 @@ def test_solver_throughput(emit, bench_json_history):
             f"{warm_hits / warm_lookups:.0%}",
         ),
     ]
-    stages = _stage_breakdown(cold)
     emit(
         "Solver throughput (greedy backend, plans/sec; "
         f"{NUM_BATCHES} batches x {NUM_TRIALS} trials, "
@@ -251,6 +247,7 @@ def test_solver_throughput(emit, bench_json_history):
         )
     )
     if PROFILE:
+        stages = _stage_breakdown(cold)
         emit(
             "Cold-path stage breakdown (seconds across the cold pass)\n"
             + format_table(
@@ -258,28 +255,13 @@ def test_solver_throughput(emit, bench_json_history):
                 [(stage, f"{s:.4f}") for stage, s in stages.items()],
             )
         )
-    bench_json_history(
-        "solver",
-        {
-            "reference_plans_per_sec": round(ref_rate, 2),
-            "cold_plans_per_sec": round(cold_rate, 2),
-            "warm_plans_per_sec": round(warm_rate, 2),
-            "cold_speedup": round(cold_speedup, 3),
-            "warm_speedup": round(warm_speedup, 3),
-            "cold_reuse_rate": round(cold_hits / cold_lookups, 4),
-            "warm_reuse_rate": round(warm_hits / warm_lookups, 4),
-            "cold_stage_seconds": {
-                stage: round(s, 5) for stage, s in stages.items()
-            },
-        },
-    )
 
     assert cold_speedup >= 4.0, f"cold speedup {cold_speedup:.2f}x < 4x"
     assert warm_speedup >= 3.0, f"warm speedup {warm_speedup:.2f}x < 3x"
     assert warm_hits == warm_lookups  # fully cached second pass
 
 
-def test_milp_cache_skips_solves(emit, bench_json_history):
+def test_milp_cache_skips_solves(emit):
     """MILP backend: a warm cache skips the HiGHS solves entirely and
     reproduces the cold plans exactly."""
     model = fit_cost_model(GPT_7B.with_max_context(64 * 1024), standard_cluster(8))
@@ -329,8 +311,8 @@ def test_milp_cache_skips_solves(emit, bench_json_history):
             ],
         )
     )
-    stages = _stage_breakdown(cold)
     if PROFILE:
+        stages = _stage_breakdown(cold)
         emit(
             "MILP cold-path stage breakdown (seconds)\n"
             + format_table(
@@ -338,18 +320,6 @@ def test_milp_cache_skips_solves(emit, bench_json_history):
                 [(stage, f"{s:.4f}") for stage, s in stages.items()],
             )
         )
-    bench_json_history(
-        "solver_milp",
-        {
-            "uncached_seconds": round(base_seconds, 3),
-            "cold_seconds": round(cold_seconds, 3),
-            "warm_seconds": round(warm_seconds, 4),
-            "warm_speedup_vs_uncached": round(warm_speedup, 2),
-            "cold_stage_seconds": {
-                stage: round(s, 5) for stage, s in stages.items()
-            },
-        },
-    )
     assert planner_calls_warm == 0
     assert warm_speedup >= 3.0
 

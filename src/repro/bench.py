@@ -1,19 +1,23 @@
-"""Command-line entry point for the perf-tracking benchmarks.
+"""Command-line entry point for the campaigns, the planning service
+and the pytest benchmark suites.
 
-Three modes:
+Nothing here writes a performance record.  The repo's speed is
+measured by ``perfbench/`` (see ``BENCHMARK.json``), whose one JSON
+result line per run carries its own commit, host and dependency
+envelope; the ``benchmarks/results/BENCH_*.json`` histories are a
+frozen, read-only archive.  Every mode prints what it measured and
+asserts what it promises.
 
 **Campaign mode** (``--campaign``) runs the declarative campaign
 engine directly — every paper artefact grid (Fig. 4, Fig. 6, Table 1,
-Fig. 7, Fig. 8) in one deduplicated sweep pass — and *appends* the
-machine-readable record to ``benchmarks/results/BENCH_campaign.json``.
-This is what ``make bench`` invokes.  A persistent
-:class:`~repro.core.cache_store.CacheStore` (default
-``benchmarks/results/campaign_store/``) keeps cost-model fits, tuner
-memos and FlexSP plan caches warm *across* invocations and processes;
-``--no-store`` runs cold (the ``make bench-smoke`` CI tier).  Store
-runs print a ``StoreStats`` report (files, bytes, entries, hit / miss
-/ write / evict counts, write amplification) and append it with the
-trajectory record.
+Fig. 7, Fig. 8) in one deduplicated sweep pass — and prints the pass
+summary and the artefact tables.  This is what ``make bench``
+invokes.  A persistent :class:`~repro.core.cache_store.CacheStore`
+(default ``benchmarks/results/campaign_store/``) keeps cost-model
+fits, tuner memos and FlexSP plan caches warm *across* invocations and
+processes; ``--no-store`` runs cold (the ``make bench-smoke`` CI
+tier).  Store runs print a ``StoreStats`` report (files, bytes,
+entries, hit / miss / write / evict counts, write amplification).
 
 **Prune mode** (``--prune``) applies the store's lifecycle policy:
 ``--max-age-days D`` evicts workload files last used more than ``D``
@@ -23,28 +27,31 @@ neither cap (or with ``--dry-run``) nothing is deleted and the report
 shows what the store holds / would lose.  An evicted workload simply
 loads cold on the next campaign — pruning is never fatal.
 
-**Pytest mode** (everything else) drives the benchmark suites exactly
-as before::
+**Pytest mode** (everything else) drives the benchmark suites::
 
     python -m repro.bench                    # solver-throughput suite
     python -m repro.bench all                # every benchmark
     python -m repro.bench e2e_sweep          # batched-simulation sweep
     python -m repro.bench fig8               # any benchmark-file substring
 
+Runs started here archive each suite's ``.txt`` table under
+``benchmarks/results/``; a plain ``pytest`` run archives them in a
+temp dir.
+
 **Service mode** (``--service``) boots the resident
 planning-as-a-service front-end (:class:`repro.service.PlanService`),
 replays a seeded Gamma-arrival trace over three heterogeneous tenants
 twice (burst-cold, then warm churn — see
 :mod:`repro.service.benchmark`), verifies every unique served plan
-bit-identical to a cold solve, prints the latency table and appends
-the record to ``benchmarks/results/BENCH_service.json``.  The default
-shape is the CI smoke tier (``make bench-service-smoke``: 16K
-contexts, batch 8, seconds of trace); ``make bench-service`` passes
-the longer 32K/batch-16 trace for nightly runs.  With ``--connect
-HOST:PORT`` the same trace is instead replayed through the hardened
-TCP transport (:mod:`repro.service.transport`) against a remote
-``--serve`` process and the appended record carries a ``transport``
-block (p50/p99 over TCP, retries, reconnects, degraded count).
+bit-identical to a cold solve and prints the latency table and the
+service counters.  The default shape is the CI smoke tier (``make
+bench-service-smoke``: 16K contexts, batch 8, seconds of trace);
+``make bench-service`` passes the longer 32K/batch-16 trace for
+nightly runs.  With ``--connect HOST:PORT`` the same trace is instead
+replayed through the hardened TCP transport
+(:mod:`repro.service.transport`) against a remote ``--serve`` process
+and the report covers the transport (p50/p99 over TCP, retries,
+reconnects, degraded count).
 
 **Serve mode** (``--serve``) runs the planning service as a TCP
 server (:class:`repro.service.transport.PlanServer`) until
@@ -58,22 +65,12 @@ answered, new connections refused, then the service and its pools
 shut down.  The loopback chaos tier (``make bench-service-net``)
 sweeps the network fault menu over this transport in-process.
 
-**Node-limit calibrate mode** (``--calibrate-node-limit``) sweeps the
-deterministic HiGHS work limit (default 50/200/500) over one campaign
-artefact at the MILP backend, printing a wall-clock vs plan-quality
-table and appending a ``mode: "calibrate-node-limit"`` record to
-``BENCH_campaign.json`` — the calibration that picks ``--node-limit``
-for full-protocol MILP passes.
-
-Campaign / prune / calibrate usage::
+Campaign / service / prune usage::
 
     python -m repro.bench --campaign unified             # make bench
     python -m repro.bench --campaign smoke --no-store    # make bench-smoke
     python -m repro.bench --campaign full --profile      # full protocol
-    python -m repro.bench --calibrate-node-limit --campaign full \
-        --artefact fig4 --node-limit-grid 50,200,500
     python -m repro.bench --campaign unified --backend milp --node-limit 500
-    python -m repro.bench --campaign unified --repeat 3  # warm trajectory
     python -m repro.bench --campaign unified --profile   # stage breakdown
     python -m repro.bench --campaign unified --no-prewarm
     python -m repro.bench --campaign unified --backend milp --node-limit 200 \
@@ -89,21 +86,21 @@ Campaign / prune / calibrate usage::
     python -m repro.bench --prune --max-age-days 30      # make bench-prune
     python -m repro.bench --prune --max-store-bytes 268435456 --dry-run
 
+Every numeric flag is range-checked while parsing, so bad input is an
+argparse error (exit 2, naming the flag) before any work starts.
 ``--solver-workers`` sizes the one shared
 :class:`~repro.core.solver.SolverPool` the campaign's prewarm plans
 on; the cells themselves are measured serially.  It accepts ``0`` as
-"use every CPU" (``os.cpu_count()``); negative values are an argparse
-error.  The default plans in-process, like ``SweepRunner()`` — a
-process pool is always an explicit opt-in.
+"use every CPU" (``os.cpu_count()``).  The default plans in-process,
+like ``SweepRunner()`` — a process pool is always an explicit opt-in.
 
 ``--profile`` prints the per-stage SolveStats timing breakdown
-(enumerate / lpt / milp_build / milp_solve) — in campaign mode per
-epoch, with the trials pruned and the workload contexts built, in
-pytest mode through the suites that support it (e.g.
-``python -m repro.bench solver_throughput --profile``); the breakdown
-is part of the appended bench records either way.  ``--no-prewarm``
-disables the campaign-level cold-batching pass that plans the grid's
-unique uncached micro-batch shapes up front.
+(enumerate / lpt / milp_build / milp_solve) — in campaign mode with
+the trials pruned and the workload contexts built, in pytest mode
+through the suites that support it (e.g.
+``python -m repro.bench solver_throughput --profile``).
+``--no-prewarm`` disables the campaign-level cold-batching pass that
+plans the grid's unique uncached micro-batch shapes up front.
 
 ``--backend milp --node-limit N`` runs the MILP planner under a
 *deterministic* work limit (HiGHS branch-and-bound nodes) instead of a
@@ -114,10 +111,9 @@ metrics contract as the greedy backend.
 plane (:mod:`repro.core.faults`): solver-pool worker kills, torn spill
 writes and stale store locks fire at seeded injection points, the
 solver pool rebuilds and resumes, the store reads torn files as cold
-and breaks stale locks, and the epoch must still produce metrics
+and breaks stale locks, and the pass must still produce metrics
 bit-identical to a fault-free pass.  ``--fault-seed`` alone draws one
-random fault from the menu.  Each epoch prints a fault report and the
-``faults`` block rides along in the appended record (``make
+random fault from the menu.  The pass prints a fault report (``make
 bench-chaos`` exercises the matrix via
 ``benchmarks/test_bench_chaos.py``).
 """
@@ -125,7 +121,6 @@ bench-chaos`` exercises the matrix via
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
@@ -149,27 +144,8 @@ def _benchmarks_dir() -> pathlib.Path:
     )
 
 
-def append_history(path: pathlib.Path, records: list[dict]) -> None:
-    """Append records to a ``{"history": [...]}`` trajectory file.
-
-    The single definition of the trajectory-file format, shared with
-    the pytest benchmarks' ``bench_json_history`` fixture.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    history: list = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("history", [])
-        except (OSError, ValueError):
-            history = []
-    history.extend(records)
-    path.write_text(
-        json.dumps({"history": history}, indent=2, sort_keys=True) + "\n"
-    )
-
-
 def run_campaign(args: argparse.Namespace) -> int:
-    """Execute one campaign pass and append the trajectory record."""
+    """Execute one campaign pass and print its report."""
     from repro.core.planner import PlannerConfig
     from repro.core.solver import SolverConfig
     from repro.experiments.campaign import build_campaign
@@ -191,10 +167,11 @@ def run_campaign(args: argparse.Namespace) -> int:
             f"[{args.campaign}] chaos: injecting {fault_schedule} "
             f"(seed {fault_schedule.seed})"
         )
-    results_dir = _benchmarks_dir() / "results"
     store = None
     if not args.no_store:
-        store = args.store or str(results_dir / "campaign_store")
+        store = args.store or str(
+            _benchmarks_dir() / "results" / "campaign_store"
+        )
     runner = SweepRunner(
         solver_config=solver_config,
         store=store,
@@ -202,86 +179,59 @@ def run_campaign(args: argparse.Namespace) -> int:
         prewarm=args.prewarm,
         fault_schedule=fault_schedule,
     )
-    records = []
     with runner:
-        for epoch in range(args.repeat):
-            started = time.perf_counter()
-            result = campaign.run(runner)
-            wall = time.perf_counter() - started
-            record = {
-                "mode": "cli",
-                "backend": args.backend,
-                "store": bool(store),
-                "epoch": epoch,
-                "epoch_wall_seconds": round(wall, 3),
-                **result.summary(),
-            }
-            records.append(record)
-            print(
-                f"[{campaign.name}] epoch {epoch}: "
-                f"{result.sweep.unique_cells}/{len(result.sweep.cells)} "
-                f"unique cells in {wall:.2f}s, plan-cache hit rate "
-                f"{result.plan_cache_hit_rate:.2%}"
-            )
-            if result.sweep.prewarm_planned:
-                print(
-                    f"[{campaign.name}] epoch {epoch} cold batching: "
-                    f"{result.sweep.prewarm_planned} unique shapes "
-                    f"planned up front in "
-                    f"{result.sweep.prewarm_seconds:.2f}s"
-                )
-            if args.profile:
-                stage_totals = result.stage_seconds
-                total = sum(stage_totals.values()) or 1.0
-                breakdown = ", ".join(
-                    f"{stage} {seconds:.3f}s ({seconds / total:.0%})"
-                    for stage, seconds in stage_totals.items()
-                )
-                print(
-                    f"[{campaign.name}] epoch {epoch} solve stages: "
-                    f"{breakdown}"
-                )
-                pruning = result.pruning
-                print(
-                    f"[{campaign.name}] epoch {epoch} trial pruning: "
-                    f"{pruning['trials']} trials / "
-                    f"{pruning['microbatches']} micro-batches dropped "
-                    f"unplanned"
-                )
-                print(
-                    f"[{campaign.name}] epoch {epoch} contexts: "
-                    f"{result.sweep.context_builds} built in "
-                    f"{result.sweep.context_build_seconds:.3f}s"
-                )
-            stats = result.sweep.store_stats
-            if stats is not None:
-                print(
-                    f"[{campaign.name}] epoch {epoch} store: "
-                    f"{stats.files} files / {stats.bytes} B / "
-                    f"{stats.entries} entries; hits {stats.hits}, "
-                    f"misses {stats.misses}, writes {stats.writes}, "
-                    f"evictions {stats.evictions}, lock waits "
-                    f"{stats.lock_waits}, lock breaks "
-                    f"{stats.lock_breaks}; write amplification "
-                    f"{result.store_write_amplification:.3f} "
-                    f"writes/cell"
-                )
-            faults = result.sweep.fault_stats
-            if faults is not None:
-                injected = ", ".join(
-                    f"{label} x{count}"
-                    for label, count in faults.injections
-                ) or "none"
-                print(
-                    f"[{campaign.name}] epoch {epoch} faults: "
-                    f"injected {injected}; {faults.lock_breaks} locks "
-                    f"broken"
-                )
+        started = time.perf_counter()
+        result = campaign.run(runner)
+        wall = time.perf_counter() - started
+    tag = f"[{campaign.name}]"
+    print(
+        f"{tag} {result.sweep.unique_cells}/{len(result.sweep.cells)} "
+        f"unique cells in {wall:.2f}s, plan-cache hit rate "
+        f"{result.plan_cache_hit_rate:.2%}"
+    )
+    if result.sweep.prewarm_planned:
+        print(
+            f"{tag} cold batching: {result.sweep.prewarm_planned} unique "
+            f"shapes planned up front in {result.sweep.prewarm_seconds:.2f}s"
+        )
+    if args.profile:
+        stage_totals = result.stage_seconds
+        total = sum(stage_totals.values()) or 1.0
+        breakdown = ", ".join(
+            f"{stage} {seconds:.3f}s ({seconds / total:.0%})"
+            for stage, seconds in stage_totals.items()
+        )
+        print(f"{tag} solve stages: {breakdown}")
+        pruning = result.pruning
+        print(
+            f"{tag} trial pruning: {pruning['trials']} trials / "
+            f"{pruning['microbatches']} micro-batches dropped unplanned"
+        )
+        print(
+            f"{tag} contexts: {result.sweep.context_builds} built in "
+            f"{result.sweep.context_build_seconds:.3f}s"
+        )
+    stats = result.sweep.store_stats
+    if stats is not None:
+        print(
+            f"{tag} store: {stats.files} files / {stats.bytes} B / "
+            f"{stats.entries} entries; hits {stats.hits}, misses "
+            f"{stats.misses}, writes {stats.writes}, evictions "
+            f"{stats.evictions}, lock waits {stats.lock_waits}, lock "
+            f"breaks {stats.lock_breaks}; write amplification "
+            f"{result.store_write_amplification:.3f} writes/cell"
+        )
+    faults = result.sweep.fault_stats
+    if faults is not None:
+        injected = ", ".join(
+            f"{label} x{count}" for label, count in faults.injections
+        ) or "none"
+        print(
+            f"{tag} faults: injected {injected}; {faults.lock_breaks} "
+            f"locks broken"
+        )
     print()
     print("\n\n".join(format_artefact(r) for r in result.artefacts))
-    path = results_dir / "BENCH_campaign.json"
-    append_history(path, records)
-    print(f"\nappended {len(records)} record(s) to {path}")
     return 0
 
 
@@ -340,6 +290,31 @@ def run_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(cast: type, *, allow_zero: bool = False):
+    """An argparse ``type=`` for a numeric flag: a positive ``cast``
+    value, or a non-negative one with ``allow_zero``.
+
+    Bad CLI input is an argparse error (exit 2, naming the flag)
+    before any work starts, never a ``ValueError`` traceback from
+    deep inside the run.
+    """
+
+    def parse(text: str):
+        value = cast(text)  # a ValueError reads "invalid int value"
+        if not (value >= 0 if allow_zero else value > 0):
+            bound = "non-negative" if allow_zero else "positive"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+def _resolve_workers(value: int) -> int:
+    """A ``--solver-workers`` width: ``0`` means every CPU."""
+    return value or os.cpu_count() or 1
+
+
 def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -356,10 +331,10 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         action="store_true",
         help="run cold: no persistent cache store (the CI smoke tier)",
     )
-    parser.add_argument("--batch-size", type=int, default=None)
+    parser.add_argument("--batch-size", type=_number(int), default=None)
     parser.add_argument(
         "--solver-workers",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=None,
         help="width of the shared SolverPool the prewarm plans on; "
         "0 = all CPUs (default: in-process planning)",
@@ -367,25 +342,20 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--backend", choices=("greedy", "milp"), default="greedy"
     )
-    parser.add_argument("--num-trials", type=int, default=2)
+    parser.add_argument("--num-trials", type=_number(int), default=2)
     parser.add_argument(
         "--node-limit",
-        type=int,
+        type=_number(int),
         default=None,
         help="deterministic HiGHS work limit for --backend milp "
         "(replaces the wall-clock time limit)",
     )
     parser.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="campaign epochs in this process (warm-trajectory measurement)",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print the per-stage SolveStats breakdown (enumerate / lpt "
-        "/ milp_build / milp_solve) for each epoch",
+        "/ milp_build / milp_solve), the trials pruned and the "
+        "workload contexts built",
     )
     parser.add_argument(
         "--no-prewarm",
@@ -406,7 +376,7 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--fault-seed",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=None,
         help="chaos seed; with --inject-faults it seeds the schedule, "
         "alone it draws one random fault from the menu",
@@ -419,26 +389,9 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
             FaultSchedule.parse(args.inject_faults)
         except ValueError as error:
             parser.error(str(error))
-    if args.repeat < 1:
-        parser.error(f"--repeat must be at least 1, got {args.repeat}")
     if args.solver_workers is not None:
-        args.solver_workers = _resolve_workers(
-            parser, "--solver-workers", args.solver_workers
-        )
+        args.solver_workers = _resolve_workers(args.solver_workers)
     return args
-
-
-def _resolve_workers(
-    parser: argparse.ArgumentParser, flag: str, value: int
-) -> int:
-    """Normalise a worker-width flag: ``0`` means every CPU, negatives
-    are a clear argparse error (not a deep ``SweepRunner``
-    ``ValueError`` later)."""
-    if value < 0:
-        parser.error(
-            f"{flag} must be non-negative (0 = all CPUs), got {value}"
-        )
-    return value if value else (os.cpu_count() or 1)
 
 
 def _parse_endpoint(
@@ -450,9 +403,9 @@ def _parse_endpoint(
 ) -> tuple[str, int]:
     """Validate a ``HOST:PORT`` flag value into ``(host, port)``.
 
-    Bad CLI input fails fast with an argparse error (PR 9 convention),
-    never half-runs: a missing colon, an empty host, a non-integer or
-    out-of-range port are all rejected here.  ``allow_ephemeral``
+    Bad CLI input fails fast with an argparse error, never half-runs:
+    a missing colon, an empty host, a non-integer or out-of-range
+    port are all rejected here.  ``allow_ephemeral``
     admits port 0 (bind an ephemeral port and print it) — valid for
     ``--listen``, meaningless for ``--connect``.
     """
@@ -491,40 +444,40 @@ def _parse_serve_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--serve-seconds",
-        type=float,
+        type=_number(float),
         default=None,
         help="exit (with a graceful drain) after this many seconds "
         "(default: serve until Ctrl-C)",
     )
     parser.add_argument(
         "--max-context",
-        type=int,
+        type=_number(int),
         default=16 * 1024,
         help="tenant context length in tokens (default 16384) — must "
         "match the connecting clients",
     )
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=_number(int),
         default=8,
         help="tenant global batch size (default 8) — must match the "
         "connecting clients",
     )
     parser.add_argument(
         "--worker-threads",
-        type=int,
+        type=_number(int),
         default=2,
         help="service solve threads (default 2)",
     )
     parser.add_argument(
         "--solver-workers",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=1,
         help="width of the shared SolverPool; 0 = all CPUs (default 1)",
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_number(int),
         default=8,
         help="per-tenant admission bound on queued cold requests "
         "(default 8)",
@@ -538,19 +491,7 @@ def _parse_serve_args(argv: list[str]) -> argparse.Namespace:
     args.listen = _parse_endpoint(
         parser, "--listen", args.listen, allow_ephemeral=True
     )
-    if args.serve_seconds is not None and args.serve_seconds <= 0:
-        parser.error(
-            f"--serve-seconds must be positive, got {args.serve_seconds}"
-        )
-    if args.max_pending < 1:
-        parser.error(f"--max-pending must be at least 1, got {args.max_pending}")
-    if args.worker_threads < 1:
-        parser.error(
-            f"--worker-threads must be at least 1, got {args.worker_threads}"
-        )
-    args.solver_workers = _resolve_workers(
-        parser, "--solver-workers", args.solver_workers
-    )
+    args.solver_workers = _resolve_workers(args.solver_workers)
     return args
 
 
@@ -615,61 +556,63 @@ def _parse_service_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--duration",
-        type=float,
+        type=_number(float),
         default=5.0,
         help="trace duration in seconds of simulated arrivals (default 5)",
     )
     parser.add_argument(
         "--rate",
-        type=float,
+        type=_number(float),
         default=0.8,
         help="per-tenant mean arrival rate, requests/second (default 0.8)",
     )
     parser.add_argument(
         "--cv",
-        type=float,
+        type=_number(float),
         default=2.0,
         help="coefficient of variation of the Gamma inter-arrival "
         "process; 1.0 is Poisson, higher is burstier (default 2.0)",
     )
-    parser.add_argument("--seed", type=int, default=23)
+    parser.add_argument(
+        "--seed", type=_number(int, allow_zero=True), default=23
+    )
     parser.add_argument(
         "--step-window",
-        type=int,
+        type=_number(int),
         default=2,
         help="training steps each tenant draws batches from; small "
         "windows make the trace duplicate-heavy (default 2)",
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_number(int),
         default=1,
         help="per-tenant admission bound on queued cold requests "
         "(default 1 — tight, so shedding is exercised)",
     )
     parser.add_argument(
         "--worker-threads",
-        type=int,
+        type=_number(int),
         default=2,
         help="service solve threads (default 2)",
     )
     parser.add_argument(
         "--solver-workers",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=1,
         help="width of the shared SolverPool behind the service; "
         "0 = all CPUs (default 1: in-process planning)",
     )
     parser.add_argument(
         "--max-context",
-        type=int,
+        type=_number(int),
         default=16 * 1024,
         help="tenant context length in tokens (default 16384; the "
         "nightly tier passes 32768)",
     )
     parser.add_argument(
         "--batch-size",
-        type=int,
+        type=_number(int),
         default=8,
         help="tenant global batch size (default 8; nightly passes 16)",
     )
@@ -684,18 +627,18 @@ def _parse_service_args(argv: list[str]) -> argparse.Namespace:
         metavar="HOST:PORT",
         help="replay the trace through the TCP transport against a "
         "remote --serve process instead of an in-process service "
-        "(the multi-host benchmark; appends a transport record)",
+        "(the multi-host benchmark)",
     )
     parser.add_argument(
         "--deadline",
-        type=float,
+        type=_number(float),
         default=60.0,
         help="with --connect: per-request wall-clock budget in seconds "
         "before the client degrades to in-process planning (default 60)",
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=3,
         help="with --connect: transport-failure retry budget per "
         "request (default 3)",
@@ -709,23 +652,7 @@ def _parse_service_args(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.connect is not None:
         args.connect = _parse_endpoint(parser, "--connect", args.connect)
-    if args.deadline <= 0:
-        parser.error(f"--deadline must be positive, got {args.deadline}")
-    if args.retries < 0:
-        parser.error(f"--retries must be non-negative, got {args.retries}")
-    if args.duration <= 0:
-        parser.error(f"--duration must be positive, got {args.duration}")
-    if args.rate <= 0:
-        parser.error(f"--rate must be positive, got {args.rate}")
-    if args.max_pending < 1:
-        parser.error(f"--max-pending must be at least 1, got {args.max_pending}")
-    if args.worker_threads < 1:
-        parser.error(
-            f"--worker-threads must be at least 1, got {args.worker_threads}"
-        )
-    args.solver_workers = _resolve_workers(
-        parser, "--solver-workers", args.solver_workers
-    )
+    args.solver_workers = _resolve_workers(args.solver_workers)
     return args
 
 
@@ -795,9 +722,6 @@ def run_service(args: argparse.Namespace) -> int:
             else ""
         )
     )
-    path = _benchmarks_dir() / "results" / "BENCH_service.json"
-    append_history(path, [{"invocation": "cli", **record}])
-    print(f"appended service record to {path}")
     return 0
 
 
@@ -841,9 +765,6 @@ def _run_service_transport(args: argparse.Namespace, jobs) -> int:
             else ""
         )
     )
-    path = _benchmarks_dir() / "results" / "BENCH_service.json"
-    append_history(path, [{"invocation": "cli", **record}])
-    print(f"appended transport record to {path}")
     return 0
 
 
@@ -862,14 +783,14 @@ def _parse_prune_args(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "--max-store-bytes",
-        type=int,
+        type=_number(int, allow_zero=True),
         default=None,
         help="evict least-recently-used workload files until the store "
         "fits this many bytes",
     )
     parser.add_argument(
         "--max-age-days",
-        type=float,
+        type=_number(float, allow_zero=True),
         default=None,
         help="evict workload files last used more than this many days ago",
     )
@@ -878,174 +799,13 @@ def _parse_prune_args(argv: list[str]) -> argparse.Namespace:
         action="store_true",
         help="report what would be evicted without deleting anything",
     )
-    args = parser.parse_args(argv)
-    if args.max_store_bytes is not None and args.max_store_bytes < 0:
-        parser.error(
-            f"--max-store-bytes must be non-negative, got {args.max_store_bytes}"
-        )
-    if args.max_age_days is not None and args.max_age_days < 0:
-        parser.error(
-            f"--max-age-days must be non-negative, got {args.max_age_days}"
-        )
-    return args
-
-
-def _parse_node_limit_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Calibrate the deterministic MILP --node-limit: run "
-        "one campaign artefact at each grid value and compare plan "
-        "quality against solve cost.",
-    )
-    parser.add_argument(
-        "--calibrate-node-limit",
-        action="store_true",
-        required=True,
-        help="node-limit calibration mode",
-    )
-    parser.add_argument(
-        "--campaign",
-        default="full",
-        help="campaign whose shapes to calibrate at (default full — "
-        "the paper's full protocol)",
-    )
-    parser.add_argument(
-        "--artefact",
-        default="fig4",
-        help="restrict to one artefact grid (default fig4); 'all' runs "
-        "the whole campaign per limit",
-    )
-    parser.add_argument(
-        "--node-limit-grid",
-        default="50,200,500",
-        help="comma-separated HiGHS node limits to compare",
-    )
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--num-trials", type=int, default=2)
-    args = parser.parse_args(argv)
-    try:
-        args.node_limit_grid = [
-            int(v) for v in args.node_limit_grid.split(",") if v.strip()
-        ]
-    except ValueError:
-        parser.error(
-            f"--node-limit-grid must be a comma-separated int list, "
-            f"got {args.node_limit_grid!r}"
-        )
-    if not args.node_limit_grid:
-        parser.error("--node-limit-grid is empty")
-    if any(v <= 0 for v in args.node_limit_grid):
-        parser.error("--node-limit-grid values must be positive")
-    return args
-
-
-def run_calibrate_node_limit(args: argparse.Namespace) -> int:
-    """Time the MILP backend at each ``--node-limit-grid`` value.
-
-    Each limit runs the selected artefact grid storeless in a fresh
-    runner, so the limits compare like for like: the table reports
-    wall-clock, the HiGHS share (``milp_solve`` stage seconds) and the
-    plan-quality signal (summed mean iteration seconds over the
-    grid's feasible flexsp cells — lower means the extra nodes bought
-    better plans).  The record appends to ``BENCH_campaign.json`` as
-    ``mode: "calibrate-node-limit"`` alongside the protocol records
-    it calibrates for.
-    """
-    from repro.core.planner import PlannerConfig
-    from repro.core.solver import SolverConfig
-    from repro.experiments.campaign import Campaign, build_campaign
-    from repro.experiments.reporting import format_table
-    from repro.experiments.sweep import SweepRunner
-
-    overrides = {}
-    if args.batch_size is not None:
-        overrides["global_batch_size"] = args.batch_size
-    campaign = build_campaign(args.campaign, **overrides)
-    if args.artefact != "all":
-        campaign = Campaign(
-            name=f"{campaign.name}:{args.artefact}",
-            artefacts=(campaign.artefact(args.artefact),),
-        )
-    print(
-        f"calibrating --node-limit over {args.node_limit_grid} on "
-        f"{campaign.name!r} ({len(campaign.cells)} cells, backend milp)"
-    )
-    grid = []
-    for limit in args.node_limit_grid:
-        solver_config = SolverConfig(
-            backend="milp",
-            num_trials=args.num_trials,
-            planner=PlannerConfig(node_limit=limit),
-        )
-        runner = SweepRunner(solver_config=solver_config)
-        started = time.perf_counter()
-        with runner:
-            result = campaign.run(runner)
-        wall = time.perf_counter() - started
-        milp_solve = result.stage_seconds.get("milp_solve", 0.0)
-        flexsp = [
-            m
-            for m in result.sweep.metrics
-            if m.system == "FlexSP" and m.status == "ok"
-        ]
-        quality = sum(m.mean_iteration_seconds for m in flexsp)
-        grid.append(
-            {
-                "node_limit": limit,
-                "wall_seconds": round(wall, 3),
-                "milp_solve_seconds": round(milp_solve, 3),
-                "flexsp_cells": len(flexsp),
-                "sum_iteration_seconds": round(quality, 4),
-            }
-        )
-        print(
-            f"  --node-limit {limit}: {wall:.2f}s wall, "
-            f"{milp_solve:.2f}s in HiGHS, plan quality "
-            f"{quality:.2f}s summed iteration time "
-            f"({len(flexsp)} flexsp cells)"
-        )
-    best = min(grid, key=lambda g: (g["sum_iteration_seconds"], g["node_limit"]))
-    rows = [
-        [
-            g["node_limit"],
-            f"{g['wall_seconds']:.2f}",
-            f"{g['milp_solve_seconds']:.2f}",
-            f"{g['sum_iteration_seconds']:.2f}",
-            "<-- best plans" if g is best else "",
-        ]
-        for g in grid
-    ]
-    print()
-    print(
-        format_table(
-            ["node limit", "wall (s)", "milp solve (s)", "sum iter (s)", ""],
-            rows,
-            title=f"--calibrate-node-limit: {campaign.name!r}",
-        )
-    )
-    path = _benchmarks_dir() / "results" / "BENCH_campaign.json"
-    append_history(
-        path,
-        [
-            {
-                "mode": "calibrate-node-limit",
-                "campaign": campaign.name,
-                "backend": "milp",
-                "grid": grid,
-                "best_node_limit": best["node_limit"],
-            }
-        ],
-    )
-    print(f"\nappended node-limit calibration record to {path}")
-    return 0
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--prune" in argv:
         return run_prune(_parse_prune_args(argv))
-    if "--calibrate-node-limit" in argv:
-        return run_calibrate_node_limit(_parse_node_limit_args(argv))
     if "--serve" in argv:
         return run_serve(_parse_serve_args(argv))
     if "--service" in argv:
@@ -1056,16 +816,15 @@ def main(argv: list[str] | None = None) -> int:
     if "--profile" in argv:
         # Pytest-mode profiling: the benchmark suites read this flag
         # through the environment (see benchmarks/conftest.py PROFILE)
-        # and print/record their per-stage SolveStats breakdowns.
+        # and print their per-stage SolveStats breakdowns.
         argv.remove("--profile")
         os.environ["REPRO_BENCH_PROFILE"] = "1"
 
     import pytest
 
-    # Benchmark tables and BENCH_*.json records land in the committed
-    # benchmarks/results/ only for runs this CLI starts (see
-    # benchmarks/conftest.py RECORD); a plain pytest run archives to a
-    # temp dir instead.
+    # Benchmark tables land in the committed benchmarks/results/ only
+    # for runs this CLI starts (see benchmarks/conftest.py RECORD); a
+    # plain pytest run archives them to a temp dir instead.
     os.environ["REPRO_BENCH_RECORD"] = "1"
     selector = argv[0] if argv else "solver_throughput"
     bench_dir = _benchmarks_dir()

@@ -315,9 +315,6 @@ class StoreStats:
     #: forever.  The chaos benchmark's stale-lock recovery figure.
     lock_breaks: int = 0
 
-    def to_dict(self) -> dict[str, int]:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class PruneResult:

@@ -327,14 +327,6 @@ class FaultStats:
     def total_injections(self) -> int:
         return sum(count for _, count in self.injections)
 
-    def to_dict(self) -> dict:
-        """JSON-ready form (the campaign summary's ``"faults"`` block)."""
-        return {
-            "injections": dict(self.injections),
-            "total_injections": self.total_injections,
-            "lock_breaks": self.lock_breaks,
-        }
-
 
 # ---------------------------------------------------------------------------
 # The armed plane.  One module-global slot: maybe_inject() is a single

@@ -122,16 +122,11 @@ class SolverConfig:
         sort_sequences: Takeaway-2 sorting in the blaster; False gives
             the Fig. 7 "w/o Sort" ablation.
         workers: Process-pool width for parallel planning (1 = serial).
-        capacity_safety: Fraction of the theoretical cluster token
-            capacity assumed usable when computing ``M_min``.  The
-            default of 1.0 relies on the trial loop to skip counts
-            whose micro-batches turn out unplannable; lower it only to
-            bias toward more gradient accumulation.
         plan_cache: Memoise micro-batch plans across trials and
-            ``solve()`` calls.  Disabling restores the pre-cache
-            behaviour of planning every micro-batch from scratch (the
-            solver-throughput benchmark's reference path).
-        plan_cache_capacity: LRU capacity of the plan cache.
+            ``solve()`` calls (an LRU of ``DEFAULT_CAPACITY`` entries).
+            Disabling restores the pre-cache behaviour of planning
+            every micro-batch from scratch (the solver-throughput
+            benchmark's reference path).
     """
 
     num_trials: int = DEFAULT_NUM_TRIALS
@@ -139,9 +134,7 @@ class SolverConfig:
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     sort_sequences: bool = True
     workers: int = 1
-    capacity_safety: float = 1.0
     plan_cache: bool = True
-    plan_cache_capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self) -> None:
         if self.num_trials <= 0:
@@ -152,15 +145,6 @@ class SolverConfig:
             )
         if self.workers <= 0:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        if not 0 < self.capacity_safety <= 1:
-            raise ValueError(
-                f"capacity_safety must be in (0, 1], got {self.capacity_safety}"
-            )
-        if self.plan_cache_capacity <= 0:
-            raise ValueError(
-                f"plan_cache_capacity must be positive, got "
-                f"{self.plan_cache_capacity}"
-            )
 
 
 #: Sentinel for a shape whose outcome has not been collected yet.
@@ -449,9 +433,7 @@ class FlexSPSolver:
         self.model = model
         self.config = config or SolverConfig()
         self.cache: PlanCache | None = (
-            PlanCache(self.config.plan_cache_capacity)
-            if self.config.plan_cache
-            else None
+            PlanCache(DEFAULT_CAPACITY) if self.config.plan_cache else None
         )
         self._context = cache_context(
             model, self.config.planner, self.config.backend
@@ -492,9 +474,15 @@ class FlexSPSolver:
         return self._context
 
     def minimum_microbatches(self, batch: SequenceBatch) -> int:
-        """``M_min`` for this batch on this cluster (takeaway 1)."""
-        capacity = self.model.cluster_token_capacity() * self.config.capacity_safety
-        return min_microbatch_count(batch.total_tokens, capacity)
+        """``M_min`` for this batch on this cluster (takeaway 1).
+
+        The whole theoretical cluster token capacity counts as usable;
+        the trial loop skips counts whose micro-batches turn out
+        unplannable.
+        """
+        return min_microbatch_count(
+            batch.total_tokens, self.model.cluster_token_capacity()
+        )
 
     def _trial_keys(
         self, batch: SequenceBatch

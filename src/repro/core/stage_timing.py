@@ -2,8 +2,8 @@
 
 The cold-path engine is three pipelined stages — candidate-layout
 enumeration, the stacked LPT pass, and (for the MILP backend) model
-assembly plus the HiGHS solve — and the perf trajectory tracks each
-one separately (``python -m repro.bench --profile``).  The planners are
+assembly plus the HiGHS solve — and ``python -m repro.bench
+--profile`` reports each one separately.  The planners are
 pure functions called from many places (in-process, service workers,
 pool workers), so the collector is deliberately decoupled from their
 signatures: a caller opens a :func:`collect` frame, the planner calls

@@ -340,10 +340,10 @@ class CampaignResult:
     @property
     def plan_cache_hit_rate(self) -> float:
         """Mean plan-cache hit rate over the feasible FlexSP cells —
-        the campaign-level warmth figure the ``BENCH_campaign.json``
-        trajectory (and its >=90 % restored-store bar) tracks.
-        Averaged over *unique* cells, so a measurement shared by
-        several artefacts counts once."""
+        the campaign-level warmth figure the CLI prints and the
+        restored-store benchmarks hold to >= 90 %.  Averaged over
+        *unique* cells, so a measurement shared by several artefacts
+        counts once."""
         rates = {
             cell: m.plan_cache_hit_rate
             for cell, m in zip(self.sweep.cells, self.sweep.metrics)
@@ -393,44 +393,6 @@ class CampaignResult:
         if stats is None:
             return None
         return stats.writes / max(self.sweep.unique_cells, 1)
-
-    def summary(self) -> dict:
-        """JSON-ready record of the pass (the trajectory payload)."""
-        payload = {
-            "campaign": self.campaign.name,
-            "cells": len(self.sweep.cells),
-            "unique_cells": self.sweep.unique_cells,
-            "wall_seconds": round(self.sweep.wall_seconds, 3),
-            "plan_cache_hit_rate": round(self.plan_cache_hit_rate, 4),
-            "stage_seconds": {
-                stage: round(seconds, 4)
-                for stage, seconds in self.stage_seconds.items()
-            },
-            "pruning": self.pruning,
-            "prewarm": {
-                "planned_shapes": self.sweep.prewarm_planned,
-                "seconds": round(self.sweep.prewarm_seconds, 4),
-            },
-            "context_builds": self.sweep.context_builds,
-            "context_build_seconds": round(
-                self.sweep.context_build_seconds, 4
-            ),
-            "artefacts": {
-                r.artefact.key: r.summary for r in self.artefacts
-            },
-        }
-        if self.sweep.store_stats is not None:
-            payload["store"] = {
-                **self.sweep.store_stats.to_dict(),
-                "write_amplification": round(
-                    self.store_write_amplification, 4
-                ),
-            }
-        if self.sweep.fault_stats is not None:
-            # Chaos accounting: realised injections and broken store
-            # locks (absent on fault-free passes).
-            payload["faults"] = self.sweep.fault_stats.to_dict()
-        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +714,8 @@ def full_campaign(
     models on the 384K grid, Fig. 6's context scaling reaches 384K,
     Fig. 7 ablates at 384K, and Fig. 8's weak scaling grows the batch
     to 8 sequences/GPU.  Table 1's capacity frontier is already
-    full-shape.  Recorded in ``BENCH_campaign.json``; expect minutes,
-    not seconds, of planning per pass.
+    full-shape.  Expect minutes, not seconds, of planning per pass on
+    the MILP backend.
     """
     context = 384 * 1024
     return Campaign(

@@ -60,9 +60,8 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   accounted in :attr:`SweepResult.fault_stats`
   (:class:`~repro.core.faults.FaultStats`).
 
-Results are plain :class:`CellMetrics` (no plans or traces), so they
-serialise into the ``BENCH_e2e.json`` / ``BENCH_campaign.json``
-trajectories.
+Results are plain :class:`CellMetrics` (no plans or traces), compared
+bit for bit through :meth:`CellMetrics.deterministic`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """The service latency benchmark routines.
 
-Two measurements, each shared by a pytest benchmark suite and a
-``python -m repro.bench`` CLI verb so both append records of identical
-shape to ``BENCH_service.json``:
+Two measurements, each shared by a pytest benchmark suite, which
+asserts over the returned record (a plain dict), and a ``python -m
+repro.bench`` CLI verb, which prints it:
 
 * :func:`run_service_benchmark` — the in-process two-phase trace
   replay (``benchmarks/test_bench_service.py`` / ``--service``).
@@ -172,22 +172,8 @@ def run_service_benchmark(
 
     submitted = stats["submitted"]
     return {
-        "mode": "service",
         "jobs": sorted(jobs),
-        "trace": {
-            "duration_seconds": duration,
-            "rate_per_tenant": rate,
-            "cv": cv,
-            "seed": seed,
-            "step_window": step_window,
-            "requests": len(trace),
-        },
-        "service": {
-            "worker_threads": worker_threads,
-            "solver_workers": solver_workers,
-            "max_pending_per_tenant": max_pending_per_tenant,
-            "store": store is not None,
-        },
+        "trace": {"requests": len(trace)},
         "submitted": submitted,
         "served": stats["served"],
         "solved": stats["solved"],
@@ -342,39 +328,14 @@ def run_transport_benchmark(
     verified = _verify_unique_plans(jobs, solver_config, unique) if verify else None
 
     latencies = [p.latency_seconds for p in served]
-    record = {
-        "mode": "service-transport",
+    return {
         "jobs": sorted(jobs),
-        "trace": {
-            "duration_seconds": duration,
-            "rate_per_tenant": rate,
-            "cv": cv,
-            "seed": seed,
-            "step_window": step_window,
-            "requests": len(trace),
-        },
-        "loopback": connect is None,
-        "endpoint": f"{host}:{port}",
-        "service": (
-            {
-                "worker_threads": worker_threads,
-                "solver_workers": solver_workers,
-                "max_pending_per_tenant": max_pending_per_tenant,
-                "store": store is not None,
-            }
-            if connect is None
-            else None
-        ),
+        "trace": {"requests": len(trace)},
         "faults": (
-            {
-                "schedule": str(schedule),
-                "seed": schedule.seed,
-                "injections": schedule.injection_counts(),
-            }
+            {"injections": schedule.injection_counts()}
             if schedule is not None
             else None
         ),
-        "crash_after": crash_after,
         "transport": {
             "requests": client_stats["requests"],
             "served": len(served),
@@ -407,4 +368,3 @@ def run_transport_benchmark(
         "unique_shapes": len(unique),
         "bit_identical_verified": verified,
     }
-    return record

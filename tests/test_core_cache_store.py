@@ -491,6 +491,52 @@ ages_strategy = st.lists(
 )
 
 
+class TestPruneCli:
+    """``python -m repro.bench --prune`` (``make bench-prune``)."""
+
+    def _prune(self, capsys, *args) -> str:
+        from repro.bench import main
+
+        assert main(["--prune", *args]) == 0
+        return capsys.readouterr().out
+
+    def test_dry_run_reports_and_deletes_nothing(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        _aged_store(root, [0.0, 1.0, 5.0])
+        files = sorted(p.name for p in root.glob("workload-*.json"))
+        out = self._prune(
+            capsys, "--store", str(root), "--max-store-bytes", "0",
+            "--dry-run",
+        )
+        assert sorted(
+            line.split()[-1] for line in out.splitlines()
+            if line.startswith("  would evict ")
+        ) == files
+        assert sorted(p.name for p in root.glob("workload-*.json")) == files
+
+    def test_byte_cap_evicts_every_data_file(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        _aged_store(root, [0.0, 1.0, 5.0])
+        out = self._prune(
+            capsys, "--store", str(root), "--max-store-bytes", "0"
+        )
+        assert "evicted 3 file(s)" in out
+        assert list(root.glob("workload-*.json")) == []
+
+    def test_missing_store_is_nothing_to_prune(self, tmp_path, capsys):
+        out = self._prune(
+            capsys, "--store", str(tmp_path / "absent"), "--max-age-days", "1"
+        )
+        assert "nothing to prune" in out
+
+    def test_no_caps_deletes_nothing(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        _aged_store(root, [0.0, 1.0, 5.0])
+        out = self._prune(capsys, "--store", str(root))
+        assert "no caps given" in out
+        assert len(list(root.glob("workload-*.json"))) == 3
+
+
 class TestEvictionProperties:
     """Hypothesis properties of the eviction policy.
 

@@ -55,14 +55,20 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="num_trials"):
             SolverConfig(num_trials=0)
 
-    def test_rejects_bad_safety(self):
-        with pytest.raises(ValueError, match="capacity_safety"):
-            SolverConfig(capacity_safety=0.0)
-
     def test_throwaway_pool_option_is_gone(self):
         # A private pool always persists across solves.
         with pytest.raises(TypeError, match="persistent_workers"):
             SolverConfig(persistent_workers=False)
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("capacity_safety", 0.5), ("plan_cache_capacity", 64)],
+    )
+    def test_constant_options_are_gone(self, option, value):
+        # M_min uses the full cluster token capacity, and the plan
+        # cache is always DEFAULT_CAPACITY entries.
+        with pytest.raises(TypeError, match=option):
+            SolverConfig(**{option: value})
 
 
 class TestSolve:

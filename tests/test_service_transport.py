@@ -23,7 +23,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench import main as bench_main
+from repro.bench import _parse_serve_args, main as bench_main
 from repro.cluster.topology import standard_cluster
 from repro.core import faults
 from repro.core.pools import live_pool_count
@@ -553,9 +553,12 @@ class TestEndpointCli:
 
     def test_ephemeral_port_allowed_only_for_listen(self, capsys):
         # --listen 0 binds an ephemeral port (valid); --connect 0 can
-        # never reach anything (rejected above).  Validated by parsing
-        # only: --serve-seconds must also be positive, so this exits
-        # before any socket is opened.
+        # never reach anything (rejected above).  Checked by parsing
+        # only, so no socket is opened.
+        args = _parse_serve_args(
+            ["--serve", "--listen", "127.0.0.1:0", "--serve-seconds", "1"]
+        )
+        assert args.listen == ("127.0.0.1", 0)
         with pytest.raises(SystemExit) as excinfo:
             bench_main(
                 ["--serve", "--listen", "127.0.0.1:0", "--serve-seconds", "0"]
