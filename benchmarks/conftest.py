@@ -3,13 +3,10 @@
 Every benchmark regenerates one of the paper's tables or figures and
 prints it in a paper-comparable text format.  Output is emitted
 outside pytest's capture so that ``pytest benchmarks/`` shows the
-tables, and each table is also archived as a ``.txt`` file.  Tables
-land in the committed ``benchmarks/results/`` only when ``python -m
-repro.bench`` started the run (it sets ``REPRO_BENCH_RECORD=1``); any
-other pytest run — tier-1 included — writes them to a pytest temp
-dir.  No benchmark writes a perf history: the repo's perf record is
-``perfbench/``, and the ``results/BENCH_*.json`` files are a frozen
-archive.
+tables; they are printed only.  No benchmark writes the committed
+files of ``benchmarks/results/``: the repo's perf record is
+``perfbench/``, and the ``BENCH_*.json`` histories and ``.txt``
+tables there are a frozen archive.
 
 The campaign artefacts (Fig. 4, Fig. 6, Table 1, Fig. 7, Fig. 8) are
 measured once per session through the campaign engine, in two passes
@@ -25,7 +22,6 @@ iterations — so the whole suite runs in minutes on a laptop.  Set
 from __future__ import annotations
 
 import os
-import pathlib
 
 import pytest
 
@@ -43,8 +39,6 @@ from repro.experiments.campaign import (
 from repro.experiments.sweep import SweepRunner
 from repro.model.config import GPT_7B, GPT_13B, GPT_30B
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
 #: Reduced-protocol knobs (full protocol with REPRO_BENCH_FULL=1).
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 
@@ -52,10 +46,6 @@ FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 #: <suite> --profile``; suites that support it print their cold-path
 #: stage breakdowns.
 PROFILE = bool(int(os.environ.get("REPRO_BENCH_PROFILE", "0")))
-
-#: Record into the committed ``results/`` — set by ``python -m
-#: repro.bench``; other runs archive to a temp dir (:func:`results_dir`).
-RECORD = bool(int(os.environ.get("REPRO_BENCH_RECORD", "0")))
 
 GLOBAL_BATCH = 512 if FULL else 128
 NUM_ITERATIONS = 3 if FULL else 1
@@ -98,23 +88,11 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(guard)
 
 
-@pytest.fixture(scope="session")
-def results_dir(tmp_path_factory) -> pathlib.Path:
-    """Where this session's tables go: the committed ``results/`` under
-    ``python -m repro.bench``, else a temp dir."""
-    path = RESULTS_DIR if RECORD else tmp_path_factory.mktemp("results")
-    path.mkdir(exist_ok=True)
-    return path
-
-
 @pytest.fixture()
-def emit(capsys, request, results_dir):
-    """Print a report table bypassing capture, and archive it."""
+def emit(capsys):
+    """Print a report table bypassing capture."""
 
     def _emit(text: str) -> None:
-        name = request.node.name.replace("/", "_")
-        with open(results_dir / f"{name}.txt", "w") as f:
-            f.write(text + "\n")
         with capsys.disabled():
             print(f"\n{text}\n")
 

@@ -34,9 +34,9 @@ loads cold on the next campaign — pruning is never fatal.
     python -m repro.bench e2e_sweep          # batched-simulation sweep
     python -m repro.bench fig8               # any benchmark-file substring
 
-Runs started here archive each suite's ``.txt`` table under
-``benchmarks/results/``; a plain ``pytest`` run archives them in a
-temp dir.
+Each suite prints its tables, exactly as a plain ``pytest`` run
+does, and writes no file; the committed ``benchmarks/results/*.txt``
+tables are a frozen archive.
 
 **Service mode** (``--service``) boots the resident
 planning-as-a-service front-end (:class:`repro.service.PlanService`),
@@ -822,10 +822,6 @@ def main(argv: list[str] | None = None) -> int:
 
     import pytest
 
-    # Benchmark tables land in the committed benchmarks/results/ only
-    # for runs this CLI starts (see benchmarks/conftest.py RECORD); a
-    # plain pytest run archives them to a temp dir instead.
-    os.environ["REPRO_BENCH_RECORD"] = "1"
     selector = argv[0] if argv else "solver_throughput"
     bench_dir = _benchmarks_dir()
     if selector == "all":

@@ -27,37 +27,32 @@ Cold-path engine (the first-time-solve pipeline):
   so the surviving family yields bit-identical best layouts and
   makespans (property-tested in
   ``tests/test_property_planner_pruning.py``).
-* **Stacked LPT.**  All surviving layouts' LPT placements are
-  evaluated in one numpy pass over a padded ``(layouts, groups)``
-  lane matrix — one elementwise kernel evaluation per placed sequence
-  for the *whole family* instead of a Python loop per layout.  The
-  incremental per-lane work/token sums accumulate in the same order
-  as the scalar model's sequential ``sum``, so makespans are
-  bit-identical to the original O(n^2) per-layout formulation.
+* **Stacked LPT, one pass per layout family.**
+  :func:`plan_microbatches_greedy` groups a call's shapes by layout
+  family (one :class:`LayoutStack`, i.e. one ``d_big`` class) and
+  places every shape of a family in one numpy pass: a campaign
+  prewarm or a solve's cache misses take as many numpy steps per
+  family as its longest shape has sequences, instead of one step per
+  sequence of every shape.  Only real lanes are stored, flat, one
+  segment per (shape, surviving layout) row; shapes run in descending
+  sequence count, so the rows still placing are a prefix, and each
+  row's lane is its first minimum, found with segmented reductions.
+  The incremental per-lane work/token sums accumulate in the same
+  order as the scalar model's sequential ``sum``, so makespans are
+  bit-identical to the original O(n^2) per-layout formulation,
+  whatever shapes share the pass.
 
-Narrow families take a scalar per-layout loop instead (same
-arithmetic, no array overhead).  The crossover is measured, not
-guessed: both paths cost one candidate evaluation per *live lane* per
-placed sequence, the scalar loop paying ~0.5-1 us of Python per lane
-and the stacked pass a lane-count-independent ~20-30 us of numpy
-dispatch per step — so the deciding variable is the surviving
-family's total lane count (groups summed over surviving layouts), not
-the sequence count.  :func:`calibrate_vector_threshold` times both
-paths across cluster sizes and returns the lane count where the
-stacked pass starts winning.  Calibrated 2026-08 on the reference
-container (single-core, numpy 2.x): the stacked pass wins from the
-narrowest family the calibrator keeps alive (the 16-GPU family, ~43
-lanes) and again at ~74 lanes, while the widest measured family (~135
-lanes at 64 GPUs) is contested — the scalar loop's equal-length
-candidate cache keeps it competitive there — so the threshold sits at
-the measured stacked-wins floor of 43 lanes.  Re-run the calibrator
-after numpy or hardware changes.
+A lone shape — a trial-pruning bound, the MILP's greedy incumbent — is
+a pass of one.  A per-layout Python loop would plan a lone 8-GPU shape
+(~20 lanes) about twice as fast (~170 against ~380 us on a 2-vCPU VM),
+but no workload's end-to-end throughput shows the difference, so the
+pass is the only LPT implementation; ``tests/lpt_oracle.py`` keeps that
+loop as the reference the tests hold the pass to with ``==``.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,8 +93,8 @@ class LayoutStack:
     """One memory class's candidate family as stacked lane arrays.
 
     Layouts are padded to a common group count ``G``; padding lanes
-    carry a token cap of ``-1`` so the LPT feasibility mask rejects
-    them unconditionally (every length is positive) without branching.
+    carry a token cap of ``-1``, which is how the batched LPT pass
+    tells them apart when it gathers the real lanes of its rows.
 
     Attributes:
         layouts: The family, in :func:`candidate_layouts` order.
@@ -113,7 +108,7 @@ class LayoutStack:
 
     __slots__ = (
         "layouts", "degree_idx", "caps", "capacities", "max_caps", "lanes",
-        "degrees", "comm_per_token", "comm_beta", "lane_constants",
+        "degrees", "comm_per_token", "comm_beta",
     )
 
     def __init__(self, table: CostTable, layouts: list[tuple[int, ...]]):
@@ -136,20 +131,6 @@ class LayoutStack:
         self.degrees = table.degree_arr[self.degree_idx]
         self.comm_per_token = table.comm_per_token[self.degree_idx]
         self.comm_beta = table.comm_beta[self.degree_idx]
-        #: Per-layout (degree, cpt, comm_beta, cap) float tuples for
-        #: the scalar loop — no dict lookups in the inner loop.
-        self.lane_constants = [
-            [
-                (
-                    float(layout[i]),
-                    float(table.comm_per_token[table.degree_index[layout[i]]]),
-                    float(table.comm_beta[table.degree_index[layout[i]]]),
-                    float(table.token_caps[table.degree_index[layout[i]]]),
-                )
-                for i in range(len(layout))
-            ]
-            for layout in layouts
-        ]
 
     def surviving(self, total_tokens: float, longest: float) -> np.ndarray:
         """Indices of layouts that dominance pruning keeps.
@@ -181,150 +162,138 @@ def _layout_stack(model: CostModel, longest: int) -> LayoutStack:
     return stack
 
 
-#: Live-lane count (groups summed across the surviving family) below
-#: which the scalar per-layout loop beats the stacked numpy pass; both
-#: paths are bit-identical.  Set from
-#: :func:`calibrate_vector_threshold` (see the module docstring).
-_VECTOR_THRESHOLD = 43
+_NO_LAYOUT = "no layout could host the micro-batch within memory"
 
 
-def _assign_lpt_stacked(
-    ordered: list[int],
+def _assign_lpt_batched(
+    members: list[tuple[list[int], np.ndarray]],
     stack: LayoutStack,
-    rows: np.ndarray,
     table: CostTable,
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """LPT over every surviving layout in one lane-matrix pass.
+) -> list[tuple[np.ndarray, np.ndarray, int] | None]:
+    """LPT over every surviving layout of many shapes in one pass.
+
+    Each ``(shape, surviving layout)`` pair is a *row*, and the rows'
+    real lanes are stored flat, one contiguous segment per row.  Shapes
+    run in descending sequence count, so the rows still placing at step
+    ``t`` (those of shapes with more than ``t`` sequences) are a prefix
+    of the rows and their lanes a prefix of the lanes: each step slices
+    that prefix, evaluates the
+    :meth:`~repro.cost.model.CostTable.group_times` kernel on every lane,
+    and takes each row's first minimum with two segmented reductions
+    (the minimum, then the lowest lane position attaining it).  Lanes
+    accumulate in placement order, so a row's choices and makespan do
+    not depend on which shapes share the pass.
 
     Args:
-        ordered: Sequence lengths, longest first.
+        members: Per shape, its lengths longest first and its
+            surviving layout indices into ``stack``.
         stack: The memory class's stacked family.
-        rows: Surviving layout indices into the stack.
         table: The model's vectorized cost table.
 
     Returns:
-        ``(choices, makespans, winner)`` where ``choices[step, l]`` is
-        the lane that received ``ordered[step]`` in surviving layout
-        ``l`` (-1 once the layout died), ``makespans[l]`` its final
-        makespan (inf for dead layouts), and ``winner`` the first
-        surviving-layout index attaining the minimum — exactly the
-        layout the per-layout reference loop would keep.  ``None``
-        when every layout dies.
+        Per member, in order, ``(choices, makespans, winner)`` where
+        ``choices[step, l]`` is the lane that received ``ordered[step]``
+        in surviving layout ``l`` (-1 once the layout died),
+        ``makespans[l]`` its final makespan (inf for dead layouts), and
+        ``winner`` the first surviving-layout index attaining the
+        minimum — exactly the layout the per-layout loop keeps.
+        ``None`` for a member whose layouts all die.
     """
+    order = sorted(range(len(members)), key=lambda i: -len(members[i][0]))
+    counts = [len(members[i][0]) for i in order]
+    row_counts = [members[i][1].size for i in order]
+    rows = np.concatenate([members[i][1] for i in order])
     caps = stack.caps[rows]
-    degrees = stack.degrees[rows]
-    cpt = stack.comm_per_token[rows]
-    comm_beta = stack.comm_beta[rows]
+    real = caps >= 0
+    lane_caps = caps[real]
+    degrees = stack.degrees[rows][real]
+    cpt = stack.comm_per_token[rows][real]
+    comm_beta = stack.comm_beta[rows][real]
+    row_lanes = stack.lanes[rows]
+    lane_ends = np.cumsum(row_lanes)
+    row_start = lane_ends - row_lanes
+    lane_row = np.repeat(np.arange(rows.size), row_lanes)
+    row_shape = np.repeat(np.arange(len(order)), row_counts)
+    lane_shape = row_shape[lane_row]
+    rows_end = np.cumsum(row_counts)
+    lanes_end = lane_ends[rows_end - 1]
+    # Step-major per-shape lengths and Eq. 12 work terms; step t reads
+    # the first (still placing) shapes of row t.
+    lengths = np.zeros((counts[0], len(order)))
+    for k, i in enumerate(order):
+        lengths[: counts[k], k] = members[i][0]
+    terms = table.work_terms(lengths)
+
     beta1 = table.beta1
     gather = table.gather
     exposed = table.exposed_gather
-    num_layouts, width = caps.shape
-    work = np.zeros((num_layouts, width))
-    tokens = np.zeros((num_layouts, width))
-    alive = np.ones(num_layouts, dtype=bool)
-    choices = np.full((len(ordered), num_layouts), -1, dtype=np.intp)
-    layout_axis = np.arange(num_layouts)
-
-    for step, s in enumerate(ordered):
-        term = table.alpha1 * float(s) * float(s) + table.alpha2 * float(s)
-        new_tokens = tokens + s
-        # Inlined CostTable.group_times over the hoisted lane matrices
-        # (same elementwise IEEE ops in the same order).
-        comp = (work + term) / degrees + beta1
-        comm = cpt * new_tokens + comm_beta
-        cand = comp + comm
-        if gather > 0:
-            cand = np.maximum(cand + exposed, comm + gather)
-        cand = np.where(new_tokens > caps, np.inf, cand)
-        best = np.argmin(cand, axis=1)
-        fits = np.isfinite(cand[layout_axis, best]) & alive
-        alive &= fits
-        if not alive.any():
-            return None
-        lanes = best[fits]
-        work[fits, lanes] += term
-        tokens[fits, lanes] += s
-        choices[step, fits] = lanes
-
-    finish = table.group_times(work, tokens, stack.degree_idx[rows])
-    makespans = np.where(tokens > 0, finish, -np.inf).max(axis=1)
-    makespans = np.where(alive, makespans, np.inf)
-    winner = int(np.argmin(makespans))
-    return choices, makespans, winner
-
-
-def _assign_lpt_scalar(
-    ordered: list[int],
-    lane_constants: list[tuple[float, float, float, float]],
-    table: CostTable,
-) -> tuple[list[list[int]], float] | None:
-    """Scalar twin of the stacked LPT pass (small instances).
-
-    ``lane_constants`` carries one ``(degree, comm_per_token,
-    comm_beta, cap)`` tuple per group (see
-    :attr:`LayoutStack.lane_constants`); the inner loop is the inlined
-    :meth:`~repro.cost.model.CostTable.group_time` formula — same
-    float ops, no per-step table lookups.
-    """
-    num_lanes = len(lane_constants)
-    lane_range = range(num_lanes)
-    group_lengths: list[list[int]] = [[] for __ in lane_range]
-    work = [0.0] * num_lanes
-    tokens = [0.0] * num_lanes
-    alpha1 = table.alpha1
-    alpha2 = table.alpha2
-    beta1 = table.beta1
-    gather = table.gather
-    exposed = table.exposed_gather
-    # Sorted batches carry runs of equal lengths (quantised corpora
-    # especially); within a run only the lane that just received a
-    # sequence has a changed candidate time, so the others are served
-    # from this cache — recomputing them would produce the same bits.
-    cand: list[float | None] = [None] * num_lanes
-    prev_s = None
-    term = 0.0
-    stale: tuple[int, ...] | range = lane_range
-    for s in ordered:
-        if s != prev_s:
-            prev_s = s
-            term = alpha1 * float(s) * float(s) + alpha2 * float(s)
-            stale = lane_range
-        for i in stale:
-            d, cpt, comm_beta, cap = lane_constants[i]
-            new_tokens = tokens[i] + s
-            if new_tokens > cap:
-                cand[i] = None
-                continue
-            comp = (work[i] + term) / d + beta1
-            comm = cpt * new_tokens + comm_beta
-            t = comp + comm
-            if gather > 0:
-                bound = comm + gather
-                t = t + exposed
-                if bound > t:
-                    t = bound
-            cand[i] = t
-        best_index = None
-        best_time = None
-        for i in lane_range:
-            t = cand[i]
-            if t is None:
-                continue
-            if best_time is None or t < best_time:
-                best_time = t
-                best_index = i
-        if best_index is None:
-            return None
-        group_lengths[best_index].append(s)
-        work[best_index] += term
-        tokens[best_index] += s
-        stale = (best_index,)
-    makespan = max(
-        table.group_time(work[i], tokens[i], int(d))
-        for i, (d, *__) in enumerate(lane_constants)
-        if group_lengths[i]
+    work = np.zeros(lane_caps.size)
+    tokens = np.zeros(lane_caps.size)
+    alive = np.ones(rows.size, dtype=bool)
+    # Lane indices stay below the widest layout's group count.
+    choices = np.full(
+        (counts[0], rows.size),
+        -1,
+        dtype=np.int16 if stack.caps.shape[1] < 2**15 else np.intp,
     )
-    return group_lengths, float(makespan)
+    begin = 0
+    # k shapes place from step ``begin`` until the k-th longest is done.
+    for k in range(len(order), 0, -1):
+        stop = counts[k - 1]
+        if stop <= begin:
+            continue
+        r = int(rows_end[k - 1])
+        n = int(lanes_end[k - 1])
+        # Views of the placing prefix (work and tokens update in place).
+        shape_of, row_of = lane_shape[:n], lane_row[:n]
+        starts, placing = row_start[:r], alive[:r]
+        lane_work, lane_tokens = work[:n], tokens[:n]
+        lane_degrees, lane_cpt = degrees[:n], cpt[:n]
+        lane_beta, lane_cap = comm_beta[:n], lane_caps[:n]
+        for step in range(begin, stop):
+            # Inlined CostTable.group_times over the flat lanes (same
+            # elementwise IEEE ops in the same order).
+            new_tokens = lane_tokens + lengths[step][shape_of]
+            new_work = lane_work + terms[step][shape_of]
+            comp = new_work / lane_degrees + beta1
+            comm = lane_cpt * new_tokens + lane_beta
+            cand = comp + comm
+            if gather > 0:
+                cand = np.maximum(cand + exposed, comm + gather)
+            np.putmask(cand, new_tokens > lane_cap, np.inf)
+            best = np.minimum.reduceat(cand, starts)
+            # Each row's first lane attaining its minimum.
+            hits = np.flatnonzero(cand == best[row_of])
+            first = hits[hits.searchsorted(starts)]
+            np.logical_and(placing, best < np.inf, out=placing)
+            won = first[placing]
+            work[won] = new_work[won]
+            tokens[won] = new_tokens[won]
+            np.subtract(
+                first, starts, out=choices[step, :r], where=placing,
+                casting="unsafe",
+            )
+        begin = stop
+
+    finish = table.group_times(
+        work, tokens, stack.degree_idx[rows][real]
+    )
+    makespans = np.maximum.reduceat(
+        np.where(tokens > 0, finish, -np.inf), row_start
+    )
+    makespans[~alive] = np.inf
+    outcomes: list[tuple[np.ndarray, np.ndarray, int] | None] = [None] * len(
+        members
+    )
+    for k, i in enumerate(order):
+        end = int(rows_end[k])
+        begin = end - row_counts[k]
+        if alive[begin:end].any():
+            spans = makespans[begin:end]
+            outcomes[i] = (
+                choices[: counts[k], begin:end], spans, int(np.argmin(spans))
+            )
+    return outcomes
 
 
 def _build_plan(
@@ -350,6 +319,79 @@ def _build_plan(
     return MicroBatchPlan(groups=tuple(assignments))
 
 
+def _pruned_family(
+    lengths: tuple[int, ...] | list[int], model: CostModel, table: CostTable
+) -> tuple[LayoutStack, np.ndarray, list[int]]:
+    """One micro-batch's family, its surviving layout indices and its
+    lengths longest first.
+
+    Raises:
+        ValueError: An empty micro-batch or a non-positive length.
+        PlanInfeasibleError: The micro-batch overflows the cluster, a
+            sequence fits no degree, or pruning leaves no layout.
+    """
+    lengths = tuple(int(s) for s in lengths)
+    if not lengths:
+        raise ValueError("cannot plan an empty micro-batch")
+    if any(s <= 0 for s in lengths):
+        raise ValueError("sequence lengths must be positive")
+    total = sum(lengths)
+    if total > model.cluster_token_capacity():
+        raise PlanInfeasibleError(
+            f"micro-batch holds {total} tokens but the cluster fits only "
+            f"{model.cluster_token_capacity():.0f}"
+        )
+    if table.activation_budget <= 0:
+        raise PlanInfeasibleError(_NO_LAYOUT)
+    longest = max(lengths)
+    stack = _layout_stack(model, longest)
+    rows = stack.surviving(float(total), float(longest))
+    if rows.size == 0:
+        raise PlanInfeasibleError(_NO_LAYOUT)
+    return stack, rows, sorted(lengths, reverse=True)
+
+
+def _plan_greedy(
+    shapes: list[tuple[int, ...]] | list[list[int]], model: CostModel
+) -> list[tuple[MicroBatchPlan, float] | PlanInfeasibleError]:
+    """Plan every shape, one batched LPT pass per layout family; an
+    infeasible shape's slot holds the error saying why."""
+    enum_started = time.perf_counter()
+    table = cost_table(model)
+    outcomes: list = [None] * len(shapes)
+    families: dict[LayoutStack, tuple[list[int], list]] = {}
+    for index, lengths in enumerate(shapes):
+        try:
+            stack, rows, ordered = _pruned_family(lengths, model, table)
+        except PlanInfeasibleError as error:
+            # Keep the reason, not the traceback: its frames would tie
+            # this call's locals into a reference cycle.
+            outcomes[index] = error.with_traceback(None)
+            continue
+        indices, members = families.setdefault(stack, ([], []))
+        indices.append(index)
+        members.append((ordered, rows))
+    stage_timing.add("enumerate", time.perf_counter() - enum_started)
+
+    lpt_started = time.perf_counter()
+    for stack, (indices, members) in families.items():
+        batched = _assign_lpt_batched(members, stack, table)
+        for index, (ordered, rows), assigned in zip(indices, members, batched):
+            if assigned is None:
+                outcomes[index] = PlanInfeasibleError(_NO_LAYOUT)
+                continue
+            choices, makespans, winner = assigned
+            layout = stack.layouts[int(rows[winner])]
+            group_lengths: list[list[int]] = [[] for __ in layout]
+            for s, lane in zip(ordered, choices[:, winner].tolist()):
+                group_lengths[lane].append(s)
+            outcomes[index] = (
+                _build_plan(layout, group_lengths), float(makespans[winner])
+            )
+    stage_timing.add("lpt", time.perf_counter() - lpt_started)
+    return outcomes
+
+
 def plan_microbatch_greedy(
     lengths: tuple[int, ...] | list[int],
     model: CostModel,
@@ -361,161 +403,28 @@ def plan_microbatch_greedy(
     MILP on realistic batches but orders of magnitude faster.
     """
     del config  # accepted for interface parity; no knobs used
-    lengths = tuple(int(s) for s in lengths)
-    if not lengths:
-        raise ValueError("cannot plan an empty micro-batch")
-    if any(s <= 0 for s in lengths):
-        raise ValueError("sequence lengths must be positive")
-
-    total = sum(lengths)
-    if total > model.cluster_token_capacity():
-        raise PlanInfeasibleError(
-            f"micro-batch holds {total} tokens but the cluster fits only "
-            f"{model.cluster_token_capacity():.0f}"
-        )
-
-    longest = max(lengths)
-    enum_started = time.perf_counter()
-    table = cost_table(model)
-    if table.activation_budget <= 0:
-        raise PlanInfeasibleError(
-            "no layout could host the micro-batch within memory"
-        )
-    stack = _layout_stack(model, longest)
-    rows = stack.surviving(float(total), float(longest))
-    stage_timing.add("enumerate", time.perf_counter() - enum_started)
-    if rows.size == 0:
-        raise PlanInfeasibleError(
-            "no layout could host the micro-batch within memory"
-        )
-
-    lpt_started = time.perf_counter()
-    ordered = sorted(lengths, reverse=True)
-    outcome: tuple[MicroBatchPlan, float] | None = None
-    if int(stack.lanes[rows].sum()) <= _VECTOR_THRESHOLD:
-        best: tuple[tuple[int, ...], list[list[int]], float] | None = None
-        for row in rows:
-            layout = stack.layouts[int(row)]
-            assigned = _assign_lpt_scalar(
-                ordered, stack.lane_constants[int(row)], table
-            )
-            if assigned is None:
-                continue
-            group_lengths, makespan = assigned
-            if best is not None and makespan >= best[2]:
-                continue
-            best = (layout, group_lengths, makespan)
-        if best is not None:
-            outcome = (_build_plan(best[0], best[1]), best[2])
-    else:
-        stacked = _assign_lpt_stacked(ordered, stack, rows, table)
-        if stacked is not None:
-            choices, makespans, winner = stacked
-            layout = stack.layouts[int(rows[winner])]
-            group_lengths = [[] for __ in layout]
-            for step, lane in enumerate(choices[:, winner]):
-                group_lengths[lane].append(ordered[step])
-            outcome = (_build_plan(layout, group_lengths), float(makespans[winner]))
-    stage_timing.add("lpt", time.perf_counter() - lpt_started)
-
-    if outcome is None:
-        raise PlanInfeasibleError(
-            "no layout could host the micro-batch within memory"
-        )
+    [outcome] = _plan_greedy([lengths], model)
+    if isinstance(outcome, PlanInfeasibleError):
+        raise outcome
     return outcome
 
 
-@dataclass(frozen=True)
-class ThresholdCalibration:
-    """One :func:`calibrate_vector_threshold` measurement.
+def plan_microbatches_greedy(
+    shapes: list[tuple[int, ...]] | list[list[int]],
+    model: CostModel,
+    config: PlannerConfig | None = None,
+) -> list[tuple[MicroBatchPlan, float] | None]:
+    """:func:`plan_microbatch_greedy` over many micro-batches at once.
 
-    Attributes:
-        threshold: The recommended :data:`_VECTOR_THRESHOLD` value.
-        samples: ``(lanes, winner)`` per measured cluster size, where
-            ``winner`` names the faster path at that family width.
+    Returns one outcome per shape, in order, with ``None`` where the
+    single-shape planner raises :class:`PlanInfeasibleError`; every
+    outcome equals that planner's.  The shapes of one layout family
+    share one stacked LPT pass (module docstring), which is what makes
+    a campaign prewarm or a solve's cache misses cheaper planned
+    together than one by one.
     """
-
-    threshold: int
-    samples: tuple[tuple[int, str], ...] = ()
-
-    def __int__(self) -> int:
-        return self.threshold
-
-
-def calibrate_vector_threshold(
-    *,
-    cluster_sizes: tuple[int, ...] = (8, 16, 32, 64),
-    sequence_count: int = 32,
-    repeats: int = 30,
-) -> ThresholdCalibration:
-    """Measure the scalar/stacked LPT crossover on this host.
-
-    Times both (bit-identical) paths over synthetic micro-batches
-    against GPT-7B fits on growing clusters — the candidate family's
-    total lane count grows with the cluster — and returns the lane
-    count at which the stacked pass should take over: the geometric
-    midpoint between the widest family the scalar loop still wins and
-    the narrowest one the stacked pass wins.  The module constant
-    :data:`_VECTOR_THRESHOLD` is the checked-in result of this
-    calibration (see the module docstring); re-run after numpy or
-    hardware changes::
-
-        PYTHONPATH=src python -c "from repro.core.planner_greedy \\
-            import calibrate_vector_threshold as c; print(c())"
-    """
-    from repro.cluster.topology import standard_cluster
-    from repro.cost.profiler import fit_cost_model
-    from repro.model.config import GPT_7B
-
-    rng = np.random.default_rng(7)
-    scalar_best: int | None = None
-    stacked_best: int | None = None
-    samples: list[tuple[int, str]] = []
-    for num_gpus in cluster_sizes:
-        model = fit_cost_model(
-            GPT_7B.with_max_context(64 * 1024), standard_cluster(num_gpus)
-        )
-        table = cost_table(model)
-        # Scale lengths with the cluster so capacity pruning keeps the
-        # family wide (the regime the threshold decides).
-        top = 300 * num_gpus
-        lengths = tuple(
-            int(s) for s in rng.integers(256, top, size=sequence_count)
-        )
-        ordered = sorted(lengths, reverse=True)
-        stack = _layout_stack(model, max(lengths))
-        rows = stack.surviving(float(sum(lengths)), float(max(lengths)))
-        if rows.size == 0:
-            continue
-        lanes = int(stack.lanes[rows].sum())
-
-        started = time.perf_counter()
-        for __ in range(repeats):
-            for row in rows:
-                _assign_lpt_scalar(
-                    ordered, stack.lane_constants[int(row)], table
-                )
-        scalar_seconds = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for __ in range(repeats):
-            _assign_lpt_stacked(ordered, stack, rows, table)
-        stacked_seconds = time.perf_counter() - started
-
-        if stacked_seconds <= scalar_seconds:
-            samples.append((lanes, "stacked"))
-            stacked_best = (
-                lanes if stacked_best is None else min(stacked_best, lanes)
-            )
-        else:
-            samples.append((lanes, "scalar"))
-            scalar_best = (
-                lanes if scalar_best is None else max(scalar_best, lanes)
-            )
-    if stacked_best is None:
-        threshold = scalar_best or _VECTOR_THRESHOLD
-    elif scalar_best is None or scalar_best >= stacked_best:
-        threshold = stacked_best
-    else:
-        threshold = int(round((scalar_best * stacked_best) ** 0.5))
-    return ThresholdCalibration(threshold=int(threshold), samples=tuple(samples))
+    del config  # accepted for interface parity; no knobs used
+    return [
+        None if isinstance(outcome, PlanInfeasibleError) else outcome
+        for outcome in _plan_greedy(shapes, model)
+    ]

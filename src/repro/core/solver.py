@@ -78,7 +78,10 @@ from repro.core.planner import (
     makespan_lower_bound,
     plan_microbatch,
 )
-from repro.core.planner_greedy import plan_microbatch_greedy
+from repro.core.planner_greedy import (
+    plan_microbatch_greedy,
+    plan_microbatches_greedy,
+)
 from repro.core.types import (
     IterationPlan,
     MicroBatchPlan,
@@ -815,11 +818,19 @@ class FlexSPSolver:
     def _plan_missing(
         self, shapes: list[tuple[int, ...]]
     ) -> list[tuple[MicroBatchPlan, float] | None]:
-        """Plan uncached shapes — in-process, or on the solver pool."""
+        """Plan uncached shapes — in-process, or on the solver pool.
+
+        In-process, the greedy backend plans all of them in one call,
+        so shapes of one layout family share a stacked LPT pass.
+        """
         if not shapes:
             return []
         if self._service is not None and len(shapes) > 1:
             return self._service.plan_shapes(shapes)
+        if self.config.backend == "greedy":
+            return plan_microbatches_greedy(
+                shapes, self.model, self.config.planner
+            )
         planner = _BACKENDS[self.config.backend]
         outcomes: list[tuple[MicroBatchPlan, float] | None] = []
         for shape in shapes:

@@ -242,7 +242,7 @@ class CostTable:
     same order), so coefficients produced from the table are
     bit-identical to the scalar path.  Whole-group times are exact
     when the caller accumulates :meth:`work_terms` left to right (see
-    :meth:`group_time`).
+    :meth:`group_times`).
 
     Attributes:
         model: The wrapped scalar model.
@@ -324,27 +324,16 @@ class CostTable:
         w = (self.alpha1 * s * s + self.alpha2 * s) / degree
         return w + self.comm_per_token[idx] * s
 
-    def group_time(self, work: float, tokens: float, degree: int) -> float:
-        """Eq. 14 + exposed gather from *accumulated* sums.
-
-        ``work`` must be the sequential sum of :meth:`work_terms` in
-        assignment order and ``tokens`` the token sum; then this equals
-        ``CostModel.time_with_overheads`` bit-for-bit.
-        """
-        idx = self.degree_index[degree]
-        comp = work / degree + self.beta1
-        comm = self.comm_per_token[idx] * tokens + self.comm_beta[idx]
-        if self.gather <= 0:
-            return comp + comm
-        return max(comp + comm + self.exposed_gather, comm + self.gather)
-
     def group_times(
         self, work: np.ndarray, tokens: np.ndarray, degree_idx: np.ndarray
     ) -> np.ndarray:
-        """Vectorised :meth:`group_time` across many groups at once.
+        """Eq. 14 + exposed gather per group from *accumulated* sums.
 
-        ``degree_idx`` indexes :attr:`degrees`; each lane reproduces
-        the scalar expression exactly (elementwise IEEE ops).
+        ``degree_idx`` indexes :attr:`degrees`.  Each ``work`` must be
+        the sequential sum of :meth:`work_terms` in assignment order and
+        each ``tokens`` the token sum; then every lane equals
+        ``CostModel.time_with_overheads`` bit-for-bit (elementwise IEEE
+        ops).
         """
         d = self.degree_arr[degree_idx]
         comp = work / d + self.beta1

@@ -13,7 +13,6 @@ import pytest
 from repro.core.planner import PlannerConfig, plan_microbatch
 from repro.core.planner_greedy import (
     _layout_stack,
-    calibrate_vector_threshold,
     candidate_layouts,
     plan_microbatch_greedy,
 )
@@ -124,20 +123,6 @@ class TestFullClusterDBig:
             assert stages["milp_solve"] > 0.0
         else:
             assert stages["lpt"] > 0.0
-
-
-class TestThresholdCalibration:
-    def test_calibrator_returns_positive_lane_count(self):
-        cal = calibrate_vector_threshold(
-            cluster_sizes=(8,), sequence_count=8, repeats=1
-        )
-        assert isinstance(cal.threshold, int)
-        assert cal.threshold > 0
-        assert int(cal) == cal.threshold
-        assert cal.samples
-        for lanes, winner in cal.samples:
-            assert lanes > 0
-            assert winner in ("scalar", "stacked")
 
 
 class TestStageTimingFrames:

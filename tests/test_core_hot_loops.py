@@ -1,9 +1,9 @@
 """The solver's four hot loops against references written out here.
 
-The greedy planner's scalar and stacked LPT passes
+The greedy planner's batched LPT pass
 (:mod:`repro.core.planner_greedy`) and the bucketing and blaster DPs
 (:mod:`repro.core.bucketing`, :mod:`repro.core.blaster`) have one
-numpy/scalar implementation each.  These tests hold them to plain
+numpy implementation each.  These tests hold them to plain
 references that share no code with them:
 
 * **Quadratic DPs.**  The bucketing DP fills each layer with a
@@ -16,10 +16,13 @@ references that share no code with them:
 * **Exhaustive search.**  On small instances every bucket-edge set
   and every cut-point set is enumerated; the DPs must reach the true
   optimum of Eq. 15 and Eq. 23.
-* **LPT layout by layout.**  The scalar pass on one layout must agree
-  with the stacked pass restricted to that layout, its makespan must
-  be the slowest group's time under the cost model's own formula, and
-  the stacked winner must be the layout the per-layout loop keeps.
+* **LPT layout by layout.**  The scalar oracle
+  (``tests/lpt_oracle.py``) on one layout must agree with that
+  layout's row of the batched pass, whatever other shapes share the
+  pass; its makespan must be the slowest group's time under the cost
+  model's own formula; the batched winner must be the layout the
+  per-layout loop keeps; and planning many shapes at once must return
+  the oracle's plan for each.
 """
 
 import bisect
@@ -32,15 +35,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import kernels, planner_greedy
+from lpt_oracle import assign_lpt_scalar, lane_constants, plan_scalar
+from repro.core import kernels
 from repro.core.blaster import balanced_cut_points, balanced_cut_points_multi
 from repro.core.bucketing import Bucket, bucketing_error, optimal_buckets
 from repro.core.planner import PlanInfeasibleError
 from repro.core.planner_greedy import (
-    _assign_lpt_scalar,
-    _assign_lpt_stacked,
+    _assign_lpt_batched,
     _layout_stack,
     plan_microbatch_greedy,
+    plan_microbatches_greedy,
 )
 from repro.cost.model import cost_table
 
@@ -346,21 +350,38 @@ def _surviving_rows(model, lengths):
     return stack, [int(r) for r in rows]
 
 
+def _by_family(model, instances):
+    """Instances grouped by layout family: ``{stack: [(ordered, rows)]}``
+    (only instances some layout survives for)."""
+    families = {}
+    for lengths in instances:
+        stack, rows = _surviving_rows(model, lengths)
+        if rows:
+            families.setdefault(stack, []).append(
+                (sorted(lengths, reverse=True), rows)
+            )
+    return families
+
+
 class TestLptPasses:
     @pytest.mark.parametrize("family", LPT_FAMILIES)
     def test_scalar_pass_matches_stacked_row(self, family, request):
+        """Every (instance, layout) pair is its own one-row member of a
+        single batched pass per family: rows of different lengths and
+        sequence counts share the pass and must not disturb each other."""
         model, instances = _lpt_instances(family, request)
         table = cost_table(model)
         feasible = 0
-        for lengths in instances:
-            ordered = sorted(lengths, reverse=True)
-            stack, rows = _surviving_rows(model, lengths)
-            for row in rows:
-                scalar = _assign_lpt_scalar(
-                    ordered, stack.lane_constants[row], table
-                )
-                stacked = _assign_lpt_stacked(
-                    ordered, stack, np.asarray([row]), table
+        for stack, members in _by_family(model, instances).items():
+            singles = [
+                (ordered, np.asarray([row]))
+                for ordered, rows in members
+                for row in rows
+            ]
+            batched = _assign_lpt_batched(singles, stack, table)
+            for (ordered, row), stacked in zip(singles, batched):
+                scalar = assign_lpt_scalar(
+                    ordered, lane_constants(stack, int(row[0])), table
                 )
                 if scalar is None:
                     assert stacked is None
@@ -368,7 +389,7 @@ class TestLptPasses:
                 assert stacked is not None
                 choices, makespans, winner = stacked
                 assert winner == 0
-                groups = [[] for __ in stack.layouts[row]]
+                groups = [[] for __ in stack.layouts[int(row[0])]]
                 for step, lane in enumerate(choices[:, 0].tolist()):
                     groups[lane].append(ordered[step])
                 assert groups == scalar[0]
@@ -385,8 +406,8 @@ class TestLptPasses:
             ordered = sorted(lengths, reverse=True)
             stack, rows = _surviving_rows(model, lengths)
             for row in rows:
-                assigned = _assign_lpt_scalar(
-                    ordered, stack.lane_constants[row], table
+                assigned = assign_lpt_scalar(
+                    ordered, lane_constants(stack, row), table
                 )
                 if assigned is None:
                     continue
@@ -410,40 +431,64 @@ class TestLptPasses:
         model, instances = _lpt_instances(family, request)
         table = cost_table(model)
         compared = 0
-        for lengths in instances:
-            ordered = sorted(lengths, reverse=True)
-            stack, rows = _surviving_rows(model, lengths)
-            if not rows:
-                continue
-            scalar = [
-                _assign_lpt_scalar(ordered, stack.lane_constants[row], table)
-                for row in rows
-            ]
-            spans = [math.inf if a is None else a[1] for a in scalar]
-            stacked = _assign_lpt_stacked(
-                ordered, stack, np.asarray(rows), table
+        for stack, members in _by_family(model, instances).items():
+            batched = _assign_lpt_batched(
+                [(ordered, np.asarray(rows)) for ordered, rows in members],
+                stack,
+                table,
             )
-            if all(a is None for a in scalar):
-                assert stacked is None
-                continue
-            choices, makespans, winner = stacked
-            assert makespans.tolist() == spans
-            assert winner == spans.index(min(spans))
-            for index, assigned in enumerate(scalar):
-                if assigned is None:
-                    # A layout that ran out of room places nothing more.
-                    assert choices[-1, index] == -1
-            compared += 1
+            for (ordered, rows), stacked in zip(members, batched):
+                scalar = [
+                    assign_lpt_scalar(
+                        ordered, lane_constants(stack, row), table
+                    )
+                    for row in rows
+                ]
+                spans = [math.inf if a is None else a[1] for a in scalar]
+                if all(a is None for a in scalar):
+                    assert stacked is None
+                    continue
+                choices, makespans, winner = stacked
+                assert choices.shape == (len(ordered), len(rows))
+                assert makespans.tolist() == spans
+                assert winner == spans.index(min(spans))
+                for index, assigned in enumerate(scalar):
+                    if assigned is None:
+                        # A layout that ran out of room places nothing
+                        # more.
+                        assert choices[-1, index] == -1
+                compared += 1
         assert compared
 
     @pytest.mark.parametrize("family", LPT_FAMILIES)
-    def test_plans_identical_on_both_routes(
-        self, family, request, monkeypatch
-    ):
+    def test_batched_matches_per_shape(self, family, request):
+        model, instances = _lpt_instances(family, request)
+        num_gpus = model.cluster.num_gpus
+        per_device = int(model.max_tokens_per_device())
+        too_long = int(model.cluster_token_capacity()) + 1
+        assert model.min_degree_for_sequence(too_long) is None
+        shapes = [
+            *instances,
+            *instances[::2],  # duplicates
+            (per_device,) * (num_gpus + 1),  # over the cluster's capacity
+            (too_long,),  # a sequence no degree fits
+            (2048,),  # a single sequence
+            (1024,) * 6,  # equal lengths: every lane ties
+            (4096, 4096, 2048, 2048),  # ties within runs
+            (per_device * (num_gpus // 2), 512),  # a wider layout family
+        ]
+        expected = [plan_scalar(lengths, model) for lengths in shapes]
+        assert plan_microbatches_greedy(shapes, model) == expected
+        assert expected.count(None) >= 2
+        planned = [s for s, outcome in zip(shapes, expected) if outcome]
+        assert len({_layout_stack(model, max(s)) for s in planned}) >= 2
+
+    @pytest.mark.parametrize("family", LPT_FAMILIES)
+    def test_plans_identical_on_both_routes(self, family, request):
+        """The planner's one-shape pass and the scalar oracle."""
         model, instances = _lpt_instances(family, request)
 
-        def plan(lengths, threshold):
-            monkeypatch.setattr(planner_greedy, "_VECTOR_THRESHOLD", threshold)
+        def plan(lengths):
             try:
                 return plan_microbatch_greedy(lengths, model)
             except PlanInfeasibleError:
@@ -451,8 +496,8 @@ class TestLptPasses:
 
         planned = 0
         for lengths in instances:
-            scalar = plan(lengths, 10**9)
-            stacked = plan(lengths, 0)
+            scalar = plan_scalar(lengths, model)
+            stacked = plan(lengths)
             assert scalar == stacked
             if scalar is None:
                 continue

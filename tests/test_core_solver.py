@@ -288,6 +288,24 @@ class TestStageBreakdown:
         assert stages["lpt"] > 0.0
         assert stages["milp_solve"] == 0.0
 
+    def test_greedy_misses_planned_in_one_batched_call(
+        self, cost_model16, monkeypatch
+    ):
+        calls = []
+        batched = solver_module.plan_microbatches_greedy
+
+        def counting(shapes, model, config=None):
+            calls.append(list(shapes))
+            return batched(shapes, model, config)
+
+        monkeypatch.setattr(solver_module, "plan_microbatches_greedy", counting)
+        solver = fast_solver(cost_model16, backend="greedy", num_trials=5)
+        plan = solver.solve(MIXED_BATCH)
+        assert plan.stats.cache_misses > 1
+        assert len(calls) == 1
+        assert len(calls[0]) == plan.stats.cache_misses
+        assert plan.stats.lpt_seconds > 0.0
+
     def test_milp_solve_records_build_and_solve(self, cost_model8):
         batch = SequenceBatch(lengths=(4096, 8192, 2048, 1024, 512) * 3)
         result = fast_solver(cost_model8, backend="milp").solve(batch)

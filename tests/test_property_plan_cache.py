@@ -12,6 +12,7 @@ Two invariants guard the solver-throughput subsystem:
 """
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -137,9 +138,12 @@ class TestCostTableMatchesScalarModel:
         for s in lengths:
             work += table.alpha1 * float(s) * float(s) + table.alpha2 * float(s)
             tokens += s
-        assert table.group_time(work, tokens, degree) == (
-            cost_model8.time_with_overheads(lengths, degree)
+        [time] = table.group_times(
+            np.array([work]),
+            np.array([tokens], dtype=np.float64),
+            np.array([table.degree_index[degree]]),
         )
+        assert time == cost_model8.time_with_overheads(lengths, degree)
 
     @given(uppers=st.lists(st.integers(min_value=1, max_value=65_536), min_size=1, max_size=16), data=st.data())
     @settings(max_examples=200, deadline=None)

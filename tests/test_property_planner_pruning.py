@@ -7,9 +7,10 @@ Four invariants guard the PR-5 cold-path machinery:
   bit-identical best layouts and makespans to an exhaustive pass over
   the unpruned :func:`~repro.core.planner_greedy.candidate_layouts`
   family, and every layout pruning drops is genuinely LPT-infeasible.
-* **Stacked == scalar** — the stacked multi-layout LPT pass and the
-  scalar per-layout loop return identical plans whatever the
-  threshold would have chosen.
+* **Stacked == scalar** — the planner's batched multi-layout LPT
+  pass returns exactly the plans of the scalar per-layout oracle
+  (``tests/lpt_oracle.py``), for one shape and for a batch of shapes
+  planned in one call.
 * **Multi-count blasting == per-count blasting** — the shared-DP
   :func:`~repro.core.blaster.blast_multi` reproduces every
   :func:`~repro.core.blaster.blast` result bit-for-bit.
@@ -23,7 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import planner_greedy
+from lpt_oracle import assign_lpt_scalar, lane_constants, plan_scalar
 from repro.core.blaster import blast, blast_multi
 from repro.core.planner import (
     PlanInfeasibleError,
@@ -33,10 +34,10 @@ from repro.core.planner import (
     enumerate_virtual_groups,
 )
 from repro.core.planner_greedy import (
-    _assign_lpt_scalar,
     _layout_stack,
     candidate_layouts,
     plan_microbatch_greedy,
+    plan_microbatches_greedy,
 )
 from repro.core.types import SequenceBatch
 from repro.cost.model import cost_table
@@ -61,8 +62,8 @@ def _unpruned_best(lengths, model):
     best = None
     outcomes = []
     for row, layout in enumerate(stack.layouts):
-        assigned = _assign_lpt_scalar(
-            ordered, stack.lane_constants[row], table
+        assigned = assign_lpt_scalar(
+            ordered, lane_constants(stack, row), table
         )
         outcomes.append((layout, assigned))
         if assigned is None:
@@ -126,7 +127,7 @@ class TestDominancePruningLossless:
             if layout in kept:
                 continue
             assert (
-                _assign_lpt_scalar(ordered, stack.lane_constants[row], table)
+                assign_lpt_scalar(ordered, lane_constants(stack, row), table)
                 is None
             ), f"pruned layout {layout} was feasible"
 
@@ -152,26 +153,32 @@ class TestStackedEqualsScalar:
         if sum(lengths) > cost_model16.cluster_token_capacity():
             return
 
-        def run():
-            try:
-                return plan_microbatch_greedy(lengths, cost_model16)
-            except PlanInfeasibleError:
-                return None
-
-        saved = planner_greedy._VECTOR_THRESHOLD
+        scalar = plan_scalar(lengths, cost_model16)
         try:
-            planner_greedy._VECTOR_THRESHOLD = 10**9
-            scalar = run()
-            planner_greedy._VECTOR_THRESHOLD = 0
-            stacked = run()
-        finally:
-            planner_greedy._VECTOR_THRESHOLD = saved
+            stacked = plan_microbatch_greedy(lengths, cost_model16)
+        except PlanInfeasibleError:
+            stacked = None
         if scalar is None:
             assert stacked is None
             return
         assert stacked is not None
         assert scalar[0] == stacked[0]
         assert scalar[1] == stacked[1]
+
+    @given(
+        shapes=st.lists(
+            st.one_of(lengths_strategy, quantized_strategy),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_equals_per_shape(self, cost_model16, shapes):
+        """Shapes of any mix of layout families (over-capacity ones
+        included) planned in one call get exactly the oracle's
+        per-shape outcomes."""
+        expected = [plan_scalar(lengths, cost_model16) for lengths in shapes]
+        assert plan_microbatches_greedy(shapes, cost_model16) == expected
 
 
 class TestMultiBlast:
