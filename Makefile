@@ -63,9 +63,8 @@ bench-scaleout:
 
 # Chaos benchmark: the unified campaign on a two-worker solver pool
 # under deterministic fault injection (a planner worker killed mid-plan
-# or at start-up, a torn spill write, a stale store lock), every
-# schedule asserted recorded, bit-identical to the fault-free serial
-# pass and leak-free.
+# or at start-up, a torn spill write), every schedule asserted
+# recorded, bit-identical to the fault-free serial pass and leak-free.
 bench-chaos:
 	$(PYTHON) -m repro.bench chaos
 

@@ -35,16 +35,12 @@ CAMPAIGN_SOLVER = SolverConfig(backend="greedy", num_trials=2)
 GLOBAL_BATCH = 512 if FULL else 128
 
 
-def _run_campaign(store_root: str, spill_batch: int = 0):
+def _run_campaign(store_root: str):
     """One full campaign pass against a store; returns (metrics,
     hit_rate, wall, counts).  Plain values only: the restored passes
     return them across a forked process pool."""
     campaign = unified_campaign(global_batch_size=GLOBAL_BATCH)
-    runner = SweepRunner(
-        solver_config=CAMPAIGN_SOLVER,
-        store=store_root,
-        spill_batch=spill_batch,
-    )
+    runner = SweepRunner(solver_config=CAMPAIGN_SOLVER, store=store_root)
     with runner:
         started = time.perf_counter()
         result = campaign.run(runner)
@@ -116,63 +112,50 @@ def test_campaign_store_warm_across_processes(emit, tmp_path):
     assert warm_hit_rate >= 0.9, f"restored hit rate {warm_hit_rate:.2%} < 90%"
 
 
-def test_store_write_amplification_below_per_cell_baseline(emit, tmp_path):
-    """The store lifecycle acceptance bar: batched per-worker spills
-    push write amplification (store data-file writes per measured
-    cell) strictly below the historical spill-after-every-cell
-    baseline on the unified campaign, and a store that has been
-    *pruned* still restores — warm where files survived, cold where
-    they did not, bit-identical metrics either way."""
+def test_store_writes_once_per_workload_and_survives_pruning(
+    emit, tmp_path
+):
+    """The store lifecycle acceptance bar on the unified campaign: a
+    cold pass writes each workload data file at most once (the
+    end-of-pass spill), a restored pass in a second process writes
+    none, and a store that has been *pruned* still restores — warm
+    where files survived, cold where they did not, bit-identical
+    metrics either way."""
     from repro.core.cache_store import CacheStore
 
-    per_cell_root = str(tmp_path / "per_cell_store")
-    batched_root = str(tmp_path / "batched_store")
+    store_root = str(tmp_path / "store")
+    cold_metrics, __, ___, cold_counts = _run_campaign(store_root)
+    assert 0 < cold_counts["store_writes"] <= cold_counts["store_files"]
 
-    per_cell_metrics, __, ___, per_cell_counts = _run_campaign(
-        per_cell_root, spill_batch=1
-    )
-    batched_metrics, ____, _____, batched_counts = _run_campaign(batched_root)
-
-    for a, b in zip(per_cell_metrics, batched_metrics):
-        assert a.deterministic() == b.deterministic()
-    per_cell_wa = per_cell_counts["write_amplification"]
-    batched_wa = batched_counts["write_amplification"]
-    assert batched_wa < per_cell_wa, (
-        f"batched spills must beat the per-cell baseline: "
-        f"{batched_wa} >= {per_cell_wa}"
-    )
-
-    # Restored pass in a genuine second process: still >= 90% warm and
-    # bit-identical under the batched cadence.
+    # Restored pass in a genuine second process: still >= 90% warm,
+    # bit-identical, and it learned nothing, so it spilled nothing.
     with ProcessPoolExecutor(
         max_workers=1, mp_context=get_context("fork")
     ) as pool:
-        warm_metrics, warm_hit_rate, ______, warm_counts = pool.submit(
-            _run_campaign, batched_root
+        warm_metrics, warm_hit_rate, ____, warm_counts = pool.submit(
+            _run_campaign, store_root
         ).result()
-    for a, b in zip(batched_metrics, warm_metrics):
+    for a, b in zip(cold_metrics, warm_metrics):
         assert a.deterministic() == b.deterministic()
     assert warm_hit_rate >= 0.9
-    # The fully warm pass learned nothing, so it spilled (almost)
-    # nothing — the restored-run half of the write-amplification fix.
-    assert warm_counts["store_writes"] <= warm_counts["store_files"]
+    assert warm_counts["store_writes"] == 0
 
     # Prune half the store (LRU), then run again: never fatal, still
     # bit-identical, cold exactly where eviction hit.
-    store = CacheStore(batched_root)
+    store = CacheStore(store_root)
     half_bytes = store.stats().bytes // 2
-    pruned = store.prune(max_store_bytes=half_bytes, protect_touched=False)
+    pruned = store.prune(max_store_bytes=half_bytes)
     assert pruned.evicted, "the byte cap should evict something"
-    pruned_metrics, pruned_hit_rate, _______, ________ = _run_campaign(
-        batched_root
-    )
-    for a, b in zip(batched_metrics, pruned_metrics):
+    pruned_metrics, pruned_hit_rate, _____, ______ = _run_campaign(store_root)
+    for a, b in zip(cold_metrics, pruned_metrics):
         assert a.deterministic() == b.deterministic()
 
     emit(
-        "Unified campaign store lifecycle: write amplification "
-        f"{per_cell_wa:.3f} writes/cell (spill-per-cell baseline) -> "
-        f"{batched_wa:.3f} (batched spills), restored-pass hit rate "
+        "Unified campaign store lifecycle: cold pass wrote "
+        f"{cold_counts['store_writes']} files for "
+        f"{cold_counts['store_files']} workloads "
+        f"({cold_counts['write_amplification']:.3f} writes/cell), "
+        f"restored pass wrote {warm_counts['store_writes']} at hit rate "
         f"{warm_hit_rate:.0%}, after pruning {len(pruned.evicted)} of "
         f"{len(pruned.evicted) + pruned.files_kept} files: hit rate "
         f"{pruned_hit_rate:.0%}, metrics bit-identical"

@@ -1,13 +1,12 @@
 """Chaos benchmark: the campaign under deterministic faults.
 
 For every schedule in the chaos matrix — a solver-pool worker killed
-mid-plan or while starting, a torn spill write, a stale store lock —
-the unified campaign, planning on a two-worker solver pool, must
+mid-plan or while starting, a torn spill write — the unified campaign,
+planning on a two-worker solver pool, must
 
 * complete, with the injection recorded in the fault ledger and
   recovered (the pool rebuilds and resubmits only the shapes still
-  missing; the store reads a torn file as cold and breaks a lock
-  whose recorded holder is dead);
+  missing; the store reads a torn file as cold);
 * produce metrics **bit-identical** to the fault-free serial pass
   (faults move where and when plans are computed, never what they
   are);
@@ -114,7 +113,7 @@ def test_chaos_matrix_recovers_bit_identical(reference, emit):
     baseline_pools = live_pool_count()
     rows = []
 
-    def _case(schedule, store_root=None, lock_breaks=0):
+    def _case(schedule, store_root=None):
         metrics, wall, result = _run_campaign(
             schedule, solver_workers=SOLVER_WORKERS, store_root=store_root
         )
@@ -122,16 +121,8 @@ def test_chaos_matrix_recovers_bit_identical(reference, emit):
             reference_metrics, schedule, metrics, result
         )
         name = str(schedule)
-        assert stats.lock_breaks == lock_breaks, name
         assert live_pool_count() == baseline_pools, f"{name}: leaked a pool"
-        rows.append(
-            (
-                name,
-                f"{wall:.2f}",
-                str(stats.total_injections),
-                str(stats.lock_breaks),
-            )
-        )
+        rows.append((name, f"{wall:.2f}", str(stats.total_injections)))
 
     # 1. Planner worker killed mid-plan: the pool is rebuilt and only
     #    the shapes still missing are resubmitted.
@@ -150,19 +141,9 @@ def test_chaos_matrix_recovers_bit_identical(reference, emit):
         for want, metric in zip(reference_metrics, restored_metrics):
             assert metric.deterministic() == want
 
-    # 4. Stale store lock (dead recorded holder): broken, counted,
-    #    never waited out.
-    with tempfile.TemporaryDirectory() as store_root:
-        _case(
-            FaultSchedule.parse("stale_lock@lock:0"), store_root,
-            lock_breaks=1,
-        )
-
     emit(
         f"Chaos matrix: unified campaign, batch {GLOBAL_BATCH}, "
         f"solver_workers={SOLVER_WORKERS}, fault-free serial "
         f"{reference_wall:.2f}s, {os.cpu_count()} CPU(s)\n"
-        + format_table(
-            ["schedule", "wall (s)", "injected", "lock breaks"], rows
-        )
+        + format_table(["schedule", "wall (s)", "injected"], rows)
     )

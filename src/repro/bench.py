@@ -17,7 +17,7 @@ invokes.  A persistent :class:`~repro.core.cache_store.CacheStore`
 fits, tuner memos and FlexSP plan caches warm *across* invocations and
 processes; ``--no-store`` runs cold (the ``make bench-smoke`` CI
 tier).  Store runs print a ``StoreStats`` report (files, bytes,
-entries, hit / miss / write / evict counts, write amplification).
+hit / miss / write / evict counts, lock waits, write amplification).
 
 **Prune mode** (``--prune``) applies the store's lifecycle policy:
 ``--max-age-days D`` evicts workload files last used more than ``D``
@@ -108,13 +108,12 @@ wall-clock budget, so MILP campaigns satisfy the same bit-identical
 metrics contract as the greedy backend.
 
 ``--inject-faults SPEC --fault-seed N`` arms the deterministic chaos
-plane (:mod:`repro.core.faults`): solver-pool worker kills, torn spill
-writes and stale store locks fire at seeded injection points, the
-solver pool rebuilds and resumes, the store reads torn files as cold
-and breaks stale locks, and the pass must still produce metrics
-bit-identical to a fault-free pass.  ``--fault-seed`` alone draws one
-random fault from the menu.  The pass prints a fault report (``make
-bench-chaos`` exercises the matrix via
+plane (:mod:`repro.core.faults`): solver-pool worker kills and torn
+spill writes fire at seeded injection points, the solver pool rebuilds
+and resumes, the store reads torn files as cold, and the pass must
+still produce metrics bit-identical to a fault-free pass.
+``--fault-seed`` alone draws one random fault from the menu.  The pass
+prints a fault report (``make bench-chaos`` exercises the matrix via
 ``benchmarks/test_bench_chaos.py``).
 """
 
@@ -214,11 +213,10 @@ def run_campaign(args: argparse.Namespace) -> int:
     stats = result.sweep.store_stats
     if stats is not None:
         print(
-            f"{tag} store: {stats.files} files / {stats.bytes} B / "
-            f"{stats.entries} entries; hits {stats.hits}, misses "
-            f"{stats.misses}, writes {stats.writes}, evictions "
-            f"{stats.evictions}, lock waits {stats.lock_waits}, lock "
-            f"breaks {stats.lock_breaks}; write amplification "
+            f"{tag} store: {stats.files} files / {stats.bytes} B; hits "
+            f"{stats.hits}, misses {stats.misses}, writes {stats.writes}, "
+            f"evictions {stats.evictions}, lock waits {stats.lock_waits}; "
+            f"write amplification "
             f"{result.store_write_amplification:.3f} writes/cell"
         )
     faults = result.sweep.fault_stats
@@ -226,10 +224,7 @@ def run_campaign(args: argparse.Namespace) -> int:
         injected = ", ".join(
             f"{label} x{count}" for label, count in faults.injections
         ) or "none"
-        print(
-            f"{tag} faults: injected {injected}; {faults.lock_breaks} "
-            f"locks broken"
-        )
+        print(f"{tag} faults: injected {injected}")
     print()
     print("\n\n".join(format_artefact(r) for r in result.artefacts))
     return 0
@@ -264,11 +259,8 @@ def run_prune(args: argparse.Namespace) -> int:
         print(f"no cache store at {root}; nothing to prune")
         return 0
     store = CacheStore(root)
-    before = store.stats()
-    print(
-        f"store {root}: {before.files} files, {before.bytes} B, "
-        f"{before.entries} entries"
-    )
+    num_files, num_bytes = store.scan()
+    print(f"store {root}: {num_files} files, {num_bytes} B")
     if args.max_store_bytes is None and args.max_age_days is None:
         print(
             "no caps given; nothing evicted (use --max-age-days and/or "
@@ -371,8 +363,7 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         help="deterministic chaos schedule: comma-separated "
         "kind@site[:N|*] specs, e.g. "
         "'worker_kill@plan:0,torn_write@spill:1'; kinds are "
-        "worker_kill / torn_write / stale_lock, sites are "
-        "plan / spawn / spill / lock / prune",
+        "worker_kill / torn_write, sites are plan / spawn / spill",
     )
     parser.add_argument(
         "--fault-seed",

@@ -11,6 +11,7 @@ On-disk layout (all JSON, under one root directory)::
 
     <root>/
       workload-<digest>.json      one file per workload signature
+      workload-<digest>.lock      its advisory write lock (contents unused)
 
 where ``<digest>`` is the first 16 hex chars of the SHA-256 of the
 workload signature's ``repr`` (deterministic across processes, unlike
@@ -56,46 +57,29 @@ Invalidation rules:
 
 Concurrent writers (campaigns sharing one store) are safe: writes go
 through a unique temp file plus ``os.replace``, and
-:meth:`CacheStore.save` holds a per-workload advisory file lock across
-its read-merge-replace so two writers persisting one workload union
+:meth:`CacheStore.save` holds a per-workload advisory ``flock`` (on
+``workload-<digest>.lock`` beside the data file) across its
+read-merge-replace, so two writers persisting one workload union
 their plan entries rather than clobbering each other (last writer wins
 per shape).  Readers never need the lock — ``os.replace`` keeps every
-observable file state a complete JSON document.
+observable file state a complete JSON document.  The kernel releases a
+crashed holder's ``flock`` with its file descriptors, so a lock never
+outlives its writer: a contended acquisition simply blocks until the
+holder is done, and no lock file's bytes are ever read or written.
 
-Lifecycle (eviction): next to the data files lives a **store
-manifest** (``store-manifest.json``) with per-file accounting —
-``last_used`` (bumped by both loads and saves), ``entry_count`` and
-``bytes`` — maintained best-effort under its own advisory lock and
-fully reconciled against the directory on every :meth:`CacheStore.
-prune` / :meth:`CacheStore.stats` (a corrupt or stale manifest is
-rebuilt from a scan, never trusted blindly and never fatal).
+Lifecycle (eviction): the data files are the whole store.  A stat scan
+gives every per-file fact eviction needs — ``last_used`` is the file's
+mtime, which saves write and loads bump, and ``bytes`` is its size.
 :meth:`CacheStore.prune` evicts files by age (``max_age_days``) and
 then least-recently-used-first until the store fits
-``max_store_bytes``.  Two guards keep pruning safe against running
-campaigns:
-
-* files this :class:`CacheStore` instance has itself saved or loaded
-  (its *working set*) are never evicted by its own ``prune`` unless
-  ``protect_touched=False``, and
-* a victim whose data file changed since the pass observed it (a
-  concurrent writer's merge-save) is skipped — re-checked under the
-  same per-workload lock the writers hold, against the file's own
-  recorded mtime/size rather than this process's wall clock, so clock
-  skew cannot defeat the guard.
-
-An evicted workload simply loads cold on the next miss.  Lock files
-are left in place in normal operation, but acquisition is **bounded**:
-a writer that cannot take the lock immediately polls with a dead-pid
-probe against the recorded holder, safely *breaks* a lock whose
-holder crashed (unlink + fresh acquire, counted as ``lock_breaks``),
-and only falls back to an honest blocking wait when the holder is
-demonstrably alive or unidentifiable.  Because breaking recreates the
-lock file, every acquisition re-verifies that the inode it locked is
-still the inode on disk and retries otherwise — two writers can never
-both hold "the" lock.  The write paths also visit the
-:mod:`repro.core.faults` injection points ``spill`` (torn non-atomic
-data write), ``lock`` and ``prune`` (a lock file stamped with a dead
-holder), so chaos tests can prove all of the above actually fires.
+``max_store_bytes``.  A victim whose data file changed since the scan
+(a concurrent writer's merge-save, a reader's mtime bump) is skipped —
+re-checked under the same per-workload lock the writers hold, against
+the mtime and size the scan observed rather than this process's wall
+clock, so clock skew cannot defeat the guard.  An evicted workload
+simply loads cold on the next miss.  The save path visits the
+:mod:`repro.core.faults` injection point ``spill`` (a torn non-atomic
+data write), so chaos tests can prove a torn file reads as cold.
 """
 
 from __future__ import annotations
@@ -125,7 +109,6 @@ from repro.core.types import MicroBatchPlan
 from repro.cost.model import CostCoefficients
 
 __all__ = [
-    "MANIFEST_NAME",
     "STORE_VERSION",
     "CacheStore",
     "PlanEntry",
@@ -140,9 +123,6 @@ __all__ = [
 
 #: Format tag of the store layout; bump to invalidate every store.
 STORE_VERSION = 1
-
-#: Name of the per-store accounting manifest (lives inside the root).
-MANIFEST_NAME = "store-manifest.json"
 
 #: One spilled plan-cache entry: canonical (sorted) micro-batch shape,
 #: the memoised plan (None = proven infeasible) and its predicted
@@ -288,32 +268,26 @@ def _state_from_dict(payload: dict[str, Any]) -> WorkloadState:
 class StoreStats:
     """One store's accounting snapshot plus this process's counters.
 
-    ``files`` / ``bytes`` / ``entries`` describe what is on disk right
-    now (reconciled manifest); ``hits`` / ``misses`` / ``writes`` /
-    ``evictions`` count what *this* :class:`CacheStore` instance did
-    (loads served warm, loads served cold, data files actually
-    written, files pruned).  The sweep layer takes per-pass deltas of
-    these counters, so they are also the unit the campaign's
-    write-amplification figure (writes / cells measured) is built
-    from.
+    ``files`` / ``bytes`` describe the data files on disk right now (a
+    stat scan); ``hits`` / ``misses`` / ``writes`` / ``evictions``
+    count what *this* :class:`CacheStore` instance did (loads served
+    warm, loads served cold, data files actually written, files
+    pruned).  The sweep layer takes per-pass deltas of these counters,
+    so they are also the unit the campaign's write-amplification
+    figure (writes / cells measured) is built from.
     """
 
     files: int = 0
     bytes: int = 0
-    entries: int = 0
     hits: int = 0
     misses: int = 0
     writes: int = 0
     evictions: int = 0
-    #: Contended lock acquisitions: how often a save had to block
-    #: behind another process's merge of the same workload file — the
-    #: shared-store contention figure of concurrent campaigns.
+    #: Contended lock acquisitions: how often a save (or a prune's
+    #: victim check) had to block behind another holder of the same
+    #: workload lock — the shared-store contention figure of
+    #: concurrent campaigns.
     lock_waits: int = 0
-    #: Stale locks safely broken: contended acquisitions whose
-    #: recorded holder pid turned out to be dead (a crashed writer) —
-    #: the lock file was unlinked and re-acquired instead of blocking
-    #: forever.  The chaos benchmark's stale-lock recovery figure.
-    lock_breaks: int = 0
 
 
 @dataclass(frozen=True)
@@ -334,221 +308,40 @@ class PruneResult:
     dry_run: bool = False
 
 
-def _entry_count(state: WorkloadState) -> int:
-    """How many restorable entries a state holds (plan entries plus
-    each present scalar memo) — the manifest's ``entry_count``."""
-    return (
-        sum(len(entries) for entries in state.plans.values())
-        + (state.coeffs is not None)
-        + (state.static_degree is not None)
-        + (state.megatron_strategy is not None)
-    )
-
-
-#: How long a contended lock acquisition probes before giving up and
-#: blocking honestly behind a live (or unidentifiable) holder, and how
-#: often it polls.  Module-level so tests can monkeypatch the bound.
-LOCK_TIMEOUT_SECONDS = 10.0
-LOCK_POLL_SECONDS = 0.05
-
-
-def _same_inode(lock, lock_path: pathlib.Path) -> bool:
-    """Is the fd's inode still the lock file on disk?
-
-    Breaking a stale lock unlinks and recreates the path, so a waiter
-    holding an fd on the *old* inode would otherwise "acquire" a lock
-    nobody else can see.  Every successful acquisition re-verifies
-    identity and retries on a fresh open when it fails.
-    """
-    try:
-        return os.fstat(lock.fileno()).st_ino == os.stat(lock_path).st_ino
-    except OSError:
-        return False
-
-
-def _stamp_holder(lock) -> None:
-    """Record our pid in the held lock file (best-effort) so waiters
-    can probe whether the holder is still alive."""
-    with contextlib.suppress(OSError, ValueError):
-        lock.seek(0)
-        lock.truncate()
-        lock.write(str(os.getpid()))
-        lock.flush()
-
-
-def _holder_pid(lock) -> int | None:
-    """The pid recorded in the lock file, or None when absent/garbled
-    (an unidentifiable holder is conservatively treated as alive)."""
-    try:
-        lock.seek(0)
-        text = lock.read(32).strip()
-    except (OSError, ValueError):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        return None
-
-
-def _pid_alive(pid: int) -> bool:
-    """Signal-0 probe; EPERM means alive-but-not-ours."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, OverflowError):  # EPERM etc.: assume alive
-        return True
-    return True
-
-
-def _break_lock(lock_path: pathlib.Path):
-    """Break a lock whose recorded holder is dead: unlink the stale
-    file and acquire a fresh one.  Returns the held file object, or
-    None when another waiter won the race (the caller re-loops)."""
-    with contextlib.suppress(OSError):
-        os.unlink(lock_path)
-    try:
-        fresh = open(lock_path, "a+")
-    except OSError:
-        return None
-    try:
-        fcntl.flock(fresh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError:
-        fresh.close()
-        return None
-    if not _same_inode(fresh, lock_path):
-        with contextlib.suppress(OSError):
-            fcntl.flock(fresh.fileno(), fcntl.LOCK_UN)
-        fresh.close()
-        return None
-    _stamp_holder(fresh)
-    return fresh
-
-
-def _acquire_lock(
-    lock_path: pathlib.Path, on_wait, on_break, timeout, force_probe
-):
-    """Acquire the advisory lock with bounded waiting; returns the
-    held (and pid-stamped) file object.  See :func:`_locked`."""
-    notified = False
-    while True:
-        lock = open(lock_path, "a+")
-        acquired = False
-        if force_probe:
-            # Injection support: skip the fast path once so the
-            # planted stale-holder file is actually probed.
-            force_probe = False
-        else:
-            with contextlib.suppress(OSError):
-                fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-                acquired = True
-        if not acquired:
-            if not notified:
-                notified = True
-                if on_wait is not None:
-                    on_wait()
-            deadline = time.monotonic() + timeout
-            while not acquired:
-                pid = _holder_pid(lock)
-                if (
-                    pid is not None
-                    and pid != os.getpid()
-                    and not _pid_alive(pid)
-                ):
-                    lock.close()
-                    fresh = _break_lock(lock_path)
-                    if fresh is None:
-                        break  # lost the breaking race; reopen and retry
-                    if on_break is not None:
-                        on_break()
-                    return fresh
-                if time.monotonic() >= deadline:
-                    # Live (or unidentifiable) holder past the bound:
-                    # block honestly, exactly as before the bound
-                    # existed.  Never steal from a live writer.
-                    fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
-                    acquired = True
-                    break
-                time.sleep(LOCK_POLL_SECONDS)
-                with contextlib.suppress(OSError):
-                    fcntl.flock(
-                        lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB
-                    )
-                    acquired = True
-        if acquired:
-            if _same_inode(lock, lock_path):
-                _stamp_holder(lock)
-                return lock
-            # The inode under our flock was broken away (unlinked and
-            # recreated) while we waited: release and retry on the
-            # live file.
-            with contextlib.suppress(OSError):
-                fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
-        lock.close()
-
-
 @contextlib.contextmanager
-def _locked(
-    lock_path: pathlib.Path,
-    on_wait=None,
-    on_break=None,
-    timeout: float | None = None,
-    force_probe: bool = False,
-):
-    """Advisory exclusive flock on ``lock_path``, with bounded waiting
-    and stale-lock breaking.
+def _locked(lock_path: pathlib.Path, on_wait=None):
+    """Advisory exclusive ``flock`` on ``lock_path``.
 
-    The single definition of the store's locking idiom (per-workload
-    write locks and the manifest lock both use it).  On platforms
-    without ``fcntl`` the lock degrades to a no-op — single-process
-    use is still fully safe.
-
-    Acquisition: a non-blocking attempt first; on contention the
-    waiter polls (every :data:`LOCK_POLL_SECONDS`) for up to
-    ``timeout`` seconds (default :data:`LOCK_TIMEOUT_SECONDS`),
-    probing the pid the holder stamped into the lock file.  A dead
-    holder — a writer that crashed between acquiring and releasing —
-    gets its lock *broken*: the stale file is unlinked and a fresh one
-    acquired, so one crash never wedges every future writer.  A live
-    or unidentifiable holder is never stolen from: past the bound the
-    waiter simply blocks, as it always did.  Because breaking swaps
-    the inode under concurrent waiters, every successful acquisition
-    verifies fd-inode identity against the path and retries on a
-    mismatch — mutual exclusion holds through a break.
-
-    ``on_wait`` is called (once) when the lock is contended; the store
-    counts those as ``lock_waits``.  ``on_break`` is called for each
-    stale lock broken (``lock_breaks``).  ``force_probe`` skips the
-    initial fast path once so an injected stale-holder file is
-    actually examined (the ``stale_lock`` fault realisation).
+    A non-blocking attempt first; on contention ``on_wait`` is called
+    once (the store counts those as ``lock_waits``) and the caller
+    blocks until the holder releases.  A holder that crashes releases
+    with its last file descriptor, so there is no stale state to
+    detect.  The lock file's bytes are never read or written.  On
+    platforms without ``fcntl`` the lock degrades to a no-op —
+    single-process use is still fully safe.
     """
     if fcntl is None:  # pragma: no cover - non-POSIX
         yield
         return
-    lock = _acquire_lock(
-        lock_path,
-        on_wait,
-        on_break,
-        LOCK_TIMEOUT_SECONDS if timeout is None else timeout,
-        force_probe,
-    )
-    try:
-        yield
-    finally:
+    with open(lock_path, "a") as lock:
         try:
-            with contextlib.suppress(OSError):
-                fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            if on_wait is not None:
+                on_wait()
+            fcntl.flock(lock.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
         finally:
-            lock.close()
+            fcntl.flock(lock.fileno(), fcntl.LOCK_UN)
 
 
 def _atomic_write(path: pathlib.Path, payload: str) -> None:
     """Atomically replace ``path`` with ``payload``.
 
-    The single definition of the store's write idiom (data files and
-    the manifest both use it): a unique sibling temp file plus
-    ``os.replace``, so every observable file state is a complete JSON
-    document; the temp file is cleaned up on any failure.
+    A unique sibling temp file plus ``os.replace``, so every
+    observable file state is a complete JSON document; the temp file
+    is cleaned up on any failure.
     """
     fd, tmp = tempfile.mkstemp(
         dir=path.parent, prefix=path.stem + ".", suffix=".tmp"
@@ -575,16 +368,12 @@ class CacheStore:
     def __init__(self, root: str | os.PathLike) -> None:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        #: Data-file names this instance saved or loaded — the running
-        #: campaign's working set, protected from its own prune.
-        self._touched: set[str] = set()
         self._counters = {
             "hits": 0,
             "misses": 0,
             "writes": 0,
             "evictions": 0,
             "lock_waits": 0,
-            "lock_breaks": 0,
         }
         # Counter increments are read-modify-write; the plan service's
         # request threads share one store instance (read-mostly:
@@ -613,13 +402,10 @@ class CacheStore:
         or truncated file, an incompatible :data:`STORE_VERSION`, or a
         digest collision / stale schema (embedded signature mismatch).
         A served load counts as a hit and bumps the data file's mtime
-        (best-effort) — an O(1) lock-free metadata op the reconciled
-        manifest honours as ``last_used`` (it takes the max of the
-        recorded value and the mtime), so readers keep hot files out
-        of LRU eviction's reach without paying a manifest rewrite
-        under the store-wide lock on every warm restore.  The bump
-        also shields an in-use file from a concurrent prune's
-        changed-since-observed re-check.
+        (best-effort) — an O(1) lock-free metadata op, and the file's
+        ``last_used`` for eviction, so readers keep hot files out of
+        LRU eviction's reach.  The bump also shields an in-use file
+        from a concurrent prune's changed-since-observed re-check.
         """
         path = self._path(signature)
         state = self._load_state(path, signature)
@@ -627,7 +413,6 @@ class CacheStore:
             self._count("misses")
             return None
         self._count("hits")
-        self._touched.add(path.name)
         with contextlib.suppress(OSError):
             os.utime(path)
         return state
@@ -659,40 +444,12 @@ class CacheStore:
         Without it, two workers could both read state v0, each merge
         only its own entries, and the second ``os.replace`` would
         discard the first's.  Lock files live beside the data files.
-        Contended acquisitions bump the ``lock_waits`` counter; stale
-        locks broken on the way in bump ``lock_breaks``.
-
-        This is the ``lock`` injection point: a ``stale_lock`` fault
-        plants a dead holder pid in the lock file and forces the probe
-        path, proving the breaking machinery end to end.
+        Contended acquisitions bump the ``lock_waits`` counter.
         """
-        lock_path = path.with_suffix(".lock")
-        force_probe = False
-        if faults.maybe_inject("lock") == "stale_lock":
-            force_probe = self._plant_stale_lock(lock_path)
         return _locked(
-            lock_path,
-            on_wait=self._count_wait,
-            on_break=self._count_break,
-            force_probe=force_probe,
+            path.with_suffix(".lock"),
+            on_wait=lambda: self._count("lock_waits"),
         )
-
-    def _plant_stale_lock(self, lock_path: pathlib.Path) -> bool:
-        """Realise a ``stale_lock`` fault: stamp a dead pid into the
-        lock file, exactly what a writer crashing between acquire and
-        release leaves behind (the kernel drops the flock with the
-        process; only the stamped pid persists)."""
-        try:
-            lock_path.write_text(str(faults.dead_pid()))
-        except OSError:  # pragma: no cover - injection best-effort
-            return False
-        return True
-
-    def _count_wait(self) -> None:
-        self._count("lock_waits")
-
-    def _count_break(self) -> None:
-        self._count("lock_breaks")
 
     def save(self, signature: tuple, state: WorkloadState) -> None:
         """Persist ``state``, merging with what is already on disk.
@@ -703,9 +460,8 @@ class CacheStore:
         runs under a per-workload file lock (concurrent writers union
         rather than clobber) and the write itself is atomic (unique
         temp file + ``os.replace``), so readers never observe partial
-        JSON.  Each write also refreshes the file's manifest
-        accounting (``last_used`` / ``entry_count`` / ``bytes``) and
-        counts toward this instance's ``writes`` counter.
+        JSON.  Each write counts toward this instance's ``writes``
+        counter.
         """
         if state.signature != repr(signature):
             raise ValueError(
@@ -720,25 +476,16 @@ class CacheStore:
             payload = json.dumps(_state_to_dict(state), separators=(",", ":"))
             if faults.maybe_inject("spill") == "torn_write":
                 # Realise a torn write: a truncated payload lands at
-                # the data path *without* the atomic temp+replace, the
-                # write is not counted and the manifest not updated —
-                # what a crash mid-write leaves behind.  The store
-                # contract absorbs it: the next load parses garbage,
-                # returns cold, and the next save atomically replaces
-                # the wreck.
+                # the data path *without* the atomic temp+replace and
+                # the write is not counted — what a crash mid-write
+                # leaves behind.  The store contract absorbs it: the
+                # next load parses garbage, returns cold, and the next
+                # save atomically replaces the wreck.
                 with contextlib.suppress(OSError):
                     path.write_text(payload[: max(1, len(payload) // 2)])
-                    self._touched.add(path.name)
                 return
             _atomic_write(path, payload)
             self._count("writes")
-            self._touched.add(path.name)
-            self._update_manifest(
-                path.name,
-                last_used=time.time(),
-                entry_count=_entry_count(state),
-                size=len(payload),
-            )
 
     def signatures(self) -> list[str]:
         """Digests of every workload file currently in the store."""
@@ -746,168 +493,29 @@ class CacheStore:
             p.stem.split("-", 1)[1] for p in self.root.glob("workload-*.json")
         )
 
-    # -- manifest accounting ------------------------------------------------
-
-    @property
-    def _manifest_path(self) -> pathlib.Path:
-        return self.root / MANIFEST_NAME
-
-    def _manifest_lock(self, force_probe: bool = False):
-        """Advisory lock serialising manifest read-modify-write.
-
-        Always acquired *after* a per-workload file lock when both are
-        held (save, prune), so the two lock levels cannot deadlock.
-        Stale manifest locks are broken like workload locks (and
-        counted); ``force_probe`` serves the ``prune`` injection.
-        """
-        return _locked(
-            self.root / "store-manifest.lock",
-            on_wait=self._count_wait,
-            on_break=self._count_break,
-            force_probe=force_probe,
-        )
-
-    def _read_manifest(self) -> dict[str, dict] | None:
-        """The manifest's file table, or None when corrupt/missing.
-
-        Validated field by field — a manifest is plain accounting that
-        can always be rebuilt from a directory scan, so anything
-        malformed (garbage bytes, truncation, foreign schema, wrong
-        version) reads as "no manifest", never as an error.
-        """
-        try:
-            payload = json.loads(self._manifest_path.read_text())
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != STORE_VERSION
-            or not isinstance(payload.get("files"), dict)
-        ):
-            return None
-        files: dict[str, dict] = {}
-        for name, entry in payload["files"].items():
-            if not isinstance(name, str) or not isinstance(entry, dict):
-                return None
-            try:
-                files[name] = {
-                    "last_used": float(entry["last_used"]),
-                    "entry_count": int(entry["entry_count"]),
-                    "bytes": int(entry["bytes"]),
-                }
-            except (KeyError, TypeError, ValueError):
-                return None
-        return files
-
-    def _write_manifest(self, files: dict[str, dict]) -> None:
-        """Atomically replace the manifest (same temp-file dance as the
-        data files, so readers never observe partial JSON)."""
-        _atomic_write(
-            self._manifest_path,
-            json.dumps(
-                {"version": STORE_VERSION, "files": files},
-                separators=(",", ":"),
-                sort_keys=True,
-            ),
-        )
-
-    def _update_manifest(
-        self, name: str, *, last_used: float, entry_count: int, size: int
-    ) -> None:
-        """Record a save in the manifest (best-effort: accounting must
-        never fail a data write — a lost update is reconciled by the
-        next prune/stats scan)."""
-        try:
-            with self._manifest_lock():
-                files = self._read_manifest() or {}
-                files[name] = {
-                    "last_used": last_used,
-                    "entry_count": entry_count,
-                    "bytes": size,
-                }
-                self._write_manifest(files)
-        except OSError:  # pragma: no cover - disk full / permissions
-            pass
-
-    def _touch_manifest(self, name: str, when: float | None = None) -> None:
-        """Bump ``name``'s ``last_used`` (best-effort, loads/touches)."""
-        try:
-            with self._manifest_lock():
-                files = self._read_manifest() or {}
-                if name in files:
-                    files[name]["last_used"] = (
-                        time.time() if when is None else when
-                    )
-                    self._write_manifest(files)
-        except OSError:  # pragma: no cover - disk full / permissions
-            pass
-
-    def touch(self, signature: tuple, when: float | None = None) -> None:
-        """Record a use of ``signature``'s file at ``when`` (default
-        now).
-
-        With an explicit ``when`` the data file's mtime is rewound too,
-        so age-based pruning sees the backdated time through both the
-        manifest and the reconciliation scan (the eviction property
-        tests drive the clock through this).
-        """
-        path = self._path(signature)
-        if when is not None:
-            with contextlib.suppress(OSError):
-                os.utime(path, (when, when))
-        self._touch_manifest(path.name, when)
-
-    def _reconciled_files(self) -> dict[str, dict]:
-        """Manifest entries reconciled against the directory.
-
-        The manifest is best-effort, so the directory is the source of
-        truth for existence and size: entries for vanished files are
-        dropped, files the manifest missed are adopted (their
-        ``last_used`` falls back to mtime), and ``last_used`` is the
-        max of the recorded value and the file's mtime so a writer
-        whose manifest update was lost still reads as fresh.
-        """
-        recorded = self._read_manifest() or {}
-        files: dict[str, dict] = {}
-        for path in sorted(self.root.glob("workload-*.json")):
+    def _scan_files(self) -> dict[str, tuple[float, int]]:
+        """``{name: (last_used, bytes)}`` of every data file: its
+        mtime (written by saves, bumped by loads) and size, one stat
+        each.  A file that vanishes mid-scan (a concurrent prune) is
+        skipped."""
+        files: dict[str, tuple[float, int]] = {}
+        for path in self.root.glob("workload-*.json"):
             try:
                 st = path.stat()
             except OSError:
                 continue
-            entry = recorded.get(path.name)
-            if entry is None:
-                state = self._read(path)
-                files[path.name] = {
-                    "last_used": st.st_mtime,
-                    "entry_count": 0 if state is None else _entry_count(state),
-                    "bytes": st.st_size,
-                }
-            else:
-                files[path.name] = {
-                    "last_used": max(entry["last_used"], st.st_mtime),
-                    "entry_count": entry["entry_count"],
-                    "bytes": st.st_size,
-                }
+            files[path.name] = (st.st_mtime, st.st_size)
         return files
 
-    def scan(self) -> tuple[int, int, int]:
-        """Reconciled ``(files, bytes, entries)`` totals of the store."""
-        files = self._reconciled_files()
-        return (
-            len(files),
-            sum(entry["bytes"] for entry in files.values()),
-            sum(entry["entry_count"] for entry in files.values()),
-        )
+    def scan(self) -> tuple[int, int]:
+        """``(files, bytes)`` totals of the store's data files."""
+        files = self._scan_files()
+        return len(files), sum(size for __, size in files.values())
 
     def stats(self) -> StoreStats:
         """On-disk totals plus this instance's counters."""
-        num_files, num_bytes, num_entries = self.scan()
-        return StoreStats(
-            files=num_files,
-            bytes=num_bytes,
-            entries=num_entries,
-            **self.counters(),
-        )
+        num_files, num_bytes = self.scan()
+        return StoreStats(files=num_files, bytes=num_bytes, **self.counters())
 
     def prune(
         self,
@@ -915,119 +523,84 @@ class CacheStore:
         max_store_bytes: int | None = None,
         max_age_days: float | None = None,
         now: float | None = None,
-        protect_touched: bool = True,
         dry_run: bool = False,
     ) -> PruneResult:
         """Evict workload files by age and least-recently-used order.
 
-        Two passes over the reconciled manifest, oldest ``last_used``
-        first:
+        Two passes over a stat scan of the data files, oldest
+        ``last_used`` (mtime) first:
 
         1. with ``max_age_days``, every file last used more than that
            many days before ``now`` is a victim;
         2. with ``max_store_bytes``, further files are evicted
            LRU-first until the survivors' total size fits the cap.
 
-        Files in this instance's working set (saved or loaded here)
-        are skipped while ``protect_touched`` holds, so a prune issued
-        mid-campaign can never evict an entry the campaign just wrote;
-        cross-process writers are protected by a re-check under the
-        per-workload lock — a victim whose mtime or size no longer
-        matches what this pass observed is left alone.  ``now`` exists
-        for deterministic tests; with ``dry_run`` the victims are
-        computed but nothing is deleted.  An evicted signature simply
-        loads cold on its next miss.
+        Concurrent writers and readers are protected by a re-check
+        under the per-workload lock: a victim whose mtime or size no
+        longer matches what the scan observed is left alone.  ``now``
+        exists for deterministic tests; with ``dry_run`` the victims
+        are computed but nothing is deleted.  An evicted signature
+        simply loads cold on its next miss.
         """
         started = time.time() if now is None else now
-        force_probe = False
-        if faults.maybe_inject("prune") == "stale_lock":
-            # The ``prune`` injection point: the lifecycle pass finds
-            # the manifest lock orphaned by a crashed writer and must
-            # break it rather than wedge.
-            force_probe = self._plant_stale_lock(
-                self.root / "store-manifest.lock"
-            )
-        with self._manifest_lock(force_probe=force_probe):
-            files = self._reconciled_files()
-            if not dry_run:
-                self._write_manifest(files)
-        protected = set(self._touched) if protect_touched else set()
-        order = sorted(files, key=lambda n: (files[n]["last_used"], n))
+        files = self._scan_files()
+        order = sorted(files, key=lambda n: (files[n][0], n))
         victims: list[str] = []
         if max_age_days is not None:
             cutoff = started - max_age_days * 86400.0
-            victims.extend(
-                name
-                for name in order
-                if files[name]["last_used"] < cutoff and name not in protected
-            )
+            victims.extend(name for name in order if files[name][0] < cutoff)
         if max_store_bytes is not None:
-            total = sum(entry["bytes"] for entry in files.values())
-            total -= sum(files[name]["bytes"] for name in victims)
+            total = sum(size for __, size in files.values())
+            total -= sum(files[name][1] for name in victims)
             for name in order:
                 if total <= max_store_bytes:
                     break
-                if name in victims or name in protected:
+                if name in victims:
                     continue
                 victims.append(name)
-                total -= files[name]["bytes"]
+                total -= files[name][1]
         evicted: list[str] = []
         gone: set[str] = set()
         freed = 0
         for name in victims:
             if dry_run:
                 evicted.append(name)
-                freed += files[name]["bytes"]
+                freed += files[name][1]
                 continue
             path = self.root / name
-            removed = False
             with self._write_lock(path):
                 try:
                     st = path.stat()
                 except OSError:
-                    st = None  # already gone; still drop the accounting
-                if st is not None:
-                    if (
-                        st.st_mtime > files[name]["last_used"]
-                        or st.st_size != files[name]["bytes"]
-                    ):
-                        # Changed since the pass observed it (a live
-                        # writer's merge-save landed): not a victim
-                        # anymore.  Compared against the file's own
-                        # reconciled accounting, not this process's
-                        # wall clock, so clock skew between hosts (or
-                        # a lagging filesystem timestamp) cannot let
-                        # prune swallow a concurrent write.
-                        continue
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    removed = True
-                    freed += st.st_size
-                with self._manifest_lock():
-                    recorded = self._read_manifest()
-                    if recorded is not None and name in recorded:
-                        del recorded[name]
-                        self._write_manifest(recorded)
-            if removed:
-                self._count("evictions")
-                evicted.append(name)
-            elif st is None:
-                # Vanished before we acted (another pruner won the
-                # race): its stale accounting was dropped above, but it
-                # is NOT this pass's eviction — reporting it would
-                # double-count the deletion across concurrent prunes —
-                # and it is not a survivor either.
-                gone.add(name)
-        kept = [
-            name for name in files if name not in gone and name not in evicted
-        ]
+                    # Vanished before we acted (another pruner won the
+                    # race): not this pass's eviction — reporting it
+                    # would double-count the deletion across
+                    # concurrent prunes — and not a survivor either.
+                    gone.add(name)
+                    continue
+                if (st.st_mtime, st.st_size) != files[name]:
+                    # Changed since the scan (a live writer's
+                    # merge-save or a reader's mtime bump landed): not
+                    # a victim anymore.  Compared against the file's
+                    # own observed stat, not this process's wall
+                    # clock, so clock skew between hosts (or a lagging
+                    # filesystem timestamp) cannot let prune swallow a
+                    # concurrent write.
+                    continue
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+            self._count("evictions")
+            evicted.append(name)
+            freed += st.st_size
+        dropped = gone.union(evicted)
+        kept = [name for name in files if name not in dropped]
         return PruneResult(
             evicted=tuple(evicted),
             bytes_freed=freed,
             files_kept=len(kept),
-            bytes_kept=sum(files[name]["bytes"] for name in kept),
+            bytes_kept=sum(files[name][1] for name in kept),
             dry_run=dry_run,
         )
 

@@ -2,40 +2,37 @@
 
 A training/inference campaign that serves real traffic must survive
 its own infrastructure: a planner worker dying mid-batch, a
-cache-store write torn by a crash, a lock file orphaned by a killed
-writer, a connection reset mid-frame.  This module lets tests and
-benchmarks *make those things happen on purpose*, deterministically,
-so the recovery machinery in :mod:`repro.core.solver` (the solver
-pool's rebuild-and-resume), :mod:`repro.core.cache_store` and
-:mod:`repro.service.transport` is exercised by CI instead of waiting
-for production to exercise it.
+cache-store write torn by a crash, a connection reset mid-frame.  This
+module lets tests and benchmarks *make those things happen on
+purpose*, deterministically, so the recovery machinery in
+:mod:`repro.core.solver` (the solver pool's rebuild-and-resume),
+:mod:`repro.core.cache_store` and :mod:`repro.service.transport` is
+exercised by CI instead of waiting for production to exercise it.
 
 Model:
 
 * **Injection points** are named sites the production code visits via
   :func:`maybe_inject` — ``plan`` (solver-pool worker task),
   ``spawn`` (solver-pool worker initialisation), ``spill``
-  (cache-store save), ``lock`` (store write-lock acquisition),
-  ``prune`` (store lifecycle pass), plus the plan-transport network
-  sites ``accept`` (the TCP listener admitting a connection),
-  ``handshake`` (the version/signature exchange), ``recv`` (reading a
-  request frame) and ``send`` (writing a response frame) — all
-  visited server-side by :mod:`repro.service.transport`.  When no
-  schedule is armed, a visit is one module-global read and a ``None``
-  check — zero overhead on the hot path.
+  (cache-store save), plus the plan-transport network sites
+  ``accept`` (the TCP listener admitting a connection), ``handshake``
+  (the version/signature exchange), ``recv`` (reading a request frame)
+  and ``send`` (writing a response frame) — all visited server-side
+  by :mod:`repro.service.transport`.  When no schedule is armed, a
+  visit is one module-global read and a ``None`` check — zero
+  overhead on the hot path.
 * A **fault spec** is ``kind@site[:occurrence]``: ``worker_kill@plan``
   (die on the first planner task), ``torn_write@spill:2`` (tear the
-  third save), ``stale_lock@prune``, or ``delay@recv:*`` (stall
-  *every* request read).  Kinds: ``worker_kill`` (``os._exit`` on the
-  spot), ``torn_write`` and ``stale_lock`` (realised by the cache
-  store itself — a truncated non-atomic data write, a lock file
-  stamped with a dead holder pid), and the network kinds
-  realised by the plan transport: ``conn_reset`` (the connection is
-  aborted with an RST at the site), ``torn_frame`` (half a
-  length-prefixed frame is written, then the connection reset),
-  ``delay`` (the site stalls :attr:`FaultSchedule.delay_seconds` — a
-  slow peer), ``drop_response`` (the response is solved, recorded,
-  and silently never sent — the client must retry and re-attach).
+  third save), or ``delay@recv:*`` (stall *every* request read).
+  Kinds: ``worker_kill`` (``os._exit`` on the spot), ``torn_write``
+  (realised by the cache store itself — a truncated non-atomic data
+  write), and the network kinds realised by the plan transport:
+  ``conn_reset`` (the connection is aborted with an RST at the
+  site), ``torn_frame`` (half a length-prefixed frame is written,
+  then the connection reset), ``delay`` (the site stalls
+  :attr:`FaultSchedule.delay_seconds` — a slow peer),
+  ``drop_response`` (the response is solved, recorded, and silently
+  never sent — the client must retry and re-attach).
 * A :class:`FaultSchedule` groups specs with a seed and a **record
   ledger** — an append-only file, shared by every process the
   schedule reaches (the solver pool's initializer ships it to
@@ -52,7 +49,7 @@ campaign results bit-identical to the fault-free serial pass** —
 faults and the recovery they trigger move *where and when* plans are
 computed, never what they are.  :class:`FaultStats` is the report
 card (surfaced on :class:`~repro.experiments.sweep.SweepResult` and
-in the campaign summary's ``"faults"`` block).
+as the campaign CLI's ``faults:`` line).
 """
 
 from __future__ import annotations
@@ -81,7 +78,6 @@ __all__ = [
     "arm",
     "active_schedule",
     "armed",
-    "dead_pid",
     "disarm",
     "maybe_inject",
 ]
@@ -90,7 +86,6 @@ __all__ = [
 FAULT_KINDS = (
     "worker_kill",
     "torn_write",
-    "stale_lock",
     "conn_reset",
     "torn_frame",
     "delay",
@@ -100,8 +95,6 @@ FAULT_KINDS = (
 #: Registered injection-point names (see the module docstring).
 INJECTION_SITES = (
     "spill",
-    "lock",
-    "prune",
     "plan",
     "spawn",
     "accept",
@@ -113,16 +106,13 @@ INJECTION_SITES = (
 #: The (kind, site) pairs a seeded random schedule draws from — every
 #: combination has a visitor in a campaign and is survivable: the
 #: solver pool rebuilds after a dead worker and resubmits only the
-#: shapes still missing, and the cache store reads a torn file as cold
-#: and breaks a lock whose recorded holder is dead.  (Killing the
-#: campaign's own process is not a fault to recover from, so no kill
-#: targets a parent-side site.)
+#: shapes still missing, and the cache store reads a torn file as
+#: cold.  (Killing the campaign's own process is not a fault to
+#: recover from, so no kill targets a parent-side site.)
 RANDOM_FAULT_MENU = (
     ("worker_kill", "spawn"),
     ("worker_kill", "plan"),
     ("torn_write", "spill"),
-    ("stale_lock", "lock"),
-    ("stale_lock", "prune"),
 )
 
 #: The network (kind, site) pairs the plan-transport chaos benchmark
@@ -316,12 +306,9 @@ class FaultStats:
     Attributes:
         injections: ``(kind@site, count)`` pairs of faults actually
             realised during the pass (from the schedule's ledger).
-        lock_breaks: Stale store locks (dead recorded holder) safely
-            broken during the pass.
     """
 
     injections: tuple[tuple[str, int], ...] = ()
-    lock_breaks: int = 0
 
     @property
     def total_injections(self) -> int:
@@ -347,8 +334,8 @@ class _FaultPlane:
         """Count a site visit; realise and/or report any fault it fires.
 
         ``worker_kill`` is realised here — the kill records its ledger
-        line first and never returns.  Data faults
-        (``torn_write``, ``stale_lock``) and the network kinds
+        line first and never returns.  The data fault
+        (``torn_write``) and the network kinds
         (``conn_reset``, ``torn_frame``, ``delay``, ``drop_response``)
         are returned as the fired kind for the *caller* to realise —
         only the cache store knows what a torn write means, and only
@@ -460,9 +447,9 @@ def maybe_inject(site: str) -> str | None:
     """Visit injection point ``site``.
 
     Returns the kind of a fired *data or network* fault
-    (``torn_write`` / ``stale_lock`` / ``conn_reset`` / ``torn_frame``
-    / ``delay`` / ``drop_response``) for the caller to realise, or
-    None.  ``worker_kill`` is realised inline and does not return.
+    (``torn_write`` / ``conn_reset`` / ``torn_frame`` / ``delay`` /
+    ``drop_response``) for the caller to realise, or None.
+    ``worker_kill`` is realised inline and does not return.
     Disarmed, this is one global read and a None check.
     """
     plane = _ACTIVE
@@ -470,15 +457,3 @@ def maybe_inject(site: str) -> str | None:
         return None
     return plane.visit(site)
 
-
-def dead_pid() -> int:
-    """A pid guaranteed to belong to no live process (fork a child
-    that exits immediately and reap it) — what the ``stale_lock``
-    realisation stamps into a lock file as the "crashed" holder."""
-    if not hasattr(os, "fork"):  # pragma: no cover - non-POSIX
-        return 2**31 - 1
-    pid = os.fork()
-    if pid == 0:  # pragma: no cover - the throwaway child
-        os._exit(0)
-    os.waitpid(pid, 0)
-    return pid

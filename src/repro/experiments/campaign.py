@@ -386,9 +386,9 @@ class CampaignResult:
 
     @property
     def store_write_amplification(self) -> float | None:
-        """Store data-file writes per measured cell for this pass —
-        the figure the batched-spill engine drives below the
-        spill-per-cell baseline (None without a store)."""
+        """Store data-file writes per measured cell for this pass
+        (None without a store).  The end-of-pass spill writes each
+        dirty workload once, so it is at most workloads / cells."""
         stats = self.sweep.store_stats
         if stats is None:
             return None

@@ -44,20 +44,18 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   wall-clock, surfaced by ``python -m repro.bench --campaign ...
   --profile``.
 * **Batched spills.**  Dirty store state is merge-saved once per
-  workload at the end of a :meth:`SweepRunner.run` pass instead of
-  after every cell; ``spill_batch`` restores per-cell spilling (``1``,
-  the write-amplification baseline) or any intermediate cadence.
-  Store write amplification (writes / cells measured) is surfaced per
-  cell as :attr:`CellMetrics.store_writes` and per pass as
-  :attr:`SweepResult.store_stats`.
+  workload at the end of a :meth:`SweepRunner.run` pass, after the
+  last cell, so a cold pass writes each workload file at most once
+  and a fully restored pass writes none.  Each pass reports its store
+  accounting as :attr:`SweepResult.store_stats`.
 * **Fault injection.**  A pass may arm a
   :class:`~repro.core.faults.FaultSchedule`: the solver pool's workers
   visit the ``spawn`` and ``plan`` injection points and the store
-  visits ``spill``, ``lock`` and ``prune``.  The pool rebuilds after a
-  dead worker and resubmits only the shapes still missing, and the
-  store reads a torn file as cold and breaks stale locks, so results
-  stay bit-identical to the fault-free pass; realised injections are
-  accounted in :attr:`SweepResult.fault_stats`
+  visits ``spill``.  The pool rebuilds after a dead worker and
+  resubmits only the shapes still missing, and the store reads a torn
+  file as cold, so results stay bit-identical to the fault-free pass;
+  realised injections are accounted in
+  :attr:`SweepResult.fault_stats`
   (:class:`~repro.core.faults.FaultStats`).
 
 Results are plain :class:`CellMetrics` (no plans or traces), compared
@@ -218,14 +216,6 @@ class CellMetrics:
     whose configuration cannot be scheduled at all (Table 1's
     infeasible degree/length corners); OOM cells carry zero metrics.
 
-    ``store_writes`` counts the cache-store data files written while
-    this cell was handled (including any spill it triggered) — the
-    per-cell leg of the write-amplification accounting.  Like
-    ``mean_solve_seconds`` it is host-side bookkeeping, not part of
-    :meth:`deterministic`: it depends on the spill cadence
-    (``spill_batch``) and on which cell of a batch crosses the flush
-    threshold.
-
     ``stage_seconds`` is the cold-path planning breakdown —
     ``(stage, seconds)`` pairs for enumerate / lpt / milp_build /
     milp_solve, summed over the cell's solves (see
@@ -254,7 +244,6 @@ class CellMetrics:
     plan_cache_hit_rate: float
     checkpointing: str = ""
     status: str = "ok"
-    store_writes: int = 0
     stage_seconds: tuple[tuple[str, float], ...] = ()
     pruned_trials: int = 0
     pruned_microbatches: int = 0
@@ -367,9 +356,8 @@ class SweepResult:
         context_build_seconds: Wall-clock those constructions took.
         fault_stats: Fault accounting for this pass
             (:class:`~repro.core.faults.FaultStats`): realised
-            injections from the armed schedule's ledger plus the
-            store locks broken.  None when no schedule was armed and
-            no lock was broken — the fault-free common case.
+            injections from the armed schedule's ledger.  None when
+            no schedule was armed — the fault-free common case.
     """
 
     cells: tuple[SweepCell, ...]
@@ -698,10 +686,9 @@ class WorkloadContext:
         No-op without a store, and skipped entirely when nothing
         spillable changed since the last persist (or, for a restored
         context, since the restore — the end-of-pass flush persists
-        every context it touched, and with ``spill_batch=1`` every
-        cell triggers one; without the fingerprint check each no-op
-        call would re-serialise the whole workload file under the
-        store lock).
+        every context it touched; without the fingerprint check each
+        no-op call would re-serialise the whole workload file under
+        the store lock).
         """
         if self.store is None:
             return
@@ -730,21 +717,13 @@ class SweepRunner:
         store: Persistent cross-process cache — a
             :class:`~repro.core.cache_store.CacheStore` or a directory
             path.  Contexts restore from it on construction and spill
-            back per the ``spill_batch`` cadence.
+            back once at the end of each :meth:`run` pass.
         solver_workers: Width of the *one* shared
             :class:`~repro.core.solver.SolverPool` injected into every
             FlexSP solver — the runner's only parallelism.  ``None``
             adopts ``solver_config.workers`` when that is > 1 (so
             sweeps never nest per-workload pools); ``0`` uses every
             CPU; 1 plans in-process.
-        spill_batch: Cells measured before dirty store state is
-            spilled.  ``0`` (default) batches the whole pass: one
-            merge-save per dirty workload, flushed at the end of
-            :meth:`run`.  ``1`` restores the historical
-            spill-after-every-cell behaviour (the write-amplification
-            baseline); larger values flush every N cells.  Durability
-            trade-off only — restored state is bit-identical at every
-            cadence, a crash can just lose at most the unflushed tail.
         prewarm: Campaign-level cold batching.  Before measuring,
             every FlexSP cell is asked for the micro-batch shapes its
             solves would plan from scratch
@@ -776,7 +755,6 @@ class SweepRunner:
         solver_config: SolverConfig | None = None,
         store: CacheStore | str | os.PathLike | None = None,
         solver_workers: int | None = None,
-        spill_batch: int = 0,
         prewarm: bool = True,
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
@@ -798,11 +776,6 @@ class SweepRunner:
                 f"solver_workers must be non-negative, got {solver_workers}"
             )
         self.solver_workers = solver_workers
-        if spill_batch < 0:
-            raise ValueError(
-                f"spill_batch must be non-negative, got {spill_batch}"
-            )
-        self.spill_batch = spill_batch
         self.prewarm = prewarm
         self.fault_schedule = fault_schedule
         #: Ledger lines already attributed to earlier passes, so each
@@ -841,10 +814,9 @@ class SweepRunner:
     def run(self, cells: Iterable[SweepCell] | None = None) -> SweepResult:
         """Measure every cell (deduplicated) and return aligned metrics.
 
-        Store spills follow the ``spill_batch`` cadence, with a final
-        flush at the end of the pass either way, so a fresh process
-        restoring from the store right after :meth:`run` returns sees
-        every measured cell's state.
+        Dirty store state is spilled once per workload at the end of
+        the pass, so a fresh process restoring from the store right
+        after :meth:`run` returns sees every measured cell's state.
         """
         cells = self.cells if cells is None else tuple(cells)
         if not cells:
@@ -865,44 +837,24 @@ class SweepRunner:
                 self._prewarm_cold_cells(list(unique))
             )
         touched: dict[tuple, WorkloadContext] = {}
-        cells_since_spill = 0
         for cell in unique:
             context = self.context(cell.workload)
             touched[workload_signature(cell.workload)] = context
-            writes_before = (
-                self.store.counters()["writes"]
-                if self.store is not None
-                else 0
-            )
-            metrics = context.run(cell)
-            if self.store is not None:
-                cells_since_spill += 1
-                if self.spill_batch and cells_since_spill >= self.spill_batch:
-                    for dirty in touched.values():
-                        dirty.persist()
-                    cells_since_spill = 0
-                metrics = dataclasses.replace(
-                    metrics,
-                    store_writes=(
-                        self.store.counters()["writes"] - writes_before
-                    ),
-                )
-            unique[cell] = metrics
+            unique[cell] = context.run(cell)
         for context in touched.values():
             context.persist()
-        store_stats = self._store_stats_delta()
         result = SweepResult(
             cells=tuple(cells),
             metrics=tuple(unique[cell] for cell in cells),
             unique_cells=len(unique),
             wall_seconds=time.perf_counter() - started,
-            store_stats=store_stats,
+            store_stats=self._store_stats_delta(),
             prewarm_planned=prewarm_planned,
             prewarm_seconds=prewarm_seconds,
             prewarm_stage_seconds=tuple(prewarm_stages.items()),
             context_builds=self._context_builds,
             context_build_seconds=self._context_build_seconds,
-            fault_stats=self._fault_stats(store_stats),
+            fault_stats=self._fault_stats(),
         )
         # Every context built since the previous pass is reported
         # once, by this one.
@@ -968,43 +920,26 @@ class SweepRunner:
             return None
         totals = self.store.counters()
         delta = {
-            key: totals.get(key, 0) - self._counters_attributed.get(key, 0)
-            for key in (
-                "hits",
-                "misses",
-                "writes",
-                "evictions",
-                "lock_waits",
-                "lock_breaks",
-            )
+            key: count - self._counters_attributed.get(key, 0)
+            for key, count in totals.items()
         }
         self._counters_attributed = totals
-        num_files, num_bytes, num_entries = self.store.scan()
-        return StoreStats(
-            files=num_files, bytes=num_bytes, entries=num_entries, **delta
-        )
+        num_files, num_bytes = self.store.scan()
+        return StoreStats(files=num_files, bytes=num_bytes, **delta)
 
-    def _fault_stats(
-        self, store_stats: StoreStats | None
-    ) -> FaultStats | None:
+    def _fault_stats(self) -> FaultStats | None:
         """This pass's fault report: the schedule ledger's new lines
         (injections realised anywhere — including pool workers that
-        died before they could report) plus the store's lock-break
-        delta.  None when no schedule was armed and no lock was broken
-        (the common case stays silent)."""
-        injections: dict[str, int] = {}
-        if self.fault_schedule is not None:
-            labels = self.fault_schedule.read_ledger()
-            for label in labels[self._ledger_seen :]:
-                injections[label] = injections.get(label, 0) + 1
-            self._ledger_seen = len(labels)
-        lock_breaks = store_stats.lock_breaks if store_stats else 0
-        if self.fault_schedule is None and not lock_breaks:
+        died before they could report).  None when no schedule was
+        armed (the common case stays silent)."""
+        if self.fault_schedule is None:
             return None
-        return FaultStats(
-            injections=tuple(sorted(injections.items())),
-            lock_breaks=lock_breaks,
-        )
+        labels = self.fault_schedule.read_ledger()
+        injections: dict[str, int] = {}
+        for label in labels[self._ledger_seen :]:
+            injections[label] = injections.get(label, 0) + 1
+        self._ledger_seen = len(labels)
+        return FaultStats(injections=tuple(sorted(injections.items())))
 
     def close(self) -> None:
         """Shut the shared solver pool down.

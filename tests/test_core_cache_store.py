@@ -7,32 +7,43 @@ it — same cost model, same plans, same
 and any corrupted, truncated or foreign file must read as *cold*,
 never as an error.
 
-The lifecycle half (manifest accounting and :meth:`CacheStore.prune`)
-adds three adversarial suites: Hypothesis properties over the
+The lifecycle half (stat accounting and :meth:`CacheStore.prune`)
+adds four adversarial suites: Hypothesis properties over the
 eviction policy (age-cap safety, LRU order, byte-cap satisfaction,
 idempotence), a multi-process stress test interleaving merge-saves
 with concurrent prunes (no lost entries under non-evicting caps, no
-torn files ever), and corruption fuzzing of both the data files and
-the manifest (always cold, never fatal, always rewritten cleanly).
+torn files ever), the lock contract (a held lock is never broken,
+whatever its file holds; a crashed holder's lock is free), and
+corruption fuzzing of the data files and the lock files (always cold
+or ignored, never fatal, always rewritten cleanly).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fcntl
+import functools
 import json
 import multiprocessing
 import os
+import pathlib
+import signal
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import repro
 from repro.core.cache_store import (
-    MANIFEST_NAME,
     STORE_VERSION,
     CacheStore,
     WorkloadState,
+    _locked,
     context_digest,
     entries_from_cache,
     preload_cache,
@@ -241,13 +252,17 @@ class TestMergeAndKeys:
 
 
 # ---------------------------------------------------------------------------
-# Lifecycle: manifest accounting, eviction, concurrency, fuzzing.
+# Lifecycle: stat accounting, eviction, concurrency, fuzzing.
 # ---------------------------------------------------------------------------
 
 #: A deterministic "now" for eviction tests (prune takes ``now=`` and
-#: ``touch`` backdates both the manifest and the file mtime, so the
-#: policy sees a fully controlled clock).
+#: ``_backdate`` rewinds the data file's mtime, which is its
+#: ``last_used``, so the policy sees a fully controlled clock).
 NOW = 1_700_000_000.0
+
+
+def _backdate(store: CacheStore, signature, when: float) -> None:
+    os.utime(store._path(signature), (when, when))
 
 
 def _aged_store(root, ages_days: list[float]) -> tuple[CacheStore, list[tuple]]:
@@ -261,39 +276,33 @@ def _aged_store(root, ages_days: list[float]) -> tuple[CacheStore, list[tuple]]:
             ((shape,), None, None) for shape in range(index % 3 + 1)
         ]
         store.save(signature, state)
-        store.touch(signature, when=NOW - age * 86400.0)
+        _backdate(store, signature, NOW - age * 86400.0)
         signatures.append(signature)
     return store, signatures
 
 
-def _manifest_files(store: CacheStore) -> dict:
-    return json.loads((store.root / MANIFEST_NAME).read_text())["files"]
-
-
-class TestManifestAccounting:
-    def test_save_records_last_used_entry_count_and_bytes(self, tmp_path):
+class TestStatAccounting:
+    def test_save_sets_last_used_and_bytes_from_stat(self, tmp_path):
         store = CacheStore(tmp_path)
         state = WorkloadState(signature=repr(SIGNATURE), static_degree=8)
         state.plans["ctx"] = [((1024,), None, None), ((2048,), None, None)]
-        before = time.time()
         store.save(SIGNATURE, state)
         path = store._path(SIGNATURE)
-        entry = _manifest_files(store)[path.name]
-        assert entry["bytes"] == path.stat().st_size
-        assert entry["entry_count"] == 3  # two plan entries + the degree
-        assert entry["last_used"] >= before
+        st = path.stat()
+        assert store._scan_files() == {path.name: (st.st_mtime, st.st_size)}
+        assert st.st_size == len(path.read_bytes())
+        assert store.scan() == (1, st.st_size)
 
     def test_load_bumps_last_used(self, tmp_path):
         """A warm load freshens the file against LRU eviction — via
-        the mtime (O(1), lock-free), which the reconciled accounting
-        folds into ``last_used``."""
+        the mtime (O(1), lock-free), which is ``last_used``."""
         store = CacheStore(tmp_path)
         store.save(SIGNATURE, WorkloadState(signature=repr(SIGNATURE)))
         path = store._path(SIGNATURE)
-        store.touch(SIGNATURE, when=NOW)
-        assert _manifest_files(store)[path.name]["last_used"] == NOW
+        _backdate(store, SIGNATURE, NOW)
+        assert store._scan_files()[path.name][0] == NOW
         assert store.load(SIGNATURE) is not None
-        assert store._reconciled_files()[path.name]["last_used"] > NOW
+        assert store._scan_files()[path.name][0] > NOW
         # ...and a fresh pruner consequently leaves the hot file alone.
         result = CacheStore(tmp_path).prune(max_age_days=1.0, now=NOW)
         assert result.evicted == ()
@@ -309,12 +318,9 @@ class TestManifestAccounting:
             "writes": 1,
             "evictions": 0,
             "lock_waits": 0,
-            "lock_breaks": 0,
         }
 
     def test_lock_waits_counts_contended_saves(self, tmp_path):
-        import fcntl
-
         store = CacheStore(tmp_path)
         state = WorkloadState(signature=repr(SIGNATURE))
         store.save(SIGNATURE, state)
@@ -322,8 +328,6 @@ class TestManifestAccounting:
         # Hold the per-workload write lock from "another process" and
         # release it from a timer, so the contended save both waits
         # and completes.
-        import threading
-
         lock_path = store._path(SIGNATURE).with_suffix(".lock")
         held = open(lock_path, "w")
         fcntl.flock(held.fileno(), fcntl.LOCK_EX)
@@ -348,28 +352,30 @@ class TestManifestAccounting:
         )
         stats = store.stats()
         assert stats.files == 2
-        assert stats.entries == 1
         assert stats.bytes == sum(
             p.stat().st_size for p in tmp_path.glob("workload-*.json")
         )
         assert stats.writes == 2
 
-    def test_scan_adopts_files_the_manifest_missed(self, tmp_path):
-        """The directory is the source of truth: a data file written
-        without its accounting (lost manifest update, foreign writer)
-        is adopted with its mtime as last_used."""
+    def test_scan_counts_only_data_files(self, tmp_path):
+        """Only ``workload-*.json`` is the store: lock files, temp
+        files and stray JSON (an older layout's accounting file) are
+        neither counted nor pruned."""
         store = CacheStore(tmp_path)
         store.save(SIGNATURE, WorkloadState(signature=repr(SIGNATURE)))
-        (tmp_path / MANIFEST_NAME).unlink()
-        files, size, __ = store.scan()
-        assert files == 1
-        assert size == store._path(SIGNATURE).stat().st_size
+        strays = ["accounting.json", "workload-0.abc.tmp", "notes.lock"]
+        for name in strays:
+            (tmp_path / name).write_text('{"files": {}}')
+        assert store.scan() == (1, store._path(SIGNATURE).stat().st_size)
+        result = store.prune(max_store_bytes=0)
+        assert result.evicted == (store._path(SIGNATURE).name,)
+        assert all((tmp_path / name).exists() for name in strays)
 
     def test_scan_drops_entries_for_vanished_files(self, tmp_path):
         store = CacheStore(tmp_path)
         store.save(SIGNATURE, WorkloadState(signature=repr(SIGNATURE)))
         store._path(SIGNATURE).unlink()
-        assert store.scan() == (0, 0, 0)
+        assert store.scan() == (0, 0)
 
 
 class TestPrune:
@@ -385,11 +391,8 @@ class TestPrune:
 
     def test_byte_cap_evicts_lru_first(self, tmp_path):
         store, signatures = _aged_store(tmp_path, [0.0, 1.0, 5.0, 10.0])
-        sizes = {
-            name: entry["bytes"] for name, entry in _manifest_files(store).items()
-        }
         keep_newest_two = sum(
-            sizes[store._path(signatures[i]).name] for i in (0, 1)
+            store._path(signatures[i]).stat().st_size for i in (0, 1)
         )
         pruner = CacheStore(tmp_path)
         result = pruner.prune(max_store_bytes=keep_newest_two, now=NOW)
@@ -398,22 +401,21 @@ class TestPrune:
         assert pruner.load(signatures[3]) is None
         assert result.bytes_kept <= keep_newest_two
 
-    def test_prune_protects_this_instances_working_set(self, tmp_path):
-        """A prune issued mid-campaign must never evict what the
-        campaign itself saved or loaded, even under a zero byte cap."""
-        store, signatures = _aged_store(tmp_path, [0.0, 4.0])
-        result = store.prune(max_store_bytes=0, max_age_days=1.0, now=NOW)
-        assert result.evicted == ()
+    def test_lru_order_follows_loads(self, tmp_path):
+        """A load bumps the file's mtime, so the older but just-read
+        file outlives the newer unread one under a byte cap."""
+        store, signatures = _aged_store(tmp_path, [5.0, 3.0])
         assert store.load(signatures[0]) is not None
-        assert store.load(signatures[1]) is not None
+        one_file = store._path(signatures[0]).stat().st_size
+        result = CacheStore(tmp_path).prune(max_store_bytes=one_file)
+        assert result.evicted == (store._path(signatures[1]).name,)
+        assert store.load(signatures[0]) is not None
 
-    def test_unprotected_prune_evicts_everything_under_zero_cap(
-        self, tmp_path
-    ):
+    def test_zero_byte_cap_evicts_everything(self, tmp_path):
+        """No working set is exempt: a zero cap empties the store, the
+        pruning instance's own files included."""
         store, signatures = _aged_store(tmp_path, [0.0, 4.0])
-        result = store.prune(
-            max_store_bytes=0, now=NOW, protect_touched=False
-        )
+        result = store.prune(max_store_bytes=0, now=NOW)
         assert len(result.evicted) == 2
         assert store.load(signatures[0]) is None
 
@@ -428,19 +430,19 @@ class TestPrune:
         self, tmp_path, monkeypatch
     ):
         """The cross-process guard: a victim whose data file changed
-        between the pass's observation and its deletion attempt (a
-        concurrent writer's merge-save landed) is left alone — checked
-        against the file's own recorded mtime/size, not wall clocks."""
+        between the pass's scan and its deletion attempt (a concurrent
+        writer's merge-save landed) is left alone — checked against
+        the file's own observed mtime/size, not wall clocks."""
         __, signatures = _aged_store(tmp_path, [5.0])
         pruner = CacheStore(tmp_path)
-        observed = pruner._reconciled_files()
+        observed = pruner._scan_files()
         # The concurrent merge-save lands "after" the observation:
         writer = CacheStore(tmp_path)
         state = WorkloadState(signature=repr(signatures[0]))
         state.plans["ctx"] = [((31337,), None, None)]
         writer.save(signatures[0], state)
         monkeypatch.setattr(
-            CacheStore, "_reconciled_files", lambda self: dict(observed)
+            CacheStore, "_scan_files", lambda self: dict(observed)
         )
         result = pruner.prune(max_store_bytes=0, now=NOW)
         assert result.evicted == ()
@@ -455,10 +457,10 @@ class TestPrune:
         concurrent prunes) — and not as a survivor either."""
         store, signatures = _aged_store(tmp_path, [5.0])
         pruner = CacheStore(tmp_path)
-        observed = pruner._reconciled_files()
+        observed = pruner._scan_files()
         store._path(signatures[0]).unlink()  # the racing pruner won
         monkeypatch.setattr(
-            CacheStore, "_reconciled_files", lambda self: dict(observed)
+            CacheStore, "_scan_files", lambda self: dict(observed)
         )
         result = pruner.prune(max_store_bytes=0, now=NOW)
         assert result.evicted == ()
@@ -726,8 +728,125 @@ class TestConcurrencyStress:
 
 
 # ---------------------------------------------------------------------------
-# Corruption fuzzing: damaged data files AND damaged manifests always
-# load cold and are rewritten cleanly by the next spill / prune.
+# The lock contract: one plain per-file flock.  A held lock is never
+# broken, whatever its file holds; a crashed holder's lock is free as
+# soon as the kernel reaps the holder; the directory holds data and
+# lock files only.
+# ---------------------------------------------------------------------------
+
+
+def _exited_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+#: A child process that takes a lock through the store's ``_locked``,
+#: says so, and holds it until it is killed.
+HOLD_LOCK = """
+import sys, time
+sys.path.insert(0, {src!r})
+from repro.core.cache_store import _locked
+with _locked(sys.argv[1]):
+    print("locked", flush=True)
+    time.sleep(600)
+"""
+
+
+class TestLockContract:
+    @pytest.mark.parametrize("operation", ["save", "prune_victim"])
+    def test_held_lock_naming_an_exited_pid_is_never_broken(
+        self, tmp_path, operation
+    ):
+        """Regression: a lock file naming an exited process must not
+        let a contender break in while the lock is held.  The
+        contender blocks until the real holder releases, then
+        completes as one counted wait."""
+        store = CacheStore(tmp_path)
+        state = WorkloadState(signature=repr(SIGNATURE))
+        state.plans["ctx"] = [((1024,), None, None)]
+        store.save(SIGNATURE, state)
+        data_path = store._path(SIGNATURE)
+        lock_path = data_path.with_suffix(".lock")
+        contender = CacheStore(tmp_path)
+        update = WorkloadState(signature=repr(SIGNATURE))
+        update.plans["ctx"] = [((2048,), None, None)]
+        if operation == "save":
+            run = functools.partial(contender.save, SIGNATURE, update)
+        else:
+            run = functools.partial(contender.prune, max_store_bytes=0)
+        holder = open(lock_path, "a")
+        fcntl.flock(holder.fileno(), fcntl.LOCK_EX)
+        lock_path.write_text(str(_exited_pid()))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                future = pool.submit(run)
+                done, __ = wait([future], timeout=0.3)
+                assert not done, "the contender broke into a held lock"
+            finally:
+                fcntl.flock(holder.fileno(), fcntl.LOCK_UN)
+                holder.close()
+            future.result(timeout=30)
+        assert contender.counters()["lock_waits"] == 1
+        if operation == "save":
+            merged = contender.load(SIGNATURE)
+            assert {e[0] for e in merged.plans["ctx"]} == {(1024,), (2048,)}
+        else:
+            assert contender.counters()["evictions"] == 1
+            assert not data_path.exists()
+
+    def test_crashed_holder_leaves_the_lock_free(self, tmp_path):
+        """A holder SIGKILLed inside the lock leaves nothing to break:
+        the kernel drops its flock, and the next save takes the lock
+        uncontended."""
+        store = CacheStore(tmp_path)
+        lock_path = store._path(SIGNATURE).with_suffix(".lock")
+        src = str(pathlib.Path(repro.__file__).parents[1])
+        holder = subprocess.Popen(
+            [sys.executable, "-c", HOLD_LOCK.format(src=src), str(lock_path)],
+            stdout=subprocess.PIPE,
+        )
+        try:
+            assert holder.stdout.readline() == b"locked\n"
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert holder.returncode == -signal.SIGKILL
+        store.save(
+            SIGNATURE, WorkloadState(signature=repr(SIGNATURE), static_degree=8)
+        )
+        assert store.counters()["lock_waits"] == 0
+        assert store.load(SIGNATURE).static_degree == 8
+
+    def test_store_directory_holds_only_data_and_lock_files(self, tmp_path):
+        """After saves, loads, ``stats()`` and an evicting prune, the
+        directory holds data and lock files only."""
+        store, signatures = _aged_store(tmp_path, [0.0, 5.0])
+        assert store.load(signatures[0]) is not None
+        assert store.stats().files == 2
+        assert len(store.prune(max_age_days=1.0, now=NOW).evicted) == 1
+        assert sorted(
+            path.name
+            for path in tmp_path.iterdir()
+            if not path.match("workload-*.json")
+            and not path.match("workload-*.lock")
+        ) == []
+
+    def test_lock_files_stay_empty(self, tmp_path):
+        """Holders record nothing in a lock file: the flock is the
+        whole protocol."""
+        store, __ = _aged_store(tmp_path, [0.0, 5.0])
+        store.prune(max_store_bytes=0, now=NOW)
+        locks = list(tmp_path.glob("workload-*.lock"))
+        assert len(locks) == 2
+        assert [path.stat().st_size for path in locks] == [0, 0]
+
+
+# ---------------------------------------------------------------------------
+# Corruption fuzzing: damaged data files always load cold and are
+# rewritten cleanly by the next spill; damaged lock files change nothing.
 # ---------------------------------------------------------------------------
 
 #: Byte-level damage applied to store files in the fuzz tests.
@@ -771,36 +890,38 @@ class TestCorruptionFuzz:
         json.loads(victim.read_text())  # clean JSON again
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    def test_corrupt_manifest_never_breaks_loads_saves_or_prunes(
+    def test_lock_file_bytes_never_block_or_fail_loads_saves_or_prunes(
         self, tmp_path, corruption
     ):
+        """A lock file is only ever flocked, never read: whatever bytes
+        it holds, loads, saves and prunes go through uncontended."""
         store = self._populate(tmp_path)
-        manifest = tmp_path / MANIFEST_NAME
-        manifest.write_bytes(CORRUPTIONS[corruption](manifest.read_text()))
+        for signature in STRESS_SIGNATURES:
+            path = store._path(signature)
+            path.with_suffix(".lock").write_bytes(
+                CORRUPTIONS[corruption](path.read_text())
+            )
         fresh = CacheStore(tmp_path)
-        assert fresh.load(STRESS_SIGNATURES[0]) is not None  # data unaffected
-        # stats/prune reconcile from the directory scan instead.
+        assert fresh.load(STRESS_SIGNATURES[0]) is not None
+        state = WorkloadState(signature=repr(STRESS_SIGNATURES[0]))
+        state.plans["ctx"] = [((999,), None, None)]
+        fresh.save(STRESS_SIGNATURES[0], state)
+        merged = fresh.load(STRESS_SIGNATURES[0])
+        assert {e[0] for e in merged.plans["ctx"]} == {(128,), (999,)}
         assert fresh.stats().files == len(STRESS_SIGNATURES)
-        result = fresh.prune(max_age_days=1.0, now=time.time())
-        assert result.evicted == ()  # everything fresh (mtime fallback)
-        fresh.save(
-            STRESS_SIGNATURES[0],
-            WorkloadState(signature=repr(STRESS_SIGNATURES[0])),
-        )
-        # The next spill rewrote a valid manifest.
-        files = json.loads(manifest.read_text())["files"]
-        assert fresh._path(STRESS_SIGNATURES[0]).name in files
+        assert fresh.prune(max_age_days=1.0, now=time.time()).evicted == ()
+        evicted = fresh.prune(max_store_bytes=0).evicted
+        assert len(evicted) == len(STRESS_SIGNATURES)
+        assert fresh.counters()["lock_waits"] == 0
 
     def test_corrupt_file_is_prunable(self, tmp_path):
-        """A damaged workload file is still subject to eviction — with
-        its manifest accounting gone too, everything falls back to a
-        zero entry count and mtime age."""
+        """A damaged workload file is still subject to eviction: its
+        age is its mtime, whatever its bytes."""
         store = self._populate(tmp_path)
         victim = store._path(STRESS_SIGNATURES[0])
         victim.write_bytes(b"\x00broken")
         old = NOW - 10 * 86400.0
         os.utime(victim, (old, old))
-        (tmp_path / MANIFEST_NAME).unlink()
         pruner = CacheStore(tmp_path)
         result = pruner.prune(max_age_days=1.0, now=NOW)
         assert victim.name in result.evicted

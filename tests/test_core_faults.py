@@ -2,18 +2,15 @@
 
 Covers the spec grammar, the disarmed zero-cost path, the
 once-globally ledger gate (the property that keeps ``worker_kill``
-from killing every restarted worker forever), and the two data-fault
-realisations owned by the cache store — a torn spill write must read
-back as *cold* and a stale lock (dead recorded holder) must be broken
-and counted, never waited out.  The resumable planner-pool collection
-gets a direct unit here too, and the random menu is checked against
-the sites a campaign actually visits; end-to-end recovery lives in
+from killing every restarted worker forever), and the data-fault
+realisation owned by the cache store — a torn spill write must read
+back as *cold*.  The resumable planner-pool collection gets a direct
+unit here too, and the random menu is checked against the sites a
+campaign actually visits; end-to-end recovery lives in
 test_experiments_sweep.py and benchmarks/test_bench_chaos.py.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
@@ -58,7 +55,7 @@ class TestSpecGrammar:
         for text in (
             "worker_kill@plan:0",
             "worker_kill@spawn:3",
-            "stale_lock@prune:*",
+            "torn_write@spill:*",
             "torn_write@spill:1",
             "conn_reset@accept:0",
             "torn_frame@send:2",
@@ -94,6 +91,8 @@ class TestSpecGrammar:
             "worker_kill@cell",
             "worker_kill@drain",
             "worker_kill@prewarm",
+            "torn_write@lock",
+            "torn_write@prune",
         ],
     )
     def test_malformed_specs_raise(self, bad):
@@ -179,23 +178,16 @@ class TestPlane:
 
     def test_armed_restores_previous_schedule(self):
         outer = FaultSchedule.parse("torn_write@spill:5")
-        inner = FaultSchedule.parse("stale_lock@lock:5")
+        inner = FaultSchedule.parse("worker_kill@plan:5")
         with faults.armed(outer):
             with faults.armed(inner):
                 assert faults.active_schedule() is inner
             assert faults.active_schedule() is outer
         assert faults.active_schedule() is None
 
-    def test_dead_pid_is_not_alive(self):
-        pid = faults.dead_pid()
-        assert pid > 0
-        with pytest.raises(OSError):
-            os.kill(pid, 0)
-
     def test_fault_stats_totals_and_dict(self):
         stats = FaultStats(
-            injections=(("worker_kill@plan", 2), ("stale_lock@lock", 1)),
-            lock_breaks=1,
+            injections=(("worker_kill@plan", 2), ("torn_write@spill", 1)),
         )
         assert stats.total_injections == 3
 
@@ -212,7 +204,7 @@ def _spilled_state(model) -> WorkloadState:
 
 
 class TestStoreRealisations:
-    """The cache store realises torn_write and stale_lock itself."""
+    """The cache store realises torn_write itself."""
 
     def test_torn_write_reads_back_cold_then_heals(
         self, tmp_path, cost_model8
@@ -233,34 +225,6 @@ class TestStoreRealisations:
         assert restored is not None
         assert restored.coeffs == state.coeffs
         assert restored.plans.keys() == state.plans.keys()
-
-    def test_stale_lock_is_broken_and_counted(self, tmp_path, cost_model8):
-        state = _spilled_state(cost_model8)
-        store = CacheStore(tmp_path / "store")
-        schedule = FaultSchedule.parse(
-            "stale_lock@lock:0", record_path=str(tmp_path / "ledger")
-        )
-        with faults.armed(schedule):
-            store.save(SIGNATURE, state)
-        assert schedule.injection_counts() == {"stale_lock@lock": 1}
-        assert store.counters()["lock_breaks"] == 1
-        # The save went through despite the orphaned lock.
-        restored = store.load(SIGNATURE)
-        assert restored is not None
-        assert restored.coeffs == state.coeffs
-
-    def test_stale_lock_on_prune_is_broken(self, tmp_path, cost_model8):
-        state = _spilled_state(cost_model8)
-        store = CacheStore(tmp_path / "store")
-        store.save(SIGNATURE, state)
-        schedule = FaultSchedule.parse(
-            "stale_lock@prune:0", record_path=str(tmp_path / "ledger")
-        )
-        with faults.armed(schedule):
-            result = store.prune(dry_run=True)
-        assert schedule.injection_counts() == {"stale_lock@prune": 1}
-        assert store.counters()["lock_breaks"] >= 1
-        assert result.files_kept == 1
 
 
 class TestResumablePlanning:
@@ -298,10 +262,9 @@ class TestRandomMenu:
     def test_every_menu_site_is_visited_by_a_campaign(self, tmp_path):
         """A random schedule must be able to fire: every site on
         :data:`~repro.core.faults.RANDOM_FAULT_MENU` is visited by a
-        pooled campaign pass with a store plus a store prune.  A
-        ``delay@site:*`` spec records every visit in the ledger and is
-        realised only by the plan transport, so it observes without
-        disturbing."""
+        pooled campaign pass with a store.  A ``delay@site:*`` spec
+        records every visit in the ledger and is realised only by the
+        plan transport, so it observes without disturbing."""
         sites = sorted({site for __, site in faults.RANDOM_FAULT_MENU})
         schedule = FaultSchedule.parse(
             ",".join(f"delay@{site}:*" for site in sites),
@@ -326,7 +289,5 @@ class TestRandomMenu:
             fault_schedule=schedule,
         ) as runner:
             runner.run()
-        with faults.armed(schedule):
-            store.prune(dry_run=True)
         visited = {label.split("@")[1] for label in schedule.read_ledger()}
         assert visited == set(sites)

@@ -1,5 +1,7 @@
 """Tests for repro.experiments.pipeline: disaggregated solve/train."""
 
+import time
+
 import pytest
 
 from repro.core.planner import PlannerConfig
@@ -11,21 +13,38 @@ from repro.model.config import GPT_7B
 from repro.simulator.executor import IterationExecutor
 
 
-@pytest.fixture(scope="module")
-def parts(cost_model16, cluster16, gpt7b_64k):
-    solver = FlexSPSolver(
-        cost_model16,
+def _solver(cost_model) -> FlexSPSolver:
+    return FlexSPSolver(
+        cost_model,
         SolverConfig(
             num_trials=1,
             backend="greedy",
             planner=PlannerConfig(time_limit=0.3),
         ),
     )
+
+
+def _timed(method, log: list):
+    """``method`` wrapped to append ``(argument, start, end)`` to
+    ``log`` on every call."""
+
+    def timed(argument):
+        start = time.perf_counter()
+        try:
+            return method(argument)
+        finally:
+            log.append((argument, start, time.perf_counter()))
+
+    return timed
+
+
+@pytest.fixture(scope="module")
+def parts(cost_model16, cluster16, gpt7b_64k):
     executor = IterationExecutor(config=gpt7b_64k, cluster=cluster16)
     corpus = SyntheticCorpus(
         COMMONCRAWL, max_context=32 * 1024, global_batch_size=16
     )
-    return solver, executor, corpus
+    return _solver(cost_model16), executor, corpus
 
 
 class TestPipeline:
@@ -44,16 +63,34 @@ class TestPipeline:
             direct.predicted_time
         )
 
-    def test_prefetch_overlaps_solving(self, parts):
-        """With lookahead, later steps' stalls shrink: their solves ran
-        while earlier steps trained."""
-        pipeline = TrainingPipeline(*parts, lookahead=3, workers=3)
+    def test_prefetch_overlaps_solving(
+        self, parts, cost_model16, monkeypatch
+    ):
+        """With lookahead, later steps' solves run while earlier steps
+        are still in the trainer: on timestamps taken around every
+        ``solve`` and ``executor.run``, a later step's solve starts
+        before the trainer has finished the step before it.  The
+        solver is the test's own, so no step is cached by an earlier
+        test and every solve does real work."""
+        __, executor, corpus = parts
+        solver = _solver(cost_model16)
+        solves: list = []
+        trains: list = []
+        monkeypatch.setattr(solver, "solve", _timed(solver.solve, solves))
+        monkeypatch.setattr(executor, "run", _timed(executor.run, trains))
+        pipeline = TrainingPipeline(
+            solver, executor, corpus, lookahead=3, workers=3
+        )
         report = pipeline.run(5)
-        # Solving happened (positive solve time) but stalls after the
-        # first step are a small fraction of it.
-        assert sum(report.solve_seconds) > 0
-        later_stall = sum(report.stall_seconds[1:])
-        assert later_stall <= sum(report.solve_seconds)
+        step_of = {corpus.batch(step).lengths: step for step in range(5)}
+        solve_start = {step_of[lengths]: start for lengths, start, __ in solves}
+        assert sorted(solve_start) == list(range(5))
+        # The trainer runs the steps in order, one after another.
+        assert [plan for plan, __, ___ in trains] == list(report.plans)
+        train_end = [end for __, ___, end in trains]
+        assert any(
+            solve_start[step] < train_end[step - 1] for step in range(1, 5)
+        ), "every later step was solved only once the trainer reached it"
         assert 0.0 <= report.overlap_fraction <= 1.0
 
     def test_zero_lookahead_still_correct(self, parts):

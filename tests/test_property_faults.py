@@ -8,7 +8,7 @@ pass, and leaves no worker pool behind (``live_pool_count`` returns to
 its baseline).  This is the randomized counterpart of the fixed
 schedules in ``benchmarks/test_bench_chaos.py`` — Hypothesis picks the
 fault, the solver pool's rebuild-and-resume and the store's torn-write
-and stale-lock handling have to hold regardless.
+handling have to hold regardless.
 
 Examples are expensive (each one is a pooled sweep with a real worker
 kill or store fault), so the example budget is small and the grid is
@@ -39,16 +39,10 @@ SOLVER = SolverConfig(backend="greedy", num_trials=2)
 #: reach: each pool worker visits ``spawn`` once, so only its first
 #: visit can fire; the prewarm plans ten shapes on two workers, so one
 #: of them plans at least five; and each of the two workloads is
-#: saved, under a lock, once per pass.
-LAST_OCCURRENCE = {"spawn": 0, "plan": 2, "spill": 1, "lock": 1}
+#: saved once per pass.
+LAST_OCCURRENCE = {"spawn": 0, "plan": 2, "spill": 1}
 
-#: (kind, site) pairs the property draws from: the random menu's pairs
-#: that a sweep pass visits (``prune`` is a store-lifecycle site).
-SURVIVABLE = tuple(
-    pair for pair in faults.RANDOM_FAULT_MENU if pair[1] in LAST_OCCURRENCE
-)
-
-fault_strategy = st.sampled_from(SURVIVABLE).flatmap(
+fault_strategy = st.sampled_from(faults.RANDOM_FAULT_MENU).flatmap(
     lambda pair: st.builds(
         FaultSpec,
         kind=st.just(pair[0]),
@@ -88,8 +82,8 @@ class TestAnySingleFaultIsSurvivable:
         schedule = FaultSchedule(specs=(spec,))
         baseline_pools = live_pool_count()
         # A store inside the example (not a function fixture: Hypothesis
-        # reuses fixtures across examples) so torn_write / stale_lock
-        # have a spill path to corrupt.
+        # reuses fixtures across examples) so torn_write has a spill
+        # path to corrupt.
         with tempfile.TemporaryDirectory() as store_root:
             with SweepRunner(
                 _cells(),
