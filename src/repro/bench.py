@@ -72,7 +72,6 @@ Campaign / service / prune usage::
     python -m repro.bench --campaign full --profile      # full protocol
     python -m repro.bench --campaign unified --backend milp --node-limit 500
     python -m repro.bench --campaign unified --profile   # stage breakdown
-    python -m repro.bench --campaign unified --no-prewarm
     python -m repro.bench --campaign unified --backend milp --node-limit 200 \
         --solver-workers 2                              # parallel planning
     python -m repro.bench --campaign unified --solver-workers 2 \
@@ -99,8 +98,6 @@ like ``SweepRunner()`` — a process pool is always an explicit opt-in.
 the trials pruned and the workload contexts built, in pytest mode
 through the suites that support it (e.g.
 ``python -m repro.bench solver_throughput --profile``).
-``--no-prewarm`` disables the campaign-level cold-batching pass that
-plans the grid's unique uncached micro-batch shapes up front.
 
 ``--backend milp --node-limit N`` runs the MILP planner under a
 *deterministic* work limit (HiGHS branch-and-bound nodes) instead of a
@@ -175,7 +172,6 @@ def run_campaign(args: argparse.Namespace) -> int:
         solver_config=solver_config,
         store=store,
         solver_workers=args.solver_workers,
-        prewarm=args.prewarm,
         fault_schedule=fault_schedule,
     )
     with runner:
@@ -348,13 +344,6 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
         help="print the per-stage SolveStats breakdown (enumerate / lpt "
         "/ milp_build / milp_solve), the trials pruned and the "
         "workload contexts built",
-    )
-    parser.add_argument(
-        "--no-prewarm",
-        dest="prewarm",
-        action="store_false",
-        help="disable campaign-level cold batching (per-cell planning, "
-        "the pre-PR5 behaviour)",
     )
     parser.add_argument(
         "--inject-faults",

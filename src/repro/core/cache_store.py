@@ -18,7 +18,7 @@ workload signature's ``repr`` (deterministic across processes, unlike
 ``hash()``).  Each file holds::
 
     {
-      "version": 1,
+      "version": 2,
       "signature": "<repr of the full workload signature>",
       "cost_model": {"coeffs": {...}, "comm_model": "alltoall"},
       "static_degree": 8,
@@ -33,9 +33,10 @@ workload signature's ``repr`` (deterministic across processes, unlike
     }
 
 ``plans`` is keyed by the *planning context* — a digest of the
-``(PlannerConfig, backend)`` pair — because plan-cache entries are only
-valid for the exact planner knobs that produced them; ``plan: null``
-records a shape proven infeasible.  Floats round-trip exactly through
+``(PlannerConfig, backend)`` pair, or of the backend alone for greedy
+LPT, which reads no planner knob — because plan-cache entries are only
+valid for the planner knobs that produced them; ``plan: null`` records
+a shape proven infeasible.  Floats round-trip exactly through
 JSON (shortest-repr doubles), so a restored cost model, plan, and
 predicted time are bit-identical to what was spilled.
 
@@ -49,8 +50,8 @@ Invalidation rules:
   would make restored state disagree with freshly computed state, and
   every existing store silently becomes cold.
 * Plan entries are additionally scoped by the context digest, so
-  changing solver knobs (backend, bucketing, trials, limits) never
-  replays plans from other knobs.
+  changing the backend or a knob the MILP reads (bucketing, limits)
+  never replays plans from other knobs.
 * Corrupted or partially written files (killed process, disk full) are
   *ignored, never fatal*: loads return ``None`` and the next
   :meth:`CacheStore.save` atomically replaces the file.
@@ -102,7 +103,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.core import faults
-from repro.core.plan_cache import INFEASIBLE, PlanCache
+from repro.core.plan_cache import INFEASIBLE, PlanCache, planner_knobs
 from repro.core.planner import PlannerConfig
 from repro.core.serialization import microbatch_from_dict, microbatch_to_dict
 from repro.core.types import MicroBatchPlan
@@ -122,7 +123,8 @@ __all__ = [
 ]
 
 #: Format tag of the store layout; bump to invalidate every store.
-STORE_VERSION = 1
+#: Version 2 keys greedy plan entries without planner knobs.
+STORE_VERSION = 2
 
 #: One spilled plan-cache entry: canonical (sorted) micro-batch shape,
 #: the memoised plan (None = proven infeasible) and its predicted
@@ -141,8 +143,10 @@ def signature_digest(signature: tuple) -> str:
 
 
 def context_digest(planner_config: PlannerConfig, backend: str) -> str:
-    """Digest of the planning context plan entries are scoped by."""
-    return hashlib.sha256(repr((planner_config, backend)).encode()).hexdigest()[:16]
+    """Digest of the planning context plan entries are scoped by (the
+    knobs :func:`~repro.core.plan_cache.planner_knobs` keeps)."""
+    knobs = planner_knobs(planner_config, backend)
+    return hashlib.sha256(repr((knobs, backend)).encode()).hexdigest()[:16]
 
 
 @dataclass

@@ -17,7 +17,10 @@ key is therefore the sorted length tuple together with the cost-model
 and planner-config signatures; it subsumes the coarser bucket-upper
 signature while remaining exact (two batches with equal bucket
 signatures but different members must *not* share a plan, since plans
-carry the actual lengths).
+carry the actual lengths).  The greedy LPT planner reads no planner
+knob, so its keys leave the config out (:func:`planner_knobs`) and
+solvers differing only in knobs it ignores — the Fig. 7 bucketing
+ablations — share their plans.
 
 Infeasibility is cached too: a micro-batch proven unplannable stays
 unplannable for the same model and knobs, so repeat trials skip the
@@ -44,6 +47,7 @@ __all__ = [
     "canonical_shape",
     "model_signature",
     "plan_key",
+    "planner_knobs",
 ]
 
 #: Default maximum number of memoised micro-batch plans.
@@ -82,11 +86,21 @@ class CacheContext:
         )
 
 
+def planner_knobs(
+    planner_config: PlannerConfig, backend: str
+) -> PlannerConfig | None:
+    """The part of ``planner_config`` a ``backend`` plan depends on:
+    all of it for the MILP, none of it for greedy LPT."""
+    return None if backend == "greedy" else planner_config
+
+
 def cache_context(
     model: CostModel, planner_config: PlannerConfig, backend: str
 ) -> CacheContext:
     """Build the interned context half of a plan-cache key."""
-    return CacheContext((model_signature(model), planner_config, backend))
+    return CacheContext(
+        (model_signature(model), planner_knobs(planner_config, backend), backend)
+    )
 
 
 def model_signature(model: CostModel) -> tuple:

@@ -24,6 +24,12 @@ from repro.core.types import (
 #: Format tag written into every serialized plan.
 FORMAT_VERSION = 1
 
+#: :class:`SolveStats` field names in declaration order.  The stats
+#: hold only scalars, so the wire dict reads them flat — the keys,
+#: order and values of ``dataclasses.asdict`` without its recursive
+#: deep copy, which cost a warm plan request ~28 µs per plan.
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(SolveStats))
+
 
 def microbatch_to_dict(mb: MicroBatchPlan) -> dict[str, Any]:
     """Lossless JSON-ready representation of one micro-batch plan.
@@ -66,7 +72,8 @@ def plan_to_dict(plan: IterationPlan) -> dict[str, Any]:
         "predicted_time": plan.predicted_time,
     }
     if plan.stats is not None:
-        payload["stats"] = dataclasses.asdict(plan.stats)
+        stats = plan.stats
+        payload["stats"] = {name: getattr(stats, name) for name in _STATS_FIELDS}
     payload["microbatches"] = [
         microbatch_to_dict(mb) for mb in plan.microbatches
     ]

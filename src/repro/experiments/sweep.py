@@ -15,7 +15,10 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   sampled corpus batches, the baseline tuning results and the
   constructed systems — including FlexSP's persistent solver, whose
   plan cache therefore stays warm across cells *and* across repeated
-  ``run()`` calls (trajectory regeneration).
+  ``run()`` calls (trajectory regeneration).  The cost model depends
+  on less than the whole workload, so the runner fits it once per
+  :func:`fit_inputs` and hands that one model to every context with
+  those inputs.
 * **Cell dedup.**  Grids overlap (Fig. 6's 192K context point is a
   Fig. 4 cell); duplicate cells are measured once and fanned back out.
 * **Cell variants.**  A cell may carry a :attr:`SweepCell.variant` —
@@ -31,7 +34,8 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
 * **Campaign-level cold batching, on one shared solver pool.**  Before
   any cell is measured, the prewarm asks every FlexSP cell for the
   micro-batch shapes it would plan from scratch, dedups them across
-  cells and plans the union in one batch.  With ``solver_workers > 1``
+  cells and plans the union in one batch, then seeds each solver with
+  the shapes it asked for.  With ``solver_workers > 1``
   (or a ``solver_config.workers > 1``) that batch is planned on a
   single :class:`~repro.core.solver.SolverPool` whose tenant clients
   are injected into every workload's :class:`FlexSPSolver` — the
@@ -81,7 +85,7 @@ from repro.core.cache_store import (
 )
 from repro.core.faults import FaultSchedule, FaultStats
 from repro.core.planner import PlanInfeasibleError
-from repro.core.solver import SolverConfig, SolverPool
+from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
 from repro.core.types import InfeasibleWorkloadError
 from repro.cost.model import CostModel
 from repro.cost.profiler import fit_cost_model
@@ -108,6 +112,13 @@ VARIANT_KEYS = {
     "batchada": (),
     "megatron": (),
 }
+
+
+def fit_inputs(workload: Workload) -> tuple:
+    """What a workload's fitted cost model depends on: the model at
+    its context length, the cluster and the checkpointing policy
+    (the arguments of :func:`~repro.cost.profiler.fit_cost_model`)."""
+    return (workload.model_at_context, workload.cluster, workload.checkpointing)
 
 
 def workload_signature(workload: Workload) -> tuple:
@@ -404,6 +415,10 @@ class WorkloadContext:
     (see :mod:`repro.core.cache_store`), and :meth:`persist` spills the
     current state back.  With a ``solver_pool``, FlexSP solvers plan on
     the shared pool's workers instead of owning pools of their own.
+    With ``fits`` — a memo of fitted cost models keyed by
+    :func:`fit_inputs`, shared by a runner's contexts — a cold context
+    adopts a model another context already fitted and records the one
+    it fits; a restored context keeps its stored coefficients.
     """
 
     def __init__(
@@ -412,11 +427,13 @@ class WorkloadContext:
         solver_config: SolverConfig | None = None,
         store: CacheStore | None = None,
         solver_pool: SolverPool | None = None,
+        fits: dict[tuple, CostModel] | None = None,
     ) -> None:
         self.workload = workload
         self.solver_config = solver_config
         self.store = store
         self.solver_pool = solver_pool
+        self._fits = {} if fits is None else fits
         self._signature = workload_signature(workload)
         self._corpus = workload.corpus()
         self._batches: dict[int, GlobalBatch] = {}
@@ -462,13 +479,14 @@ class WorkloadContext:
 
     @property
     def cost_model(self) -> CostModel:
-        """The workload's fitted cost model (profiled or restored once)."""
+        """The workload's fitted cost model (restored, shared or
+        profiled once)."""
         if self._cost_model is None:
-            self._cost_model = fit_cost_model(
-                self.workload.model_at_context,
-                self.workload.cluster,
-                self.workload.checkpointing,
-            )
+            key = fit_inputs(self.workload)
+            model = self._fits.get(key)
+            if model is None:
+                model = self._fits[key] = fit_cost_model(*key)
+            self._cost_model = model
         return self._cost_model
 
     def batch(self, step: int) -> GlobalBatch:
@@ -619,19 +637,19 @@ class WorkloadContext:
     def _state_fingerprint(self) -> tuple:
         """Cheap summary of the spillable state, for dirty tracking.
 
-        Plan caches are fingerprinted by entry count per planning-
-        context digest — the unit :meth:`persist` unions by — taking
-        the max over the live solver caches sharing a digest (the
-        Fig. 7 sort ablation) and the restored entries of digests this
-        pass never instantiated, so a fully warm or partially
-        exercised restored context fingerprints equal to its seed and
-        spills nothing.  An entry *replacing* another at constant
-        count (LRU churn at capacity), or a smaller variant cache
-        catching up to its sibling's count, is not detected, which at
-        worst delays the spill to the next pass that grows any cache
-        past the digest's max.
+        Plan caches are fingerprinted by their count of distinct
+        shapes per planning-context digest — the unit :meth:`persist`
+        unions by — over the live solver caches sharing a digest (the
+        Fig. 7 ablations, each seeded with only its own cells' shapes)
+        and the restored entries.  A fully warm or partially exercised
+        restored context therefore fingerprints equal to its seed and
+        spills nothing, while a cache that learns a shape none of its
+        siblings holds marks the context dirty.  An entry *replacing*
+        another at constant count (LRU churn at capacity) is not
+        detected, which at worst delays the spill to the next pass
+        that learns a new shape.
         """
-        caches: dict[str, int] = {}
+        shapes: dict[str, set[tuple[int, ...]]] = {}
         for system in self._systems.values():
             solver = getattr(system, "solver", None)
             if solver is None or solver.cache is None:
@@ -639,15 +657,17 @@ class WorkloadContext:
             digest = context_digest(
                 solver.config.planner, solver.config.backend
             )
-            caches[digest] = max(caches.get(digest, 0), len(solver.cache))
+            shapes.setdefault(digest, set()).update(
+                key[0] for key, __ in solver.cache.snapshot()
+            )
         if self._restored is not None:
             for digest, entries in self._restored.plans.items():
-                caches[digest] = max(caches.get(digest, 0), len(entries))
+                shapes.setdefault(digest, set()).update(e[0] for e in entries)
         return (
             self._cost_model is not None,
             self._static_degree,
             self._megatron_strategy,
-            tuple(sorted(caches.items())),
+            tuple(sorted((d, len(s)) for d, s in shapes.items())),
         )
 
     def export_state(self) -> WorkloadState:
@@ -729,12 +749,14 @@ class SweepRunner:
             solves would plan from scratch
             (:meth:`~repro.core.solver.FlexSPSolver.pending_shapes`);
             the union is deduplicated *at planner-call granularity*
-            across cells — variant cells that share a planning
-            context (e.g. the sort ablation) are planned once — and
-            dispatched in sorted shape order, through the shared
-            :class:`~repro.core.solver.SolverPool` when one is
-            configured, so MILP skeleton reuse and worker locality
-            trigger.  Seeded plans are bit-identical to what each
+            across cells — cells whose solvers share a planning
+            context (workloads with one cost model, the sort
+            ablation, and on greedy the bucketing ablations) are
+            planned once — and dispatched in sorted shape order,
+            through the shared :class:`~repro.core.solver.SolverPool`
+            when one is configured, so MILP skeleton reuse and worker
+            locality trigger.  Each solver is seeded with the shapes
+            it asked for.  Seeded plans are bit-identical to what each
             cell would have solved itself; per-cell
             ``mean_solve_seconds`` then reflects cache replay while
             the batched planning cost is reported as
@@ -786,6 +808,8 @@ class SweepRunner:
         self._solver_pool: SolverPool | None = (
             SolverPool(solver_workers) if solver_workers > 1 else None
         )
+        #: Cost models this runner fitted, by :func:`fit_inputs`.
+        self._fits: dict[tuple, CostModel] = {}
         #: Store counter totals already attributed to earlier passes,
         #: so each SweepResult carries this pass's counter deltas.
         self._counters_attributed: dict[str, int] = {}
@@ -805,6 +829,7 @@ class SweepRunner:
                 self.solver_config,
                 store=self.store,
                 solver_pool=self._solver_pool,
+                fits=self._fits,
             )
             self._context_builds += 1
             self._context_build_seconds += time.perf_counter() - started
@@ -868,7 +893,9 @@ class SweepRunner:
         """The campaign-level cold-batching pass (see the ``prewarm``
         constructor doc): collect every FlexSP cell's uncached
         micro-batch shapes, dedup by planning context, plan the union
-        in sorted shape order, and seed every sharing solver's cache.
+        in sorted shape order, and seed each solver's cache with the
+        shapes it asked for — so a workload spills only its own
+        cells' plans.
 
         Infeasible cells are skipped here exactly as
         :meth:`WorkloadContext.run` would convert them to OOM cells;
@@ -876,7 +903,8 @@ class SweepRunner:
         planned, wall seconds, stage-seconds breakdown).
         """
         started = time.perf_counter()
-        by_context: dict[object, dict] = {}
+        # Per planning context, each sharing solver's pending shapes.
+        by_context: dict[object, dict[FlexSPSolver, set]] = {}
         for cell in cells:
             if cell.system != "flexsp":
                 continue
@@ -891,25 +919,22 @@ class SweepRunner:
                     pending = solver.pending_shapes(batch.lengths)
                     if not pending:
                         continue
-                    entry = by_context.setdefault(
-                        solver.context, {"solvers": [], "shapes": set()}
-                    )
-                    if not any(s is solver for s in entry["solvers"]):
-                        entry["solvers"].append(solver)
-                    entry["shapes"].update(pending)
+                    solvers = by_context.setdefault(solver.context, {})
+                    solvers.setdefault(solver, set()).update(pending)
             except (PlanInfeasibleError, InfeasibleWorkloadError):
                 continue
         planned = 0
         stages: dict[str, float] = {}
-        for entry in by_context.values():
-            shapes = sorted(entry["shapes"], key=lambda s: (len(s), s))
-            representative = entry["solvers"][0]
+        for solvers in by_context.values():
+            shapes = sorted(set().union(*solvers.values()), key=lambda s: (len(s), s))
+            representative = next(iter(solvers))
             with stage_timing.collect() as collected:
                 outcomes = representative.plan_shapes_cold(shapes)
             stage_timing.accumulate(stages, collected)
-            for solver in entry["solvers"]:
+            for solver, own in solvers.items():
                 for shape, outcome in zip(shapes, outcomes):
-                    solver.seed_plan(shape, outcome)
+                    if shape in own:
+                        solver.seed_plan(shape, outcome)
             planned += len(shapes)
         return planned, time.perf_counter() - started, stages
 

@@ -188,6 +188,28 @@ class TestCorruptionIsIgnored:
         self._path(store).write_text(json.dumps(payload))
         assert store.load(SIGNATURE) is None
 
+    def test_version_1_file_loads_cold(self, tmp_path, cost_model8):
+        """Version 1 keyed greedy entries with the planner knobs; such
+        a file loads cold once and the next save replaces it."""
+        assert STORE_VERSION == 2
+        store = CacheStore(tmp_path)
+        solver = greedy_solver(cost_model8)
+        solver.solve((4096, 2048, 1024))
+        spill(store, solver, SIGNATURE)
+        payload = json.loads(self._path(store).read_text())
+        payload["version"] = 1
+        payload["plans"] = {
+            "0123456789abcdef": entries
+            for entries in payload["plans"].values()
+        }
+        self._path(store).write_text(json.dumps(payload))
+        assert store.load(SIGNATURE) is None
+        assert store.counters()["misses"] == 1
+        spill(store, solver, SIGNATURE)
+        restored = store.load(SIGNATURE)
+        digest = context_digest(solver.config.planner, "greedy")
+        assert list(restored.plans) == [digest]
+
     def test_signature_mismatch_loads_cold(self, tmp_path):
         """A digest collision (or stale schema) must read as cold."""
         store = CacheStore(tmp_path)
@@ -243,6 +265,36 @@ class TestMergeAndKeys:
         assert context_digest(config.planner, "milp") != context_digest(
             ablated, "milp"
         )
+
+    def test_greedy_keys_ignore_planner_knobs(self, cost_model8):
+        """Greedy LPT reads no planner knob, so greedy solvers that
+        differ only in ``PlannerConfig`` (the Fig. 7 bucketing
+        ablations) share one cache context and one store digest; MILP
+        solvers, whose plans depend on the knobs, do not."""
+        base = SolverConfig(backend="greedy")
+        for knobs in (
+            {"bucketing": "naive"},
+            {"bucketing": "none"},
+            {"node_limit": 50},
+        ):
+            ablated = dataclasses.replace(
+                base, planner=dataclasses.replace(base.planner, **knobs)
+            )
+            a = FlexSPSolver(cost_model8, base)
+            b = FlexSPSolver(cost_model8, ablated)
+            assert a.context == b.context
+            assert context_digest(base.planner, "greedy") == context_digest(
+                ablated.planner, "greedy"
+            )
+            milp = dataclasses.replace(base, backend="milp")
+            milp_ablated = dataclasses.replace(ablated, backend="milp")
+            assert (
+                FlexSPSolver(cost_model8, milp).context
+                != FlexSPSolver(cost_model8, milp_ablated).context
+            )
+            assert context_digest(base.planner, "milp") != context_digest(
+                ablated.planner, "milp"
+            )
 
     def test_signatures_listing(self, tmp_path):
         store = CacheStore(tmp_path)

@@ -124,6 +124,38 @@ class TestSolveStatsSerialization:
         restored = loads(dumps(plan))
         assert restored.stats == plan.stats
 
+    def test_stats_wire_dict_equals_asdict(self):
+        """The flat field read gives ``dataclasses.asdict``'s keys,
+        order and values, so the JSON bytes are unchanged."""
+        import dataclasses
+
+        from repro.core.types import SolveStats
+
+        stats = SolveStats(
+            cache_hits=3, dedup_hits=2, cache_misses=1, trials=5,
+            microbatches=11, pruned_trials=1, pruned_microbatches=5,
+            solve_seconds=0.5, enumerate_seconds=0.125, lpt_seconds=0.1,
+            milp_build_seconds=0.2, milp_solve_seconds=0.3,
+        )
+        plan = IterationPlan(
+            microbatches=(
+                MicroBatchPlan(
+                    groups=(
+                        GroupAssignment(
+                            degree=1, device_ranks=(0,), lengths=(64,)
+                        ),
+                    )
+                ),
+            ),
+            predicted_time=0.75,
+            stats=stats,
+        )
+        payload = plan_to_dict(plan)
+        expected = dataclasses.asdict(stats)
+        assert list(payload["stats"].items()) == list(expected.items())
+        reference = dict(payload, stats=expected)
+        assert dumps(plan) == json.dumps(reference, separators=(",", ":"))
+
     def test_records_without_pruning_counters_still_load(self):
         """Plans serialized before trial pruning lack its counters; they
         load with zeros."""

@@ -439,6 +439,37 @@ class TestCampaignWithStoreAndPool:
         assert restored.store_write_amplification == 0.0
 
 
+    def test_full_cold_store_holds_each_plan_once(self, tmp_path):
+        """Workloads that share a cost model share a planning context,
+        but each workload file stores only its own cells' plans, so a
+        cold ``full`` pass spills every (cost model, shape) plan it
+        prewarmed exactly once."""
+        from repro.core.cache_store import CacheStore
+        from repro.core.plan_cache import model_signature
+        from repro.cost.model import CostModel
+        from repro.experiments.sweep import workload_signature
+
+        result = build_campaign("full").run(small_runner(store=tmp_path))
+        store = CacheStore(tmp_path)
+        spilled = []
+        for workload in {cell.workload for cell in result.sweep.cells}:
+            state = store.load(workload_signature(workload))
+            if not state.plans:
+                continue
+            model = CostModel(
+                coeffs=state.coeffs,
+                cluster=workload.cluster,
+                comm_model=state.comm_model,
+            )
+            for digest, entries in state.plans.items():
+                spilled.extend(
+                    (model_signature(model), digest, shape)
+                    for shape, __, ___ in entries
+                )
+        assert len(spilled) == len(set(spilled))
+        assert len(spilled) == result.sweep.prewarm_planned
+
+
 class TestCampaignCli:
     def test_unknown_campaign_name_errors_cleanly(self):
         from repro.bench import main
@@ -454,6 +485,7 @@ class TestCampaignCli:
             ["--calibrate-workers"],
             ["--campaign", "smoke", "--no-store", "--repeat", "2"],
             ["--calibrate-node-limit", "--campaign", "smoke"],
+            ["--campaign", "smoke", "--no-store", "--no-prewarm"],
         ],
         ids=[
             "workers",
@@ -461,6 +493,7 @@ class TestCampaignCli:
             "calibrate-workers",
             "repeat",
             "calibrate-node-limit",
+            "no-prewarm",
         ],
     )
     def test_removed_fan_out_flags_error_cleanly(self, argv, capsys):

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.core.cache_store import CacheStore, WorkloadState
 from repro.core.solver import SolverConfig
 from repro.cluster.topology import standard_cluster
+from repro.cost.profiler import fit_cost_model
 from repro.data.distributions import COMMONCRAWL, GITHUB
+from repro.experiments import sweep
 from repro.experiments.runner import run_system
 from repro.experiments.sweep import (
     CellMetrics,
     SweepCell,
     SweepRunner,
     WorkloadContext,
+    fit_inputs,
     grid_cells,
     workload_signature,
 )
@@ -109,6 +115,75 @@ class TestWorkloadContext:
             context.system("flexsp").cost_model
             is context.system("deepspeed").cost_model
         )
+
+
+class TestSharedFits:
+    """The runner fits one cost model per distinct fit input."""
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        calls: list[tuple] = []
+
+        def counted(*args):
+            calls.append(args)
+            return fit_cost_model(*args)
+
+        monkeypatch.setattr(sweep, "fit_cost_model", counted)
+        return calls
+
+    def test_one_fit_per_distinct_input(
+        self, workload, other_workload, fits
+    ):
+        shorter = dataclasses.replace(workload, max_context=16 * 1024)
+        assert fit_inputs(other_workload) == fit_inputs(workload)
+        assert fit_inputs(shorter) != fit_inputs(workload)
+        cells = grid_cells(
+            ["flexsp", "deepspeed"], [workload, other_workload, shorter]
+        )
+        runner = SweepRunner(cells, solver_config=SOLVER)
+        runner.run()
+        assert sorted(fits, key=repr) == sorted(
+            {fit_inputs(workload), fit_inputs(shorter)}, key=repr
+        )
+        assert (
+            runner.context(workload).cost_model
+            is runner.context(other_workload).cost_model
+        )
+        assert (
+            runner.context(shorter).cost_model
+            is not runner.context(workload).cost_model
+        )
+
+    def test_restored_context_keeps_its_stored_coefficients(
+        self, workload, other_workload, fits, tmp_path
+    ):
+        # A stored fit is the restored context's own: it is neither
+        # replaced by a fresh fit nor handed to a context that shares
+        # its fit inputs but has no file of its own.
+        fitted = fit_cost_model(*fit_inputs(workload))
+        stored = dataclasses.replace(
+            fitted.coeffs, alpha1=fitted.coeffs.alpha1 * 2
+        )
+        store = CacheStore(tmp_path)
+        signature = workload_signature(workload)
+        store.save(
+            signature,
+            WorkloadState(
+                signature=repr(signature),
+                coeffs=stored,
+                comm_model=fitted.comm_model,
+            ),
+        )
+        runner = SweepRunner(solver_config=SOLVER, store=store)
+        assert runner.context(workload).cost_model.coeffs == stored
+        assert runner.context(other_workload).cost_model.coeffs == fitted.coeffs
+        assert fits == [fit_inputs(other_workload)]
+
+    def test_fresh_runner_fits_again(self, workload, fits):
+        cells = grid_cells(["flexsp"], [workload])
+        SweepRunner(cells, solver_config=SOLVER).run()
+        SweepRunner(cells, solver_config=SOLVER).run()
+        assert len(fits) == 2
 
 
 class TestSweepRunner:
@@ -240,7 +315,7 @@ class TestColdBatching:
         """The sort ablation changes blasting but not per-shape
         planning, so its solver shares the base cell's planning
         context — the prewarmer must plan the union once and seed
-        both caches."""
+        each cache with the shapes its own cells asked for."""
         cells = self._cells(workload)
         runner = SweepRunner(cells, solver_config=SOLVER)
         result = runner.run()
@@ -257,6 +332,39 @@ class TestColdBatching:
             for key, __ in solver.cache.snapshot()
         }
         assert result.prewarm_planned == len(union)
+
+    def test_prewarm_seeds_each_solver_with_its_own_shapes(
+        self, workload, other_workload
+    ):
+        # Four solvers share one greedy planning context: two
+        # workloads with one fit input, and the sort and bucketing
+        # ablations.  The union is planned once; each cache holds
+        # exactly the shapes its own cells were missing.
+        cells = self._cells(workload) + [
+            SweepCell(
+                system="flexsp",
+                workload=workload,
+                num_iterations=2,
+                variant=(("bucketing", "naive"),),
+            ),
+            SweepCell(system="flexsp", workload=other_workload, num_iterations=2),
+        ]
+        runner = SweepRunner(cells, solver_config=SOLVER)
+        pending = []
+        for cell in cells:
+            context = runner.context(cell.workload)
+            solver = context.system("flexsp", cell.variant).solver
+            shapes = set()
+            for batch in context.batches(cell.num_iterations):
+                shapes.update(solver.pending_shapes(batch.lengths))
+            pending.append((solver, shapes))
+        assert len({solver.context for solver, __ in pending}) == 1
+        result = runner.run()
+        for solver, shapes in pending:
+            assert {key[0] for key, __ in solver.cache.snapshot()} == shapes
+        union = set().union(*(shapes for __, shapes in pending))
+        assert result.prewarm_planned == len(union)
+        assert any(shapes != union for __, shapes in pending)
 
     def test_prewarm_stage_breakdown_recorded(self, workload):
         cells = self._cells(workload)
@@ -337,6 +445,28 @@ class TestSpillBatching:
         for a, b in zip(first.metrics, restored.metrics):
             assert a.deterministic() == b.deterministic()
         assert restored.metric("flexsp", workload.name).plan_cache_hit_rate == 1.0
+        assert restored.store_stats.writes == 0
+
+    def test_smaller_sibling_cache_growth_is_spilled(self, workload, tmp_path):
+        # The sort ablation shares the base cell's planning context but
+        # is seeded with only its own shapes, so its cache stays
+        # smaller than the base's.  A later pass that grows it (still
+        # below the base's count) must spill, or a fresh process would
+        # re-plan those shapes.
+        base = SweepCell(system="flexsp", workload=workload, num_iterations=3)
+        no_sort = dataclasses.replace(
+            base, num_iterations=1, variant=(("sort_sequences", False),)
+        )
+        runner = SweepRunner(solver_config=SOLVER, store=tmp_path)
+        runner.run([base, no_sort])
+        longer = dataclasses.replace(no_sort, num_iterations=2)
+        grown = runner.run([longer])
+        assert grown.prewarm_planned > 0
+        assert grown.store_stats.writes == 1
+        restored = SweepRunner(solver_config=SOLVER, store=tmp_path).run(
+            [longer]
+        )
+        assert restored.prewarm_planned == 0
         assert restored.store_stats.writes == 0
 
     def test_no_store_reports_no_stats(self, workload):
