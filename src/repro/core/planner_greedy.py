@@ -27,20 +27,24 @@ Cold-path engine (the first-time-solve pipeline):
   so the surviving family yields bit-identical best layouts and
   makespans (property-tested in
   ``tests/test_property_planner_pruning.py``).
-* **Stacked LPT, one pass per layout family.**
-  :func:`plan_microbatches_greedy` groups a call's shapes by layout
-  family (one :class:`LayoutStack`, i.e. one ``d_big`` class) and
-  places every shape of a family in one numpy pass: a campaign
-  prewarm or a solve's cache misses take as many numpy steps per
-  family as its longest shape has sequences, instead of one step per
-  sequence of every shape.  Only real lanes are stored, flat, one
-  segment per (shape, surviving layout) row; shapes run in descending
-  sequence count, so the rows still placing are a prefix, and each
-  row's lane is its first minimum, found with segmented reductions.
-  The incremental per-lane work/token sums accumulate in the same
-  order as the scalar model's sequential ``sum``, so makespans are
-  bit-identical to the original O(n^2) per-layout formulation,
-  whatever shapes share the pass.
+* **Stacked LPT, one pass per cost model.**
+  :func:`plan_microbatches_greedy` places every shape of a call in
+  one numpy pass, whatever its layout family (its
+  :class:`LayoutStack`, i.e. its ``d_big`` class): each row gathers
+  its lanes from its own family, and the cost table's scalars are
+  shared because the pass has one model.  A campaign prewarm or a
+  solve's cache misses thus take as many numpy steps as the call's
+  longest shape has sequences, instead of one step per sequence of
+  every shape.  Only lanes are stored, flat, one segment per (shape,
+  surviving layout) row; shapes run in descending sequence count, so
+  the rows still placing are a prefix, and each row's lane is its
+  first minimum, found with segmented reductions.  The incremental
+  per-lane work/token sums accumulate in the same order as the
+  scalar model's sequential ``sum``, so makespans are bit-identical
+  to the original O(n^2) per-layout formulation, whatever shapes
+  share the pass.  A pass over every cost model at once would take
+  fewer steps still, but its arrays grow with every model's rows, so
+  the peak memory of a campaign's cold pass grows with it.
 
 A lone shape — a trial-pruning bound, the MILP's greedy incumbent — is
 a pass of one.  A per-layout Python loop would plan a lone 8-GPU shape
@@ -90,47 +94,45 @@ def _enumerate_layouts(num_gpus: int, d_big: int) -> list[tuple[int, ...]]:
 
 
 class LayoutStack:
-    """One memory class's candidate family as stacked lane arrays.
+    """One memory class's candidate family as flat lane arrays.
 
-    Layouts are padded to a common group count ``G``; padding lanes
-    carry a token cap of ``-1``, which is how the batched LPT pass
-    tells them apart when it gathers the real lanes of its rows.
+    Each group of a layout is a *lane*.  The lanes of every layout are
+    stored flat, layout after layout, so the batched LPT pass gathers
+    the lanes of any rows of any families with one index array.
 
     Attributes:
         layouts: The family, in :func:`candidate_layouts` order.
-        degree_idx: ``(L, G)`` indices into the table's degree
-            universe (0 for padding — the cap mask makes it inert).
-        caps: ``(L, G)`` per-lane token capacities; ``-1`` padding.
+        lanes: ``(L,)`` lane count per layout.
+        lane_consts: ``(4, K)`` per lane: token capacity, degree,
+            ``comm_per_token`` and ``comm_beta``, hoisted out of the
+            pass (it runs one elementwise kernel per placed sequence,
+            so the per-degree gathers must not happen inside its loop).
         capacities: ``(L,)`` total token capacity per layout.
         max_caps: ``(L,)`` largest single-lane capacity per layout.
-        lanes: ``(L,)`` real (non-padding) lane count per layout.
     """
 
-    __slots__ = (
-        "layouts", "degree_idx", "caps", "capacities", "max_caps", "lanes",
-        "degrees", "comm_per_token", "comm_beta",
-    )
+    __slots__ = ("layouts", "lanes", "lane_consts", "capacities", "max_caps")
 
     def __init__(self, table: CostTable, layouts: list[tuple[int, ...]]):
         self.layouts = layouts
-        num_layouts = len(layouts)
-        width = max(len(layout) for layout in layouts)
-        self.degree_idx = np.zeros((num_layouts, width), dtype=np.intp)
-        self.caps = np.full((num_layouts, width), -1.0)
-        for row, layout in enumerate(layouts):
-            idx = [table.degree_index[d] for d in layout]
-            self.degree_idx[row, : len(layout)] = idx
-            self.caps[row, : len(layout)] = table.token_caps[idx]
-        real = self.caps >= 0
-        self.capacities = np.where(real, self.caps, 0.0).sum(axis=1)
-        self.max_caps = self.caps.max(axis=1)
-        self.lanes = real.sum(axis=1)
-        # Hoisted per-lane coefficient matrices: the stacked pass runs
-        # one elementwise kernel per placed sequence, so the per-degree
-        # gathers must not happen inside the loop.
-        self.degrees = table.degree_arr[self.degree_idx]
-        self.comm_per_token = table.comm_per_token[self.degree_idx]
-        self.comm_beta = table.comm_beta[self.degree_idx]
+        self.lanes = np.array([len(layout) for layout in layouts])
+        idx = [table.degree_index[d] for layout in layouts for d in layout]
+        caps = table.token_caps[idx]
+        # Per-layout totals are row sums over the lanes zero-padded to a
+        # common width: a per-segment sum of the flat lanes can round
+        # differently, and the pruning comparisons see the last bit.
+        padded = np.zeros((len(layouts), int(self.lanes.max())))
+        padded[np.arange(padded.shape[1]) < self.lanes[:, None]] = caps
+        self.capacities = padded.sum(axis=1)
+        self.max_caps = padded.max(axis=1)
+        self.lane_consts = np.stack(
+            [
+                caps,
+                table.degree_arr[idx],
+                table.comm_per_token[idx],
+                table.comm_beta[idx],
+            ]
+        )
 
     def surviving(self, total_tokens: float, longest: float) -> np.ndarray:
         """Indices of layouts that dominance pruning keeps.
@@ -165,15 +167,34 @@ def _layout_stack(model: CostModel, longest: int) -> LayoutStack:
 _NO_LAYOUT = "no layout could host the micro-batch within memory"
 
 
+def _lane_times(
+    table: CostTable,
+    work: np.ndarray,
+    tokens: np.ndarray,
+    degrees: np.ndarray,
+    comm_per_token: np.ndarray,
+    comm_beta: np.ndarray,
+) -> np.ndarray:
+    """:meth:`~repro.cost.model.CostTable.group_times` on lanes whose
+    per-degree coefficients are already gathered: the same elementwise
+    IEEE ops in the same order, so each lane equals it bit-for-bit."""
+    comp = work / degrees + table.beta1
+    comm = comm_per_token * tokens + comm_beta
+    if table.gather <= 0:
+        return comp + comm
+    return np.maximum(comp + comm + table.exposed_gather, comm + table.gather)
+
+
 def _assign_lpt_batched(
-    members: list[tuple[list[int], np.ndarray]],
-    stack: LayoutStack,
+    members: list[tuple[list[int], LayoutStack, np.ndarray]],
     table: CostTable,
 ) -> list[tuple[np.ndarray, np.ndarray, int] | None]:
     """LPT over every surviving layout of many shapes in one pass.
 
     Each ``(shape, surviving layout)`` pair is a *row*, and the rows'
-    real lanes are stored flat, one contiguous segment per row.  Shapes
+    lanes are stored flat, one contiguous segment per row, gathered
+    from the row's own layout family: shapes of different families
+    (different ``d_big``) of one cost model share the pass.  Shapes
     run in descending sequence count, so the rows still placing at step
     ``t`` (those of shapes with more than ``t`` sequences) are a prefix
     of the rows and their lanes a prefix of the lanes: each step slices
@@ -185,10 +206,10 @@ def _assign_lpt_batched(
     not depend on which shapes share the pass.
 
     Args:
-        members: Per shape, its lengths longest first and its
-            surviving layout indices into ``stack``.
-        stack: The memory class's stacked family.
-        table: The model's vectorized cost table.
+        members: Per shape, its lengths longest first, its layout
+            family and its surviving layout indices into that family.
+        table: The model's vectorized cost table, shared by every
+            family of the pass.
 
     Returns:
         Per member, in order, ``(choices, makespans, winner)`` where
@@ -201,17 +222,26 @@ def _assign_lpt_batched(
     """
     order = sorted(range(len(members)), key=lambda i: -len(members[i][0]))
     counts = [len(members[i][0]) for i in order]
-    row_counts = [members[i][1].size for i in order]
-    rows = np.concatenate([members[i][1] for i in order])
-    caps = stack.caps[rows]
-    real = caps >= 0
-    lane_caps = caps[real]
-    degrees = stack.degrees[rows][real]
-    cpt = stack.comm_per_token[rows][real]
-    comm_beta = stack.comm_beta[rows][real]
-    row_lanes = stack.lanes[rows]
+    row_counts = [members[i][2].size for i in order]
+    # The pass's layout universe: each family's layouts, and their flat
+    # lanes, in turn; a member's rows are offset by its family's first.
+    stacks = list(dict.fromkeys(stack for __, stack, __ in members))
+    offsets = np.cumsum([0] + [len(s.layouts) for s in stacks]).tolist()
+    first_layout = dict(zip(stacks, offsets))
+    rows = np.concatenate(
+        [members[i][2] + first_layout[members[i][1]] for i in order]
+    )
+    lanes = np.concatenate([s.lanes for s in stacks])
+    row_lanes = lanes[rows]
     lane_ends = np.cumsum(row_lanes)
     row_start = lane_ends - row_lanes
+    # A row's lanes are its layout's segment of the universe's lanes.
+    lane_ids = np.arange(int(lane_ends[-1])) + np.repeat(
+        (np.cumsum(lanes) - lanes)[rows] - row_start, row_lanes
+    )
+    lane_caps, degrees, cpt, comm_beta = np.concatenate(
+        [s.lane_consts for s in stacks], axis=1
+    )[:, lane_ids]
     lane_row = np.repeat(np.arange(rows.size), row_lanes)
     row_shape = np.repeat(np.arange(len(order)), row_counts)
     lane_shape = row_shape[lane_row]
@@ -224,9 +254,6 @@ def _assign_lpt_batched(
         lengths[: counts[k], k] = members[i][0]
     terms = table.work_terms(lengths)
 
-    beta1 = table.beta1
-    gather = table.gather
-    exposed = table.exposed_gather
     work = np.zeros(lane_caps.size)
     tokens = np.zeros(lane_caps.size)
     alive = np.ones(rows.size, dtype=bool)
@@ -234,7 +261,7 @@ def _assign_lpt_batched(
     choices = np.full(
         (counts[0], rows.size),
         -1,
-        dtype=np.int16 if stack.caps.shape[1] < 2**15 else np.intp,
+        dtype=np.int16 if row_lanes.max() < 2**15 else np.intp,
     )
     begin = 0
     # k shapes place from step ``begin`` until the k-th longest is done.
@@ -251,15 +278,11 @@ def _assign_lpt_batched(
         lane_degrees, lane_cpt = degrees[:n], cpt[:n]
         lane_beta, lane_cap = comm_beta[:n], lane_caps[:n]
         for step in range(begin, stop):
-            # Inlined CostTable.group_times over the flat lanes (same
-            # elementwise IEEE ops in the same order).
             new_tokens = lane_tokens + lengths[step][shape_of]
             new_work = lane_work + terms[step][shape_of]
-            comp = new_work / lane_degrees + beta1
-            comm = lane_cpt * new_tokens + lane_beta
-            cand = comp + comm
-            if gather > 0:
-                cand = np.maximum(cand + exposed, comm + gather)
+            cand = _lane_times(
+                table, new_work, new_tokens, lane_degrees, lane_cpt, lane_beta
+            )
             np.putmask(cand, new_tokens > lane_cap, np.inf)
             best = np.minimum.reduceat(cand, starts)
             # Each row's first lane attaining its minimum.
@@ -275,9 +298,7 @@ def _assign_lpt_batched(
             )
         begin = stop
 
-    finish = table.group_times(
-        work, tokens, stack.degree_idx[rows][real]
-    )
+    finish = _lane_times(table, work, tokens, degrees, cpt, comm_beta)
     makespans = np.maximum.reduceat(
         np.where(tokens > 0, finish, -np.inf), row_start
     )
@@ -354,12 +375,13 @@ def _pruned_family(
 def _plan_greedy(
     shapes: list[tuple[int, ...]] | list[list[int]], model: CostModel
 ) -> list[tuple[MicroBatchPlan, float] | PlanInfeasibleError]:
-    """Plan every shape, one batched LPT pass per layout family; an
-    infeasible shape's slot holds the error saying why."""
+    """Plan every shape in one batched LPT pass; an infeasible shape's
+    slot holds the error saying why."""
     enum_started = time.perf_counter()
     table = cost_table(model)
     outcomes: list = [None] * len(shapes)
-    families: dict[LayoutStack, tuple[list[int], list]] = {}
+    indices: list[int] = []
+    members: list[tuple[list[int], LayoutStack, np.ndarray]] = []
     for index, lengths in enumerate(shapes):
         try:
             stack, rows, ordered = _pruned_family(lengths, model, table)
@@ -368,26 +390,26 @@ def _plan_greedy(
             # this call's locals into a reference cycle.
             outcomes[index] = error.with_traceback(None)
             continue
-        indices, members = families.setdefault(stack, ([], []))
         indices.append(index)
-        members.append((ordered, rows))
+        members.append((ordered, stack, rows))
     stage_timing.add("enumerate", time.perf_counter() - enum_started)
 
     lpt_started = time.perf_counter()
-    for stack, (indices, members) in families.items():
-        batched = _assign_lpt_batched(members, stack, table)
-        for index, (ordered, rows), assigned in zip(indices, members, batched):
-            if assigned is None:
-                outcomes[index] = PlanInfeasibleError(_NO_LAYOUT)
-                continue
-            choices, makespans, winner = assigned
-            layout = stack.layouts[int(rows[winner])]
-            group_lengths: list[list[int]] = [[] for __ in layout]
-            for s, lane in zip(ordered, choices[:, winner].tolist()):
-                group_lengths[lane].append(s)
-            outcomes[index] = (
-                _build_plan(layout, group_lengths), float(makespans[winner])
-            )
+    batched = _assign_lpt_batched(members, table) if members else []
+    for index, (ordered, stack, rows), assigned in zip(
+        indices, members, batched
+    ):
+        if assigned is None:
+            outcomes[index] = PlanInfeasibleError(_NO_LAYOUT)
+            continue
+        choices, makespans, winner = assigned
+        layout = stack.layouts[int(rows[winner])]
+        group_lengths: list[list[int]] = [[] for __ in layout]
+        for s, lane in zip(ordered, choices[:, winner].tolist()):
+            group_lengths[lane].append(s)
+        outcomes[index] = (
+            _build_plan(layout, group_lengths), float(makespans[winner])
+        )
     stage_timing.add("lpt", time.perf_counter() - lpt_started)
     return outcomes
 
@@ -418,10 +440,9 @@ def plan_microbatches_greedy(
 
     Returns one outcome per shape, in order, with ``None`` where the
     single-shape planner raises :class:`PlanInfeasibleError`; every
-    outcome equals that planner's.  The shapes of one layout family
-    share one stacked LPT pass (module docstring), which is what makes
-    a campaign prewarm or a solve's cache misses cheaper planned
-    together than one by one.
+    outcome equals that planner's.  The shapes share one stacked LPT
+    pass (module docstring), which is what makes a campaign prewarm or
+    a solve's cache misses cheaper planned together than one by one.
     """
     del config  # accepted for interface parity; no knobs used
     return [

@@ -27,13 +27,31 @@ class Pack:
         lengths: Lengths of the member sequences, in packing order.
             Mutate only through :meth:`add`, which keeps the O(1)
             ``used``/``remaining`` accounting in sync.
+
+    Raises:
+        ValueError: On construction, a non-positive capacity, a
+            non-positive length, or lengths summing past the capacity.
     """
 
     capacity: int
     lengths: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        if self.capacity <= 0:
+            raise ValueError(
+                f"pack capacity must be positive, got {self.capacity}"
+            )
+        if self.lengths and min(self.lengths) <= 0:
+            raise ValueError(
+                "sequence lengths must be positive, got "
+                f"{min(self.lengths)}"
+            )
         self._used = sum(self.lengths)
+        if self._used > self.capacity:
+            raise ValueError(
+                f"pack holds {self._used} tokens, over its capacity "
+                f"{self.capacity}"
+            )
 
     @property
     def used(self) -> int:
@@ -56,6 +74,9 @@ class Pack:
 def _check_inputs(lengths: SequenceABC[int], capacity: int) -> None:
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
+    if len(lengths) == 0 or (min(lengths) > 0 and max(lengths) <= capacity):
+        return
+    # Name the first offending sequence, in input order.
     for s in lengths:
         if s <= 0:
             raise ValueError(f"sequence lengths must be positive, got {s}")
@@ -73,24 +94,43 @@ def best_fit_decreasing(lengths: SequenceABC[int], capacity: int) -> list[Pack]:
     the open pack with the *smallest* remaining space that still fits
     it, opening a new pack when none fits.
 
-    Runs in O(K log K) using a sorted list of remaining capacities.
+    Two flat lists kept in step hold the open packs: their remaining
+    capacities, ascending, and their ids, ascending within equal
+    remainders.  ``bisect_left`` on the remainders then finds the
+    smallest one that fits, and among equals the lowest id.  A filled
+    pack's remainder only shrinks, so it moves left: it stays in place
+    while its left neighbour's remainder is still smaller (the common
+    case), and otherwise goes after the equal remainders of lower-id
+    packs.  The member lists become :class:`Pack` objects once, at the
+    end.
     """
     _check_inputs(lengths, capacity)
-    packs: list[Pack] = []
-    # Parallel sorted structure: remaining sizes with pack indices.
-    remaining: list[tuple[int, int]] = []  # (remaining, pack_index), sorted
+    contents: list[list[int]] = []
+    rems: list[int] = []
+    ids: list[int] = []
     for s in sorted(lengths, reverse=True):
-        pos = bisect.bisect_left(remaining, (s, -1))
-        if pos < len(remaining):
-            rem, idx = remaining.pop(pos)
-            packs[idx].add(s)
-            new_rem = rem - s
-            bisect.insort(remaining, (new_rem, idx))
+        pos = bisect.bisect_left(rems, s)
+        if pos < len(rems):
+            rem = rems[pos] - s
+            idx = ids[pos]
+            contents[idx].append(s)
+            if pos == 0 or rems[pos - 1] < rem:
+                rems[pos] = rem
+                continue
+            del rems[pos], ids[pos]
+            pos = bisect.bisect_left(rems, rem, 0, pos)
+            if rems[pos] == rem:
+                end = bisect.bisect_right(rems, rem, pos)
+                pos = bisect.bisect_left(ids, idx, pos, end)
         else:
-            pack = Pack(capacity=capacity, lengths=[s])
-            packs.append(pack)
-            bisect.insort(remaining, (pack.remaining, len(packs) - 1))
-    return packs
+            # A new pack has the highest id: after every equal remainder.
+            idx = len(contents)
+            rem = capacity - s
+            contents.append([s])
+            pos = bisect.bisect_right(rems, rem)
+        rems.insert(pos, rem)
+        ids.insert(pos, idx)
+    return [Pack(capacity=capacity, lengths=members) for members in contents]
 
 
 def first_fit_decreasing(lengths: SequenceABC[int], capacity: int) -> list[Pack]:

@@ -194,10 +194,13 @@ def segment_sequential_sums(
     summation above ~8 elements and round differently.)
 
     The trick: lay the segments out as rows of a zero-padded matrix and
-    add the columns up one by one.  Adding the 0.0 padding is an exact
-    no-op for the non-negative addends used here, so short rows finish
-    early without perturbing their accumulator.  One vectorized add per
-    column replaces a Python-level loop over every element.
+    take ``np.add.accumulate`` along each row in one numpy call.
+    Accumulate is a running sum by definition — output ``j`` is output
+    ``j - 1`` plus input ``j`` — so every row is added strictly left to
+    right: the same IEEE adds in the same order as the Python loop.
+    Adding the trailing 0.0 padding is an exact no-op for the
+    non-negative addends used here, so a row's last column is its
+    segment's sum.
 
     Args:
         values: Concatenated segment values; must be non-negative (or
@@ -215,10 +218,7 @@ def segment_sequential_sums(
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
     cols = np.arange(values.shape[0]) - np.repeat(starts, counts)
     padded[rows, cols] = values
-    acc = padded[:, 0].copy()
-    for column in range(1, width):
-        acc += padded[:, column]
-    return acc
+    return np.add.accumulate(padded, axis=1)[:, -1]
 
 
 def _segment_token_sums(flat_lengths: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -16,16 +16,18 @@ from repro.cost.model import cost_table
 
 
 def lane_constants(stack, row):
-    """``(degree, comm_per_token, comm_beta, cap)`` per real lane of
-    one layout of ``stack``."""
+    """``(degree, comm_per_token, comm_beta, cap)`` per lane of one
+    layout of ``stack``."""
+    first = int(stack.lanes[:row].sum())
+    caps, degrees, comm_per_token, comm_beta = stack.lane_consts
     return [
         (
-            float(stack.degrees[row, i]),
-            float(stack.comm_per_token[row, i]),
-            float(stack.comm_beta[row, i]),
-            float(stack.caps[row, i]),
+            float(degrees[i]),
+            float(comm_per_token[i]),
+            float(comm_beta[i]),
+            float(caps[i]),
         )
-        for i in range(int(stack.lanes[row]))
+        for i in range(first, first + int(stack.lanes[row]))
     ]
 
 

@@ -350,50 +350,66 @@ def _surviving_rows(model, lengths):
     return stack, [int(r) for r in rows]
 
 
-def _by_family(model, instances):
-    """Instances grouped by layout family: ``{stack: [(ordered, rows)]}``
-    (only instances some layout survives for)."""
-    families = {}
+def _members(model, instances):
+    """The pass members ``(ordered, stack, rows)`` of the instances some
+    layout survives for."""
+    members = []
     for lengths in instances:
         stack, rows = _surviving_rows(model, lengths)
         if rows:
-            families.setdefault(stack, []).append(
-                (sorted(lengths, reverse=True), rows)
+            members.append(
+                (sorted(lengths, reverse=True), stack, np.asarray(rows))
             )
-    return families
+    return members
+
+
+def _assert_matches_oracle(member, stacked, table):
+    """One member's pass outcome against the scalar oracle run layout
+    by layout: the same lanes, makespans and first-minimum winner."""
+    ordered, stack, rows = member
+    scalar = [
+        assign_lpt_scalar(ordered, lane_constants(stack, int(row)), table)
+        for row in rows
+    ]
+    if all(a is None for a in scalar):
+        assert stacked is None
+        return False
+    choices, makespans, winner = stacked
+    assert choices.shape == (len(ordered), len(rows))
+    spans = [math.inf if a is None else a[1] for a in scalar]
+    assert makespans.tolist() == spans
+    assert winner == spans.index(min(spans))
+    for index, (row, assigned) in enumerate(zip(rows, scalar)):
+        if assigned is None:
+            # A layout that ran out of room places nothing more.
+            assert choices[-1, index] == -1
+            continue
+        groups = [[] for __ in stack.layouts[int(row)]]
+        for step, lane in enumerate(choices[:, index].tolist()):
+            groups[lane].append(ordered[step])
+        assert groups == assigned[0]
+    return True
 
 
 class TestLptPasses:
     @pytest.mark.parametrize("family", LPT_FAMILIES)
     def test_scalar_pass_matches_stacked_row(self, family, request):
         """Every (instance, layout) pair is its own one-row member of a
-        single batched pass per family: rows of different lengths and
-        sequence counts share the pass and must not disturb each other."""
+        single batched pass: rows of different lengths, sequence counts
+        and layout families share the pass and must not disturb each
+        other."""
         model, instances = _lpt_instances(family, request)
         table = cost_table(model)
+        singles = [
+            (ordered, stack, rows[i : i + 1])
+            for ordered, stack, rows in _members(model, instances)
+            for i in range(rows.size)
+        ]
+        batched = _assign_lpt_batched(singles, table)
         feasible = 0
-        for stack, members in _by_family(model, instances).items():
-            singles = [
-                (ordered, np.asarray([row]))
-                for ordered, rows in members
-                for row in rows
-            ]
-            batched = _assign_lpt_batched(singles, stack, table)
-            for (ordered, row), stacked in zip(singles, batched):
-                scalar = assign_lpt_scalar(
-                    ordered, lane_constants(stack, int(row[0])), table
-                )
-                if scalar is None:
-                    assert stacked is None
-                    continue
-                assert stacked is not None
-                choices, makespans, winner = stacked
-                assert winner == 0
-                groups = [[] for __ in stack.layouts[int(row[0])]]
-                for step, lane in enumerate(choices[:, 0].tolist()):
-                    groups[lane].append(ordered[step])
-                assert groups == scalar[0]
-                assert float(makespans[0]) == scalar[1]
+        for member, stacked in zip(singles, batched):
+            if _assert_matches_oracle(member, stacked, table):
+                assert stacked[2] == 0
                 feasible += 1
         assert feasible
 
@@ -430,35 +446,43 @@ class TestLptPasses:
         # equal lengths), so the first-minimum rule is exercised too.
         model, instances = _lpt_instances(family, request)
         table = cost_table(model)
-        compared = 0
-        for stack, members in _by_family(model, instances).items():
-            batched = _assign_lpt_batched(
-                [(ordered, np.asarray(rows)) for ordered, rows in members],
-                stack,
-                table,
-            )
-            for (ordered, rows), stacked in zip(members, batched):
-                scalar = [
-                    assign_lpt_scalar(
-                        ordered, lane_constants(stack, row), table
-                    )
-                    for row in rows
-                ]
-                spans = [math.inf if a is None else a[1] for a in scalar]
-                if all(a is None for a in scalar):
-                    assert stacked is None
-                    continue
-                choices, makespans, winner = stacked
-                assert choices.shape == (len(ordered), len(rows))
-                assert makespans.tolist() == spans
-                assert winner == spans.index(min(spans))
-                for index, assigned in enumerate(scalar):
-                    if assigned is None:
-                        # A layout that ran out of room places nothing
-                        # more.
-                        assert choices[-1, index] == -1
-                compared += 1
+        members = _members(model, instances)
+        batched = _assign_lpt_batched(members, table)
+        compared = sum(
+            _assert_matches_oracle(member, stacked, table)
+            for member, stacked in zip(members, batched)
+        )
         assert compared
+
+    def test_layout_families_share_one_pass(self, cost_model16):
+        """Shapes of several layout families (different ``d_big``) of
+        one model in one pass: each shape's choices, makespans and
+        winner equal a pass of its family alone and the oracle's."""
+        model = cost_model16
+        table = cost_table(model)
+        per_device = int(model.max_tokens_per_device())
+        rng = np.random.default_rng(7)
+        instances = []
+        for d_big in (1, 2, 4, 8):
+            longest = per_device * d_big - 1
+            for __ in range(3):
+                count = rng.integers(0, 20)
+                rest = rng.integers(128, per_device // 2, size=count)
+                instances.append((longest, *(int(s) for s in rest)))
+        members = _members(model, instances)
+        assert len(members) == len(instances)
+        assert len({stack for __, stack, __ in members}) >= 3
+        together = _assign_lpt_batched(members, table)
+        for member, stacked in zip(members, together):
+            assert _assert_matches_oracle(member, stacked, table)
+            same_family = [m for m in members if m[1] is member[1]]
+            alone = _assign_lpt_batched(same_family, table)[
+                next(i for i, m in enumerate(same_family) if m is member)
+            ]
+            choices, makespans, winner = stacked
+            assert np.array_equal(choices, alone[0])
+            assert makespans.tolist() == alone[1].tolist()
+            assert winner == alone[2]
 
     @pytest.mark.parametrize("family", LPT_FAMILIES)
     def test_batched_matches_per_shape(self, family, request):

@@ -36,6 +36,29 @@ class TestPack:
         with pytest.raises(ValueError, match="does not fit"):
             pack.add(20)
 
+    @pytest.mark.parametrize(
+        "capacity,lengths,message",
+        [
+            (0, [], "pack capacity must be positive, got 0"),
+            (-4, [1], "pack capacity must be positive, got -4"),
+            (10, [20, -3], "sequence lengths must be positive, got -3"),
+            (10, [5, 0], "sequence lengths must be positive, got 0"),
+            (10, [6, 5], "pack holds 11 tokens, over its capacity 10"),
+            (10, [11], "pack holds 11 tokens, over its capacity 10"),
+        ],
+    )
+    def test_construction_rejects_invalid_packs(
+        self, capacity, lengths, message
+    ):
+        with pytest.raises(ValueError) as raised:
+            Pack(capacity=capacity, lengths=lengths)
+        assert str(raised.value) == message
+
+    def test_construction_accepts_empty_and_exactly_full_packs(self):
+        assert Pack(capacity=10).remaining == 10
+        full = Pack(capacity=10, lengths=[4, 6])
+        assert (full.used, full.remaining) == (10, 0)
+
 
 class TestBestFitDecreasing:
     def test_all_sequences_packed(self):

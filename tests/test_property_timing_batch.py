@@ -247,6 +247,19 @@ def _random_plan(rng: random.Random, num_gpus: int) -> IterationPlan:
     )
 
 
+def _python_segment_sums(values, counts) -> list[float]:
+    """The reference: ``total = 0.0; total += v`` over each segment."""
+    sums = []
+    cursor = 0
+    for count in counts:
+        total = 0.0
+        for v in values[cursor : cursor + count]:
+            total += float(v)
+        cursor += count
+        sums.append(total)
+    return sums
+
+
 class TestSegmentSequentialSums:
     def test_matches_python_accumulation(self):
         rng = np.random.default_rng(11)
@@ -254,13 +267,30 @@ class TestSegmentSequentialSums:
             counts = rng.integers(1, 40, size=rng.integers(1, 30))
             values = rng.uniform(1e6, 1e15, size=int(counts.sum()))
             sums = segment_sequential_sums(values, counts)
-            cursor = 0
-            for count, vectorized in zip(counts, sums):
-                total = 0.0
-                for v in values[cursor : cursor + count]:
-                    total += float(v)
-                cursor += count
-                assert total == vectorized  # bit-for-bit
+            # bit-for-bit
+            assert sums.tolist() == _python_segment_sums(values, counts)
+
+    @pytest.mark.parametrize(
+        "num_segments,max_width",
+        [
+            (1, 1024),  # a single segment
+            (12, 1024),  # widths up to 1,024 columns
+            (300, 512),  # the campaign's widest calls
+            (64, 1),  # single-column segments only
+        ],
+    )
+    def test_wide_segments_match_python_accumulation(
+        self, num_segments, max_width
+    ):
+        """Segment widths up to 1,024 and values spread from 1e0 to
+        1e15, so each add rounds and the order of the adds shows."""
+        rng = np.random.default_rng(num_segments * 7919 + max_width)
+        for __ in range(3):
+            counts = rng.integers(1, max_width + 1, size=num_segments)
+            counts[rng.integers(num_segments)] = max_width
+            values = 10.0 ** rng.uniform(0.0, 15.0, size=int(counts.sum()))
+            sums = segment_sequential_sums(values, counts)
+            assert sums.tolist() == _python_segment_sums(values, counts)
 
     def test_empty(self):
         assert segment_sequential_sums(np.zeros(0), np.zeros(0, dtype=int)).size == 0
