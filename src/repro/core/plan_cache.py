@@ -118,8 +118,10 @@ def canonical_shape(lengths: SequenceABC[int]) -> tuple[int, ...]:
 
     Both planner backends are order-insensitive, so this is the exact
     equivalence class a cached plan is valid for.  Every key producer
-    — :func:`plan_key` and the solver's hot path — must go through
-    this one function.
+    — :func:`plan_key` and the solver's hot path — must yield this
+    form.  The solver keys a sorted blast's segments as they are: they
+    are sorted tuples of Python ints already
+    (:func:`~repro.core.blaster.blast_multi`).
     """
     return tuple(sorted(int(s) for s in lengths))
 
@@ -169,25 +171,33 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def lookup(self, key: tuple):
-        """The cached entry for ``key`` — ``(plan, predicted)``,
-        :data:`INFEASIBLE`, or None on a miss (counted)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
+    def lookup(self, keys: SequenceABC[tuple]) -> list:
+        """The cached entry for each key — ``(plan, predicted)``,
+        :data:`INFEASIBLE`, or None on a miss — in one locked pass.
 
-    def peek(self, key: tuple):
-        """Like :meth:`lookup` but with zero side effects: no hit/miss
-        counting, no LRU reordering.  The cold-path prewarmer uses
-        this so probing for missing shapes cannot change what a later
-        ``solve()`` observes or reports."""
+        Each key counts a hit (and becomes most recently used) or a
+        miss in order, so counters and LRU order end as looking the
+        keys up one at a time would leave them."""
         with self._lock:
-            return self._entries.get(key)
+            entries = self._entries
+            found = [entries.get(key) for key in keys]
+            hits = 0
+            for key, entry in zip(keys, found):
+                if entry is not None:
+                    entries.move_to_end(key)
+                    hits += 1
+            self.hits += hits
+            self.misses += len(found) - hits
+        return found
+
+    def peek(self, keys: SequenceABC[tuple]) -> list:
+        """Like :meth:`lookup` but with zero side effects: no hit/miss
+        counting, no LRU reordering.  The cold-path prewarmer and the
+        warm probes use this so probing for missing shapes cannot
+        change what a later ``solve()`` observes or reports."""
+        with self._lock:
+            entries = self._entries
+            return [entries.get(key) for key in keys]
 
     def store(
         self, key: tuple, plan: MicroBatchPlan | None, predicted: float | None

@@ -396,6 +396,7 @@ def _plan_greedy(
 
     lpt_started = time.perf_counter()
     batched = _assign_lpt_batched(members, table) if members else []
+    stage_timing.add("lpt", time.perf_counter() - lpt_started)
     for index, (ordered, stack, rows), assigned in zip(
         indices, members, batched
     ):
@@ -410,7 +411,6 @@ def _plan_greedy(
         outcomes[index] = (
             _build_plan(layout, group_lengths), float(makespans[winner])
         )
-    stage_timing.add("lpt", time.perf_counter() - lpt_started)
     return outcomes
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import sys
 from typing import Any
 
 from repro.core.types import (
@@ -50,14 +51,18 @@ def microbatch_to_dict(mb: MicroBatchPlan) -> dict[str, Any]:
     }
 
 
-def microbatch_from_dict(payload: dict[str, Any]) -> MicroBatchPlan:
+def microbatch_from_dict(
+    payload: dict[str, Any], values: dict[int, int] | None = None
+) -> MicroBatchPlan:
     """Inverse of :func:`microbatch_to_dict`; validates via the plan
-    dataclasses' own invariants."""
+    dataclasses' own invariants.  ``values`` maps a length to the int
+    object the plan keeps for it (see :func:`plan_from_dict`)."""
+    values = values or {}
     groups = tuple(
         GroupAssignment(
             degree=int(g["degree"]),
             device_ranks=tuple(int(r) for r in g["device_ranks"]),
-            lengths=tuple(int(s) for s in g["lengths"]),
+            lengths=tuple(values.get(s, s) for s in map(int, g["lengths"])),
         )
         for g in payload["groups"]
     )
@@ -80,16 +85,29 @@ def plan_to_dict(plan: IterationPlan) -> dict[str, Any]:
     return payload
 
 
-def plan_from_dict(payload: dict[str, Any]) -> IterationPlan:
+def plan_from_dict(
+    payload: dict[str, Any], batch: tuple[int, ...] | None = None
+) -> IterationPlan:
     """Inverse of :func:`plan_to_dict`; validates structure via the
-    plan dataclasses' own invariants."""
+    plan dataclasses' own invariants.
+
+    ``batch`` is the lengths the plan was solved for, when the caller
+    holds them.  The plan's group lengths take the batch's int objects
+    instead of the JSON decoder's copies, so a client keeping the plans
+    of recurring batches holds each length once: at the plan service's
+    16-sequence batches that is 16 ints, about a quarter of a decoded
+    plan's bytes.
+    """
     version = payload.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(
             f"unsupported plan format version {version!r}; expected "
             f"{FORMAT_VERSION}"
         )
-    microbatches = [microbatch_from_dict(mb) for mb in payload["microbatches"]]
+    values = None if batch is None else {s: s for s in batch}
+    microbatches = [
+        microbatch_from_dict(mb, values) for mb in payload["microbatches"]
+    ]
     stats = payload.get("stats")
     if stats is not None:
         # Older writers also emitted ``kernel_tiers``, a field
@@ -98,7 +116,7 @@ def plan_from_dict(payload: dict[str, Any]) -> IterationPlan:
     return IterationPlan(
         microbatches=tuple(microbatches),
         predicted_time=payload.get("predicted_time"),
-        solver_name=payload.get("solver_name", "unknown"),
+        solver_name=sys.intern(str(payload.get("solver_name", "unknown"))),
         stats=SolveStats(**stats) if stats is not None else None,
     )
 

@@ -15,7 +15,8 @@ S4.3, plus this repo's cross-trial reuse):
   slow trial cannot idle the other workers.
 * **Plan cache.** Unique shapes are first resolved against an LRU
   :class:`~repro.core.plan_cache.PlanCache` that persists across
-  ``solve()`` calls; recurring shapes (across trials of one solve and
+  ``solve()`` calls, all of a solve's (or a probe's) shapes in one
+  locked pass; recurring shapes (across trials of one solve and
   across iterations of a workload) skip the MILP entirely.  Hit/miss
   counters are reported per solve via
   :class:`~repro.core.types.SolveStats` on the returned
@@ -105,6 +106,11 @@ _PRUNE_MARGIN = 1.0 + 1e-9
 def _predicted(entry) -> float:
     """A planning outcome's predicted seconds (``inf`` if infeasible)."""
     return math.inf if entry is INFEASIBLE else entry[1]
+
+
+def _distinct(trials) -> list[tuple[int, ...]]:
+    """The distinct shapes of ``trials``, in first-occurrence order."""
+    return list(dict.fromkeys(shape for trial in trials for shape in trial))
 
 
 def _as_batch(batch: SequenceBatch | tuple[int, ...]) -> SequenceBatch:
@@ -494,7 +500,9 @@ class FlexSPSolver:
         canonical (the cache key) when caching, else raw — from one
         shared balanced-cut DP for the whole trial sweep (the layers are
         count-independent, see :func:`~repro.core.blaster.blast_multi`).
-        ``None`` slots mark counts that cannot split the batch.
+        ``None`` slots mark counts that cannot split the batch.  The
+        blaster's length tuples are the keys: only the "w/o Sort"
+        ablation's segments are canonicalised.
 
         Memoised on the batch's lengths (small LRU): the campaign
         prewarmer's :meth:`pending_shapes` and the plan service's
@@ -519,13 +527,14 @@ class FlexSPSolver:
         if not trials:
             trials = [len(batch.lengths)]
         blasted = blast_multi(batch, trials, sort=self.config.sort_sequences)
-        planner_shape = tuple if self.cache is None else canonical_shape
-        keys: list[list[tuple[int, ...]] | None] = [
-            [planner_shape(mb.lengths) for mb in blasted[m]]
-            if m in blasted
-            else None
-            for m in trials
-        ]
+        if self.cache is not None and not self.config.sort_sequences:
+            # A "w/o Sort" segment keeps arrival order; a sorted one is
+            # already canonical.
+            blasted = {
+                m: [canonical_shape(segment) for segment in segments]
+                for m, segments in blasted.items()
+            }
+        keys = [blasted.get(m) for m in trials]
         with self._memo_lock:
             memo[key] = (trials, keys)
             while len(memo) > 16:
@@ -556,16 +565,7 @@ class FlexSPSolver:
         if self.cache is None:
             return []
         __, keys = self._trial_keys(_as_batch(batch))
-        missing: set[tuple[int, ...]] = set()
-        for shapes, live in zip(keys, self._live_trials(keys)):
-            if not live:
-                continue
-            for shape in shapes:
-                if shape in missing:
-                    continue
-                if self.cache.peek((shape, self._context)) is None:
-                    missing.add(shape)
-        return sorted(missing, key=lambda s: (len(s), s))
+        return sorted(self._missing(keys), key=lambda s: (len(s), s))
 
     def is_warm(self, batch: SequenceBatch | tuple[int, ...]) -> bool:
         """Whether a :meth:`solve` of ``batch`` would be answered
@@ -586,10 +586,10 @@ class FlexSPSolver:
         """
         if self.cache is None:
             return False
-        if not self._prunes:
-            return not self.pending_shapes(batch)
         __, keys = self._trial_keys(_as_batch(batch))
-        lower, exact = self._trial_bounds(keys)
+        if not self._prunes:
+            return not self._missing(keys)
+        lower, exact, __ = self._trial_bounds(keys)
         best = min((t for t in exact if t is not None), default=math.inf)
         return all(
             exact[i] is not None
@@ -597,41 +597,57 @@ class FlexSPSolver:
             if shapes is not None and lower[i] <= _PRUNE_MARGIN * best
         )
 
+    def _missing(
+        self, keys: list[list[tuple[int, ...]] | None]
+    ) -> list[tuple[int, ...]]:
+        """The live trials' distinct shapes the cache lacks, in first
+        occurrence order (one side-effect-free cache pass)."""
+        shapes = _distinct(
+            trial for trial, live in zip(keys, self._live_trials(keys)) if live
+        )
+        return [
+            shape
+            for shape, entry in zip(shapes, self._peek(shapes))
+            if entry is None
+        ]
+
     def _trial_bounds(
         self, keys: list[list[tuple[int, ...]] | None]
-    ) -> tuple[list[float], list[float | None]]:
+    ) -> tuple[list[float], list[float | None], dict]:
         """Per trial: the summed makespan lower bounds, and the exact
         total when every micro-batch is cached (``inf`` when one is
-        cached infeasible; None while any is uncached)."""
-        bounds: dict[tuple[int, ...], float] = {}
+        cached infeasible; None while any is uncached).  Also returns
+        every distinct shape's cached entry (None when uncached)."""
+        shapes = _distinct(trial for trial in keys if trial is not None)
+        cached = dict(zip(shapes, self._peek(shapes)))
+        bounds = {
+            shape: makespan_lower_bound(self.model, shape) for shape in shapes
+        }
         lower: list[float] = []
         exact: list[float | None] = []
-        for shapes in keys:
-            if shapes is None:
+        for trial in keys:
+            if trial is None:
                 lower.append(math.inf)
                 exact.append(None)
                 continue
             low = 0.0
             total: float | None = 0.0
-            for shape in shapes:
-                bound = bounds.get(shape)
-                if bound is None:
-                    bound = bounds[shape] = makespan_lower_bound(
-                        self.model, shape
-                    )
-                low += bound
+            for shape in trial:
+                low += bounds[shape]
                 if total is not None:
-                    entry = self._peek(shape)
+                    entry = cached[shape]
                     total = None if entry is None else total + _predicted(entry)
             lower.append(low)
             exact.append(total)
-        return lower, exact
+        return lower, exact, cached
 
-    def _peek(self, shape: tuple[int, ...]):
-        """The cached entry for a planner-ready shape, side-effect free."""
+    def _peek(self, shapes: list[tuple[int, ...]]) -> list:
+        """The cached entry (or None) for each planner-ready shape, in
+        one side-effect-free cache pass."""
         if self.cache is None:
-            return None
-        return self.cache.peek((shape, self._context))
+            return [None] * len(shapes)
+        context = self._context
+        return self.cache.peek([(shape, context) for shape in shapes])
 
     def _live_trials(
         self, keys: list[list[tuple[int, ...]] | None]
@@ -651,7 +667,7 @@ class FlexSPSolver:
         live = [shapes is not None for shapes in keys]
         if not self._prunes or sum(live) < 2:
             return live
-        lower, exact = self._trial_bounds(keys)
+        lower, exact, cached = self._trial_bounds(keys)
         upper = min((t for t in exact if t is not None), default=math.inf)
         greedy: dict[tuple[int, ...], object] = {}
         for shapes, low, cached_total in zip(keys, lower, exact):
@@ -661,7 +677,7 @@ class FlexSPSolver:
                 continue
             total = 0.0
             for shape in shapes:
-                entry = self._peek(shape) or greedy.get(shape)
+                entry = cached[shape] or greedy.get(shape)
                 if entry is None:
                     try:
                         entry = plan_microbatch_greedy(
@@ -711,72 +727,64 @@ class FlexSPSolver:
         with stage_timing.collect() as stages:
             trials, keys = self._trial_keys(batch)
 
-            # Resolve the live trials' shapes.  With the cache enabled,
-            # shapes are canonicalized and deduplicated (within the
-            # solve and against prior solves); with it disabled, every
-            # occurrence is planned from scratch — the faithful
-            # pre-cache reference path.  Each trial keeps a slot per
-            # micro-batch: a cache key when caching, else an index into
-            # the planning list.  Pruned trials are never resolved.
-            resolved: dict[tuple, object] = {}
-            to_plan: list[tuple[int, ...]] = []
-            trial_slots: list[list[object] | None] = []
-            cache_hits = 0
-            dedup_hits = 0
+            live_trials: list[list[tuple[int, ...]]] = []
             total_microbatches = 0
             pruned_trials = 0
             pruned_microbatches = 0
             for shapes, live in zip(keys, self._live_trials(keys)):
-                if shapes is not None:
-                    total_microbatches += len(shapes)
-                if not live:
-                    if shapes is not None:
-                        pruned_trials += 1
-                        pruned_microbatches += len(shapes)
-                    trial_slots.append(None)
+                if shapes is None:
                     continue
-                slots: list[object] = []
-                for shape in shapes:
-                    if self.cache is None:
-                        slots.append(len(to_plan))
-                        to_plan.append(shape)
-                        continue
-                    key = (shape, self._context)
-                    slots.append(key)
-                    if key in resolved:
-                        dedup_hits += 1
-                        continue
-                    entry = self.cache.lookup(key)
-                    if entry is not None:
-                        resolved[key] = entry
-                        cache_hits += 1
-                        continue
-                    resolved[key] = None  # pending
-                    to_plan.append(key[0])  # canonical sorted lengths
-                trial_slots.append(slots)
+                total_microbatches += len(shapes)
+                if live:
+                    live_trials.append(shapes)
+                else:
+                    pruned_trials += 1
+                    pruned_microbatches += len(shapes)
+
+            # With the cache enabled, the live trials' shapes are
+            # deduplicated (within the solve and against prior solves)
+            # and looked up in one pass, in first-occurrence order; with
+            # it disabled, every occurrence is planned from scratch —
+            # the faithful pre-cache reference path.  Pruned trials are
+            # never resolved.
+            if self.cache is None:
+                to_plan = [shape for shapes in live_trials for shape in shapes]
+                dedup_hits = cache_hits = 0
+            else:
+                unique = _distinct(live_trials)
+                dedup_hits = sum(map(len, live_trials)) - len(unique)
+                context = self._context
+                found = self.cache.lookup([(s, context) for s in unique])
+                resolved = dict(zip(unique, found))
+                to_plan = [s for s in unique if resolved[s] is None]
+                cache_hits = len(unique) - len(to_plan)
 
             outcomes = self._plan_missing(to_plan)
         entries = [
             INFEASIBLE if outcome is None else outcome for outcome in outcomes
         ]
-        if self.cache is not None:
+        if self.cache is None:
+            planned = iter(entries)
+            trial_entries = [
+                [next(planned) for __ in shapes] for shapes in live_trials
+            ]
+        else:
             for shape, outcome, entry in zip(to_plan, outcomes, entries):
-                key = (shape, self._context)
-                resolved[key] = entry
+                resolved[shape] = entry
                 self.cache.store(
-                    key,
+                    (shape, context),
                     None if outcome is None else outcome[0],
                     None if outcome is None else outcome[1],
                 )
+            trial_entries = [
+                [resolved[shape] for shape in shapes] for shapes in live_trials
+            ]
 
         best: tuple[float, list[MicroBatchPlan]] | None = None
-        for slots in trial_slots:
-            if slots is None:
-                continue
+        for trial in trial_entries:
             total = 0.0
             plans: list[MicroBatchPlan] = []
-            for slot in slots:
-                entry = entries[slot] if isinstance(slot, int) else resolved[slot]
+            for entry in trial:
                 if entry is INFEASIBLE:
                     plans = []
                     break

@@ -23,7 +23,7 @@ class InfeasibleWorkloadError(ValueError):
     """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveStats:
     """Counters describing how one solver ``solve()`` did its work.
 
@@ -122,7 +122,7 @@ class SolveStats:
         return {stage: getattr(self, f"{stage}_seconds") for stage in STAGES}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceBatch:
     """An ordered collection of raw sequence lengths to plan over."""
 
@@ -147,7 +147,7 @@ class SequenceBatch:
         return SequenceBatch(lengths=tuple(sorted(self.lengths)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupAssignment:
     """One SP group in one micro-batch, with its workload.
 
@@ -185,7 +185,7 @@ class GroupAssignment:
         return self.tokens / self.degree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MicroBatchPlan:
     """SP groups that execute concurrently for one micro-batch.
 
@@ -240,7 +240,7 @@ class MicroBatchPlan:
         return "<" + ", ".join(parts) + ">"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationPlan:
     """The full plan for one training step.
 

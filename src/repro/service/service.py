@@ -48,7 +48,7 @@ import time
 from dataclasses import dataclass
 
 from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
-from repro.core.types import IterationPlan
+from repro.core.types import IterationPlan, SequenceBatch
 from repro.experiments.sweep import WorkloadContext
 from repro.experiments.workloads import Workload
 
@@ -69,7 +69,7 @@ class ServiceClosed(RuntimeError):
     """The service shut down before (or while) handling the request."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServedPlan:
     """One answered request.
 
@@ -139,10 +139,13 @@ class PlanTicket:
 class _Flight:
     """One in-flight solve: a primary ticket plus coalesced waiters."""
 
-    __slots__ = ("key", "primary", "waiters", "started", "cancelled")
+    __slots__ = ("key", "batch", "primary", "waiters", "started", "cancelled")
 
-    def __init__(self, key: tuple, primary: PlanTicket) -> None:
+    def __init__(
+        self, key: tuple, batch: SequenceBatch, primary: PlanTicket
+    ) -> None:
         self.key = key
+        self.batch = batch
         self.primary = primary
         self.waiters: list[PlanTicket] = []
         self.started = False
@@ -359,8 +362,13 @@ class PlanService:
         request; answer warm requests synchronously from the plan
         cache; shed cold requests over the tenant's pending bound;
         otherwise enqueue for the service threads.
+
+        Raises:
+            ValueError: An unknown tenant, or an empty batch or one
+                with a non-positive length; neither is counted.
         """
         lengths = tuple(lengths)
+        batch = SequenceBatch(lengths)
         ticket = PlanTicket(tenant, lengths)
         key = (tenant, lengths)
         with self._lock:
@@ -375,9 +383,9 @@ class PlanService:
                 flight.waiters.append(ticket)
                 self._stats["coalesced"] += 1
                 return ticket
-            warm = solver.is_warm(lengths)
+            warm = solver.is_warm(batch)
             if warm:
-                flight = _Flight(key, ticket)
+                flight = _Flight(key, batch, ticket)
                 flight.started = True
                 self._inflight[key] = flight
             else:
@@ -392,7 +400,7 @@ class PlanService:
                         )
                     )
                     return ticket
-                flight = _Flight(key, ticket)
+                flight = _Flight(key, batch, ticket)
                 self._pending[tenant] += 1
                 self._inflight[key] = flight
         if warm:
@@ -464,7 +472,7 @@ class PlanService:
         error: BaseException | None = None
         plan = None
         try:
-            plan = solver.solve(flight.primary.lengths)
+            plan = solver.solve(flight.batch)
         except BaseException as exc:
             error = exc
         with self._lock:

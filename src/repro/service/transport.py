@@ -71,6 +71,7 @@ import json
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import uuid
@@ -781,7 +782,10 @@ class PlanClient:
         :class:`PlanDeadlineExceeded` when the deadline/retry budget
         is exhausted with no fallback jobs configured.
         """
-        lengths = tuple(int(value) for value in lengths)
+        if type(lengths) is not tuple or any(
+            type(value) is not int for value in lengths
+        ):
+            lengths = tuple(int(value) for value in lengths)
         budget = self.deadline if deadline is None else float(deadline)
         if budget <= 0:
             raise ValueError(f"deadline must be positive, got {budget}")
@@ -829,13 +833,16 @@ class PlanClient:
                 self._backoff(attempt, deadline_at)
                 continue
             if response.get("type") == "plan":
-                plan = plan_from_dict(response["plan"])
+                # The plan shares the request's tuple and length ints,
+                # and the source string is interned: a caller keeping
+                # many served plans holds one copy of each.
+                plan = plan_from_dict(response["plan"], lengths)
                 self._stats["served"] += 1
                 return ServedPlan(
                     tenant=tenant,
                     lengths=lengths,
                     plan=plan,
-                    source=str(response.get("source", "solved")),
+                    source=sys.intern(str(response.get("source", "solved"))),
                     latency_seconds=time.perf_counter() - started,
                 )
             code = (

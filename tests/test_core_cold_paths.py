@@ -146,6 +146,28 @@ class TestStageTimingFrames:
             pass
         assert frame == {}
 
+    def test_lpt_stage_excludes_plan_assembly(self, cost_model8, monkeypatch):
+        """The ``lpt`` stage times the LPT pass alone: slowing the plan
+        assembly after it does not grow the stage."""
+        import time
+
+        from repro.core import planner_greedy, stage_timing
+
+        delay = 0.2
+        build_plan = planner_greedy._build_plan
+
+        def slow_build_plan(*args):
+            time.sleep(delay)
+            return build_plan(*args)
+
+        monkeypatch.setattr(planner_greedy, "_build_plan", slow_build_plan)
+        with stage_timing.collect() as stages:
+            outcomes = planner_greedy.plan_microbatches_greedy(
+                [(1024, 2048, 4096), (512,) * 6], cost_model8
+            )
+        assert all(outcome is not None for outcome in outcomes)
+        assert 0.0 < stages["lpt"] < delay
+
     def test_stage_vocabulary_matches_solve_stats(self):
         from repro.core.stage_timing import STAGES
         from repro.core.types import SolveStats

@@ -7,12 +7,14 @@ numpy implementation each.  These tests hold them to plain
 references that share no code with them:
 
 * **Quadratic DPs.**  The bucketing DP fills each layer with a
-  divide-and-conquer argmin and the blaster DP with one searchsorted
-  per layer; both must break ties like a leftmost argmin over every
-  split point.  The textbook O(n^2) recurrences below take that
-  argmin, so bucket edges and cut points must come out equal, not
-  merely equally good.  The blaster is checked on sorted lengths and
-  on arrival order (the Fig. 7 "w/o Sort" path), up to 600 sequences.
+  divide-and-conquer argmin and the blaster DP with a forward pointer
+  (short batches) or one searchsorted (long ones) per layer; both must
+  break ties like a leftmost argmin over every split point.  The
+  textbook O(n^2) recurrences below take that argmin, so bucket edges
+  and cut points must come out equal, not merely equally good.  Every
+  blaster instance runs through both of its layer loops, on sorted
+  lengths and on arrival order (the Fig. 7 "w/o Sort" path), up to 600
+  sequences.
 * **Exhaustive search.**  On small instances every bucket-edge set
   and every cut-point set is enumerated; the DPs must reach the true
   optimum of Eq. 15 and Eq. 23.
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 
 from lpt_oracle import assign_lpt_scalar, lane_constants, plan_scalar
-from repro.core import kernels
+from repro.core import blaster, kernels
 from repro.core.blaster import balanced_cut_points, balanced_cut_points_multi
 from repro.core.bucketing import Bucket, bucketing_error, optimal_buckets
 from repro.core.planner import PlanInfeasibleError
@@ -167,6 +169,17 @@ def _cut_orders(lengths, rng: np.random.Generator) -> list[list[int]]:
     return [ordered] if arrival == ordered else [ordered, arrival]
 
 
+def _both_loops(lengths, counts) -> list[dict[int, list[int]]]:
+    """:func:`balanced_cut_points_multi` with its layers filled by the
+    scalar loop, then by the searchsorted loop, whatever the size."""
+    results = []
+    for below in (len(lengths) + 1, 0):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(blaster, "_SCALAR_DP_BELOW", below)
+            results.append(balanced_cut_points_multi(lengths, counts))
+    return results
+
+
 def _best_max_chunk(lengths, count: int) -> int:
     """Eq. 23 minimised over every placement of ``count - 1`` cuts."""
     n = len(lengths)
@@ -250,9 +263,8 @@ class TestBlasterDP:
         instances.append((lengths, [1, *range(top - 2, top + 1)]))
         for lengths, counts in instances:
             for order in _cut_orders(lengths, rng):
-                assert balanced_cut_points_multi(order, counts) == (
-                    _quadratic_cuts(order, counts)
-                )
+                expected = _quadratic_cuts(order, counts)
+                assert _both_loops(order, counts) == [expected, expected]
 
     @given(
         lengths=st.lists(
@@ -274,9 +286,37 @@ class TestBlasterDP:
             st.integers(min_value=1, max_value=min(len(lengths), 40))
         )
         counts = tuple(c for c in (1, 2, count) if c <= len(lengths))
-        assert balanced_cut_points_multi(lengths, counts) == (
-            _quadratic_cuts(lengths, counts)
+        expected = _quadratic_cuts(lengths, counts)
+        assert _both_loops(lengths, counts) == [expected, expected]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("family", ["quantized", "all_equal", "long_tail"])
+    def test_loops_agree_around_the_crossover(self, family, offset):
+        """Batches one below, at and one above the size that switches
+        loops, tie-rich families included, sorted and in arrival order:
+        the loop the size selects and both forced loops all equal the
+        quadratic DP, with trial windows as wide as a campaign's."""
+        rng = np.random.default_rng(41 + offset)
+        n = blaster._SCALAR_DP_BELOW + offset
+        lengths = _dp_lengths(family, rng, max_count=n, min_count=n)
+        for order in _cut_orders(lengths, rng):
+            for counts in ([1, 2, 3, 4, 5], list(range(4, 13)), [n - 1, n]):
+                expected = _quadratic_cuts(order, counts)
+                assert balanced_cut_points_multi(order, counts) == expected
+                assert _both_loops(order, counts) == [expected, expected]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_batch_size_selects_the_loop(self, offset, monkeypatch):
+        calls = []
+        numpy_layers = blaster._numpy_layers
+        monkeypatch.setattr(
+            blaster,
+            "_numpy_layers",
+            lambda *args: calls.append(args) or numpy_layers(*args),
         )
+        n = blaster._SCALAR_DP_BELOW + offset
+        balanced_cut_points_multi(list(range(1, n + 1)), [2, 3])
+        assert len(calls) == (0 if offset < 0 else 1)
 
     @pytest.mark.parametrize("family", DP_FAMILIES)
     def test_max_chunk_is_exhaustive_optimum(self, family):

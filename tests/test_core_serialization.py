@@ -46,6 +46,17 @@ class TestRoundTrip:
         assert restored.predicted_time == 3.5
         assert restored.solver_name == "flexsp-milp"
 
+    def test_decoding_against_the_batch_shares_its_ints(self, plan):
+        """A plan decoded from JSON with the batch it was solved for is
+        equal to the plain decode and keeps the batch's int objects."""
+        batch = tuple(int(s) for s in "8192 1024 512 30000".split())
+        payload = json.loads(dumps(plan))
+        restored = plan_from_dict(payload, batch)
+        assert restored == plan_from_dict(payload) == plan
+        kept = [s for mb in restored.microbatches for g in mb.groups
+                for s in g.lengths]
+        assert sorted(map(id, kept)) == sorted(map(id, batch))
+
     def test_rejects_unknown_version(self, plan):
         payload = plan_to_dict(plan)
         payload["version"] = 99

@@ -353,8 +353,7 @@ def _oracle(solver: FlexSPSolver, batch: SequenceBatch, planner=None):
             continue
         total, plans = 0.0, []
         try:
-            for mb in blasted[m]:
-                shape = mb.lengths
+            for shape in blasted[m]:
                 if config.plan_cache:
                     shape = canonical_shape(shape)
                 plan, predicted = planner(shape)

@@ -166,19 +166,53 @@ class TestPlanCacheMechanics:
         cache = PlanCache(capacity=2)
         cache.store(("a",), None, None)
         cache.store(("b",), None, None)
-        assert cache.lookup(("a",)) is not None
+        assert cache.lookup([("a",)]) != [None]
         cache.store(("c",), None, None)  # evicts b (least recent)
-        assert cache.lookup(("b",)) is None
-        assert cache.lookup(("a",)) is not None
-        assert cache.lookup(("c",)) is not None
+        assert cache.lookup([("b",)]) == [None]
+        assert cache.lookup([("a",)]) != [None]
+        assert cache.lookup([("c",)]) != [None]
 
     def test_counters(self):
         cache = PlanCache()
-        assert cache.lookup(("x",)) is None
+        assert cache.lookup([("x",)]) == [None]
         cache.store(("x",), None, None)
-        assert cache.lookup(("x",)) is not None
+        assert cache.lookup([("x",)]) != [None]
         assert cache.hits == 1
         assert cache.misses == 1
+
+    @given(
+        stored=st.lists(st.integers(0, 7), max_size=8),
+        rounds=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 9), max_size=6), st.integers(0, 9)
+            ),
+            max_size=5,
+        ),
+        capacity=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_key_sequences_match_a_key_by_key_walk(
+        self, stored, rounds, capacity
+    ):
+        """One ``lookup``/``peek`` over a key sequence (repeats and
+        misses included) leaves hits, misses and LRU order exactly as
+        a twin cache walked one key at a time."""
+        batched, twin = PlanCache(capacity), PlanCache(capacity)
+        for cache in (batched, twin):
+            for k in stored:
+                cache.store((k,), None, None)
+        for probe, extra in rounds:
+            keys = [(k,) for k in probe]
+            before = (batched.snapshot(), batched.hits, batched.misses)
+            assert batched.peek(keys) == [twin.peek([key])[0] for key in keys]
+            assert (batched.snapshot(), batched.hits, batched.misses) == before
+            assert batched.lookup(keys) == [
+                twin.lookup([key])[0] for key in keys
+            ]
+            assert (batched.hits, batched.misses) == (twin.hits, twin.misses)
+            assert batched.snapshot() == twin.snapshot()
+            for cache in (batched, twin):
+                cache.store((extra,), None, None)
 
     def test_stats_merge_and_hit_rate(self):
         a = SolveStats(cache_hits=3, cache_misses=1, pruned_trials=1,

@@ -199,9 +199,7 @@ class TestMultiBlast:
                 assert count not in multi
                 continue
             single = blast(batch, count, sort=sort)
-            assert [mb.lengths for mb in single] == [
-                mb.lengths for mb in multi[count]
-            ]
+            assert [mb.lengths for mb in single] == multi[count]
 
 
 class TestSkeletonAssembly:

@@ -107,6 +107,55 @@ class TestCoalescing:
         assert service.stats()["warm_hits"] >= 1
 
 
+class TestWarmPath:
+    def test_warm_submit_blasts_once_and_plans_nothing(self, monkeypatch):
+        """A warm answer costs one blast (the probe's; the solve reuses
+        it) and no planner call, also when the batch has left the
+        solver's trial memo."""
+        from repro.core import solver as solver_module
+
+        workload = small_workload(seed=5)
+        batches = [batch_lengths(workload, step) for step in range(17)]
+        assert len(set(batches)) == len(batches)
+        with PlanService(
+            solver_config=SolverConfig(backend="greedy")
+        ) as service:
+            tenant = service.register(workload)
+            # 17 distinct batches push the first out of the 16-entry
+            # memo.
+            for lengths in batches:
+                service.submit(tenant, lengths).result(timeout=RESULT_TIMEOUT)
+            calls = {"blast": 0, "planner": 0}
+
+            def counted(name, original):
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return original(*args, **kwargs)
+
+                return wrapper
+
+            monkeypatch.setattr(
+                solver_module,
+                "blast_multi",
+                counted("blast", solver_module.blast_multi),
+            )
+            for name in ("plan_microbatch_greedy", "plan_microbatches_greedy"):
+                monkeypatch.setattr(
+                    solver_module,
+                    name,
+                    counted("planner", getattr(solver_module, name)),
+                )
+            monkeypatch.setitem(
+                solver_module._BACKENDS,
+                "greedy",
+                counted("planner", solver_module._BACKENDS["greedy"]),
+            )
+            ticket = service.submit(tenant, batches[0])
+            assert ticket.done()
+            assert ticket.result().source == "warm"
+        assert calls == {"blast": 1, "planner": 0}
+
+
 class TestAdmissionControl:
     def shed_pattern(self, *, seed: int) -> list[bool]:
         workload = small_workload(GITHUB, seed=seed)
@@ -139,6 +188,15 @@ class TestAdmissionControl:
         with PlanService(autostart=False) as service:
             with pytest.raises(ValueError, match="unknown tenant"):
                 service.submit("nobody", (128, 256))
+
+    def test_malformed_batch_rejected_uncounted(self):
+        with PlanService(autostart=False) as service:
+            tenant = service.register(small_workload())
+            before = service.stats()
+            for lengths in ((), (128, 0), (-5,)):
+                with pytest.raises(ValueError):
+                    service.submit(tenant, lengths)
+            assert service.stats() == before
 
     def test_duplicate_registration_rejected(self):
         workload = small_workload()
