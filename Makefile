@@ -40,9 +40,11 @@ bench-smoke-milp:
 	$(PYTHON) -m repro.bench --campaign smoke --no-store --backend milp \
 		--node-limit 200
 
-# Every pytest benchmark suite (the pre-campaign `make bench`).
+# Every pytest benchmark suite (the pre-campaign `make bench`).  The
+# pytest targets below print their tables and write no file; set
+# REPRO_BENCH_PROFILE=1 for the suites' per-stage breakdowns.
 bench-all:
-	$(PYTHON) -m repro.bench all
+	$(PYTHON) -m pytest -q benchmarks
 
 # Cache-store lifecycle: evict campaign-store workload files last used
 # more than PRUNE_MAX_AGE_DAYS days ago, then least-recently-used files
@@ -59,20 +61,20 @@ bench-prune:
 # cache store, both bit-identical to a storeless pass (write
 # amplification and lock contention printed).
 bench-scaleout:
-	$(PYTHON) -m repro.bench scaleout
+	$(PYTHON) -m pytest -q benchmarks/test_bench_scaleout.py
 
 # Chaos benchmark: the unified campaign on a two-worker solver pool
 # under deterministic fault injection (a planner worker killed mid-plan
 # or at start-up, a torn spill write), every schedule asserted
 # recorded, bit-identical to the fault-free serial pass and leak-free.
 bench-chaos:
-	$(PYTHON) -m repro.bench chaos
+	$(PYTHON) -m pytest -q benchmarks/test_bench_chaos.py
 
 # Fast CI tier of the chaos matrix: one solver-pool worker killed
 # mid-plan, the pool's rebuild-and-resume asserted (the `-k smoke`
 # slice).
 bench-chaos-smoke:
-	$(PYTHON) -m repro.bench chaos -k smoke
+	$(PYTHON) -m pytest -q benchmarks/test_bench_chaos.py -k smoke
 
 # Planning-as-a-service trace benchmark: a resident PlanService replays
 # a seeded Gamma-arrival trace over three heterogeneous tenants twice
@@ -97,22 +99,22 @@ bench-service-smoke:
 # double-solve, accounting deterministic, sockets/threads/pools
 # released.
 bench-service-net:
-	$(PYTHON) -m repro.bench service_net
+	$(PYTHON) -m pytest -q benchmarks/test_bench_service_net.py
 
 # Fast CI tier of the network chaos matrix: one injected conn_reset
 # recovered over loopback (the `-k smoke` slice).
 bench-service-net-smoke:
-	$(PYTHON) -m repro.bench service_net -k smoke
+	$(PYTHON) -m pytest -q benchmarks/test_bench_service_net.py -k smoke
 
 # Solver-throughput benchmark only: cold/warm plans/sec against the
 # scalar reference loop, plans asserted bit-identical.
 bench-solver:
-	$(PYTHON) -m repro.bench solver_throughput
+	$(PYTHON) -m pytest -q benchmarks/test_bench_solver_throughput.py
 
 # End-to-end experiment-sweep benchmark (persistent sweep runner vs. a
 # sequential rebuild-everything reference, >= 4x asserted).
 bench-e2e:
-	$(PYTHON) -m repro.bench e2e_sweep
+	$(PYTHON) -m pytest -q benchmarks/test_bench_e2e_sweep.py
 
 # The repo benchmark (perfbench/, see BENCHMARK.json), each workload
 # once on a short traced run: fails when a library change breaks the

@@ -42,9 +42,9 @@ from repro.model.config import GPT_7B, GPT_13B, GPT_30B
 #: Reduced-protocol knobs (full protocol with REPRO_BENCH_FULL=1).
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 
-#: Per-stage SolveStats profiling — set by ``python -m repro.bench
-#: <suite> --profile``; suites that support it print their cold-path
-#: stage breakdowns.
+#: Per-stage SolveStats profiling (``REPRO_BENCH_PROFILE=1 python -m
+#: pytest benchmarks/...``); suites that support it print their
+#: cold-path stage breakdowns.
 PROFILE = bool(int(os.environ.get("REPRO_BENCH_PROFILE", "0")))
 
 GLOBAL_BATCH = 512 if FULL else 128

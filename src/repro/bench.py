@@ -1,5 +1,4 @@
-"""Command-line entry point for the campaigns, the planning service
-and the pytest benchmark suites.
+"""Command-line entry point for the campaigns and the planning service.
 
 Nothing here writes a performance record.  The repo's speed is
 measured by ``perfbench/`` (see ``BENCHMARK.json``), whose one JSON
@@ -26,17 +25,6 @@ files until the store fits ``N`` bytes (``make bench-prune``).  With
 neither cap (or with ``--dry-run``) nothing is deleted and the report
 shows what the store holds / would lose.  An evicted workload simply
 loads cold on the next campaign — pruning is never fatal.
-
-**Pytest mode** (everything else) drives the benchmark suites::
-
-    python -m repro.bench                    # solver-throughput suite
-    python -m repro.bench all                # every benchmark
-    python -m repro.bench e2e_sweep          # batched-simulation sweep
-    python -m repro.bench fig8               # any benchmark-file substring
-
-Each suite prints its tables, exactly as a plain ``pytest`` run
-does, and writes no file; the committed ``benchmarks/results/*.txt``
-tables are a frozen archive.
 
 **Service mode** (``--service``) boots the resident
 planning-as-a-service front-end (:class:`repro.service.PlanService`),
@@ -86,18 +74,22 @@ Campaign / service / prune usage::
     python -m repro.bench --prune --max-store-bytes 268435456 --dry-run
 
 Every numeric flag is range-checked while parsing, so bad input is an
-argparse error (exit 2, naming the flag) before any work starts.
+argparse error (exit 2, naming the flag) before any work starts; so is
+a command line that names no mode.  The benchmark suites under
+``benchmarks/`` are not a mode: run them with plain ``pytest``, as the
+Makefile's pytest targets do (``REPRO_BENCH_PROFILE=1`` prints their
+per-stage breakdowns).
+
 ``--solver-workers`` sizes the one shared
 :class:`~repro.core.solver.SolverPool` the campaign's prewarm plans
 on; the cells themselves are measured serially.  It accepts ``0`` as
-"use every CPU" (``os.cpu_count()``).  The default plans in-process,
-like ``SweepRunner()`` — a process pool is always an explicit opt-in.
+"use every CPU" (``os.cpu_count()``).  The default, 1, plans
+in-process, like ``SweepRunner()`` — a process pool is always an
+explicit opt-in.
 
 ``--profile`` prints the per-stage SolveStats timing breakdown
-(enumerate / lpt / milp_build / milp_solve) — in campaign mode with
-the trials pruned and the workload contexts built, in pytest mode
-through the suites that support it (e.g.
-``python -m repro.bench solver_throughput --profile``).
+(enumerate / lpt / milp_build / milp_solve) of a campaign pass, the
+trials pruned and the workload contexts built.
 
 ``--backend milp --node-limit N`` runs the MILP planner under a
 *deterministic* work limit (HiGHS branch-and-bound nodes) instead of a
@@ -323,9 +315,9 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--solver-workers",
         type=_number(int, allow_zero=True),
-        default=None,
+        default=1,
         help="width of the shared SolverPool the prewarm plans on; "
-        "0 = all CPUs (default: in-process planning)",
+        "0 = all CPUs (default 1: in-process planning)",
     )
     parser.add_argument(
         "--backend", choices=("greedy", "milp"), default="greedy"
@@ -369,8 +361,7 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
             FaultSchedule.parse(args.inject_faults)
         except ValueError as error:
             parser.error(str(error))
-    if args.solver_workers is not None:
-        args.solver_workers = _resolve_workers(args.solver_workers)
+    args.solver_workers = _resolve_workers(args.solver_workers)
     return args
 
 
@@ -790,34 +781,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_serve(_parse_serve_args(argv))
     if "--service" in argv:
         return run_service(_parse_service_args(argv))
-    if any(a.startswith("--campaign") for a in argv):
-        return run_campaign(_parse_campaign_args(argv))
-
-    if "--profile" in argv:
-        # Pytest-mode profiling: the benchmark suites read this flag
-        # through the environment (see benchmarks/conftest.py PROFILE)
-        # and print their per-stage SolveStats breakdowns.
-        argv.remove("--profile")
-        os.environ["REPRO_BENCH_PROFILE"] = "1"
-
-    import pytest
-
-    selector = argv[0] if argv else "solver_throughput"
-    bench_dir = _benchmarks_dir()
-    if selector == "all":
-        targets = [str(bench_dir)]
-    else:
-        matches = sorted(bench_dir.glob(f"test_bench_*{selector}*.py"))
-        if not matches:
-            options = ", ".join(
-                p.stem.replace("test_bench_", "")
-                for p in sorted(bench_dir.glob("test_bench_*.py"))
-            )
-            raise SystemExit(
-                f"no benchmark matches {selector!r}; options: all, {options}"
-            )
-        targets = [str(p) for p in matches]
-    return pytest.main(["-q", *targets, *argv[1:]])
+    return run_campaign(_parse_campaign_args(argv))
 
 
 if __name__ == "__main__":

@@ -57,9 +57,6 @@ class PlannerConfig:
             contract; ``None`` (the default) keeps the wall-clock
             budget.
         mip_rel_gap: Acceptable relative optimality gap.
-        max_groups_per_degree: Cap on virtual groups per degree (None
-            means the natural ``N / d``).
-        min_degree: Smallest candidate SP degree (1 in the paper).
         greedy_incumbent: Prime branch-and-bound with the greedy LPT
             plan's makespan as a cutoff on ``C`` and return whichever
             of the two plans predicts faster.  This plays the role of
@@ -72,8 +69,6 @@ class PlannerConfig:
     time_limit: float = 2.0
     node_limit: int | None = None
     mip_rel_gap: float = 0.03
-    max_groups_per_degree: int | None = None
-    min_degree: int = 1
     greedy_incumbent: bool = True
 
     def __post_init__(self) -> None:
@@ -87,8 +82,6 @@ class PlannerConfig:
             )
         if not 0 <= self.mip_rel_gap < 1:
             raise ValueError(f"mip_rel_gap must be in [0, 1), got {self.mip_rel_gap}")
-        if self.min_degree <= 0 or self.min_degree & (self.min_degree - 1):
-            raise ValueError(f"min_degree must be a power of two, got {self.min_degree}")
 
 
 @dataclass(frozen=True)
@@ -109,24 +102,22 @@ def _make_buckets(lengths: tuple[int, ...], config: PlannerConfig) -> list[Bucke
 
 
 def enumerate_virtual_groups(
-    model: CostModel, lengths: tuple[int, ...], config: PlannerConfig
+    model: CostModel, lengths: tuple[int, ...]
 ) -> list[VirtualGroup]:
     """Candidate groups: every degree that could serve some sequence.
 
-    Degrees below the smallest that fits the *shortest* sequence are
-    useless and pruned; the upper end is the cluster size.  For each
-    degree ``d`` there are up to ``N / d`` simultaneous groups.
+    Degrees are the powers of two from 1 to the cluster size; those
+    below the smallest that fits the *shortest* sequence are useless
+    and pruned.  For each degree ``d`` there are ``N / d`` simultaneous
+    groups.
     """
     num_gpus = model.cluster.num_gpus
     shortest = min(lengths)
     groups: list[VirtualGroup] = []
-    degree = config.min_degree
+    degree = 1
     while degree <= num_gpus:
         if model.fits([shortest], degree):
-            count = num_gpus // degree
-            if config.max_groups_per_degree is not None:
-                count = min(count, config.max_groups_per_degree)
-            for i in range(count):
+            for i in range(num_gpus // degree):
                 groups.append(VirtualGroup(degree=degree, index_within_degree=i))
         degree *= 2
     if not groups:
@@ -730,7 +721,7 @@ def plan_microbatch(
         raise ValueError("cannot plan an empty micro-batch")
     enum_started = time.perf_counter()
     buckets = _make_buckets(lengths, config)
-    groups = enumerate_virtual_groups(model, lengths, config)
+    groups = enumerate_virtual_groups(model, lengths)
     _check_feasibility(model, buckets, groups)
     stage_timing.add("enumerate", time.perf_counter() - enum_started)
 

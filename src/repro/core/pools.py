@@ -2,9 +2,10 @@
 
 One component in this repo keeps ``ProcessPoolExecutor`` workers
 alive across calls: :class:`repro.core.solver.SolverPool` — shared by
-a :class:`~repro.experiments.sweep.SweepRunner`'s workloads or a plan
-service's tenants, or private to one ``workers > 1``
-:class:`~repro.core.solver.FlexSPSolver`.  Each owner is a context
+a :class:`~repro.experiments.sweep.SweepRunner`'s workloads, a plan
+service's tenants, or any :class:`~repro.core.solver.FlexSPSolver`
+built with one of its tenants (``service=pool.client(model,
+config)``); a solver never owns a pool.  Each owner is a context
 manager, but the trajectory-regeneration use case encourages
 fire-and-forget usage (create a runner at module scope, call ``run()``
 repeatedly, never ``close()``), and an abandoned pool means leaked

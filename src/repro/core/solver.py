@@ -26,8 +26,9 @@ S4.3, plus this repo's cross-trial reuse):
   any number of (model, config) tenants; tasks carry the tenant's
   pickled context, which each worker unpickles (building its
   vectorized :class:`~repro.cost.model.CostTable`) once per tenant,
-  not once per task.  A solver with ``workers > 1`` and no injected
-  pool client plans on a private one-tenant :class:`SolverPool`.
+  not once per task.  A solver plans in-process unless it is built
+  with a pool tenant,
+  ``FlexSPSolver(model, config, service=pool.client(model, config))``.
 * **Trial pruning.** Before any MILP runs, each trial gets a lower
   bound — the sum of its micro-batches'
   :func:`~repro.core.planner.makespan_lower_bound` — and an upper
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import pickle
 import threading
 import time
@@ -130,20 +130,12 @@ class SolverConfig:
         planner: Per-micro-batch planner configuration.
         sort_sequences: Takeaway-2 sorting in the blaster; False gives
             the Fig. 7 "w/o Sort" ablation.
-        workers: Process-pool width for parallel planning (1 = serial).
-        plan_cache: Memoise micro-batch plans across trials and
-            ``solve()`` calls (an LRU of ``DEFAULT_CAPACITY`` entries).
-            Disabling restores the pre-cache behaviour of planning
-            every micro-batch from scratch (the solver-throughput
-            benchmark's reference path).
     """
 
     num_trials: int = DEFAULT_NUM_TRIALS
     backend: str = "milp"
     planner: PlannerConfig = field(default_factory=PlannerConfig)
     sort_sequences: bool = True
-    workers: int = 1
-    plan_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.num_trials <= 0:
@@ -152,8 +144,6 @@ class SolverConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; options: {sorted(_BACKENDS)}"
             )
-        if self.workers <= 0:
-            raise ValueError(f"workers must be positive, got {self.workers}")
 
 
 #: Sentinel for a shape whose outcome has not been collected yet.
@@ -286,21 +276,20 @@ class SolverPool:
     """A persistent planner-worker pool shared across workloads.
 
     The library's one process pool: a ``SolverPool`` multiplexes every
-    workload of a sweep (or every tenant of a plan service) over a
-    single ``ProcessPoolExecutor``, and a lone solver with
-    ``workers > 1`` plans on a private one.  Tenants are obtained with
-    :meth:`client` and injected into :class:`FlexSPSolver`; planning
-    outcomes are bit-identical to in-process planning because the
-    workers run the same pure planner functions on an identically
-    reconstructed cost model.
+    workload of a sweep (or every tenant of a plan service, or a lone
+    solver) over a single ``ProcessPoolExecutor``.  Tenants are
+    obtained with :meth:`client` and injected into
+    :class:`FlexSPSolver`; planning outcomes are bit-identical to
+    in-process planning because the workers run the same pure planner
+    functions on an identically reconstructed cost model.  The pool's
+    owner closes it (or lets it be collected, see
+    :mod:`repro.core.pools`); its solvers hold no pool of their own.
 
     Args:
-        workers: Pool width; ``None`` uses the CPU count.
+        workers: Pool width (positive).
     """
 
-    def __init__(self, workers: int | None = None) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
+    def __init__(self, workers: int) -> None:
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
         self.workers = workers
@@ -410,11 +399,9 @@ class SolverPool:
 class FlexSPSolver:
     """Produces iteration plans for global batches (Fig. 3's solver box).
 
-    The solver owns a cross-call plan cache and (when ``workers > 1``
-    and no pool client is injected) a private :class:`SolverPool`;
-    both live as long as the solver object, so a long-running
-    deployment amortises process startup and re-planning across every
-    batch it serves.  A resident front-end
+    The solver owns a cross-call plan cache that lives as long as the
+    solver object, so a long-running deployment amortises re-planning
+    across every batch it serves.  A resident front-end
     (:class:`repro.service.PlanService`) keeps one such solver per
     tenant, all planning on one shared :class:`SolverPool`, and
     classifies requests warm/cold with the :meth:`is_warm` /
@@ -423,14 +410,11 @@ class FlexSPSolver:
     Args:
         model: Fitted cost model for the target (model, cluster).
         config: Solver knobs; defaults match the paper.
-        service: Optional injected :class:`PooledPlanner` tenant of
-            a shared :class:`SolverPool`, so many workloads' solvers
-            fan their planning onto one pool instead of each nesting
-            its own.  When provided, it is used whenever a solve has
-            several shapes to plan (regardless of ``config.workers``,
-            which sizes only the solver's private pool) and its pool
-            is **not** closed by this solver — its lifetime belongs to
-            the injector.
+        service: Optional :class:`PooledPlanner` tenant of a
+            :class:`SolverPool` (``pool.client(model, config)``).  It
+            plans whenever a solve has several shapes to plan; without
+            it the solver plans in-process.  The pool belongs to
+            whoever built it, who also closes it.
     """
 
     def __init__(
@@ -441,18 +425,10 @@ class FlexSPSolver:
     ) -> None:
         self.model = model
         self.config = config or SolverConfig()
-        self.cache: PlanCache | None = (
-            PlanCache(DEFAULT_CAPACITY) if self.config.plan_cache else None
-        )
+        self.cache = PlanCache(DEFAULT_CAPACITY)
         self._context = cache_context(
             model, self.config.planner, self.config.backend
         )
-        #: The private pool of a ``workers > 1`` solver without an
-        #: injected client; it starts its processes on first use.
-        self._own_pool: SolverPool | None = None
-        if service is None and self.config.workers > 1:
-            self._own_pool = SolverPool(self.config.workers)
-            service = self._own_pool.client(model, self.config)
         self._service = service
         #: Whether solves run the trial-pruning step (module docstring).
         self._prunes = (
@@ -497,7 +473,7 @@ class FlexSPSolver:
         self, batch: SequenceBatch
     ) -> tuple[list[int], list[list[tuple[int, ...]] | None]]:
         """Every trial's micro-batches as the planner receives them —
-        canonical (the cache key) when caching, else raw — from one
+        canonical shapes, which are the plan-cache keys — from one
         shared balanced-cut DP for the whole trial sweep (the layers are
         count-independent, see :func:`~repro.core.blaster.blast_multi`).
         ``None`` slots mark counts that cannot split the batch.  The
@@ -527,7 +503,7 @@ class FlexSPSolver:
         if not trials:
             trials = [len(batch.lengths)]
         blasted = blast_multi(batch, trials, sort=self.config.sort_sequences)
-        if self.cache is not None and not self.config.sort_sequences:
+        if not self.config.sort_sequences:
             # A "w/o Sort" segment keeps arrival order; a sorted one is
             # already canonical.
             blasted = {
@@ -559,11 +535,8 @@ class FlexSPSolver:
         uncached shapes, exactly as the cold solve would).  Returns
         sorted shapes ((length count, lengths) order — the order that
         maximises MILP skeleton reuse, which is keyed on bucket/degree
-        structure).  Without a plan cache there is nothing to seed, so
-        the result is empty.
+        structure).
         """
-        if self.cache is None:
-            return []
         __, keys = self._trial_keys(_as_batch(batch))
         return sorted(self._missing(keys), key=lambda s: (len(s), s))
 
@@ -575,7 +548,6 @@ class FlexSPSolver:
         LRU order changes — so a resident front-end (the plan service)
         can classify a request as warm/cold at admission time without
         perturbing the statistics the eventual solve will report.
-        Always False without a plan cache: every solve plans afresh.
 
         Runs no planner, even where solves prune trials: a batch is
         warm when every trial the best fully cached trial's exact
@@ -584,8 +556,6 @@ class FlexSPSolver:
         trial with the lowest upper bound is fully cached, so its exact
         total is the lowest upper bound and prunes the same trials.
         """
-        if self.cache is None:
-            return False
         __, keys = self._trial_keys(_as_batch(batch))
         if not self._prunes:
             return not self._missing(keys)
@@ -601,15 +571,13 @@ class FlexSPSolver:
         self, keys: list[list[tuple[int, ...]] | None]
     ) -> list[tuple[int, ...]]:
         """The live trials' distinct shapes the cache lacks, in first
-        occurrence order (one side-effect-free cache pass)."""
-        shapes = _distinct(
-            trial for trial, live in zip(keys, self._live_trials(keys)) if live
-        )
-        return [
-            shape
-            for shape, entry in zip(shapes, self._peek(shapes))
-            if entry is None
-        ]
+        occurrence order, from one side-effect-free cache pass: the
+        pruning step's when it bounded the trials, else its own."""
+        live, cached = self._live_trials(keys)
+        shapes = _distinct(trial for trial, ok in zip(keys, live) if ok)
+        if cached is None:
+            cached = dict(zip(shapes, self._peek(shapes)))
+        return [shape for shape in shapes if cached[shape] is None]
 
     def _trial_bounds(
         self, keys: list[list[tuple[int, ...]] | None]
@@ -644,14 +612,12 @@ class FlexSPSolver:
     def _peek(self, shapes: list[tuple[int, ...]]) -> list:
         """The cached entry (or None) for each planner-ready shape, in
         one side-effect-free cache pass."""
-        if self.cache is None:
-            return [None] * len(shapes)
         context = self._context
         return self.cache.peek([(shape, context) for shape in shapes])
 
     def _live_trials(
         self, keys: list[list[tuple[int, ...]] | None]
-    ) -> list[bool]:
+    ) -> tuple[list[bool], dict | None]:
         """The trial-pruning step: which trials :meth:`solve` plans.
 
         A trial is dropped when its summed lower bounds exceed
@@ -662,11 +628,13 @@ class FlexSPSolver:
         trials the best upper bound so far does not already prune —
         never the trial holding the lowest upper bound, whose own lower
         bound is below it — so the result equals bounding every trial.
-        Slots that cannot split the batch (None) are never live.
+        Slots that cannot split the batch (None) are never live.  Also
+        returns every distinct shape's cached entry when the step peeked
+        the cache to bound the trials, else None.
         """
         live = [shapes is not None for shapes in keys]
         if not self._prunes or sum(live) < 2:
-            return live
+            return live, None
         lower, exact, cached = self._trial_bounds(keys)
         upper = min((t for t in exact if t is not None), default=math.inf)
         greedy: dict[tuple[int, ...], object] = {}
@@ -688,7 +656,8 @@ class FlexSPSolver:
                     greedy[shape] = entry
                 total += _predicted(entry)
             upper = min(upper, total)
-        return [ok and low <= _PRUNE_MARGIN * upper for ok, low in zip(live, lower)]
+        live = [ok and low <= _PRUNE_MARGIN * upper for ok, low in zip(live, lower)]
+        return live, cached
 
     def plan_shapes_cold(
         self, shapes: list[tuple[int, ...]]
@@ -707,8 +676,6 @@ class FlexSPSolver:
         this solver's interned cache context.  Seeded entries are
         indistinguishable from entries a solve stored itself —
         bit-identical plans, same eviction order semantics."""
-        if self.cache is None:
-            return
         self.cache.store(
             (canonical_shape(shape), self._context),
             None if outcome is None else outcome[0],
@@ -731,7 +698,7 @@ class FlexSPSolver:
             total_microbatches = 0
             pruned_trials = 0
             pruned_microbatches = 0
-            for shapes, live in zip(keys, self._live_trials(keys)):
+            for shapes, live in zip(keys, self._live_trials(keys)[0]):
                 if shapes is None:
                     continue
                 total_microbatches += len(shapes)
@@ -741,50 +708,33 @@ class FlexSPSolver:
                     pruned_trials += 1
                     pruned_microbatches += len(shapes)
 
-            # With the cache enabled, the live trials' shapes are
-            # deduplicated (within the solve and against prior solves)
-            # and looked up in one pass, in first-occurrence order; with
-            # it disabled, every occurrence is planned from scratch —
-            # the faithful pre-cache reference path.  Pruned trials are
-            # never resolved.
-            if self.cache is None:
-                to_plan = [shape for shapes in live_trials for shape in shapes]
-                dedup_hits = cache_hits = 0
-            else:
-                unique = _distinct(live_trials)
-                dedup_hits = sum(map(len, live_trials)) - len(unique)
-                context = self._context
-                found = self.cache.lookup([(s, context) for s in unique])
-                resolved = dict(zip(unique, found))
-                to_plan = [s for s in unique if resolved[s] is None]
-                cache_hits = len(unique) - len(to_plan)
+            # The live trials' shapes are deduplicated (within the
+            # solve and against prior solves) and looked up in one
+            # pass, in first-occurrence order.  Pruned trials are never
+            # resolved.
+            unique = _distinct(live_trials)
+            dedup_hits = sum(map(len, live_trials)) - len(unique)
+            context = self._context
+            found = self.cache.lookup([(s, context) for s in unique])
+            resolved = dict(zip(unique, found))
+            to_plan = [s for s in unique if resolved[s] is None]
+            cache_hits = len(unique) - len(to_plan)
 
             outcomes = self._plan_missing(to_plan)
-        entries = [
-            INFEASIBLE if outcome is None else outcome for outcome in outcomes
-        ]
-        if self.cache is None:
-            planned = iter(entries)
-            trial_entries = [
-                [next(planned) for __ in shapes] for shapes in live_trials
-            ]
-        else:
-            for shape, outcome, entry in zip(to_plan, outcomes, entries):
-                resolved[shape] = entry
-                self.cache.store(
-                    (shape, context),
-                    None if outcome is None else outcome[0],
-                    None if outcome is None else outcome[1],
-                )
-            trial_entries = [
-                [resolved[shape] for shape in shapes] for shapes in live_trials
-            ]
+        for shape, outcome in zip(to_plan, outcomes):
+            resolved[shape] = INFEASIBLE if outcome is None else outcome
+            self.cache.store(
+                (shape, context),
+                None if outcome is None else outcome[0],
+                None if outcome is None else outcome[1],
+            )
 
         best: tuple[float, list[MicroBatchPlan]] | None = None
-        for trial in trial_entries:
+        for shapes in live_trials:
             total = 0.0
             plans: list[MicroBatchPlan] = []
-            for entry in trial:
+            for shape in shapes:
+                entry = resolved[shape]
                 if entry is INFEASIBLE:
                     plans = []
                     break
@@ -848,34 +798,17 @@ class FlexSPSolver:
                 outcomes.append(None)
         return outcomes
 
-    def close(self) -> None:
-        """Shut the private pool down (kept plans/cache remain valid;
-        a later pooled solve restarts it lazily).
-
-        An injected client's pool is left running — it belongs to
-        whoever shared it (e.g. a sweep's :class:`SolverPool`).
-        """
-        if self._own_pool is not None:
-            self._own_pool.close()
-
-    def __enter__(self) -> "FlexSPSolver":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def ablated(self, **changes) -> "FlexSPSolver":
         """Copy of this solver with config fields replaced.
 
         Convenience for the Fig. 7 ablations, e.g.
         ``solver.ablated(sort_sequences=False)`` or
         ``solver.ablated(planner=replace(cfg.planner, bucketing="naive"))``.
-        An injected shared-pool tenant is re-derived for the new config
-        so ablated solvers keep planning on the same :class:`SolverPool`;
-        a private pool is not shared (the copy gets its own).
+        An injected pool tenant is re-derived for the new config, so
+        ablated solvers keep planning on the same :class:`SolverPool`.
         """
         config = replace(self.config, **changes)
         service = None
-        if self._service is not None and self._own_pool is None:
+        if self._service is not None:
             service = self._service.pool.client(self.model, config)
         return FlexSPSolver(self.model, config, service=service)

@@ -7,11 +7,10 @@ that structure with a background thread pool standing in for the
 per-node solver services, and reports how much solving was actually
 hidden behind (simulated) training.
 
-Since the campaign-engine refactor the pipeline is a thin adapter over
-the same shared solving substrate as the sweeps: build it with
-:meth:`TrainingPipeline.with_shared_pool` and its prefetch threads
-plan on a campaign-wide :class:`~repro.core.solver.SolverPool` tenant
-instead of nesting a private worker pool.
+The pipeline solves with whatever :class:`~repro.core.solver.FlexSPSolver`
+it is given, so its prefetch threads plan on a campaign-wide
+:class:`~repro.core.solver.SolverPool` when the solver was built with
+one of its tenants (``service=pool.client(model, config)``).
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
+from repro.core.solver import FlexSPSolver
 from repro.core.types import IterationPlan
-from repro.cost.model import CostModel
 from repro.data.dataset import SyntheticCorpus
 from repro.simulator.executor import IterationExecutor
 
@@ -87,26 +85,6 @@ class TrainingPipeline:
         self.corpus = corpus
         self.lookahead = lookahead
         self.workers = workers
-
-    @classmethod
-    def with_shared_pool(
-        cls,
-        model: CostModel,
-        config: SolverConfig,
-        executor: IterationExecutor,
-        corpus: SyntheticCorpus,
-        pool: SolverPool,
-        **kwargs,
-    ) -> "TrainingPipeline":
-        """Pipeline whose solver plans on a shared :class:`SolverPool`.
-
-        The solver is built with the pool's tenant client injected, so
-        the pipeline's per-node solver services and a concurrently
-        running campaign draw from one process pool instead of each
-        spawning their own (the ROADMAP's shared-pool item).
-        """
-        solver = FlexSPSolver(model, config, service=pool.client(model, config))
-        return cls(solver, executor, corpus, **kwargs)
 
     def _submit(self, pool: ThreadPoolExecutor, step: int) -> Future:
         lengths = self.corpus.batch(step).lengths

@@ -35,11 +35,11 @@ re-samples the same corpus, and re-solves the same FlexSP plans.
   any cell is measured, the prewarm asks every FlexSP cell for the
   micro-batch shapes it would plan from scratch, dedups them across
   cells and plans the union in one batch, then seeds each solver with
-  the shapes it asked for.  With ``solver_workers > 1``
-  (or a ``solver_config.workers > 1``) that batch is planned on a
-  single :class:`~repro.core.solver.SolverPool` whose tenant clients
-  are injected into every workload's :class:`FlexSPSolver` — the
-  paper's parallel solving (S4.3), and the only parallelism here.
+  the shapes it asked for.  With ``solver_workers > 1`` that batch
+  is planned on a single :class:`~repro.core.solver.SolverPool` whose
+  tenant clients are injected into every workload's
+  :class:`FlexSPSolver` — the paper's parallel solving (S4.3), and the
+  only parallelism here.
   The prewarm is where a cold campaign spends its planning time, so
   the cells are then measured serially in this process, replaying
   seeded plans.
@@ -414,7 +414,7 @@ class WorkloadContext:
     disk instead of recomputed when a previous process spilled them
     (see :mod:`repro.core.cache_store`), and :meth:`persist` spills the
     current state back.  With a ``solver_pool``, FlexSP solvers plan on
-    the shared pool's workers instead of owning pools of their own.
+    the shared pool's workers; without one they plan in-process.
     With ``fits`` — a memo of fitted cost models keyed by
     :func:`fit_inputs`, shared by a runner's contexts — a cold context
     adopts a model another context already fitted and records the one
@@ -570,7 +570,7 @@ class WorkloadContext:
     def _preload_plans(self, system: FlexSPSystem) -> None:
         """Replay spilled plan-cache entries into a fresh solver."""
         state, solver = self._restored, system.solver
-        if state is None or solver.cache is None:
+        if state is None:
             return
         config = solver.config
         entries = state.plans.get(context_digest(config.planner, config.backend))
@@ -652,7 +652,7 @@ class WorkloadContext:
         shapes: dict[str, set[tuple[int, ...]]] = {}
         for system in self._systems.values():
             solver = getattr(system, "solver", None)
-            if solver is None or solver.cache is None:
+            if solver is None:
                 continue
             digest = context_digest(
                 solver.config.planner, solver.config.backend
@@ -691,7 +691,7 @@ class WorkloadContext:
             state.megatron_strategy = (strategy.tp, strategy.cp, strategy.dp)
         for system in self._systems.values():
             solver = getattr(system, "solver", None)
-            if solver is None or solver.cache is None:
+            if solver is None:
                 continue
             digest = context_digest(solver.config.planner, solver.config.backend)
             merged = {e[0]: e for e in state.plans.get(digest, [])}
@@ -740,10 +740,8 @@ class SweepRunner:
             back once at the end of each :meth:`run` pass.
         solver_workers: Width of the *one* shared
             :class:`~repro.core.solver.SolverPool` injected into every
-            FlexSP solver — the runner's only parallelism.  ``None``
-            adopts ``solver_config.workers`` when that is > 1 (so
-            sweeps never nest per-workload pools); ``0`` uses every
-            CPU; 1 plans in-process.
+            FlexSP solver — the runner's only parallelism.  1 (the
+            default) plans in-process; below 1 is a ``ValueError``.
         prewarm: Campaign-level cold batching.  Before measuring,
             every FlexSP cell is asked for the micro-batch shapes its
             solves would plan from scratch
@@ -776,7 +774,7 @@ class SweepRunner:
         cells: Sequence[SweepCell] = (),
         solver_config: SolverConfig | None = None,
         store: CacheStore | str | os.PathLike | None = None,
-        solver_workers: int | None = None,
+        solver_workers: int = 1,
         prewarm: bool = True,
         fault_schedule: FaultSchedule | None = None,
     ) -> None:
@@ -785,17 +783,9 @@ class SweepRunner:
         if store is not None and not isinstance(store, CacheStore):
             store = CacheStore(store)
         self.store = store
-        if solver_workers is None:
-            solver_workers = (
-                solver_config.workers
-                if solver_config is not None and solver_config.workers > 1
-                else 1
-            )
-        elif solver_workers == 0:
-            solver_workers = os.cpu_count() or 1
-        if solver_workers < 0:
+        if solver_workers < 1:
             raise ValueError(
-                f"solver_workers must be non-negative, got {solver_workers}"
+                f"solver_workers must be positive, got {solver_workers}"
             )
         self.solver_workers = solver_workers
         self.prewarm = prewarm
@@ -910,10 +900,7 @@ class SweepRunner:
                 continue
             context = self.context(cell.workload)
             try:
-                system = context.system(cell.system, cell.variant)
-                solver = system.solver
-                if solver.cache is None:
-                    continue
+                solver = context.system(cell.system, cell.variant).solver
                 batches = context.batches(cell.num_iterations, cell.start_step)
                 for batch in batches:
                     pending = solver.pending_shapes(batch.lengths)

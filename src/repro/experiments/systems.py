@@ -114,13 +114,10 @@ class FlexSPSystem:
     iteration time rather than added to it.
 
     The wrapped :class:`FlexSPSolver` persists across iterations, so
-    its plan cache warms over the workload and its worker pool (when
-    ``solver_config.workers > 1``) is spawned once; call :meth:`close`
-    (or use the system as a context manager) to release the pool.
-    With ``solver_service`` — typically a tenant of a sweep's shared
-    :class:`~repro.core.solver.SolverPool` — the solver plans on that
-    injected service instead of owning a pool (and :meth:`close`
-    leaves it running for its owner).
+    its plan cache warms over the workload.  With ``solver_service`` —
+    a tenant of a :class:`~repro.core.solver.SolverPool`, such as a
+    sweep's shared pool — the solver plans on that pool, which its
+    owner closes; without one it plans in-process.
     """
 
     def __init__(
@@ -151,16 +148,6 @@ class FlexSPSystem:
     def run_iteration(self, lengths: tuple[int, ...]) -> IterationOutcome:
         plan, solve_seconds = self.plan(lengths)
         return _executor_outcome(self.executor, plan, solve_seconds)
-
-    def close(self) -> None:
-        """Release the solver's persistent worker pool, if any."""
-        self.solver.close()
-
-    def __enter__(self) -> "FlexSPSystem":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class DeepSpeedUlyssesSystem:

@@ -73,8 +73,7 @@ def _verify_unique_plans(jobs, solver_config, unique) -> int:
     config = solver_config or SolverConfig()
     verified = 0
     for (tenant, lengths), plan in sorted(unique.items()):
-        cold = FlexSPSolver(models[tenant], config)
-        reference = cold.solve(lengths)
+        reference = FlexSPSolver(models[tenant], config).solve(lengths)
         if (
             reference.microbatches != plan.microbatches
             or reference.predicted_time != plan.predicted_time
@@ -83,7 +82,6 @@ def _verify_unique_plans(jobs, solver_config, unique) -> int:
                 f"served plan for {tenant} diverged from the cold solve "
                 f"of the same {len(lengths)}-sequence batch"
             )
-        cold.close()
         verified += 1
     return verified
 

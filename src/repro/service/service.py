@@ -166,7 +166,8 @@ class PlanService:
             it at registration and spill back on :meth:`close`.
         solver_workers: Width of the one shared
             :class:`~repro.core.solver.SolverPool` every tenant's
-            solver plans on; 1 (default) plans in-process.
+            solver plans on; 1 (default) plans in-process, and below 1
+            is a ``ValueError``.
         worker_threads: Resident service threads consuming the
             request queue.
         max_pending_per_tenant: Cold requests a tenant may have
@@ -190,6 +191,10 @@ class PlanService:
         max_pending_per_tenant: int = 8,
         autostart: bool = True,
     ) -> None:
+        if solver_workers < 1:
+            raise ValueError(
+                f"solver_workers must be positive, got {solver_workers}"
+            )
         if worker_threads < 1:
             raise ValueError(
                 f"worker_threads must be positive, got {worker_threads}"
@@ -249,15 +254,15 @@ class PlanService:
                 thread.start()
 
     def close(self) -> None:
-        """Shut down: cancel queued work, stop threads, release pools.
+        """Shut down: cancel queued work, stop threads, release the pool.
 
         Requests still queued (never started) resolve with
         :class:`ServiceClosed`; a request already being solved is
         allowed to finish and resolves normally.  Tenant state spills
-        to the store (when one is configured), per-tenant solvers
-        release any solver-owned pools, and the shared
-        :class:`SolverPool` shuts down — ``live_pool_count`` returns
-        to its pre-service baseline.  Idempotent.
+        to the store (when one is configured) and the shared
+        :class:`SolverPool`, the only pool the service's solvers plan
+        on, shuts down — ``live_pool_count`` returns to its
+        pre-service baseline.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -280,8 +285,7 @@ class PlanService:
             self._queue.put(_STOP)
         for thread in threads:
             thread.join()
-        for name, context in self._contexts.items():
-            self._solvers[name].close()
+        for context in self._contexts.values():
             context.persist()
         if self._pool is not None:
             self._pool.close()

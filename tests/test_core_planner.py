@@ -22,7 +22,6 @@ class TestPlannerConfig:
         cfg = PlannerConfig()
         assert cfg.num_buckets == 16
         assert cfg.bucketing == "optimal"
-        assert cfg.min_degree == 1
 
     def test_rejects_unknown_bucketing(self):
         with pytest.raises(ValueError, match="bucketing"):
@@ -36,31 +35,23 @@ class TestPlannerConfig:
         with pytest.raises(ValueError, match="mip_rel_gap"):
             PlannerConfig(mip_rel_gap=1.0)
 
-    def test_rejects_non_power_min_degree(self):
-        with pytest.raises(ValueError, match="min_degree"):
-            PlannerConfig(min_degree=3)
+    @pytest.mark.parametrize(
+        "option, value", [("min_degree", 4), ("max_groups_per_degree", 2)]
+    )
+    def test_virtual_group_options_are_gone(self, option, value):
+        # Degrees start at 1 and each degree d gets its natural N / d
+        # virtual groups (TestVirtualGroups).
+        with pytest.raises(TypeError, match=option):
+            PlannerConfig(**{option: value})
 
 
 class TestVirtualGroups:
     def test_counts_per_degree(self, cost_model8):
-        groups = enumerate_virtual_groups(cost_model8, (1024,), PlannerConfig())
+        groups = enumerate_virtual_groups(cost_model8, (1024,))
         by_degree = {}
         for g in groups:
             by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
         assert by_degree == {1: 8, 2: 4, 4: 2, 8: 1}
-
-    def test_max_groups_cap(self, cost_model8):
-        cfg = PlannerConfig(max_groups_per_degree=2)
-        groups = enumerate_virtual_groups(cost_model8, (1024,), cfg)
-        by_degree = {}
-        for g in groups:
-            by_degree[g.degree] = by_degree.get(g.degree, 0) + 1
-        assert by_degree == {1: 2, 2: 2, 4: 2, 8: 1}
-
-    def test_min_degree_floor(self, cost_model8):
-        cfg = PlannerConfig(min_degree=4)
-        groups = enumerate_virtual_groups(cost_model8, (1024,), cfg)
-        assert min(g.degree for g in groups) == 4
 
 
 class TestPlanValidity:

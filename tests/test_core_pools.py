@@ -3,9 +3,9 @@
 The lifecycle guard is exercised indirectly by every pooled suite;
 these tests pin the contracts the solver pool leans on: ``close()``
 racing a solve resolves through the rebuild-and-resume path, the pool
-registry returns to baseline once a campaign's runner (or a solver's
-private pool) is closed, and a dropped solver releases its private
-pool without a ``close()``.
+registry returns to baseline once a campaign's runner (or a pool a
+solver plans on) is closed, and a pool dropped together with its
+solver is released without a ``close()``.
 """
 
 from __future__ import annotations
@@ -81,27 +81,29 @@ class TestPoolLifecycle:
         assert pools.live_pool_count() == baseline
 
 
-class TestPrivatePool:
-    def test_solver_close_releases_its_private_pool(self, cost_model8):
+def _pooled_solver(pool, model) -> FlexSPSolver:
+    return FlexSPSolver(model, SOLVER, service=pool.client(model, SOLVER))
+
+
+class TestSolverPoolRelease:
+    def test_pool_closed_twice_releases_its_workers(self, cost_model8):
         baseline = pools.live_pool_count()
-        solver = FlexSPSolver(
-            cost_model8, SolverConfig(backend="greedy", workers=2)
-        )
-        solver.solve((4096, 2048, 1024, 8192) * 2)
+        pool = SolverPool(2)
+        _pooled_solver(pool, cost_model8).solve((4096, 2048, 1024, 8192) * 2)
         assert pools.live_pool_count() == baseline + 1
-        solver.close()
-        solver.close()
+        pool.close()
+        pool.close()
         assert pools.live_pool_count() == baseline
 
-    def test_dropped_solver_releases_its_private_pool(self, cost_model8):
-        # Tenant handles are interned weakly, so a private pool is not
-        # kept alive by a reference cycle: dropping the solver frees
-        # the pool, whose finalizer shuts the executor down.
+    def test_pool_dropped_with_its_solver_is_released(self, cost_model8):
+        # Tenant handles are interned weakly, so a pool is not kept
+        # alive by a reference cycle with its clients: dropping the
+        # pool and its solver frees the pool, whose finalizer shuts
+        # the executor down.
         baseline = pools.live_pool_count()
-        solver = FlexSPSolver(
-            cost_model8, SolverConfig(backend="greedy", workers=2)
-        )
+        pool = SolverPool(2)
+        solver = _pooled_solver(pool, cost_model8)
         solver.solve((4096, 2048, 1024, 8192) * 2)
         assert pools.live_pool_count() == baseline + 1
-        del solver
+        del solver, pool
         assert pools.live_pool_count() == baseline

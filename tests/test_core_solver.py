@@ -1,9 +1,9 @@
 """Tests for repro.core.solver: the Alg. 1 workflow."""
 
 import pytest
+from solver_oracle import plan_every_trial
 
 from repro.core import solver as solver_module
-from repro.core.blaster import blast_multi
 from repro.core.cache_store import (
     CacheStore,
     WorkloadState,
@@ -11,8 +11,8 @@ from repro.core.cache_store import (
     entries_from_cache,
     preload_cache,
 )
-from repro.core.plan_cache import canonical_shape
-from repro.core.planner import PlanInfeasibleError, PlannerConfig, plan_microbatch
+from repro.core.plan_cache import PlanCache
+from repro.core.planner import PlanInfeasibleError, PlannerConfig
 from repro.core.planner_greedy import plan_microbatch_greedy
 from repro.core.solver import FlexSPSolver, SolverConfig, SolverPool
 from repro.core.types import SequenceBatch
@@ -34,10 +34,20 @@ MIXED_BATCH = SequenceBatch(
 SMALL_BATCH = SequenceBatch(lengths=(4096, 8192, 2048, 1024, 512, 16384) * 2)
 
 
-def fast_solver(model, **overrides) -> FlexSPSolver:
+def fast_config(**overrides) -> SolverConfig:
     defaults = dict(num_trials=2, planner=FAST_PLANNER)
     defaults.update(overrides)
-    return FlexSPSolver(model, SolverConfig(**defaults))
+    return SolverConfig(**defaults)
+
+
+def fast_solver(model, **overrides) -> FlexSPSolver:
+    return FlexSPSolver(model, fast_config(**overrides))
+
+
+def pooled_solver(pool, model, **overrides) -> FlexSPSolver:
+    """A :func:`fast_solver` planning on a tenant of ``pool``."""
+    config = fast_config(**overrides)
+    return FlexSPSolver(model, config, service=pool.client(model, config))
 
 
 class TestSolverConfig:
@@ -56,17 +66,23 @@ class TestSolverConfig:
             SolverConfig(num_trials=0)
 
     def test_throwaway_pool_option_is_gone(self):
-        # A private pool always persists across solves.
+        # A solver's pool always persists across solves.
         with pytest.raises(TypeError, match="persistent_workers"):
             SolverConfig(persistent_workers=False)
 
     @pytest.mark.parametrize(
         "option, value",
-        [("capacity_safety", 0.5), ("plan_cache_capacity", 64)],
+        [
+            ("capacity_safety", 0.5),
+            ("plan_cache_capacity", 64),
+            ("plan_cache", False),
+            ("workers", 2),
+        ],
     )
     def test_constant_options_are_gone(self, option, value):
-        # M_min uses the full cluster token capacity, and the plan
-        # cache is always DEFAULT_CAPACITY entries.
+        # M_min uses the full cluster token capacity, every solver has
+        # a plan cache of DEFAULT_CAPACITY entries, and a solver plans
+        # on a pool only through an injected tenant.
         with pytest.raises(TypeError, match=option):
             SolverConfig(**{option: value})
 
@@ -149,23 +165,10 @@ class TestAblationHooks:
         assert solver.config.sort_sequences is True
 
     def test_ablated_keeps_an_injected_pool(self, cost_model8):
-        with SolverPool(workers=2) as pool:
-            config = SolverConfig(num_trials=2, backend="greedy")
-            solver = FlexSPSolver(
-                cost_model8, config, service=pool.client(cost_model8, config)
-            )
+        with SolverPool(2) as pool:
+            solver = pooled_solver(pool, cost_model8, backend="greedy")
             ablated = solver.ablated(sort_sequences=False)
             assert ablated._service.pool is pool
-            assert ablated._own_pool is None
-
-    def test_ablated_does_not_share_a_private_pool(self, cost_model8):
-        # Closing the original must not leave the copy planning on a
-        # pool nobody owns: the copy gets a private pool of its own.
-        solver = fast_solver(cost_model8, backend="greedy", workers=2)
-        ablated = solver.ablated(sort_sequences=False)
-        assert ablated._own_pool is not None
-        assert ablated._own_pool is not solver._own_pool
-        assert ablated._service.pool is ablated._own_pool
 
     def test_no_sort_still_valid(self, cost_model8):
         batch = SequenceBatch(lengths=(16384, 1024, 8192, 512, 4096, 2048))
@@ -186,41 +189,46 @@ class TestParallelSolve:
     def test_worker_pool_matches_serial(self, cost_model8):
         batch = SequenceBatch(lengths=(4096, 2048, 1024, 8192) * 2)
         serial = fast_solver(cost_model8, backend="greedy").solve(batch)
-        parallel = fast_solver(cost_model8, backend="greedy", workers=2).solve(batch)
-        assert parallel.predicted_time == pytest.approx(serial.predicted_time)
+        with SolverPool(2) as pool:
+            parallel = pooled_solver(pool, cost_model8, backend="greedy")
+            pooled = parallel.solve(batch)
+            assert pool.dispatched == pooled.stats.cache_misses > 1
+        assert pooled.predicted_time == serial.predicted_time
+        assert pooled.microbatches == serial.microbatches
 
-    def test_single_worker_never_builds_a_pool(self, cost_model8):
+    def test_solver_without_a_tenant_never_builds_a_pool(self, cost_model8):
+        from repro.core import pools
+
+        baseline = pools.live_pool_count()
         solver = fast_solver(cost_model8, backend="greedy")
         solver.solve((4096, 2048, 1024, 8192) * 2)
-        assert solver._own_pool is None and solver._service is None
+        assert solver._service is None
+        assert pools.live_pool_count() == baseline
 
-    def test_closed_private_pool_restarts_on_the_next_solve(self, cost_model8):
-        solver = fast_solver(cost_model8, backend="greedy", workers=2)
+    def test_closed_pool_restarts_on_the_next_solve(self, cost_model8):
         serial = fast_solver(cost_model8, backend="greedy")
-        solver.solve((4096, 2048, 1024, 8192) * 2)
-        solver.close()
-        assert solver._own_pool._pool is None
-        batch = (4000, 2000, 1000, 8000) * 2  # uncached: pooled again
-        try:
+        with SolverPool(2) as pool:
+            solver = pooled_solver(pool, cost_model8, backend="greedy")
+            solver.solve((4096, 2048, 1024, 8192) * 2)
+            pool.close()
+            assert pool._pool is None
+            batch = (4000, 2000, 1000, 8000) * 2  # uncached: pooled again
             restarted = solver.solve(batch)
-            assert solver._own_pool._pool is not None
-        finally:
-            solver.close()
+            assert pool._pool is not None
         assert restarted.microbatches == serial.solve(batch).microbatches
 
 
-class TestPrivatePoolRecovery:
+class TestPoolRecovery:
     def test_recovers_after_worker_death(self, cost_model8):
-        """A SIGKILLed worker must not poison the private pool."""
+        """A SIGKILLed worker must not poison the solver's pool."""
         import os
         import signal
 
-        solver = fast_solver(cost_model8, backend="greedy", workers=2)
-        with solver:
+        with SolverPool(2) as pool:
+            solver = pooled_solver(pool, cost_model8, backend="greedy")
             first = solver.solve((4096, 2048, 1024, 8192) * 2)
             assert first.num_sequences == 8
-            pool = solver._own_pool
-            assert pool is not None and pool._pool is not None
+            assert pool._pool is not None
             for pid in list(pool._pool._processes):
                 os.kill(pid, signal.SIGKILL)
             # A different batch (no cache hits) must transparently
@@ -275,10 +283,6 @@ class TestColdShapeSurface:
         assert a.stats.cache_hits == b.stats.cache_hits
         assert a.stats.cache_misses == b.stats.cache_misses
 
-    def test_disabled_cache_reports_nothing_pending(self, cost_model8):
-        solver = fast_solver(cost_model8, backend="greedy", plan_cache=False)
-        assert solver.pending_shapes((4096, 2048, 1024)) == []
-
 
 class TestStageBreakdown:
     def test_greedy_solve_records_enumerate_and_lpt(self, cost_model8):
@@ -315,8 +319,10 @@ class TestStageBreakdown:
 
     def test_pooled_planning_ships_stage_timings_home(self, cost_model8):
         batch = SequenceBatch(lengths=(4096, 2048, 1024, 8192) * 2)
-        with fast_solver(cost_model8, backend="greedy", workers=2) as solver:
+        with SolverPool(2) as pool:
+            solver = pooled_solver(pool, cost_model8, backend="greedy")
             result = solver.solve(batch)
+            assert pool.dispatched > 1
         stages = result.stats.stage_seconds()
         assert stages["lpt"] > 0.0
 
@@ -331,39 +337,6 @@ class TestStageBreakdown:
             "milp_build": 0.0,
             "milp_solve": 0.0,
         }
-
-
-def _oracle(solver: FlexSPSolver, batch: SequenceBatch, planner=None):
-    """Alg. 1 without pruning: plan every micro-batch of every trial
-    (the shape the solver hands its planner: canonical when caching)
-    and keep the first strictly lowest total."""
-    config = solver.config
-    if planner is None:
-        def planner(shape):
-            return plan_microbatch(shape, solver.model, config.planner)
-    m_min = solver.minimum_microbatches(batch)
-    counts = [
-        m for m in range(m_min, m_min + config.num_trials)
-        if m <= len(batch.lengths)
-    ] or [len(batch.lengths)]
-    blasted = blast_multi(batch, counts, sort=config.sort_sequences)
-    best = None
-    for m in counts:
-        if m not in blasted:
-            continue
-        total, plans = 0.0, []
-        try:
-            for shape in blasted[m]:
-                if config.plan_cache:
-                    shape = canonical_shape(shape)
-                plan, predicted = planner(shape)
-                plans.append(plan)
-                total += predicted
-        except PlanInfeasibleError:
-            continue
-        if best is None or total < best[0]:
-            best = (total, tuple(plans))
-    return best
 
 
 def _assert_invariant(stats):
@@ -393,15 +366,19 @@ class TestTrialPruning:
     equals planning every trial."""
 
     @pytest.mark.parametrize("num_trials", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("plan_cache", [True, False])
-    def test_matches_unpruned_oracle(self, cost_model16, num_trials, plan_cache):
+    @pytest.mark.parametrize("sort_sequences", [True, False])
+    def test_matches_unpruned_oracle(
+        self, cost_model16, num_trials, sort_sequences
+    ):
+        # Without sorting the solver canonicalises each blasted
+        # segment itself before planning it.
         solver = fast_solver(
             cost_model16,
             num_trials=num_trials,
             planner=NODE_PLANNER,
-            plan_cache=plan_cache,
+            sort_sequences=sort_sequences,
         )
-        oracle = _oracle(solver, MIXED_BATCH)
+        oracle = plan_every_trial(solver, MIXED_BATCH)
         if oracle is None:
             with pytest.raises(PlanInfeasibleError):
                 solver.solve(MIXED_BATCH)
@@ -420,7 +397,7 @@ class TestTrialPruning:
             )
             plan = solver.solve(MIXED_BATCH)
             assert pool.dispatched == plan.stats.cache_misses > 1
-        assert (plan.predicted_time, plan.microbatches) == _oracle(
+        assert (plan.predicted_time, plan.microbatches) == plan_every_trial(
             solver, MIXED_BATCH
         )
         _assert_invariant(plan.stats)
@@ -431,7 +408,7 @@ class TestTrialPruning:
         assert plan.stats.pruned_trials == 4
         assert plan.stats.cache_misses == plan.num_microbatches
         _assert_invariant(plan.stats)
-        assert (plan.predicted_time, plan.microbatches) == _oracle(
+        assert (plan.predicted_time, plan.microbatches) == plan_every_trial(
             solver, SMALL_BATCH
         )
 
@@ -456,7 +433,7 @@ class TestTrialPruning:
         assert plan.stats.pruned_trials == 0
         assert plan.num_microbatches == solver.minimum_microbatches(SMALL_BATCH)
         assert plan.predicted_time == float(SMALL_BATCH.total_tokens)
-        oracle = _oracle(
+        oracle = plan_every_trial(
             solver, SMALL_BATCH, lambda shape: tokens(shape, cost_model8)
         )
         assert (plan.predicted_time, plan.microbatches) == oracle
@@ -475,6 +452,35 @@ class TestTrialPruning:
         assert sorted(planned) == sorted(pending)
         assert plan.stats.cache_misses == len(pending)
         assert solver.pending_shapes(batch) == []
+
+    @pytest.mark.parametrize(
+        "num_trials, backend", [(5, "milp"), (5, "greedy"), (1, "milp")]
+    )
+    def test_each_probe_peeks_the_cache_once(
+        self, cost_model16, monkeypatch, num_trials, backend
+    ):
+        """The pruning step peeks every trial's shapes once, and
+        ``pending_shapes`` reuses those entries instead of peeking the
+        live shapes again; the greedy probe and a lone trial's probe,
+        which bound nothing, take one pass of their own."""
+        peeks = []
+        peek = PlanCache.peek
+
+        def counting(cache, keys):
+            peeks.append(len(keys))
+            return peek(cache, keys)
+
+        monkeypatch.setattr(PlanCache, "peek", counting)
+        solver = fast_solver(
+            cost_model16,
+            num_trials=num_trials,
+            backend=backend,
+            planner=NODE_PLANNER,
+        )
+        assert solver.pending_shapes(MIXED_BATCH)
+        assert len(peeks) == 1
+        assert not solver.is_warm(MIXED_BATCH)
+        assert len(peeks) == 2
 
     def test_warm_without_planners_and_after_store_round_trip(
         self, cost_model16, monkeypatch, tmp_path

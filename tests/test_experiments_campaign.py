@@ -486,6 +486,7 @@ class TestCampaignCli:
             ["--campaign", "smoke", "--no-store", "--repeat", "2"],
             ["--calibrate-node-limit", "--campaign", "smoke"],
             ["--campaign", "smoke", "--no-store", "--no-prewarm"],
+            ["fig8"],
         ],
         ids=[
             "workers",
@@ -494,14 +495,17 @@ class TestCampaignCli:
             "repeat",
             "calibrate-node-limit",
             "no-prewarm",
+            "benchmark-suite-name",
         ],
     )
     def test_removed_fan_out_flags_error_cleanly(self, argv, capsys):
+        # A benchmark suite name is no mode either: the suites run
+        # through plain pytest, never from this CLI.
         from repro.bench import main
 
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
-        assert exit_info.value.code != 0
+        assert exit_info.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -531,6 +535,17 @@ class TestCampaignCli:
             main([*mode.split(), flag, value])
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
+
+    def test_workers_zero_means_all_cpus(self, monkeypatch):
+        import os
+
+        from repro.bench import _parse_campaign_args
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        argv = ["--campaign", "smoke"]
+        assert _parse_campaign_args(argv).solver_workers == 1
+        argv += ["--solver-workers", "0"]
+        assert _parse_campaign_args(argv).solver_workers == 8
 
     def test_milp_smoke_reports_trial_pruning(
         self, tmp_path, monkeypatch, capsys
@@ -575,10 +590,11 @@ class TestPipelineAdapter:
         plain = TrainingPipeline(
             FlexSPSolver(cost_model8, SOLVER), executor, corpus, workers=1
         ).run(2)
-        with SolverPool(workers=2) as pool:
-            pooled = TrainingPipeline.with_shared_pool(
-                cost_model8, SOLVER, executor, corpus, pool, workers=1
-            ).run(2)
+        with SolverPool(2) as pool:
+            solver = FlexSPSolver(
+                cost_model8, SOLVER, service=pool.client(cost_model8, SOLVER)
+            )
+            pooled = TrainingPipeline(solver, executor, corpus, workers=1).run(2)
         # Plans compare without stats: SolveStats carries host
         # wall-clock, which legitimately differs between runs.
         for a, b in zip(pooled.plans, plain.plans):

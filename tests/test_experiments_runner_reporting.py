@@ -120,9 +120,8 @@ class TestSolveStatsAggregation:
                 num_trials=2, planner=PlannerConfig(time_limit=0.5, mip_rel_gap=0.05)
             ),
         )
-        with system:
-            first = run_system(system, small_workload, num_iterations=1)
-            second = run_system(system, small_workload, num_iterations=1)
+        first = run_system(system, small_workload, num_iterations=1)
+        second = run_system(system, small_workload, num_iterations=1)
         assert first.solve_stats is not None
         assert first.solve_stats.planner_calls > 0
         # Same batch re-solved: everything comes from the plan cache.
@@ -134,8 +133,7 @@ class TestSolveStatsAggregation:
             small_workload,
             SolverConfig(num_trials=4, planner=PlannerConfig(node_limit=30)),
         )
-        with system:
-            result = run_system(system, small_workload, num_iterations=2)
+        result = run_system(system, small_workload, num_iterations=2)
         steps = [o.plan.stats for o in result.outcomes]
         total = result.solve_stats
         assert total.pruned_trials == sum(s.pruned_trials for s in steps) > 0

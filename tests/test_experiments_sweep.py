@@ -378,15 +378,6 @@ class TestColdBatching:
         cell_stages = dict(plain.metrics[0].stage_seconds)
         assert cell_stages.get("lpt", 0.0) > 0.0
 
-    def test_prewarm_skips_disabled_plan_caches(self, workload):
-        config = SolverConfig(
-            backend="greedy", num_trials=2, plan_cache=False
-        )
-        cells = [SweepCell(system="flexsp", workload=workload)]
-        result = SweepRunner(cells, solver_config=config).run()
-        assert result.prewarm_planned == 0
-        assert result.metrics[0].feasible
-
 
 class TestSpillBatching:
     """Batched end-of-pass spills: fewer store writes, identical state."""
@@ -617,20 +608,16 @@ class TestFaultRecovery:
 
 
 class TestWorkersDefaults:
-    """``solver_workers`` is the runner's one width: None adopts the
-    solver config, 0 means every CPU, negatives are rejected."""
+    """``solver_workers`` is the runner's one width: 1 (the default)
+    plans in-process, and widths below 1 are rejected ("0 = every
+    CPU" is the campaign CLI's, see test_experiments_campaign.py)."""
 
-    def test_workers_zero_means_all_cpus(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert SweepRunner(solver_workers=0).solver_workers == 8
-
-    def test_negative_workers_rejected(self):
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_non_positive_workers_rejected(self, workers):
         with pytest.raises(ValueError, match="solver_workers"):
-            SweepRunner(solver_workers=-2)
+            SweepRunner(solver_workers=workers)
 
-    def test_solver_workers_none_still_adopts_config(self):
-        config = SolverConfig(workers=3)
-        assert SweepRunner(solver_config=config).solver_workers == 3
-        assert SweepRunner().solver_workers == 1
+    def test_default_plans_in_process(self):
+        runner = SweepRunner()
+        assert runner.solver_workers == 1
+        assert runner._solver_pool is None

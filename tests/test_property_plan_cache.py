@@ -4,7 +4,9 @@ Two invariants guard the solver-throughput subsystem:
 
 * A cache *hit* must be indistinguishable from a fresh solve — same
   plan, same predicted time — for any batch, since cached plans are
-  reused across trials and iterations.
+  reused across trials and iterations; and the cached solver must
+  return what planning every micro-batch of every trial from scratch
+  returns (``tests/solver_oracle.py``).
 * The vectorized :class:`repro.cost.model.CostTable` must agree with
   the scalar :class:`repro.cost.model.CostModel` it replaces, exactly,
   and the plan estimator (:mod:`repro.cost.estimator`) must price
@@ -15,10 +17,16 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from solver_oracle import plan_every_trial
 
 from repro.core.plan_cache import PlanCache, SolveStats, plan_key
 from repro.core.solver import FlexSPSolver, SolverConfig
-from repro.core.types import GroupAssignment, IterationPlan, MicroBatchPlan
+from repro.core.types import (
+    GroupAssignment,
+    IterationPlan,
+    MicroBatchPlan,
+    SequenceBatch,
+)
 from repro.cost.estimator import (
     estimate_iteration_time,
     estimate_microbatch_time,
@@ -43,10 +51,8 @@ def one_group(lengths, degree) -> MicroBatchPlan:
     )
 
 
-def greedy_solver(model, plan_cache: bool) -> FlexSPSolver:
-    return FlexSPSolver(
-        model, SolverConfig(num_trials=3, backend="greedy", plan_cache=plan_cache)
-    )
+def greedy_solver(model) -> FlexSPSolver:
+    return FlexSPSolver(model, SolverConfig(num_trials=3, backend="greedy"))
 
 
 class TestCachedPlansMatchFreshSolves:
@@ -60,7 +66,7 @@ class TestCachedPlansMatchFreshSolves:
         cached retry: the INFEASIBLE sentinel is memoised too."""
         from repro.core.planner import PlanInfeasibleError
 
-        solver = greedy_solver(cost_model8, plan_cache=True)
+        solver = greedy_solver(cost_model8)
         try:
             cold = solver.solve(tuple(lengths))
         except PlanInfeasibleError:
@@ -76,22 +82,20 @@ class TestCachedPlansMatchFreshSolves:
     @given(lengths=lengths_strategy)
     @settings(max_examples=40, deadline=None)
     def test_cached_path_equals_uncached_path(self, cost_model8, lengths):
-        """The cache must never change what the solver returns."""
+        """The cache must never change what the solver returns: its
+        plan is the one planning every micro-batch of every trial
+        returns, and infeasible exactly when that finds no plan."""
         from repro.core.planner import PlanInfeasibleError
 
-        try:
-            cached = greedy_solver(cost_model8, plan_cache=True).solve(
-                tuple(lengths)
-            )
-        except PlanInfeasibleError:
+        solver = greedy_solver(cost_model8)
+        batch = SequenceBatch(lengths=tuple(lengths))
+        oracle = plan_every_trial(solver, batch)
+        if oracle is None:
             with pytest.raises(PlanInfeasibleError):
-                greedy_solver(cost_model8, plan_cache=False).solve(
-                    tuple(lengths)
-                )
+                solver.solve(batch)
             return
-        uncached = greedy_solver(cost_model8, plan_cache=False).solve(tuple(lengths))
-        assert cached.predicted_time == uncached.predicted_time
-        assert cached.microbatches == uncached.microbatches
+        cached = solver.solve(batch)
+        assert (cached.predicted_time, cached.microbatches) == oracle
 
     @given(lengths=lengths_strategy, data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -215,7 +215,7 @@ class TestSkeletonAssembly:
         config = PlannerConfig()
         try:
             buckets = _make_buckets(lengths, config)
-            groups = enumerate_virtual_groups(model, lengths, config)
+            groups = enumerate_virtual_groups(model, lengths)
         except PlanInfeasibleError:
             return
         table = cost_table(model)

@@ -205,6 +205,13 @@ class TestAdmissionControl:
             with pytest.raises(ValueError, match="already registered"):
                 service.register(workload)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_pool_width_rejected(self, workers):
+        # "0 = every CPU" belongs to the CLI, which resolves it before
+        # building the service.
+        with pytest.raises(ValueError, match="solver_workers"):
+            PlanService(autostart=False, solver_workers=workers)
+
 
 class TestShutdown:
     def test_close_cancels_queued_requests_and_releases_pools(self):
@@ -222,8 +229,8 @@ class TestShutdown:
             with pytest.raises(ServiceClosed):
                 ticket.result(timeout=RESULT_TIMEOUT)
         assert service.stats()["cancelled"] == 3
-        # No leaked pool workers: the shared SolverPool (and any
-        # solver-owned pools) are gone.
+        # No leaked pool workers: the shared SolverPool, the only pool
+        # the tenants' solvers plan on, is gone.
         assert live_pool_count() == baseline
         with pytest.raises(ServiceClosed):
             service.submit(tenant, batch_lengths(workload, 0))

@@ -252,10 +252,7 @@ class TestClientServer:
         assert second.source == "warm"
         assert_bit_equal(first.plan, second.plan)
         cold = FlexSPSolver(_cold_model(served.workload), SolverConfig())
-        try:
-            assert_bit_equal(cold.solve(lengths), first.plan)
-        finally:
-            cold.close()
+        assert_bit_equal(cold.solve(lengths), first.plan)
 
     def test_ping_round_trip(self, served):
         host, port = served.server.address
@@ -288,10 +285,7 @@ class TestIdempotentRetry:
             assert server.stats()["dropped_responses"] == 1
             assert service.stats()["solved"] == 1
         cold = FlexSPSolver(_cold_model(workload), SolverConfig())
-        try:
-            assert_bit_equal(cold.solve(lengths), plan.plan)
-        finally:
-            cold.close()
+        assert_bit_equal(cold.solve(lengths), plan.plan)
 
     def test_shed_verdict_replayed_not_double_counted(self):
         """A shed verdict is final per request id: a retry replays it
@@ -452,10 +446,7 @@ class TestDegradation:
             assert client.stats()["degraded"] == 1
             assert plan.source in ("solved", "warm")
         cold = FlexSPSolver(_cold_model(workload), SolverConfig())
-        try:
-            assert_bit_equal(cold.solve(lengths), plan.plan)
-        finally:
-            cold.close()
+        assert_bit_equal(cold.solve(lengths), plan.plan)
         # The private fallback service released its pools on close().
         assert live_pool_count() == baseline_pools
 
