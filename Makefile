@@ -78,17 +78,18 @@ bench-chaos-smoke:
 
 # Planning-as-a-service trace benchmark: a resident PlanService replays
 # a seeded Gamma-arrival trace over three heterogeneous tenants twice
-# (burst-cold, then warm churn), with in-flight coalescing, per-tenant
-# admission shedding and every unique served plan verified bit-identical
-# to a cold solve; prints the latency table and the service counters.
+# (burst-cold, then warm churn) at 32K contexts, batch 16.  Asserts
+# in-flight coalescing, per-tenant admission shedding, warm hits,
+# conservation (served + shed = submitted) and every unique served plan
+# bit-identical to a cold solve; prints the latency table and counters.
 bench-service:
-	$(PYTHON) -m repro.bench --service --duration 20 --rate 1.5 \
-		--step-window 4 --max-context 32768 --batch-size 16
+	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest -q benchmarks/test_bench_service.py
 
-# Fast CI tier of the service trace: 16K contexts, batch 8, seconds of
-# simulated arrivals at the duplicate-heavy step window.
+# Fast CI tier of the service trace: the same suite at 16K contexts,
+# batch 8, seconds of simulated arrivals at the duplicate-heavy step
+# window.
 bench-service-smoke:
-	$(PYTHON) -m repro.bench --service
+	$(PYTHON) -m pytest -q benchmarks/test_bench_service.py
 
 # Network chaos tier: the same seeded trace replayed through the TCP
 # transport (PlanServer/PlanClient over loopback) while deterministic

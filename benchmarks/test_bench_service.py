@@ -13,9 +13,10 @@ The acceptance bar:
 * p50/p99 plan latency, sustained plans/sec, plan-cache hit rate and
   shed rate printed in the archived table.
 
-The default tier runs in seconds (16K contexts, batch 8);
-``REPRO_BENCH_FULL=1`` replays a longer trace at the paper's
-32K/batch-16 service scale.
+The default tier runs in seconds (16K contexts, batch 8; ``make
+bench-service-smoke``, CI); ``REPRO_BENCH_FULL=1`` replays a longer
+trace at the paper's 32K/batch-16 service scale (``make
+bench-service``, nightly).
 """
 
 from __future__ import annotations
@@ -37,15 +38,7 @@ def test_service_trace_latency_under_churn(emit):
         max_context=MAX_CONTEXT, global_batch_size=GLOBAL_BATCH
     )
     record = run_service_benchmark(
-        jobs=jobs,
-        duration=DURATION,
-        rate=RATE,
-        cv=2.0,
-        seed=23,
-        step_window=STEP_WINDOW,
-        max_pending_per_tenant=1,
-        worker_threads=2,
-        verify=True,
+        jobs=jobs, duration=DURATION, rate=RATE, step_window=STEP_WINDOW
     )
 
     # The duplicate-heavy trace must exercise both control paths.

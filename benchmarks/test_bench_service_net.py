@@ -41,8 +41,6 @@ from repro.service.traffic import service_jobs
 MAX_CONTEXT = (32 if FULL else 16) * 1024
 GLOBAL_BATCH = 16 if FULL else 8
 DURATION = 3.0 if FULL else 2.0
-RATE = 0.8
-STEP_WINDOW = 2
 
 #: The survivable schedules the matrix sweeps — every fault kind at
 #: every site the transport realises it, one occurrence each (the
@@ -78,16 +76,7 @@ def _jobs(count: int = 3) -> dict:
 
 
 def _run(jobs, **kwargs) -> dict:
-    return run_transport_benchmark(
-        jobs=jobs,
-        duration=DURATION,
-        rate=RATE,
-        cv=2.0,
-        seed=23,
-        step_window=STEP_WINDOW,
-        verify=True,
-        **kwargs,
-    )
+    return run_transport_benchmark(jobs=jobs, duration=DURATION, **kwargs)
 
 
 def _assert_survived(record: dict, *, schedule: str | None) -> None:

@@ -1,4 +1,4 @@
-"""Command-line entry point for the campaigns and the planning service.
+"""Command-line entry point: run a campaign or prune its cache store.
 
 Nothing here writes a performance record.  The repo's speed is
 measured by ``perfbench/`` (see ``BENCHMARK.json``), whose one JSON
@@ -26,34 +26,7 @@ neither cap (or with ``--dry-run``) nothing is deleted and the report
 shows what the store holds / would lose.  An evicted workload simply
 loads cold on the next campaign — pruning is never fatal.
 
-**Service mode** (``--service``) boots the resident
-planning-as-a-service front-end (:class:`repro.service.PlanService`),
-replays a seeded Gamma-arrival trace over three heterogeneous tenants
-twice (burst-cold, then warm churn — see
-:mod:`repro.service.benchmark`), verifies every unique served plan
-bit-identical to a cold solve and prints the latency table and the
-service counters.  The default shape is the CI smoke tier (``make
-bench-service-smoke``: 16K contexts, batch 8, seconds of trace);
-``make bench-service`` passes the longer 32K/batch-16 trace for
-nightly runs.  With ``--connect HOST:PORT`` the same trace is instead
-replayed through the hardened TCP transport
-(:mod:`repro.service.transport`) against a remote ``--serve`` process
-and the report covers the transport (p50/p99 over TCP, retries,
-reconnects, degraded count).
-
-**Serve mode** (``--serve``) runs the planning service as a TCP
-server (:class:`repro.service.transport.PlanServer`) until
-interrupted: ``--listen HOST:PORT`` binds (port 0 = ephemeral,
-printed once bound), tenants come from the same
-:func:`~repro.service.traffic.service_jobs` shape flags as service
-mode (``--max-context`` / ``--batch-size`` must match the connecting
-clients — the handshake verifies workload signatures), and Ctrl-C
-(or ``--serve-seconds``) drains gracefully: in-flight requests are
-answered, new connections refused, then the service and its pools
-shut down.  The loopback chaos tier (``make bench-service-net``)
-sweeps the network fault menu over this transport in-process.
-
-Campaign / service / prune usage::
+Campaign / prune usage::
 
     python -m repro.bench --campaign unified             # make bench
     python -m repro.bench --campaign smoke --no-store    # make bench-smoke
@@ -65,20 +38,16 @@ Campaign / service / prune usage::
     python -m repro.bench --campaign unified --solver-workers 2 \
         --inject-faults worker_kill@plan:0 --fault-seed 7   # chaos run
     python -m repro.bench --campaign smoke --fault-seed 7   # random fault
-    python -m repro.bench --service                      # make bench-service-smoke
-    python -m repro.bench --service --duration 20 --rate 1.5 \
-        --step-window 4 --max-context 32768 --batch-size 16  # make bench-service
-    python -m repro.bench --serve --listen 0.0.0.0:8471  # TCP plan server
-    python -m repro.bench --service --connect host:8471  # remote trace replay
     python -m repro.bench --prune --max-age-days 30      # make bench-prune
     python -m repro.bench --prune --max-store-bytes 268435456 --dry-run
 
 Every numeric flag is range-checked while parsing, so bad input is an
 argparse error (exit 2, naming the flag) before any work starts; so is
 a command line that names no mode.  The benchmark suites under
-``benchmarks/`` are not a mode: run them with plain ``pytest``, as the
-Makefile's pytest targets do (``REPRO_BENCH_PROFILE=1`` prints their
-per-stage breakdowns).
+``benchmarks/`` are not a mode, the planning-service trace and its TCP
+transport included: run them with plain ``pytest``, as the Makefile's
+pytest targets do (``REPRO_BENCH_PROFILE=1`` prints their per-stage
+breakdowns).
 
 ``--solver-workers`` sizes the one shared
 :class:`~repro.core.solver.SolverPool` the campaign's prewarm plans
@@ -365,380 +334,6 @@ def _parse_campaign_args(argv: list[str]) -> argparse.Namespace:
     return args
 
 
-def _parse_endpoint(
-    parser: argparse.ArgumentParser,
-    flag: str,
-    text: str,
-    *,
-    allow_ephemeral: bool = False,
-) -> tuple[str, int]:
-    """Validate a ``HOST:PORT`` flag value into ``(host, port)``.
-
-    Bad CLI input fails fast with an argparse error, never half-runs:
-    a missing colon, an empty host, a non-integer or out-of-range
-    port are all rejected here.  ``allow_ephemeral``
-    admits port 0 (bind an ephemeral port and print it) — valid for
-    ``--listen``, meaningless for ``--connect``.
-    """
-    host, sep, port_text = text.rpartition(":")
-    if not sep or not host:
-        parser.error(f"{flag} must be HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        parser.error(f"{flag} port must be an integer, got {port_text!r}")
-    minimum = 0 if allow_ephemeral else 1
-    if not minimum <= port <= 65535:
-        suffix = " (0 binds an ephemeral port)" if allow_ephemeral else ""
-        parser.error(
-            f"{flag} port must be in [{minimum}, 65535]{suffix}, got {port}"
-        )
-    return host, port
-
-
-def _parse_serve_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Run the planning service as a TCP server "
-        "(repro.service.transport.PlanServer) until interrupted; "
-        "point remote trainers at it with --service --connect.",
-    )
-    parser.add_argument(
-        "--serve", action="store_true", required=True, help="serve mode"
-    )
-    parser.add_argument(
-        "--listen",
-        default="127.0.0.1:0",
-        metavar="HOST:PORT",
-        help="bind address (default 127.0.0.1:0 — an ephemeral port, "
-        "printed once bound; use 0.0.0.0:PORT to serve other hosts)",
-    )
-    parser.add_argument(
-        "--serve-seconds",
-        type=_number(float),
-        default=None,
-        help="exit (with a graceful drain) after this many seconds "
-        "(default: serve until Ctrl-C)",
-    )
-    parser.add_argument(
-        "--max-context",
-        type=_number(int),
-        default=16 * 1024,
-        help="tenant context length in tokens (default 16384) — must "
-        "match the connecting clients",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_number(int),
-        default=8,
-        help="tenant global batch size (default 8) — must match the "
-        "connecting clients",
-    )
-    parser.add_argument(
-        "--worker-threads",
-        type=_number(int),
-        default=2,
-        help="service solve threads (default 2)",
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=_number(int, allow_zero=True),
-        default=1,
-        help="width of the shared SolverPool; 0 = all CPUs (default 1)",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=_number(int),
-        default=8,
-        help="per-tenant admission bound on queued cold requests "
-        "(default 8)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="optional CacheStore directory so the server restarts warm",
-    )
-    args = parser.parse_args(argv)
-    args.listen = _parse_endpoint(
-        parser, "--listen", args.listen, allow_ephemeral=True
-    )
-    args.solver_workers = _resolve_workers(args.solver_workers)
-    return args
-
-
-def run_serve(args: argparse.Namespace) -> int:
-    """Serve plans over TCP until interrupted (or --serve-seconds)."""
-    from repro.service.service import PlanService
-    from repro.service.traffic import service_jobs
-    from repro.service.transport import PlanServer
-
-    jobs = service_jobs(
-        max_context=args.max_context, global_batch_size=args.batch_size
-    )
-    host, port = args.listen
-    service = PlanService(
-        store=args.store,
-        solver_workers=args.solver_workers,
-        worker_threads=args.worker_threads,
-        max_pending_per_tenant=args.max_pending,
-    )
-    for workload in jobs.values():
-        service.register(workload)
-    server = PlanServer(service, host, port, owns_service=True)
-    bound_host, bound_port = server.address
-    print(
-        f"[serve] {len(jobs)} tenants "
-        f"({args.max_context // 1024}K contexts, batch {args.batch_size}) "
-        f"listening on {bound_host}:{bound_port}"
-    )
-    print(
-        f"[serve] connect with: python -m repro.bench --service "
-        f"--connect {bound_host}:{bound_port} "
-        f"--max-context {args.max_context} --batch-size {args.batch_size}"
-    )
-    try:
-        if args.serve_seconds is not None:
-            time.sleep(args.serve_seconds)
-        else:
-            while True:
-                time.sleep(3600.0)
-    except KeyboardInterrupt:
-        print("\n[serve] interrupted")
-    finally:
-        print("[serve] draining (in-flight requests are answered) ...")
-        server.close()
-        stats = server.stats()
-        print(
-            f"[serve] done: {stats['accepted']} connections, "
-            f"{stats['requests']} requests, {stats['replayed']} idempotent "
-            f"replays, {stats['refused']} refused"
-        )
-    return 0
-
-
-def _parse_service_args(argv: list[str]) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
-        description="Benchmark the resident planning service against a "
-        "seeded Gamma-arrival trace (burst-cold, then warm churn).",
-    )
-    parser.add_argument(
-        "--service", action="store_true", required=True, help="service mode"
-    )
-    parser.add_argument(
-        "--duration",
-        type=_number(float),
-        default=5.0,
-        help="trace duration in seconds of simulated arrivals (default 5)",
-    )
-    parser.add_argument(
-        "--rate",
-        type=_number(float),
-        default=0.8,
-        help="per-tenant mean arrival rate, requests/second (default 0.8)",
-    )
-    parser.add_argument(
-        "--cv",
-        type=_number(float),
-        default=2.0,
-        help="coefficient of variation of the Gamma inter-arrival "
-        "process; 1.0 is Poisson, higher is burstier (default 2.0)",
-    )
-    parser.add_argument(
-        "--seed", type=_number(int, allow_zero=True), default=23
-    )
-    parser.add_argument(
-        "--step-window",
-        type=_number(int),
-        default=2,
-        help="training steps each tenant draws batches from; small "
-        "windows make the trace duplicate-heavy (default 2)",
-    )
-    parser.add_argument(
-        "--max-pending",
-        type=_number(int),
-        default=1,
-        help="per-tenant admission bound on queued cold requests "
-        "(default 1 — tight, so shedding is exercised)",
-    )
-    parser.add_argument(
-        "--worker-threads",
-        type=_number(int),
-        default=2,
-        help="service solve threads (default 2)",
-    )
-    parser.add_argument(
-        "--solver-workers",
-        type=_number(int, allow_zero=True),
-        default=1,
-        help="width of the shared SolverPool behind the service; "
-        "0 = all CPUs (default 1: in-process planning)",
-    )
-    parser.add_argument(
-        "--max-context",
-        type=_number(int),
-        default=16 * 1024,
-        help="tenant context length in tokens (default 16384; the "
-        "nightly tier passes 32768)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_number(int),
-        default=8,
-        help="tenant global batch size (default 8; nightly passes 16)",
-    )
-    parser.add_argument(
-        "--store",
-        default=None,
-        help="optional CacheStore directory so the service restarts warm",
-    )
-    parser.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="replay the trace through the TCP transport against a "
-        "remote --serve process instead of an in-process service "
-        "(the multi-host benchmark)",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=_number(float),
-        default=60.0,
-        help="with --connect: per-request wall-clock budget in seconds "
-        "before the client degrades to in-process planning (default 60)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=_number(int, allow_zero=True),
-        default=3,
-        help="with --connect: transport-failure retry budget per "
-        "request (default 3)",
-    )
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip re-solving every unique served plan on a cold engine "
-        "(the bit-identity check)",
-    )
-    args = parser.parse_args(argv)
-    if args.connect is not None:
-        args.connect = _parse_endpoint(parser, "--connect", args.connect)
-    args.solver_workers = _resolve_workers(args.solver_workers)
-    return args
-
-
-def run_service(args: argparse.Namespace) -> int:
-    """Replay the seeded trace through a resident PlanService."""
-    from repro.experiments.reporting import format_table
-    from repro.service.benchmark import run_service_benchmark
-    from repro.service.traffic import service_jobs
-
-    jobs = service_jobs(
-        max_context=args.max_context, global_batch_size=args.batch_size
-    )
-    if args.connect is not None:
-        return _run_service_transport(args, jobs)
-    print(
-        f"[service] {len(jobs)} tenants "
-        f"({args.max_context // 1024}K contexts, batch {args.batch_size}), "
-        f"Gamma trace: {args.duration:.0f}s at {args.rate}/s per tenant, "
-        f"cv {args.cv}, step window {args.step_window}, seed {args.seed}"
-    )
-    record = run_service_benchmark(
-        jobs=jobs,
-        duration=args.duration,
-        rate=args.rate,
-        cv=args.cv,
-        seed=args.seed,
-        step_window=args.step_window,
-        max_pending_per_tenant=args.max_pending,
-        worker_threads=args.worker_threads,
-        solver_workers=args.solver_workers,
-        store=args.store,
-        verify=not args.no_verify,
-    )
-    rows = [
-        (
-            phase,
-            str(record[key]["served"]),
-            f"{record[key]['plans_per_second']:.1f}",
-            f"{record[key]['p50_ms']:.2f}",
-            f"{record[key]['p99_ms']:.2f}",
-        )
-        for phase, key in (
-            ("burst (cold)", "cold_phase"),
-            ("churn (warm)", "warm_phase"),
-        )
-        if record[key]["served"]
-    ]
-    print()
-    print(
-        format_table(
-            ["phase", "served", "plans/s", "p50 (ms)", "p99 (ms)"],
-            rows,
-            title="PlanService trace replay",
-        )
-    )
-    verified = record["bit_identical_verified"]
-    print(
-        f"\n[service] {record['submitted']} submitted: "
-        f"{record['solved']} solved, {record['warm_hits']} warm, "
-        f"{record['coalesced']} coalesced, {record['shed']} shed "
-        f"(rate {record['shed_rate']:.0%}); plan-cache hit rate "
-        f"{record['plan_cache_hit_rate']:.0%}"
-        + (
-            f"; {verified}/{record['unique_shapes']} unique plans "
-            "bit-identical to cold solves"
-            if verified is not None
-            else ""
-        )
-    )
-    return 0
-
-
-def _run_service_transport(args: argparse.Namespace, jobs) -> int:
-    """Replay the seeded trace through the TCP transport against a
-    remote ``--serve`` process (the multi-host half of service mode)."""
-    from repro.service.benchmark import run_transport_benchmark
-
-    host, port = args.connect
-    print(
-        f"[service] replaying over TCP against {host}:{port}: "
-        f"{len(jobs)} tenants ({args.max_context // 1024}K contexts, "
-        f"batch {args.batch_size}), {args.duration:.0f}s of trace at "
-        f"{args.rate}/s per tenant, seed {args.seed}"
-    )
-    record = run_transport_benchmark(
-        jobs=jobs,
-        duration=args.duration,
-        rate=args.rate,
-        cv=args.cv,
-        seed=args.seed,
-        step_window=args.step_window,
-        connect=args.connect,
-        client_deadline=args.deadline,
-        client_retries=args.retries,
-        verify=not args.no_verify,
-    )
-    transport = record["transport"]
-    print(
-        f"\n[service] transport: {transport['served']} served / "
-        f"{transport['shed']} shed of {transport['requests']} requests in "
-        f"{transport['wall_seconds']}s "
-        f"(p50 {transport['p50_ms']} ms, p99 {transport['p99_ms']} ms); "
-        f"{transport['retries']} retries, {transport['reconnects']} "
-        f"reconnects, {transport['degraded']} degraded"
-        + (
-            f"; {record['bit_identical_verified']}/"
-            f"{record['unique_shapes']} unique plans bit-identical to "
-            "cold solves"
-            if record["bit_identical_verified"] is not None
-            else ""
-        )
-    )
-    return 0
-
-
 def _parse_prune_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -777,10 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--prune" in argv:
         return run_prune(_parse_prune_args(argv))
-    if "--serve" in argv:
-        return run_serve(_parse_serve_args(argv))
-    if "--service" in argv:
-        return run_service(_parse_service_args(argv))
     return run_campaign(_parse_campaign_args(argv))
 
 

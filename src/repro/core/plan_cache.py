@@ -226,9 +226,3 @@ class PlanCache:
         """
         with self._lock:
             return list(self._entries.items())
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0

@@ -202,11 +202,6 @@ class SweepCell:
                 )
         object.__setattr__(self, "variant", variant)
 
-    @property
-    def variant_label(self) -> str:
-        """Human-readable variant tag, e.g. ``"sp_degree=8"``."""
-        return ",".join(f"{k}={v}" for k, v in self.variant)
-
 
 @dataclass(frozen=True)
 class CellMetrics:

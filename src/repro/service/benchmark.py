@@ -1,21 +1,20 @@
 """The service latency benchmark routines.
 
-Two measurements, each shared by a pytest benchmark suite, which
-asserts over the returned record (a plain dict), and a ``python -m
-repro.bench`` CLI verb, which prints it:
+Two measurements, each run by a pytest benchmark suite that asserts
+over the returned record (a plain dict):
 
 * :func:`run_service_benchmark` — the in-process two-phase trace
-  replay (``benchmarks/test_bench_service.py`` / ``--service``).
-* :func:`run_transport_benchmark` — the same trace replayed through
-  the TCP transport (:mod:`repro.service.transport`), loopback by
-  default with optional deterministic network-fault injection, or
-  against a remote ``--serve`` process via ``--service --connect``
-  (``benchmarks/test_bench_service_net.py`` / ``make
+  replay (``benchmarks/test_bench_service.py``, ``make
+  bench-service-smoke`` / ``bench-service``).
+* :func:`run_transport_benchmark` — a trace replayed through the TCP
+  transport (:mod:`repro.service.transport`) over loopback, with
+  optional deterministic network-fault injection and a server crash
+  (``benchmarks/test_bench_service_net.py``, ``make
   bench-service-net``).  Its record carries a ``transport`` block:
   p50/p99 over TCP, retries, reconnects, degraded count and the
   server-side frame counters.
 
-The measurement replays one seeded Gamma-arrival trace twice:
+The in-process measurement replays one seeded Gamma-arrival trace twice:
 
 1. **Burst (cold) phase** — the whole trace is submitted against a
    *paused* service, so in-flight coalescing and per-tenant admission
@@ -28,9 +27,11 @@ The measurement replays one seeded Gamma-arrival trace twice:
    at submit time, shapes shed in phase 1 now solve, giving the warm
    hit rate and warm-path latencies under churn.
 
-Optionally every unique served plan is then re-solved on a cold
+Every unique served plan is then re-solved on a cold
 :class:`~repro.core.solver.FlexSPSolver` (fresh fit, fresh cache, no
-service) and asserted bit-identical — the service contract.
+service) and asserted bit-identical — the service contract.  Both
+routines plan on :data:`SOLVER_CONFIG` and draw their traces at
+:data:`TRACE_CV` and :data:`TRACE_SEED`.
 """
 
 from __future__ import annotations
@@ -41,14 +42,27 @@ import time
 import numpy as np
 
 from repro.core import faults
+from repro.core.planner import PlannerConfig
 from repro.core.solver import FlexSPSolver, SolverConfig
 from repro.cost.profiler import fit_cost_model
 from repro.service.service import PlanService, RequestShed
-from repro.service.traffic import service_jobs, synthesize_trace
+from repro.service.traffic import synthesize_trace
 from repro.service.transport import PlanClient, PlanServer
 
 #: Generous per-ticket wait; a solve that exceeds this is a hang.
 RESULT_TIMEOUT = 600.0
+
+#: The paper's MILP under a deterministic HiGHS node limit (the one
+#: perfbench ``stream-milp`` uses), so neither a served plan nor its
+#: cold re-solve depends on the wall clock.  Every HiGHS call of the
+#: 16K and 32K service shapes ends optimal within 15 nodes, so the
+#: limit binds nowhere.
+SOLVER_CONFIG = SolverConfig(planner=PlannerConfig(node_limit=500))
+
+#: Gamma inter-arrival coefficient of variation (1.0 is Poisson).
+TRACE_CV = 2.0
+#: Seeds the trace and the transport client's backoff jitter.
+TRACE_SEED = 23
 
 
 def _percentiles(latencies: list[float]) -> dict:
@@ -62,7 +76,7 @@ def _percentiles(latencies: list[float]) -> dict:
     }
 
 
-def _verify_unique_plans(jobs, solver_config, unique) -> int:
+def _verify_unique_plans(jobs, unique) -> int:
     """Re-solve every unique served shape on a cold engine (fresh fit,
     fresh cache, no service, no network) and assert bit-identity —
     the contract every front-end must preserve.  Returns the count."""
@@ -70,10 +84,9 @@ def _verify_unique_plans(jobs, solver_config, unique) -> int:
         name: fit_cost_model(w.model_at_context, w.cluster, w.checkpointing)
         for name, w in jobs.items()
     }
-    config = solver_config or SolverConfig()
     verified = 0
     for (tenant, lengths), plan in sorted(unique.items()):
-        reference = FlexSPSolver(models[tenant], config).solve(lengths)
+        reference = FlexSPSolver(models[tenant], SOLVER_CONFIG).solve(lengths)
         if (
             reference.microbatches != plan.microbatches
             or reference.predicted_time != plan.predicted_time
@@ -98,41 +111,27 @@ def _gather(tickets) -> tuple[list, int]:
 
 
 def run_service_benchmark(
-    *,
-    jobs=None,
-    duration: float = 5.0,
-    rate: float = 0.8,
-    cv: float = 2.0,
-    seed: int = 23,
-    step_window: int = 2,
-    max_pending_per_tenant: int = 1,
-    worker_threads: int = 2,
-    solver_workers: int = 1,
-    solver_config: SolverConfig | None = None,
-    store=None,
-    verify: bool = True,
+    *, jobs: dict, duration: float, rate: float, step_window: int
 ) -> dict:
     """Run the two-phase trace benchmark; returns the record dict.
 
-    The defaults are the CI smoke shape: three heterogeneous tenants,
-    a duplicate-heavy trace (``step_window=2``) and a tight pending
-    bound, so coalescing *and* shedding are both observed in seconds.
+    ``duration`` seconds of arrivals at ``rate`` requests/second per
+    tenant, each tenant drawing its batches from ``step_window``
+    training steps.  One pending cold request per tenant is the
+    admission bound, tight enough that a duplicate-heavy trace (a
+    small step window) shows coalescing *and* shedding in seconds.
     """
-    jobs = jobs if jobs is not None else service_jobs()
     trace = synthesize_trace(
         jobs,
         duration=duration,
         rate=rate,
-        cv=cv,
-        seed=seed,
+        cv=TRACE_CV,
+        seed=TRACE_SEED,
         step_window=step_window,
     )
     service = PlanService(
-        solver_config=solver_config,
-        store=store,
-        solver_workers=solver_workers,
-        worker_threads=worker_threads,
-        max_pending_per_tenant=max_pending_per_tenant,
+        solver_config=SOLVER_CONFIG,
+        max_pending_per_tenant=1,
         autostart=False,
     )
     with service:
@@ -163,10 +162,7 @@ def run_service_benchmark(
             hits += plan.plan.stats.cache_hits + plan.plan.stats.dedup_hits
             misses += plan.plan.stats.cache_misses
         unique = {(p.tenant, p.lengths): p.plan for p in served}
-
-        verified = 0
-        if verify:
-            verified = _verify_unique_plans(jobs, solver_config, unique)
+        verified = _verify_unique_plans(jobs, unique)
 
     submitted = stats["submitted"]
     return {
@@ -201,129 +197,84 @@ def run_service_benchmark(
             **_percentiles([p.latency_seconds for p in warm_served]),
         },
         "unique_shapes": len(unique),
-        "bit_identical_verified": verified if verify else None,
+        "bit_identical_verified": verified,
     }
 
 
 def run_transport_benchmark(
     *,
-    jobs=None,
-    duration: float = 3.0,
-    rate: float = 0.8,
-    cv: float = 2.0,
-    seed: int = 23,
-    step_window: int = 2,
-    max_pending_per_tenant: int = 8,
-    worker_threads: int = 2,
-    solver_workers: int = 1,
-    solver_config: SolverConfig | None = None,
-    store=None,
-    connect: tuple[str, int] | None = None,
+    jobs: dict,
+    duration: float,
     fault_specs: str | None = None,
-    fault_seed: int = 0,
     crash_after: int | None = None,
-    client_deadline: float = 60.0,
     client_io_timeout: float = 2.0,
     client_retries: int = 3,
-    client_backoff_base: float = 0.02,
-    verify: bool = True,
 ) -> dict:
-    """Replay one seeded trace through the TCP transport.
+    """Replay one seeded trace through the TCP transport over loopback.
 
-    With ``connect=None`` (the default) a loopback
-    :class:`~repro.service.transport.PlanServer` is booted on an
-    ephemeral port, optionally chaos-tested: ``fault_specs`` arms a
-    deterministic :class:`~repro.core.faults.FaultSchedule` over the
-    network sites for the duration of the replay, and
-    ``crash_after=N`` aborts the server (no drain) after the Nth
-    request so the remaining requests exercise the client's
-    degradation to an in-process service.  With ``connect=(host,
-    port)`` the trace is replayed against a remote ``--serve``
-    process instead (no injection, no crash — the remote owns its own
-    fault plane).
+    A :class:`~repro.service.transport.PlanServer` is booted on an
+    ephemeral port and the trace (``duration`` seconds at 0.8
+    requests/second per tenant, step window 2) replayed against it,
+    optionally chaos-tested: ``fault_specs`` arms a deterministic
+    :class:`~repro.core.faults.FaultSchedule` over the network sites
+    for the duration of the replay, and ``crash_after=N`` aborts the
+    server (no drain) after the Nth request so the remaining requests
+    exercise the client's degradation to an in-process service.
+    ``client_io_timeout`` and ``client_retries`` size the client's
+    retry ladder.
 
     The client replays the trace closed-loop (one request at a time),
     so the transport — not queueing — dominates the measured
     latencies, and every retry/degradation decision is a deterministic
     function of the trace, the schedule and the client seed.
     """
-    if connect is not None and (fault_specs or crash_after is not None):
-        raise ValueError(
-            "fault injection and crash simulation are loopback-only "
-            "(a remote server owns its own fault plane)"
-        )
-    jobs = jobs if jobs is not None else service_jobs()
     trace = synthesize_trace(
         jobs,
         duration=duration,
-        rate=rate,
-        cv=cv,
-        seed=seed,
-        step_window=step_window,
+        rate=0.8,
+        cv=TRACE_CV,
+        seed=TRACE_SEED,
+        step_window=2,
     )
-    schedule = None
-    if fault_specs:
-        schedule = faults.FaultSchedule.parse(fault_specs, seed=fault_seed)
+    schedule = faults.FaultSchedule.parse(fault_specs) if fault_specs else None
 
-    server = None
-    service = None
-    if connect is None:
-        service = PlanService(
-            solver_config=solver_config,
-            store=store,
-            solver_workers=solver_workers,
-            worker_threads=worker_threads,
-            max_pending_per_tenant=max_pending_per_tenant,
-        )
-        for workload in jobs.values():
-            service.register(workload)
-        server = PlanServer(
-            service, owns_service=True, result_timeout=RESULT_TIMEOUT
-        )
-        host, port = server.address
-    else:
-        host, port = connect
-
+    service = PlanService(solver_config=SOLVER_CONFIG)
+    for workload in jobs.values():
+        service.register(workload)
+    server = PlanServer(service, owns_service=True)
+    host, port = server.address
     client = PlanClient(
         host,
         port,
         jobs=jobs,
-        solver_config=solver_config,
-        deadline=client_deadline,
+        solver_config=SOLVER_CONFIG,
+        deadline=60.0,
         io_timeout=client_io_timeout,
         retries=client_retries,
-        backoff_base=client_backoff_base,
-        seed=seed,
+        backoff_base=0.02,
+        seed=TRACE_SEED,
     )
     served, shed = [], 0
-    crashed = False
     try:
         with faults.armed(schedule) if schedule else contextlib.nullcontext():
             replay_started = time.perf_counter()
             for index, request in enumerate(trace):
-                if (
-                    crash_after is not None
-                    and index == crash_after
-                    and server is not None
-                    and not crashed
-                ):
+                if index == crash_after:
                     server.close(drain=False)
-                    crashed = True
                 try:
                     served.append(client.plan(request.tenant, request.lengths))
                 except RequestShed:
                     shed += 1
             wall = time.perf_counter() - replay_started
         client_stats = client.stats()
-        server_stats = server.stats() if server is not None else None
-        service_stats = service.stats() if service is not None else None
+        server_stats = server.stats()
+        service_stats = service.stats()
     finally:
         client.close()
-        if server is not None:
-            server.close()
+        server.close()
 
     unique = {(p.tenant, p.lengths): p.plan for p in served}
-    verified = _verify_unique_plans(jobs, solver_config, unique) if verify else None
+    verified = _verify_unique_plans(jobs, unique)
 
     latencies = [p.latency_seconds for p in served]
     return {
@@ -348,21 +299,17 @@ def run_transport_benchmark(
             **_percentiles(latencies),
             "server": server_stats,
         },
-        "service_stats": (
-            {
-                key: service_stats[key]
-                for key in (
-                    "submitted",
-                    "served",
-                    "solved",
-                    "warm_hits",
-                    "coalesced",
-                    "shed",
-                )
-            }
-            if service_stats is not None
-            else None
-        ),
+        "service_stats": {
+            key: service_stats[key]
+            for key in (
+                "submitted",
+                "served",
+                "solved",
+                "warm_hits",
+                "coalesced",
+                "shed",
+            )
+        },
         "unique_shapes": len(unique),
         "bit_identical_verified": verified,
     }

@@ -416,25 +416,18 @@ class PlanService:
             self._queue.put(flight)
         return ticket
 
-    def replay(self, trace, *, realtime: bool = False) -> list[PlanTicket]:
-        """Submit every :class:`~repro.service.traffic.TraceRequest`.
-
-        With ``realtime`` the submission honours each request's arrival
-        offset (an open-loop load generator); without it the trace is
-        submitted back-to-back (a closed-loop throughput probe).
+    def replay(self, trace) -> list[PlanTicket]:
+        """Submit every :class:`~repro.service.traffic.TraceRequest`
+        back-to-back, ignoring arrival offsets (a closed-loop
+        throughput probe).
 
         If the service closes mid-trace, the replay stops cleanly and
         returns the tickets submitted so far (every one of them still
         resolves — answered, shed, or cancelled) instead of raising
         with earlier tickets unawaited.
         """
-        started = time.perf_counter()
         tickets: list[PlanTicket] = []
         for request in trace:
-            if realtime:
-                delay = request.time - (time.perf_counter() - started)
-                if delay > 0:
-                    time.sleep(delay)
             try:
                 tickets.append(self.submit(request.tenant, request.lengths))
             except ServiceClosed:

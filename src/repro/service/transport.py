@@ -109,6 +109,27 @@ MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: blocked handler notices a drain.
 _POLL_SECONDS = 0.2
 
+#: The server's listen backlog — the bounded accept queue.
+_BACKLOG = 16
+
+#: How long a server connection may sit idle between requests before
+#: the server hangs up.
+_IDLE_TIMEOUT = 300.0
+
+#: Upper bound on the server's wait for one solve (a request's own
+#: ``deadline_ms`` can only shorten it).
+_RESULT_TIMEOUT = 600.0
+
+#: The server's idempotency window: completed responses remembered
+#: (LRU) for replay to retrying clients.
+_MAX_REMEMBERED = 1024
+
+#: Ceiling of the client's exponential backoff, in seconds.
+_BACKOFF_CAP = 1.0
+
+#: How long a degraded client waits for its in-process answer.
+_FALLBACK_TIMEOUT = 600.0
+
 
 class TransportError(RuntimeError):
     """A transport-level failure (reset, torn frame, timeout, refused
@@ -167,17 +188,10 @@ class PlanServer:
         service: The (already registered) service to expose.
         host / port: Bind address; port 0 binds an ephemeral port
             (read it back from :attr:`address`).
-        backlog: Listen backlog — the bounded accept queue.
         max_connections: Concurrent connections admitted; excess
             connects are refused (aborted) rather than queued forever.
         io_timeout: Per-connection budget for finishing one read or
             write once started (mid-frame reads, response sends).
-        idle_timeout: How long a connection may sit idle between
-            requests before the server hangs up.
-        result_timeout: Upper bound on waiting for one solve (each
-            request's own ``deadline_ms`` can only shorten it).
-        max_remembered: Idempotency window — completed responses
-            remembered (LRU) for replay to retrying clients.
         owns_service: Close the service when the server closes.
         autostart: Start the accept loop immediately.
     """
@@ -188,33 +202,22 @@ class PlanServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        backlog: int = 16,
         max_connections: int = 32,
         io_timeout: float = 30.0,
-        idle_timeout: float = 300.0,
-        result_timeout: float = 600.0,
-        max_remembered: int = 1024,
         owns_service: bool = False,
         autostart: bool = True,
     ) -> None:
         for label, value in (
-            ("backlog", backlog),
             ("max_connections", max_connections),
             ("io_timeout", io_timeout),
-            ("idle_timeout", idle_timeout),
-            ("result_timeout", result_timeout),
-            ("max_remembered", max_remembered),
         ):
             if value <= 0:
                 raise ValueError(f"{label} must be positive, got {value}")
         self.service = service
         self.io_timeout = io_timeout
-        self.idle_timeout = idle_timeout
-        self.result_timeout = result_timeout
         self.max_connections = max_connections
-        self.max_remembered = max_remembered
         self._owns_service = owns_service
-        self._listener = socket.create_server((host, port), backlog=backlog)
+        self._listener = socket.create_server((host, port), backlog=_BACKLOG)
         self._listener.settimeout(_POLL_SECONDS)
         self._host, self._port = self._listener.getsockname()[:2]
         self._lock = threading.Lock()
@@ -372,7 +375,7 @@ class PlanServer:
                     _abort_socket(conn)
                     return
                 status, value = self._recv_payload(
-                    conn, timeout=self.idle_timeout, drain_exits=True
+                    conn, timeout=_IDLE_TIMEOUT, drain_exits=True
                 )
                 if status == "eof":
                     return
@@ -509,7 +512,7 @@ class PlanServer:
         if cached is not None:
             return self._send_frame(conn, cached)
         deadline_ms = msg.get("deadline_ms")
-        timeout = self.result_timeout
+        timeout = _RESULT_TIMEOUT
         if (
             isinstance(deadline_ms, (int, float))
             and not isinstance(deadline_ms, bool)
@@ -561,7 +564,7 @@ class PlanServer:
         with self._lock:
             self._completed[rid] = response
             self._completed.move_to_end(rid)
-            while len(self._completed) > self.max_remembered:
+            while len(self._completed) > _MAX_REMEMBERED:
                 self._completed.popitem(last=False)
 
     # -- framed I/O ---------------------------------------------------
@@ -686,7 +689,8 @@ class PlanClient:
         deadline: Default per-request wall-clock budget (seconds).
         io_timeout: Budget for one socket operation / response wait.
         retries: Transport-failure retry budget per request.
-        backoff_base / backoff_cap: Exponential backoff envelope.
+        backoff_base: First retry's backoff in seconds, doubling per
+            retry up to ``_BACKOFF_CAP``.
         seed: Seeds the backoff jitter — a seeded client backs off
             identically on every run.
     """
@@ -703,18 +707,16 @@ class PlanClient:
         io_timeout: float = 10.0,
         retries: int = 3,
         backoff_base: float = 0.05,
-        backoff_cap: float = 1.0,
         seed: int = 0,
-        fallback_timeout: float = 600.0,
     ) -> None:
-        if deadline <= 0 or io_timeout <= 0 or fallback_timeout <= 0:
-            raise ValueError("deadline and timeouts must be positive")
+        if deadline <= 0 or io_timeout <= 0:
+            raise ValueError("deadline and io_timeout must be positive")
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
-        if backoff_base <= 0 or backoff_cap < backoff_base:
+        if not 0 < backoff_base <= _BACKOFF_CAP:
             raise ValueError(
-                "need 0 < backoff_base <= backoff_cap, got "
-                f"base={backoff_base}, cap={backoff_cap}"
+                f"backoff_base must be in (0, {_BACKOFF_CAP}], got "
+                f"{backoff_base}"
             )
         self.host = host
         self.port = int(port)
@@ -722,8 +724,6 @@ class PlanClient:
         self.io_timeout = io_timeout
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.fallback_timeout = fallback_timeout
         self.solver_config = solver_config
         self._jobs = dict(jobs) if jobs else {}
         self._store = store
@@ -961,9 +961,7 @@ class PlanClient:
                 pass
 
     def _backoff(self, attempt: int, deadline_at: float) -> None:
-        delay = min(
-            self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
-        )
+        delay = min(_BACKOFF_CAP, self.backoff_base * (2 ** (attempt - 1)))
         delay *= 0.5 + self._rng.random()
         delay = min(delay, max(0.0, deadline_at - time.monotonic()))
         if delay > 0:
@@ -1059,7 +1057,7 @@ class PlanClient:
             )
         self._stats["degraded"] += 1
         ticket = service.submit(tenant, lengths)
-        served = ticket.result(timeout=self.fallback_timeout)
+        served = ticket.result(timeout=_FALLBACK_TIMEOUT)
         return ServedPlan(
             tenant=tenant,
             lengths=lengths,

@@ -487,6 +487,9 @@ class TestCampaignCli:
             ["--calibrate-node-limit", "--campaign", "smoke"],
             ["--campaign", "smoke", "--no-store", "--no-prewarm"],
             ["fig8"],
+            ["--service"],
+            ["--serve", "--serve-seconds", "1"],
+            ["--service", "--connect", "127.0.0.1:1"],
         ],
         ids=[
             "workers",
@@ -496,11 +499,15 @@ class TestCampaignCli:
             "calibrate-node-limit",
             "no-prewarm",
             "benchmark-suite-name",
+            "service",
+            "serve",
+            "connect",
         ],
     )
     def test_removed_fan_out_flags_error_cleanly(self, argv, capsys):
-        # A benchmark suite name is no mode either: the suites run
-        # through plain pytest, never from this CLI.
+        # A benchmark suite name is no mode either, nor are the service
+        # trace and its TCP server and client: the suites run through
+        # plain pytest, never from this CLI.
         from repro.bench import main
 
         with pytest.raises(SystemExit) as exit_info:
@@ -514,13 +521,8 @@ class TestCampaignCli:
             ("--campaign smoke", "--num-trials", "0"),
             ("--campaign smoke", "--node-limit", "0"),
             ("--campaign smoke", "--batch-size", "0"),
-            ("--service", "--batch-size", "0"),
-            ("--service", "--max-context", "0"),
-            ("--service", "--step-window", "0"),
-            ("--service", "--cv", "0"),
-            ("--service", "--seed", "-1"),
-            ("--serve", "--batch-size", "0"),
-            ("--serve", "--max-context", "0"),
+            ("--prune", "--max-store-bytes", "-1"),
+            ("--prune", "--max-age-days", "-1"),
         ],
         ids=lambda part: part.split()[0].removeprefix("--"),
     )
@@ -528,7 +530,7 @@ class TestCampaignCli:
         self, mode, flag, value, capsys
     ):
         """Out-of-range numbers exit 2 while parsing, naming the flag,
-        before any campaign, service or socket is built."""
+        before any campaign is built or any store file touched."""
         from repro.bench import main
 
         with pytest.raises(SystemExit) as exit_info:

@@ -5,10 +5,9 @@ signature handshake, typed errors for malformed frames — and the
 failure semantics the transport exists for: idempotent retries that
 never double-solve (and never double-count a shed verdict),
 server-side deadline expiries that deliberately *stay* retryable,
-graceful drain versus crash-style abort, degradation to an in-process
-service when the retry budget runs dry, and the ``--serve`` /
-``--connect`` endpoint validation on the CLI.  Every plan that crosses
-the socket is asserted bit-identical to a cold
+graceful drain versus crash-style abort, and degradation to an
+in-process service when the retry budget runs dry.  Every plan that
+crosses the socket is asserted bit-identical to a cold
 :class:`~repro.core.solver.FlexSPSolver` solve of the same batch.
 """
 
@@ -23,7 +22,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench import _parse_serve_args, main as bench_main
 from repro.cluster.topology import standard_cluster
 from repro.core import faults
 from repro.core.pools import live_pool_count
@@ -40,6 +38,7 @@ from repro.service import (
     RequestShed,
     TransportError,
 )
+from repro.service import transport
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -353,6 +352,68 @@ class TestIdempotentRetry:
             assert answered["id"] == "rid-dl"
             assert server.stats()["replayed"] == 0
 
+    def test_idempotency_window_forgets_least_recent_first(
+        self, monkeypatch
+    ):
+        """The server remembers its last ``_MAX_REMEMBERED`` answers,
+        least recently used out first: a retry inside the window
+        replays, one that fell out of it is submitted again."""
+        monkeypatch.setattr(transport, "_MAX_REMEMBERED", 2)
+        workload = small_workload(GITHUB, seed=12)
+        service = PlanService(worker_threads=1)
+        tenant = service.register(workload)
+        lengths = list(batch_lengths(workload, 0))
+        with PlanServer(service, owns_service=True) as server:
+            sock = _connect(server)
+            try:
+                _handshake(sock)
+                for rid in ("a", "b", "c", "c", "a"):
+                    sock.sendall(
+                        encode_frame(
+                            {
+                                "type": "plan",
+                                "id": rid,
+                                "tenant": tenant,
+                                "lengths": lengths,
+                            }
+                        )
+                    )
+                    reply = _recv_frame(sock)
+                    assert (reply["type"], reply["id"]) == ("plan", rid)
+            finally:
+                sock.close()
+            stats = server.stats()
+        # "c" replayed from the window; "a", evicted by "c", went to
+        # the service again (and answered warm).
+        assert stats["replayed"] == 1
+        assert stats["requests"] == 4
+        assert service.stats()["solved"] == 1
+
+    def test_server_caps_each_wait_at_its_result_timeout(self, monkeypatch):
+        """A request without a deadline of its own still waits at most
+        ``_RESULT_TIMEOUT`` for its solve."""
+        monkeypatch.setattr(transport, "_RESULT_TIMEOUT", 0.15)
+        workload = small_workload(GITHUB, seed=13)
+        service = PlanService(autostart=False, worker_threads=1)
+        tenant = service.register(workload)
+        with PlanServer(service, owns_service=True) as server:
+            sock = _connect(server)
+            try:
+                _handshake(sock)
+                frame = {
+                    "type": "plan",
+                    "id": "rid-cap",
+                    "tenant": tenant,
+                    "lengths": list(batch_lengths(workload, 0)),
+                }
+                sock.sendall(encode_frame(frame))
+                expired = _recv_frame(sock)
+            finally:
+                sock.close()
+            service.start()
+        assert expired["error"] == "deadline"
+        assert "0.150s" in expired["message"]
+
     def test_coalesced_over_tcp(self):
         """Two clients, same shape, paused service: one solve serves
         both, bit-equal, via the service's in-flight map."""
@@ -404,6 +465,69 @@ class TestIdempotentRetry:
                 assert client.stats()["shed"] == 1
             service.start()
             blocked.result(timeout=RESULT_TIMEOUT)
+
+
+class TestSettings:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"deadline": 0.0},
+            {"io_timeout": 0.0},
+            {"retries": -1},
+            {"backoff_base": 0.0},
+            {"backoff_base": 2 * transport._BACKOFF_CAP},
+        ],
+        ids=[
+            "deadline",
+            "io-timeout",
+            "retries",
+            "backoff-zero",
+            "backoff-over-cap",
+        ],
+    )
+    def test_client_rejects_bad_settings(self, kwargs):
+        with pytest.raises(ValueError):
+            PlanClient("127.0.0.1", 1, **kwargs)
+
+    @pytest.mark.parametrize("name", ["max_connections", "io_timeout"])
+    def test_server_rejects_non_positive_settings(self, name):
+        service = PlanService(autostart=False)
+        try:
+            with pytest.raises(ValueError, match=name):
+                PlanServer(service, **{name: 0})
+        finally:
+            service.close()
+
+    @staticmethod
+    def _backoffs(monkeypatch, seed: int, budget: float) -> list[float]:
+        """The sleeps of eight consecutive retries of one client."""
+        slept: list[float] = []
+        monkeypatch.setattr(
+            transport,
+            "time",
+            SimpleNamespace(
+                monotonic=time.monotonic,
+                perf_counter=time.perf_counter,
+                sleep=slept.append,
+            ),
+        )
+        client = PlanClient("127.0.0.1", 1, backoff_base=0.1, seed=seed)
+        deadline_at = time.monotonic() + budget
+        for attempt in range(1, 9):
+            client._backoff(attempt, deadline_at)
+        return slept
+
+    def test_backoff_doubles_to_the_cap_with_seeded_jitter(self, monkeypatch):
+        first = self._backoffs(monkeypatch, seed=7, budget=3600.0)
+        assert first == self._backoffs(monkeypatch, seed=7, budget=3600.0)
+        assert first != self._backoffs(monkeypatch, seed=8, budget=3600.0)
+        for attempt, delay in enumerate(first, start=1):
+            envelope = min(transport._BACKOFF_CAP, 0.1 * 2 ** (attempt - 1))
+            assert 0.5 * envelope <= delay < 1.5 * envelope
+
+    def test_backoff_never_sleeps_past_the_deadline(self, monkeypatch):
+        slept = self._backoffs(monkeypatch, seed=7, budget=0.05)
+        assert slept and all(delay <= 0.05 for delay in slept)
 
 
 class TestDegradation:
@@ -493,6 +617,25 @@ class TestDrainAndLeaks:
         assert reply["type"] == "error"
         assert reply["error"] == "closing"
 
+    def test_idle_connection_hung_up_after_idle_timeout(self, monkeypatch):
+        monkeypatch.setattr(transport, "_IDLE_TIMEOUT", 0.3)
+        workload = small_workload(GITHUB, seed=14)
+        service = PlanService(worker_threads=1)
+        service.register(workload)
+        with PlanServer(service, owns_service=True) as server:
+            sock = _connect(server)
+            try:
+                _handshake(sock)
+                # Idle past the timeout: the server closes its end
+                # without a frame.
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+            deadline = time.monotonic() + 5.0
+            while server.live_connections():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
     def test_excess_connections_refused_not_queued(self):
         workload = small_workload(GITHUB, seed=11)
         service = PlanService(worker_threads=1)
@@ -516,43 +659,3 @@ class TestDrainAndLeaks:
                     time.sleep(0.01)
             finally:
                 first.close()
-
-
-class TestEndpointCli:
-    """``--serve --listen`` / ``--service --connect`` argument
-    validation: malformed or out-of-range endpoints fail fast with an
-    argparse error (exit code 2), never a mid-run socket error."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["--service", "--connect", "nocolon"],
-            ["--service", "--connect", "host:"],
-            ["--service", "--connect", "host:notaport"],
-            ["--service", "--connect", "host:0"],
-            ["--service", "--connect", "host:65536"],
-            ["--service", "--connect", "host:-1"],
-            ["--serve", "--listen", "1.2.3.4:99999"],
-            ["--serve", "--listen", "9000"],
-        ],
-    )
-    def test_malformed_endpoints_exit_fast(self, argv, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            bench_main(argv)
-        assert excinfo.value.code == 2
-        assert "port" in capsys.readouterr().err.lower()
-
-    def test_ephemeral_port_allowed_only_for_listen(self, capsys):
-        # --listen 0 binds an ephemeral port (valid); --connect 0 can
-        # never reach anything (rejected above).  Checked by parsing
-        # only, so no socket is opened.
-        args = _parse_serve_args(
-            ["--serve", "--listen", "127.0.0.1:0", "--serve-seconds", "1"]
-        )
-        assert args.listen == ("127.0.0.1", 0)
-        with pytest.raises(SystemExit) as excinfo:
-            bench_main(
-                ["--serve", "--listen", "127.0.0.1:0", "--serve-seconds", "0"]
-            )
-        assert excinfo.value.code == 2
-        assert "serve-seconds" in capsys.readouterr().err
