@@ -7,7 +7,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-solver bench-e2e \
 	bench-prune bench-scaleout bench-chaos \
 	bench-chaos-smoke bench-service bench-service-smoke \
-	bench-service-net bench-service-net-smoke perfbench-smoke
+	bench-service-net perfbench-smoke
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -93,19 +93,15 @@ bench-service-smoke:
 
 # Network chaos tier: the same seeded trace replayed through the TCP
 # transport (PlanServer/PlanClient over loopback) while deterministic
-# network faults fire at the accept/handshake/recv/send sites —
-# connection resets, torn frames, slow peers, dropped responses, plus
-# a server crash mid-trace degrading to in-process planning.  Every
-# served plan asserted bit-identical to a cold solve, retries never
-# double-solve, accounting deterministic, sockets/threads/pools
-# released.
+# network faults fire at the accept/handshake/recv/send sites — every
+# pair on faults.NETWORK_FAULT_MENU (connection resets, torn frames,
+# slow peers, dropped welcomes and responses), plus a server crash
+# mid-trace degrading to in-process planning.  Every served plan
+# asserted bit-identical to a cold solve, retries never double-solve,
+# accounting deterministic, sockets/threads/pools released.  Seconds
+# to tens of seconds; CI runs it on every pull request.
 bench-service-net:
 	$(PYTHON) -m pytest -q benchmarks/test_bench_service_net.py
-
-# Fast CI tier of the network chaos matrix: one injected conn_reset
-# recovered over loopback (the `-k smoke` slice).
-bench-service-net-smoke:
-	$(PYTHON) -m pytest -q benchmarks/test_bench_service_net.py -k smoke
 
 # Solver-throughput benchmark only: cold/warm plans/sec against the
 # scalar reference loop, plans asserted bit-identical.

@@ -4,12 +4,15 @@ The hardened-transport PR's acceptance bar.  A seeded trace is
 replayed through a loopback :class:`~repro.service.transport.PlanServer`
 / :class:`~repro.service.transport.PlanClient` pair while the
 deterministic fault plane (:mod:`repro.core.faults`) fires network
-faults at the transport's injection sites, and for every survivable
-schedule in the matrix — connections reset at accept, torn response
-frames, slow peers, responses solved but never sent — the replay must
+faults at the transport's injection sites, and for every pair on
+:data:`~repro.core.faults.NETWORK_FAULT_MENU` — connections reset,
+torn frames, slow peers, welcomes and responses never sent — the
+replay must
 
 * complete, every request answered or deterministically shed, with
-  the client's deadline/retry/backoff ladder absorbing the faults;
+  the client's deadline/retry/backoff ladder absorbing the faults
+  (every kind but ``delay`` with at least one retry) and never
+  degrading;
 * serve **every** plan bit-identical to a cold ``FlexSPSolver`` solve
   (the wire adds serialisation, never drift);
 * never double-solve: a retry after a lost response re-attaches via
@@ -25,14 +28,13 @@ client falls back to an in-process service and the remaining requests
 are still answered bit-identically, with the degradation counted.
 
 Each test prints its latency and retry figures.  ``make
-bench-service-net`` runs the matrix; ``make bench-service-net-smoke``
-runs the CI slice (``-k smoke``: one injected ``conn_reset``,
-recovered in seconds).
+bench-service-net`` runs the whole suite, on every pull request.
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import FULL
+from repro.core.faults import NETWORK_FAULT_MENU
 from repro.core.pools import live_pool_count
 from repro.experiments.reporting import format_table
 from repro.service.benchmark import run_transport_benchmark
@@ -41,31 +43,6 @@ from repro.service.traffic import service_jobs
 MAX_CONTEXT = (32 if FULL else 16) * 1024
 GLOBAL_BATCH = 16 if FULL else 8
 DURATION = 3.0 if FULL else 2.0
-
-#: The survivable schedules the matrix sweeps — every fault kind at
-#: every site the transport realises it, one occurrence each (the
-#: ``:*`` repeated-fault shape is covered by the unit suite's
-#: degradation tests; here each schedule must be absorbed *without*
-#: falling back to in-process planning).
-MATRIX_SCHEDULES = (
-    "conn_reset@accept",
-    "conn_reset@send",
-    "torn_frame@handshake",
-    "torn_frame@send",
-    "delay@accept",
-    "delay@recv",
-    "delay@send",
-    "drop_response@send",
-)
-
-#: Schedules whose fault loses a request or response mid-exchange, so
-#: recovery must show up as at least one client retry.
-RETRYING = {
-    "conn_reset@send",
-    "torn_frame@send",
-    "drop_response@send",
-}
-
 
 def _jobs(count: int = 3) -> dict:
     jobs = service_jobs(
@@ -98,12 +75,9 @@ def _assert_survived(record: dict, *, schedule: str | None) -> None:
 
 
 def test_smoke_conn_reset_recovered(emit):
-    """The CI smoke slice: one injected ``conn_reset``, recovered.
-
-    Selected by ``make bench-service-net-smoke`` (``-k smoke``) so
-    every CI run proves the retry/reconnect rung of the client ladder
-    over a real socket in seconds, without paying for the matrix.
-    """
+    """One tenant, one injected ``conn_reset``, recovered: the
+    retry/reconnect rung of the client ladder over a real socket in
+    seconds."""
     baseline_pools = live_pool_count()
     jobs = _jobs(count=1)
     record = _run(jobs, fault_specs="conn_reset@accept")
@@ -124,16 +98,21 @@ def test_smoke_conn_reset_recovered(emit):
 
 
 def test_network_chaos_matrix(emit):
-    """Every survivable network fault, absorbed without degradation."""
+    """Every network fault on the menu, one occurrence each, absorbed
+    without degradation (the ``:*`` repeated-fault shape is covered by
+    the unit suite's degradation tests)."""
     baseline_pools = live_pool_count()
     jobs = _jobs()
     rows = []
-    for schedule in MATRIX_SCHEDULES:
+    for kind, site in NETWORK_FAULT_MENU:
+        schedule = f"{kind}@{site}"
         record = _run(jobs, fault_specs=schedule)
         _assert_survived(record, schedule=schedule)
         transport = record["transport"]
         assert transport["degraded"] == 0, f"{schedule}: degraded"
-        if schedule in RETRYING:
+        # Only a slow peer is absorbed without a retry: every other
+        # kind loses a connection, a welcome or a response.
+        if kind != "delay":
             assert transport["retries"] >= 1, f"{schedule}: no retry"
         assert live_pool_count() == baseline_pools, f"{schedule}: leak"
         rows.append(
@@ -148,7 +127,7 @@ def test_network_chaos_matrix(emit):
             )
         )
     emit(
-        f"Transport chaos matrix: {len(MATRIX_SCHEDULES)} schedules over "
+        f"Transport chaos matrix: {len(NETWORK_FAULT_MENU)} schedules over "
         f"{len(jobs)} tenants ({MAX_CONTEXT // 1024}K, batch "
         f"{GLOBAL_BATCH}), all bit-identical, zero degradations\n"
         + format_table(

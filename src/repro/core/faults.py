@@ -30,9 +30,10 @@ Model:
   ``conn_reset`` (the connection is aborted with an RST at the
   site), ``torn_frame`` (half a length-prefixed frame is written,
   then the connection reset), ``delay`` (the site stalls
-  :attr:`FaultSchedule.delay_seconds` — a slow peer),
-  ``drop_response`` (the response is solved, recorded, and silently
-  never sent — the client must retry and re-attach).
+  :data:`DELAY_SECONDS` — a slow peer), ``drop_response`` (the
+  response is solved, recorded, and silently never sent — the client
+  must retry and re-attach).  :data:`NETWORK_FAULT_MENU` lists the
+  network pairs the transport's chaos benchmark sweeps.
 * A :class:`FaultSchedule` groups specs with a seed and a **record
   ledger** — an append-only file, shared by every process the
   schedule reaches (the solver pool's initializer ships it to
@@ -68,6 +69,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 __all__ = [
+    "DELAY_SECONDS",
     "FAULT_KINDS",
     "INJECTION_SITES",
     "NETWORK_FAULT_MENU",
@@ -116,12 +118,13 @@ RANDOM_FAULT_MENU = (
 )
 
 #: The network (kind, site) pairs the plan-transport chaos benchmark
-#: sweeps — every combination is survivable by the
+#: (``benchmarks/test_bench_service_net.py``) sweeps — every
+#: combination is absorbed by the
 #: :class:`~repro.service.transport.PlanClient` deadline/retry/backoff
-#: ladder (with degradation to an in-process service as the last
-#: rung).  Kept separate from :data:`RANDOM_FAULT_MENU`: a campaign
-#: never visits these sites, so drawing them there would produce
-#: schedules that cannot fire.
+#: ladder without degrading to an in-process service, and every kind
+#: but ``delay`` costs a retry.  Kept separate from
+#: :data:`RANDOM_FAULT_MENU`: a campaign never visits these sites, so
+#: drawing them there would produce schedules that cannot fire.
 NETWORK_FAULT_MENU = (
     ("conn_reset", "accept"),
     ("conn_reset", "handshake"),
@@ -130,10 +133,17 @@ NETWORK_FAULT_MENU = (
     ("torn_frame", "handshake"),
     ("torn_frame", "send"),
     ("delay", "accept"),
+    ("delay", "handshake"),
     ("delay", "recv"),
     ("delay", "send"),
+    ("drop_response", "handshake"),
     ("drop_response", "send"),
 )
+
+#: How long a ``delay`` network fault stalls its site.  Deliberately
+#: *shorter* than any sane transport I/O timeout — a slow peer is
+#: absorbed, not retried.
+DELAY_SECONDS = 0.25
 
 #: Exit status of a worker killed by ``worker_kill`` (diagnostic only;
 #: the parent sees the death as ``BrokenProcessPool`` either way).
@@ -224,22 +234,14 @@ class FaultSchedule:
         record_path: Append-only ledger file shared by every process
             this schedule is armed in.  Auto-generated under the
             temp directory when empty.
-        delay_seconds: How long a ``delay`` network fault stalls its
-            site.  Deliberately *shorter* than any sane transport
-            I/O timeout — a slow peer is absorbed, not retried.
     """
 
     specs: tuple[FaultSpec, ...]
     seed: int = 0
     record_path: str = ""
-    delay_seconds: float = 0.25
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "specs", tuple(self.specs))
-        if self.delay_seconds <= 0:
-            raise ValueError(
-                f"delay_seconds must be positive, got {self.delay_seconds}"
-            )
         if not self.record_path:
             fd, path = tempfile.mkstemp(
                 prefix="repro-fault-ledger-", suffix=".log"

@@ -1,17 +1,17 @@
-"""Plan serialization and the distributed plan store (paper S5).
+"""Plan serialization: iteration plans as plain JSON-ready dicts.
 
 FlexSP disaggregates solving (CPU services, one per node) from
-training (GPUs): solvers write each batch's optimal plan into a
-distributed store, and the executor reads one plan per iteration.
-This module provides the wire format — plans as plain JSON — and a
-file-backed :class:`PlanStore` with the store's read-ahead contract.
+training (GPUs), and each batch's plan travels from the solver to the
+trainer (paper S5).  Here that hand-off is the plan transport
+(:mod:`repro.service.transport`), whose plan frames carry
+:func:`plan_to_dict` payloads; the cache store
+(:mod:`repro.core.cache_store`) spills plan-cache entries as
+:func:`microbatch_to_dict` payloads.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import pathlib
 import sys
 from typing import Any
 
@@ -120,71 +120,3 @@ def plan_from_dict(
         stats=SolveStats(**stats) if stats is not None else None,
     )
 
-
-def dumps(plan: IterationPlan) -> str:
-    """Serialize a plan to a JSON string."""
-    return json.dumps(plan_to_dict(plan), separators=(",", ":"))
-
-
-def loads(text: str) -> IterationPlan:
-    """Deserialize a plan from a JSON string."""
-    return plan_from_dict(json.loads(text))
-
-
-class PlanStore:
-    """File-backed store of per-step plans (the S5 "distributed storage").
-
-    Solver services call :meth:`put` for the batches they have solved;
-    the executor calls :meth:`get` once per training step.  Steps are
-    independent files so concurrent solver processes never contend.
-
-    Args:
-        root: Directory holding the plans; created if missing.
-    """
-
-    def __init__(self, root: str | pathlib.Path) -> None:
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, step: int) -> pathlib.Path:
-        if step < 0:
-            raise ValueError(f"step must be non-negative, got {step}")
-        return self.root / f"plan-{step:08d}.json"
-
-    def put(self, step: int, plan: IterationPlan) -> None:
-        """Persist the plan for ``step`` (atomic via rename)."""
-        path = self._path(step)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(dumps(plan))
-        tmp.rename(path)
-
-    def get(self, step: int) -> IterationPlan:
-        """Load the plan for ``step``.
-
-        Raises:
-            KeyError: The step has not been solved yet.
-        """
-        path = self._path(step)
-        if not path.exists():
-            raise KeyError(f"no plan stored for step {step}")
-        return loads(path.read_text())
-
-    def __contains__(self, step: int) -> bool:
-        return self._path(step).exists()
-
-    def pending_after(self, step: int) -> int:
-        """How many consecutive future steps are already solved.
-
-        The executor uses this as its read-ahead depth: a healthy
-        deployment keeps it positive so solving stays overlapped.
-        """
-        count = 0
-        while (step + count + 1) in self:
-            count += 1
-        return count
-
-    def steps(self) -> list[int]:
-        """All stored step indices, ascending."""
-        return sorted(
-            int(p.stem.split("-")[1]) for p in self.root.glob("plan-*.json")
-        )

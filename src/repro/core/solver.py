@@ -58,7 +58,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core import faults, pools, stage_timing
 from repro.core.blaster import (
@@ -797,18 +797,3 @@ class FlexSPSolver:
             except PlanInfeasibleError:
                 outcomes.append(None)
         return outcomes
-
-    def ablated(self, **changes) -> "FlexSPSolver":
-        """Copy of this solver with config fields replaced.
-
-        Convenience for the Fig. 7 ablations, e.g.
-        ``solver.ablated(sort_sequences=False)`` or
-        ``solver.ablated(planner=replace(cfg.planner, bucketing="naive"))``.
-        An injected pool tenant is re-derived for the new config, so
-        ablated solvers keep planning on the same :class:`SolverPool`.
-        """
-        config = replace(self.config, **changes)
-        service = None
-        if self._service is not None:
-            service = self._service.pool.client(self.model, config)
-        return FlexSPSolver(self.model, config, service=service)

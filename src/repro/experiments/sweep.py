@@ -92,6 +92,7 @@ from repro.cost.profiler import fit_cost_model
 from repro.data.dataset import GlobalBatch
 from repro.experiments.runner import RunResult, run_system
 from repro.experiments.systems import (
+    DEFAULT_PROBE_BATCHES,
     SYSTEM_BUILDERS,
     DeepSpeedUlyssesSystem,
     FlexSPBatchAdaSystem,
@@ -100,10 +101,6 @@ from repro.experiments.systems import (
     TrainingSystem,
 )
 from repro.experiments.workloads import Workload
-
-#: Probe batches used to tune the static baselines (the paper tunes
-#: against a handful of representative batches, Appendix B.2).
-DEFAULT_PROBE_BATCHES = 2
 
 #: Variant keys each system accepts (see :attr:`SweepCell.variant`).
 VARIANT_KEYS = {

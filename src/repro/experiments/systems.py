@@ -28,6 +28,19 @@ from repro.experiments.workloads import Workload
 from repro.simulator.executor import IterationExecutor
 from repro.simulator.trace import PhaseKind
 
+#: Probe batches used to tune the static baselines (the paper tunes
+#: against a handful of representative batches, Appendix B.2).
+DEFAULT_PROBE_BATCHES = 2
+
+
+def _probe_batches(workload: Workload) -> list[tuple[int, ...]]:
+    """The tuners' probe lengths: the workload's first corpus
+    batches."""
+    corpus = workload.corpus()
+    return [
+        corpus.batch(step).lengths for step in range(DEFAULT_PROBE_BATCHES)
+    ]
+
 
 def _workload_cost_model(
     workload: Workload, cost_model: CostModel | None
@@ -161,21 +174,16 @@ class DeepSpeedUlyssesSystem:
         self,
         workload: Workload,
         sp_degree: int | None = None,
-        num_probe_batches: int = 2,
         cost_model: CostModel | None = None,
-        probe_batches: list[tuple[int, ...]] | None = None,
     ):
         self.name = "DeepSpeed"
         self.workload = workload
         self.cost_model = _workload_cost_model(workload, cost_model)
         if sp_degree is None:
-            if probe_batches is None:
-                corpus = workload.corpus()
-                probe_batches = [
-                    corpus.batch(step).lengths for step in range(num_probe_batches)
-                ]
             sp_degree = choose_static_degree(
-                probe_batches, self.cost_model, workload.max_context
+                _probe_batches(workload),
+                self.cost_model,
+                workload.max_context,
             )
         self.sp_degree = sp_degree
         self.executor = IterationExecutor(
@@ -221,19 +229,12 @@ class MegatronLMSystem:
         self,
         workload: Workload,
         strategy: MegatronStrategy | None = None,
-        num_probe_batches: int = 2,
-        probe_batches: list[tuple[int, ...]] | None = None,
     ):
         self.name = "Megatron-LM"
         self.workload = workload
         if strategy is None:
-            if probe_batches is None:
-                corpus = workload.corpus()
-                probe_batches = [
-                    corpus.batch(step).lengths for step in range(num_probe_batches)
-                ]
             strategy = tune_megatron(
-                probe_batches,
+                _probe_batches(workload),
                 workload.model_at_context,
                 workload.cluster,
                 workload.max_context,

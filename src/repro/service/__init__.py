@@ -17,7 +17,6 @@ from repro.service.service import (
 from repro.service.traffic import (
     GammaProcess,
     TraceRequest,
-    poisson_process,
     service_jobs,
     synthesize_trace,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ServiceClosed",
     "GammaProcess",
     "TraceRequest",
-    "poisson_process",
     "service_jobs",
     "synthesize_trace",
     "HandshakeError",

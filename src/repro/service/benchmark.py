@@ -21,11 +21,15 @@ The in-process measurement replays one seeded Gamma-arrival trace twice:
    shedding are pure functions of submission order (deterministic for
    a given trace), then the service starts and the backlog drains.
    This yields cold p50/p99 latency (queueing included — it is a
-   burst), sustained plans/sec, the coalesced count and the shed rate.
+   burst), sustained plans/sec, and the phase's ``solved``,
+   ``coalesced`` and ``shed`` counts, which depend only on the trace.
 2. **Warm (churn) phase** — the same trace replayed against the now
    live service: previously solved shapes answer from the plan cache
    at submit time, shapes shed in phase 1 now solve, giving the warm
-   hit rate and warm-path latencies under churn.
+   hit rate and warm-path latencies under churn.  Whether a duplicate
+   here coalesces or answers warm depends on thread timing, so the
+   record's whole-run ``warm_hits`` and ``coalesced`` can differ
+   between runs of one trace.
 
 Every unique served plan is then re-solved on a cold
 :class:`~repro.core.solver.FlexSPSolver` (fresh fit, fresh cache, no
@@ -145,6 +149,7 @@ def run_service_benchmark(
         service.start()
         cold_served, cold_shed = _gather(cold_tickets)
         cold_wall = time.perf_counter() - burst_started
+        burst = service.stats()
 
         # Phase 2: same trace against the live service — churn.
         warm_started = time.perf_counter()
@@ -181,6 +186,8 @@ def run_service_benchmark(
         "cold_phase": {
             "wall_seconds": round(cold_wall, 3),
             "served": len(cold_served),
+            "solved": burst["solved"],
+            "coalesced": burst["coalesced"],
             "shed": cold_shed,
             "plans_per_second": (
                 round(len(cold_served) / cold_wall, 3) if cold_wall else None

@@ -330,10 +330,6 @@ class PlanService:
             self._shed_by_tenant[name] = 0
         return name
 
-    def tenants(self) -> list[str]:
-        with self._lock:
-            return sorted(self._contexts)
-
     def workload_signatures(self) -> dict[str, str]:
         """Per-tenant workload-signature digests.
 

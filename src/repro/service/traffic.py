@@ -70,11 +70,6 @@ class GammaProcess:
         return times
 
 
-def poisson_process(rate: float) -> GammaProcess:
-    """A Poisson arrival process (``GammaProcess`` with ``cv=1``)."""
-    return GammaProcess(rate, cv=1.0)
-
-
 @dataclass(frozen=True)
 class TraceRequest:
     """One planned arrival: ``tenant`` asks for a plan of ``lengths``.

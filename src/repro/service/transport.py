@@ -2,20 +2,23 @@
 
 :class:`PlanServer` puts a registered :class:`PlanService` on the
 network; :class:`PlanClient` is the trainer-side stub.  Together they
-extend the planning-as-a-service front-end of PR 9 across a machine
-boundary without weakening any of its contracts — every plan served
-over a socket is still bit-identical to a cold
+extend the planning-as-a-service front-end across a machine boundary
+without weakening any of its contracts — every plan served over a
+socket is still bit-identical to a cold
 :class:`~repro.core.solver.FlexSPSolver` solve, and shed/coalesce
 accounting stays deterministic even when the network misbehaves.
 
 Wire protocol (version :data:`PROTOCOL_VERSION`):
 
 * **Frames** are a 4-byte big-endian length prefix followed by one
-  UTF-8 JSON object, at most :data:`MAX_FRAME_BYTES` long.  A frame
-  that decodes but is not valid JSON gets a typed ``bad-frame`` error
-  response and the connection survives; a frame whose *length prefix*
-  is garbage is unrecoverable (the stream has lost sync) and the
-  connection is closed after a final ``bad-frame`` error.
+  UTF-8 JSON object, at most :data:`MAX_FRAME_BYTES` long.  Both ends
+  check a frame with the same two functions: :func:`_frame_size` the
+  prefix, :func:`_decode_frame` the body.  A frame that decodes but is
+  not a JSON object gets a typed ``bad-frame`` error response and the
+  connection survives; a frame whose *length prefix* is garbage is
+  unrecoverable (the stream has lost sync) and the connection is
+  closed after a final ``bad-frame`` error.  The client reads either
+  as a retryable :class:`TransportError`.
 * **Handshake**: the client opens with ``{"type": "hello",
   "protocol": 1}``; the server answers ``{"type": "welcome",
   "protocol": 1, "tenants": {name: digest}}`` where each digest is
@@ -45,24 +48,28 @@ Failure semantics — the reason this module exists:
   deliberately *not* recorded: the flight may still finish, and the
   retry then answers warm from the plan cache.
 * **Deadline / retry / backoff ladder.**  Each client request has an
-  absolute deadline; transport failures are retried under a bounded
-  budget with seeded exponential backoff (deterministic jitter — a
-  seeded client backs off identically on every run).  A client that
-  exhausts its budget (or is told the server is closing) *degrades*:
-  it builds an in-process :class:`PlanService` from its configured
-  jobs and answers locally, counting the degradation — the PR 7
-  recovery-ladder philosophy applied to the network.
+  absolute deadline; transport failures and server-side ``deadline``
+  answers are retried under one bounded budget with seeded
+  exponential backoff (deterministic jitter — a seeded client backs
+  off identically on every run).  A client that exhausts its budget
+  (or is told the server is closing) *degrades*: it builds an
+  in-process :class:`PlanService` from its configured jobs and
+  answers locally, counting the degradation — the campaign's
+  recovery ladder applied to the network.
 * **Graceful drain.**  :meth:`PlanServer.close` stops accepting, lets
   every in-flight request finish and be answered, tells idle
   connections ``closing``, then releases the service, its pools and
   every socket and thread (``live_pool_count`` returns to baseline).
 * **Chaos.**  The server visits the :mod:`repro.core.faults` network
-  sites (``accept`` / ``handshake`` / ``recv`` / ``send``) and
-  realises the fired kinds — ``conn_reset`` aborts the socket with an
-  RST, ``torn_frame`` writes half a frame then aborts, ``delay``
-  stalls the site, ``drop_response`` solves and records but never
-  sends.  ``make bench-service-net`` sweeps the menu and asserts the
-  bit-identity contract under every survivable fault.
+  sites (``accept`` / ``handshake`` / ``recv`` / ``send``) through
+  :meth:`PlanServer._visit`, which absorbs ``delay`` (a stall) and
+  returns any other fired kind.  That kind aborts the connection at
+  ``accept`` and ``recv``; at ``handshake`` and ``send`` the one frame
+  writer, :meth:`PlanServer._send_frame`, realises it — ``conn_reset``
+  aborts with an RST, ``torn_frame`` writes half a frame then aborts,
+  ``drop_response`` records but never sends (a dropped welcome ends
+  the connection).  ``make bench-service-net`` sweeps the menu and
+  asserts the bit-identity contract under every fault on it.
 """
 
 from __future__ import annotations
@@ -112,6 +119,14 @@ _POLL_SECONDS = 0.2
 #: The server's listen backlog — the bounded accept queue.
 _BACKLOG = 16
 
+#: Connections the server admits at once; excess connects are refused
+#: (aborted) rather than queued forever.
+_MAX_CONNECTIONS = 32
+
+#: The server's budget for finishing one read or write once started
+#: (mid-frame reads, response sends).
+_IO_TIMEOUT = 30.0
+
 #: How long a server connection may sit idle between requests before
 #: the server hangs up.
 _IDLE_TIMEOUT = 300.0
@@ -158,6 +173,28 @@ def encode_frame(payload: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
+def _frame_size(header: bytes) -> int:
+    """The body length a frame's 4-byte prefix announces; a
+    ``ValueError`` outside ``(0, MAX_FRAME_BYTES]``."""
+    (size,) = struct.unpack(">I", header)
+    if size == 0 or size > MAX_FRAME_BYTES:
+        raise ValueError(
+            f"frame length {size} outside (0, {MAX_FRAME_BYTES}]"
+        )
+    return size
+
+
+def _decode_frame(body: bytes) -> dict:
+    """One frame body as its JSON object; a ``ValueError`` otherwise."""
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except ValueError:  # bad UTF-8 or bad JSON
+        raise ValueError("frame payload is not valid JSON") from None
+    if not isinstance(payload, dict):
+        raise ValueError("frame payload is not a JSON object")
+    return payload
+
+
 def _error(rid, code: str, message: str) -> dict:
     return {"type": "error", "id": rid, "error": code, "message": message}
 
@@ -176,24 +213,15 @@ def _abort_socket(sock: socket.socket) -> None:
         pass
 
 
-def _injected_delay_seconds() -> float:
-    schedule = faults.active_schedule()
-    return schedule.delay_seconds if schedule is not None else 0.25
-
-
 class PlanServer:
-    """A TCP front-end over one :class:`PlanService`.
+    """A TCP front-end over one :class:`PlanService`; the accept loop
+    starts with the server.
 
     Args:
         service: The (already registered) service to expose.
         host / port: Bind address; port 0 binds an ephemeral port
             (read it back from :attr:`address`).
-        max_connections: Concurrent connections admitted; excess
-            connects are refused (aborted) rather than queued forever.
-        io_timeout: Per-connection budget for finishing one read or
-            write once started (mid-frame reads, response sends).
         owns_service: Close the service when the server closes.
-        autostart: Start the accept loop immediately.
     """
 
     def __init__(
@@ -202,20 +230,9 @@ class PlanServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_connections: int = 32,
-        io_timeout: float = 30.0,
         owns_service: bool = False,
-        autostart: bool = True,
     ) -> None:
-        for label, value in (
-            ("max_connections", max_connections),
-            ("io_timeout", io_timeout),
-        ):
-            if value <= 0:
-                raise ValueError(f"{label} must be positive, got {value}")
         self.service = service
-        self.io_timeout = io_timeout
-        self.max_connections = max_connections
         self._owns_service = owns_service
         self._listener = socket.create_server((host, port), backlog=_BACKLOG)
         self._listener.settimeout(_POLL_SECONDS)
@@ -225,9 +242,7 @@ class PlanServer:
         self._handlers: dict[int, threading.Thread] = {}
         self._completed: OrderedDict[str, dict] = OrderedDict()
         self._next_token = 0
-        self._accept_thread: threading.Thread | None = None
         self._draining = False
-        self._closed = False
         self._stats = {
             "accepted": 0,
             "refused": 0,
@@ -237,8 +252,10 @@ class PlanServer:
             "dropped_responses": 0,
             "aborted": 0,
         }
-        if autostart:
-            self.start()
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name="plan-server-accept", daemon=True
+        )
+        self._accept_thread.start()
 
     # -- lifecycle ----------------------------------------------------
 
@@ -246,19 +263,6 @@ class PlanServer:
     def address(self) -> tuple[str, int]:
         """The bound ``(host, port)`` — what clients connect to."""
         return (self._host, self._port)
-
-    def start(self) -> None:
-        """Start the accept loop (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosed("plan server is closed")
-            if self._accept_thread is None:
-                self._accept_thread = threading.Thread(
-                    target=self._accept_loop,
-                    name="plan-server-accept",
-                    daemon=True,
-                )
-                self._accept_thread.start()
 
     def close(self, *, drain: bool = True) -> None:
         """Shut down the listener, the handlers and (when owned) the
@@ -271,9 +275,8 @@ class PlanServer:
         Idempotent; joins every thread it started.
         """
         with self._lock:
-            if self._closed:
+            if self._draining:
                 return
-            self._closed = True
             self._draining = True
             handlers = list(self._handlers.values())
             conns = list(self._conns.values())
@@ -284,8 +287,7 @@ class PlanServer:
         if not drain:
             for conn in conns:
                 _abort_socket(conn)
-        if self._accept_thread is not None:
-            self._accept_thread.join()
+        self._accept_thread.join()
         if not drain and self._owns_service:
             # Crash-style: kill the engine first so handlers blocked
             # on tickets fail fast instead of finishing politely.
@@ -311,6 +313,26 @@ class PlanServer:
         with self._lock:
             return dict(self._stats)
 
+    # -- faults -------------------------------------------------------
+
+    def _visit(self, site: str) -> str | None:
+        """Visit the network fault site ``site``: stall when ``delay``
+        fires, and return any other fired kind for the caller to
+        realise."""
+        fired = faults.maybe_inject(site)
+        if fired == "delay":
+            time.sleep(faults.DELAY_SECONDS)
+            return None
+        return fired
+
+    def _abort(self, conn: socket.socket) -> bool:
+        """Abort ``conn`` with an RST and count it; returns False, the
+        connection being unusable."""
+        with self._lock:
+            self._stats["aborted"] += 1
+        _abort_socket(conn)
+        return False
+
     # -- accept loop --------------------------------------------------
 
     def _accept_loop(self) -> None:
@@ -324,19 +346,13 @@ class PlanServer:
                 continue
             except OSError:
                 return
-            fired = faults.maybe_inject("accept")
-            if fired == "delay":
-                time.sleep(_injected_delay_seconds())
-                fired = None
-            if fired is not None:
+            if self._visit("accept") is not None:
                 # conn_reset (and any other kind at this site)
                 # degenerates to aborting the fresh connection.
-                with self._lock:
-                    self._stats["aborted"] += 1
-                _abort_socket(conn)
+                self._abort(conn)
                 continue
             with self._lock:
-                if self._draining or len(self._conns) >= self.max_connections:
+                if self._draining or len(self._conns) >= _MAX_CONNECTIONS:
                     self._stats["refused"] += 1
                     admitted = False
                 else:
@@ -365,14 +381,8 @@ class PlanServer:
             if not self._do_handshake(conn):
                 return
             while True:
-                fired = faults.maybe_inject("recv")
-                if fired == "delay":
-                    time.sleep(_injected_delay_seconds())
-                    fired = None
-                if fired is not None:
-                    with self._lock:
-                        self._stats["aborted"] += 1
-                    _abort_socket(conn)
+                if self._visit("recv") is not None:
+                    self._abort(conn)
                     return
                 status, value = self._recv_payload(
                     conn, timeout=_IDLE_TIMEOUT, drain_exits=True
@@ -381,23 +391,20 @@ class PlanServer:
                     return
                 if status == "drain":
                     self._send_frame(
-                        conn,
-                        _error(None, "closing", "server is draining"),
-                        inject=False,
+                        conn, _error(None, "closing", "server is draining")
                     )
                     return
-                if status == "fatal-frame":
-                    self._send_frame(
-                        conn, _error(None, "bad-frame", value), inject=False
+                if status in ("fatal-frame", "soft-frame"):
+                    sent = self._send_frame(
+                        conn, _error(None, "bad-frame", value)
                     )
-                    return
-                if status == "soft-frame":
-                    if not self._send_frame(
-                        conn, _error(None, "bad-frame", value), inject=False
-                    ):
+                    # A soft frame left the stream in sync; after a
+                    # fatal one the connection ends.
+                    if not sent or status == "fatal-frame":
                         return
                     continue
-                if not self._dispatch(conn, value):
+                response = self._dispatch(value)
+                if not self._send_frame(conn, response, self._visit("send")):
                     return
         finally:
             try:
@@ -410,23 +417,15 @@ class PlanServer:
 
     def _do_handshake(self, conn: socket.socket) -> bool:
         status, hello = self._recv_payload(
-            conn, timeout=self.io_timeout, drain_exits=True
+            conn, timeout=_IO_TIMEOUT, drain_exits=True
         )
         if status != "ok":
             if status in ("fatal-frame", "soft-frame"):
-                self._send_frame(
-                    conn, _error(None, "bad-frame", hello), inject=False
-                )
+                self._send_frame(conn, _error(None, "bad-frame", hello))
             return False
-        fired = faults.maybe_inject("handshake")
-        if fired == "delay":
-            time.sleep(_injected_delay_seconds())
-            fired = None
+        fired = self._visit("handshake")
         if fired == "conn_reset":
-            with self._lock:
-                self._stats["aborted"] += 1
-            _abort_socket(conn)
-            return False
+            return self._abort(conn)
         if (
             hello.get("type") != "hello"
             or hello.get("protocol") != PROTOCOL_VERSION
@@ -439,7 +438,6 @@ class PlanServer:
                     f"expected hello with protocol {PROTOCOL_VERSION}, "
                     f"got {hello!r}",
                 ),
-                inject=False,
             )
             return False
         welcome = {
@@ -447,41 +445,29 @@ class PlanServer:
             "protocol": PROTOCOL_VERSION,
             "tenants": self.service.workload_signatures(),
         }
-        if fired == "drop_response":
-            with self._lock:
-                self._stats["dropped_responses"] += 1
-            return False
-        try:
-            data = encode_frame(welcome)
-            conn.settimeout(self.io_timeout)
-            if fired == "torn_frame":
-                conn.sendall(data[: max(1, len(data) // 2)])
-                with self._lock:
-                    self._stats["aborted"] += 1
-                _abort_socket(conn)
-                return False
-            conn.sendall(data)
-            conn.settimeout(_POLL_SECONDS)
-        except OSError:
+        # A client that never got its welcome sends no request, so a
+        # dropped welcome ends the connection.
+        if (
+            not self._send_frame(conn, welcome, fired)
+            or fired == "drop_response"
+        ):
             return False
         with self._lock:
             self._stats["handshakes"] += 1
         return True
 
-    def _dispatch(self, conn: socket.socket, msg: dict) -> bool:
+    def _dispatch(self, msg: dict) -> dict:
+        """The response to one request frame."""
         mtype = msg.get("type")
         if mtype == "ping":
-            return self._send_frame(conn, {"type": "pong", "id": msg.get("id")})
+            return {"type": "pong", "id": msg.get("id")}
         if mtype == "plan":
-            return self._handle_plan(conn, msg)
-        return self._send_frame(
-            conn,
-            _error(
-                msg.get("id"), "bad-request", f"unknown frame type {mtype!r}"
-            ),
+            return self._handle_plan(msg)
+        return _error(
+            msg.get("id"), "bad-request", f"unknown frame type {mtype!r}"
         )
 
-    def _handle_plan(self, conn: socket.socket, msg: dict) -> bool:
+    def _handle_plan(self, msg: dict) -> dict:
         rid = msg.get("id")
         tenant = msg.get("tenant")
         lengths = msg.get("lengths")
@@ -495,14 +481,11 @@ class PlanServer:
                 for v in lengths
             )
         ):
-            return self._send_frame(
-                conn,
-                _error(
-                    rid if isinstance(rid, str) else None,
-                    "bad-request",
-                    "plan frame needs a string id, a string tenant and a "
-                    "non-empty list of positive integer lengths",
-                ),
+            return _error(
+                rid if isinstance(rid, str) else None,
+                "bad-request",
+                "plan frame needs a string id, a string tenant and a "
+                "non-empty list of positive integer lengths",
             )
         with self._lock:
             cached = self._completed.get(rid)
@@ -510,7 +493,7 @@ class PlanServer:
                 self._completed.move_to_end(rid)
                 self._stats["replayed"] += 1
         if cached is not None:
-            return self._send_frame(conn, cached)
+            return cached
         deadline_ms = msg.get("deadline_ms")
         timeout = _RESULT_TIMEOUT
         if (
@@ -522,16 +505,14 @@ class PlanServer:
         try:
             ticket = self.service.submit(tenant, tuple(lengths))
         except ServiceClosed:
-            return self._send_frame(
-                conn, _error(rid, "closed", "plan service is closed")
-            )
+            return _error(rid, "closed", "plan service is closed")
         except ValueError as error:
             code = (
                 "unknown-tenant"
                 if "unknown tenant" in str(error)
                 else "bad-request"
             )
-            return self._send_frame(conn, _error(rid, code, str(error)))
+            return _error(rid, code, str(error))
         with self._lock:
             self._stats["requests"] += 1
         try:
@@ -558,7 +539,7 @@ class PlanServer:
             response = _error(
                 rid, "deadline", f"plan not ready within {timeout:.3f}s"
             )
-        return self._send_frame(conn, response)
+        return response
 
     def _remember(self, rid: str, response: dict) -> None:
         with self._lock:
@@ -570,32 +551,23 @@ class PlanServer:
     # -- framed I/O ---------------------------------------------------
 
     def _send_frame(
-        self, conn: socket.socket, payload: dict, *, inject: bool = True
+        self, conn: socket.socket, payload: dict, fired: str | None = None
     ) -> bool:
-        """Write one response frame, realising any ``send``-site fault;
-        returns whether the connection is still usable."""
-        fired = faults.maybe_inject("send") if inject else None
-        if fired == "delay":
-            time.sleep(_injected_delay_seconds())
-            fired = None
+        """Write one frame, realising the fault kind ``fired`` (a
+        ``handshake`` or ``send`` visit's); returns whether the
+        connection is still usable."""
         if fired == "drop_response":
             with self._lock:
                 self._stats["dropped_responses"] += 1
             return True
         if fired == "conn_reset":
-            with self._lock:
-                self._stats["aborted"] += 1
-            _abort_socket(conn)
-            return False
+            return self._abort(conn)
         try:
             data = encode_frame(payload)
-            conn.settimeout(self.io_timeout)
+            conn.settimeout(_IO_TIMEOUT)
             if fired == "torn_frame":
                 conn.sendall(data[: max(1, len(data) // 2)])
-                with self._lock:
-                    self._stats["aborted"] += 1
-                _abort_socket(conn)
-                return False
+                return self._abort(conn)
             conn.sendall(data)
             conn.settimeout(_POLL_SECONDS)
         except OSError:
@@ -617,24 +589,19 @@ class PlanServer:
             with self._lock:
                 draining = self._draining
             return ("drain" if drain_exits and draining else "eof", None)
-        (size,) = struct.unpack(">I", header)
-        if size == 0 or size > MAX_FRAME_BYTES:
-            return (
-                "fatal-frame",
-                f"frame length {size} outside (0, {MAX_FRAME_BYTES}]",
-            )
+        try:
+            size = _frame_size(header)
+        except ValueError as error:
+            return ("fatal-frame", str(error))
         body = self._read_exact(
-            conn, size, timeout=self.io_timeout, drain_exits=False
+            conn, size, timeout=_IO_TIMEOUT, drain_exits=False
         )
         if body is None:
             return ("eof", None)
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return ("soft-frame", "frame payload is not valid JSON")
-        if not isinstance(payload, dict):
-            return ("soft-frame", "frame payload is not a JSON object")
-        return ("ok", payload)
+            return ("ok", _decode_frame(body))
+        except ValueError as error:
+            return ("soft-frame", str(error))
 
     def _read_exact(
         self,
@@ -685,7 +652,6 @@ class PlanClient:
             the request is answered locally (counted in
             ``stats()["degraded"]``).
         solver_config: Solver knobs for the degraded service.
-        store: Optional cache-store path for the degraded service.
         deadline: Default per-request wall-clock budget (seconds).
         io_timeout: Budget for one socket operation / response wait.
         retries: Transport-failure retry budget per request.
@@ -702,7 +668,6 @@ class PlanClient:
         *,
         jobs: dict | None = None,
         solver_config: SolverConfig | None = None,
-        store=None,
         deadline: float = 30.0,
         io_timeout: float = 10.0,
         retries: int = 3,
@@ -726,7 +691,6 @@ class PlanClient:
         self.backoff_base = backoff_base
         self.solver_config = solver_config
         self._jobs = dict(jobs) if jobs else {}
-        self._store = store
         self._rng = random.Random(seed)
         self._session = uuid.uuid4().hex[:8]
         self._request_counter = 0
@@ -821,52 +785,45 @@ class PlanClient:
                 raise
             except TransportError:
                 self._drop_connection()
-                attempt += 1
-                self._stats["retries"] += 1
-                if attempt > self.retries:
-                    return self._degrade(
-                        tenant,
-                        lengths,
-                        started,
-                        reason="retry budget exhausted",
+            else:
+                if response.get("type") == "plan":
+                    # The plan shares the request's tuple and length
+                    # ints, and the source string is interned: a caller
+                    # keeping many served plans holds one copy of each.
+                    plan = plan_from_dict(response["plan"], lengths)
+                    self._stats["served"] += 1
+                    return ServedPlan(
+                        tenant=tenant,
+                        lengths=lengths,
+                        plan=plan,
+                        source=sys.intern(
+                            str(response.get("source", "solved"))
+                        ),
+                        latency_seconds=time.perf_counter() - started,
                     )
-                self._backoff(attempt, deadline_at)
-                continue
-            if response.get("type") == "plan":
-                # The plan shares the request's tuple and length ints,
-                # and the source string is interned: a caller keeping
-                # many served plans holds one copy of each.
-                plan = plan_from_dict(response["plan"], lengths)
-                self._stats["served"] += 1
-                return ServedPlan(
-                    tenant=tenant,
-                    lengths=lengths,
-                    plan=plan,
-                    source=sys.intern(str(response.get("source", "solved"))),
-                    latency_seconds=time.perf_counter() - started,
+                code = (
+                    response.get("error")
+                    if response.get("type") == "error"
+                    else None
                 )
-            code = (
-                response.get("error")
-                if response.get("type") == "error"
-                else None
-            )
-            message = str(response.get("message", response))
-            if code == "shed":
-                self._stats["shed"] += 1
-                raise RequestShed(message)
-            if code == "unknown-tenant":
-                raise ValueError(message)
-            if code in ("bad-request", "bad-frame", "protocol"):
-                raise TransportError(
-                    f"server rejected request ({code}): {message}"
-                )
-            if code in ("closed", "closing"):
-                self._drop_connection()
-                return self._degrade(
-                    tenant, lengths, started, reason=f"server {code}"
-                )
-            # "deadline" (server-side expiry) or an unexpected frame:
-            # retry — the flight may now be warm in the plan cache.
+                message = str(response.get("message", response))
+                if code == "shed":
+                    self._stats["shed"] += 1
+                    raise RequestShed(message)
+                if code == "unknown-tenant":
+                    raise ValueError(message)
+                if code in ("bad-request", "bad-frame", "protocol"):
+                    raise TransportError(
+                        f"server rejected request ({code}): {message}"
+                    )
+                if code in ("closed", "closing"):
+                    self._drop_connection()
+                    return self._degrade(
+                        tenant, lengths, started, reason=f"server {code}"
+                    )
+            # A transport failure, a "deadline" answer (server-side
+            # expiry) or an unexpected frame: retry — the flight may
+            # now be warm in the plan cache.
             attempt += 1
             self._stats["retries"] += 1
             if attempt > self.retries:
@@ -988,18 +945,11 @@ class PlanClient:
             return frame
 
     def _recv_frame(self, deadline_at: float) -> dict:
-        header = self._recv_exact(4, deadline_at)
-        (size,) = struct.unpack(">I", header)
-        if size == 0 or size > MAX_FRAME_BYTES:
-            raise TransportError(f"bad frame length {size}")
-        body = self._recv_exact(size, deadline_at)
         try:
-            payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise TransportError("server sent malformed JSON") from exc
-        if not isinstance(payload, dict):
-            raise TransportError("server frame is not a JSON object")
-        return payload
+            size = _frame_size(self._recv_exact(4, deadline_at))
+            return _decode_frame(self._recv_exact(size, deadline_at))
+        except ValueError as exc:
+            raise TransportError(f"bad frame from the server: {exc}") from exc
 
     def _recv_exact(self, size: int, deadline_at: float) -> bytes:
         assert self._sock is not None
@@ -1026,9 +976,7 @@ class PlanClient:
         if not self._jobs:
             return None
         service = PlanService(
-            solver_config=self.solver_config,
-            store=self._store,
-            worker_threads=1,
+            solver_config=self.solver_config, worker_threads=1
         )
         try:
             for name, workload in self._jobs.items():

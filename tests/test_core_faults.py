@@ -127,12 +127,6 @@ class TestSpecGrammar:
         assert len(draws) > 1
         assert c.seed == 43
 
-    def test_delay_seconds_must_be_positive(self):
-        with pytest.raises(ValueError, match="delay_seconds"):
-            FaultSchedule(
-                specs=(FaultSpec("delay", "recv"),), delay_seconds=0.0
-            )
-
 
 class TestPlane:
     def test_disarmed_visits_are_noops(self):

@@ -1,17 +1,20 @@
-"""Tests for repro.core.serialization: plan wire format and store."""
+"""Tests for repro.core.serialization: the plan wire format."""
 
 import json
 
 import pytest
 
-from repro.core.serialization import (
-    PlanStore,
-    dumps,
-    loads,
-    plan_from_dict,
-    plan_to_dict,
-)
+from repro.core.serialization import plan_from_dict, plan_to_dict
 from repro.core.types import GroupAssignment, IterationPlan, MicroBatchPlan
+
+
+def dumps(plan: IterationPlan) -> str:
+    """A plan as compact JSON text."""
+    return json.dumps(plan_to_dict(plan), separators=(",", ":"))
+
+
+def loads(text: str) -> IterationPlan:
+    return plan_from_dict(json.loads(text))
 
 
 @pytest.fixture()
@@ -68,49 +71,6 @@ class TestRoundTrip:
         payload["microbatches"][0]["groups"][0]["degree"] = 3
         with pytest.raises(ValueError, match="power of two"):
             plan_from_dict(payload)
-
-
-class TestPlanStore:
-    def test_put_get(self, plan, tmp_path):
-        store = PlanStore(tmp_path / "plans")
-        store.put(0, plan)
-        assert store.get(0) == plan
-
-    def test_missing_step_raises(self, tmp_path):
-        store = PlanStore(tmp_path)
-        with pytest.raises(KeyError, match="step 7"):
-            store.get(7)
-
-    def test_contains(self, plan, tmp_path):
-        store = PlanStore(tmp_path)
-        assert 0 not in store
-        store.put(0, plan)
-        assert 0 in store
-
-    def test_pending_after(self, plan, tmp_path):
-        store = PlanStore(tmp_path)
-        for step in (0, 1, 2, 4):
-            store.put(step, plan)
-        assert store.pending_after(0) == 2  # 1 and 2; 3 missing
-        assert store.pending_after(4) == 0
-
-    def test_steps_sorted(self, plan, tmp_path):
-        store = PlanStore(tmp_path)
-        for step in (5, 1, 3):
-            store.put(step, plan)
-        assert store.steps() == [1, 3, 5]
-
-    def test_rejects_negative_step(self, plan, tmp_path):
-        store = PlanStore(tmp_path)
-        with pytest.raises(ValueError, match="step"):
-            store.put(-1, plan)
-
-    def test_overwrite_is_atomic_update(self, plan, tmp_path):
-        store = PlanStore(tmp_path)
-        store.put(0, plan)
-        single = IterationPlan(microbatches=plan.microbatches[:1])
-        store.put(0, single)
-        assert store.get(0) == single
 
 
 class TestSolveStatsSerialization:
@@ -191,9 +151,9 @@ class TestSolveStatsSerialization:
         assert restored.stats == plan.stats
         assert restored.stats.pruned_trials == 0
 
-    def test_plans_with_kernel_tiers_still_load(self, tmp_path):
+    def test_plans_with_kernel_tiers_still_load(self):
         """Plans written while ``SolveStats`` had a ``kernel_tiers``
-        field (store files, plan-server frames) load without it."""
+        field (frames from older plan servers) load without it."""
         from repro.core.types import SolveStats
 
         text = (
@@ -234,9 +194,6 @@ class TestSolveStatsSerialization:
             ),
         )
         assert plan_from_dict(json.loads(text)) == expected
-        store = PlanStore(tmp_path)
-        (tmp_path / "plan-00000003.json").write_text(text)
-        assert store.get(3) == expected
 
     def test_plans_without_stats_stay_stats_free(self):
         plan = IterationPlan(

@@ -157,19 +157,7 @@ class TestBackendsAgree:
         assert milp_plan.predicted_time <= greedy_plan.predicted_time * 1.001
 
 
-class TestAblationHooks:
-    def test_ablated_returns_new_solver(self, cost_model8):
-        solver = fast_solver(cost_model8)
-        ablated = solver.ablated(sort_sequences=False)
-        assert ablated.config.sort_sequences is False
-        assert solver.config.sort_sequences is True
-
-    def test_ablated_keeps_an_injected_pool(self, cost_model8):
-        with SolverPool(2) as pool:
-            solver = pooled_solver(pool, cost_model8, backend="greedy")
-            ablated = solver.ablated(sort_sequences=False)
-            assert ablated._service.pool is pool
-
+class TestAblationConfigs:
     def test_no_sort_still_valid(self, cost_model8):
         batch = SequenceBatch(lengths=(16384, 1024, 8192, 512, 4096, 2048))
         plan = fast_solver(cost_model8, sort_sequences=False).solve(batch)

@@ -266,8 +266,8 @@ class TestBitIdenticalToPreRefactorPaths:
         assert result.metrics[0].deterministic() == (0.0, 0.0, 0.0, 0.0)
 
     def test_fig7_ablation_cell_matches_ablated_system(self, workload):
-        """A bucketing-ablation variant == the pre-refactor bench path
-        (FlexSPSystem with a hand-ablated solver)."""
+        """A bucketing-ablation variant == a FlexSPSystem built on the
+        hand-ablated config."""
         cell = SweepCell(
             system="flexsp",
             workload=workload,
@@ -276,9 +276,12 @@ class TestBitIdenticalToPreRefactorPaths:
         )
         result = small_runner().run([cell])
 
-        system = FlexSPSystem(workload, SOLVER)
-        system.solver = system.solver.ablated(
-            planner=dataclasses.replace(SOLVER.planner, bucketing="naive")
+        system = FlexSPSystem(
+            workload,
+            dataclasses.replace(
+                SOLVER,
+                planner=dataclasses.replace(SOLVER.planner, bucketing="naive"),
+            ),
         )
         reference = run_system(system, workload, 2)
         assert result.metrics[0].deterministic() == (

@@ -497,6 +497,33 @@ class TestPooledPrewarm:
         for a, b in zip(serial.metrics, parallel.metrics):
             assert a.deterministic() == b.deterministic()
 
+    def test_variant_cells_plan_on_the_runner_pool(self, workload):
+        # A Fig. 7 variant's solver gets its own config and a tenant of
+        # the runner's one pool, and the pooled pass matches the
+        # in-process one.
+        variant = (("bucketing", "naive"),)
+        cells = [
+            SweepCell(
+                system="flexsp",
+                workload=workload,
+                num_iterations=2,
+                variant=variant,
+            )
+        ]
+        serial = SweepRunner(cells, solver_config=SOLVER).run()
+        with SweepRunner(
+            cells, solver_config=SOLVER, solver_workers=2
+        ) as runner:
+            pooled = runner.run()
+            solver = runner.context(workload).system("flexsp", variant).solver
+            assert solver._service.pool is runner._solver_pool
+            assert solver.config.planner.bucketing == "naive"
+            assert runner._solver_pool.dispatched == pooled.prewarm_planned
+        assert pooled.prewarm_planned > 0
+        assert serial.metrics[0].deterministic() == (
+            pooled.metrics[0].deterministic()
+        )
+
     def test_serial_pass_reports_its_context_builds(self, workload):
         runner = SweepRunner(
             grid_cells(["deepspeed"], [workload]),

@@ -27,6 +27,7 @@ from repro.service import (
     service_jobs,
     synthesize_trace,
 )
+from repro.service.benchmark import SOLVER_CONFIG
 
 MAX_CONTEXT = 16 * 1024
 RESULT_TIMEOUT = 300.0
@@ -61,7 +62,9 @@ def assert_bit_equal(a, b) -> None:
 class TestCoalescing:
     def test_waiters_receive_bit_equal_plans(self, store_dir):
         workload = small_workload()
-        with PlanService(autostart=False, store=store_dir) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False, store=store_dir
+        ) as service:
             tenant = service.register(workload)
             lengths = batch_lengths(workload, 0)
             tickets = [service.submit(tenant, lengths) for _ in range(4)]
@@ -83,12 +86,14 @@ class TestCoalescing:
         stats = service.stats()
         assert stats["solved"] == 1
         assert stats["served"] == 4
-        cold = FlexSPSolver(_cold_model(workload), SolverConfig())
+        cold = FlexSPSolver(_cold_model(workload), SOLVER_CONFIG)
         assert_bit_equal(cold.solve(lengths), served[0].plan)
 
     def test_warm_requests_answered_from_plan_cache(self, store_dir):
         workload = small_workload()
-        with PlanService(store=store_dir) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, store=store_dir
+        ) as service:
             tenant = service.register(workload)
             lengths = batch_lengths(workload, 0)
             first = service.submit(tenant, lengths).result(
@@ -159,7 +164,9 @@ class TestAdmissionControl:
     def shed_pattern(self, *, seed: int) -> list[bool]:
         workload = small_workload(GITHUB, seed=seed)
         with PlanService(
-            autostart=False, max_pending_per_tenant=2
+            solver_config=SOLVER_CONFIG,
+            autostart=False,
+            max_pending_per_tenant=2,
         ) as service:
             tenant = service.register(workload)
             tickets = [
@@ -184,12 +191,16 @@ class TestAdmissionControl:
         assert self.shed_pattern(seed=3) == first
 
     def test_unknown_tenant_rejected(self):
-        with PlanService(autostart=False) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False
+        ) as service:
             with pytest.raises(ValueError, match="unknown tenant"):
                 service.submit("nobody", (128, 256))
 
     def test_malformed_batch_rejected_uncounted(self):
-        with PlanService(autostart=False) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False
+        ) as service:
             tenant = service.register(small_workload())
             before = service.stats()
             for lengths in ((), (128, 0), (-5,)):
@@ -199,7 +210,9 @@ class TestAdmissionControl:
 
     def test_duplicate_registration_rejected(self):
         workload = small_workload()
-        with PlanService(autostart=False) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False
+        ) as service:
             service.register(workload)
             with pytest.raises(ValueError, match="already registered"):
                 service.register(workload)
@@ -209,7 +222,11 @@ class TestAdmissionControl:
         # "0 = every CPU" belongs to the CLI, which resolves it before
         # building the service.
         with pytest.raises(ValueError, match="solver_workers"):
-            PlanService(autostart=False, solver_workers=workers)
+            PlanService(
+                solver_config=SOLVER_CONFIG,
+                autostart=False,
+                solver_workers=workers,
+            )
 
 
 class TestShutdown:
@@ -217,7 +234,9 @@ class TestShutdown:
         baseline = live_pool_count()
         # Fresh corpus seed: nothing warm, every submit really queues.
         workload = small_workload(seed=7)
-        service = PlanService(autostart=False, solver_workers=2)
+        service = PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False, solver_workers=2
+        )
         tenant = service.register(workload)
         tickets = [
             service.submit(tenant, batch_lengths(workload, step))
@@ -239,14 +258,18 @@ class TestShutdown:
     def test_store_round_trip_serves_restart_warm(self, tmp_path):
         workload = small_workload()
         lengths = batch_lengths(workload, 0)
-        with PlanService(store=tmp_path) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, store=tmp_path
+        ) as service:
             tenant = service.register(workload)
             first = service.submit(tenant, lengths).result(
                 timeout=RESULT_TIMEOUT
             )
         # A fresh service over the same store restores the cost model
         # and plan cache: the same request is warm at submit.
-        with PlanService(store=tmp_path) as restarted:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, store=tmp_path
+        ) as restarted:
             tenant = restarted.register(workload)
             ticket = restarted.submit(tenant, lengths)
             assert ticket.done()
@@ -261,7 +284,9 @@ class TestTickets:
         # expires — and the ticket stays valid for a later, patient
         # result() call once the engine starts.
         workload = small_workload(GITHUB, seed=12)
-        with PlanService(autostart=False) as service:
+        with PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False
+        ) as service:
             tenant = service.register(workload)
             ticket = service.submit(tenant, batch_lengths(workload, 0))
             with pytest.raises(TimeoutError, match="not ready within"):
@@ -282,7 +307,7 @@ class TestReplay:
         # Regression: replay used to let the first submit's
         # ServiceClosed escape with earlier tickets unawaited.
         jobs = self._single_job(seed=13)
-        service = PlanService(autostart=False)
+        service = PlanService(solver_config=SOLVER_CONFIG, autostart=False)
         for name, workload in jobs.items():
             service.register(workload, name=name)
         service.close()
@@ -297,7 +322,11 @@ class TestReplay:
         )
         submitted = 5
         assert len(trace) > submitted
-        service = PlanService(autostart=False, max_pending_per_tenant=64)
+        service = PlanService(
+            solver_config=SOLVER_CONFIG,
+            autostart=False,
+            max_pending_per_tenant=64,
+        )
         for name, workload in jobs.items():
             service.register(workload, name=name)
 
@@ -326,7 +355,9 @@ class TestReplay:
         )
         assert trace[-1].time > 30.0
         with PlanService(
-            autostart=False, max_pending_per_tenant=64
+            solver_config=SOLVER_CONFIG,
+            autostart=False,
+            max_pending_per_tenant=64,
         ) as service:
             for name, workload in jobs.items():
                 service.register(workload, name=name)

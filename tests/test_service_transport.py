@@ -13,6 +13,7 @@ crosses the socket is asserted bit-identical to a cold
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
@@ -25,7 +26,7 @@ import pytest
 from repro.cluster.topology import standard_cluster
 from repro.core import faults
 from repro.core.pools import live_pool_count
-from repro.core.solver import FlexSPSolver, SolverConfig
+from repro.core.solver import FlexSPSolver
 from repro.data.distributions import COMMONCRAWL, GITHUB
 from repro.experiments.workloads import Workload
 from repro.model.config import GPT_7B
@@ -39,6 +40,7 @@ from repro.service import (
     TransportError,
 )
 from repro.service import transport
+from repro.service.benchmark import SOLVER_CONFIG
 from repro.service.transport import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -109,18 +111,56 @@ def _handshake(sock: socket.socket) -> dict:
     return _recv_frame(sock)
 
 
+@contextlib.contextmanager
+def _answering_hello_with(reply: bytes):
+    """A raw-socket stand-in for a server that answers every hello
+    with the bytes ``reply`` and hangs up; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.2)
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, __ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(5.0)
+                _recv_frame(conn)  # the hello
+                conn.sendall(reply)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        stop.set()
+        thread.join(timeout=10.0)
+        listener.close()
+
+
 @pytest.fixture(scope="module")
 def served():
     """One registered tenant behind a live loopback server, shared by
     the read-only protocol tests (fault/drain tests build their own)."""
     workload = small_workload()
-    service = PlanService(worker_threads=2)
+    service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=2)
     tenant = service.register(workload)
     server = PlanServer(service, owns_service=True)
     yield SimpleNamespace(
         server=server, service=service, tenant=tenant, workload=workload
     )
     server.close()
+
+
+@pytest.fixture()
+def bare_server():
+    """A server over a paused service without tenants: enough for
+    handshakes and pings, with no cost model to fit."""
+    service = PlanService(solver_config=SOLVER_CONFIG, autostart=False)
+    with PlanServer(service, owns_service=True) as server:
+        yield server
 
 
 class TestFraming:
@@ -166,12 +206,93 @@ class TestHandshake:
         # must not be retried (it would never succeed).
         wrong = {served.tenant: small_workload(seed=1)}
         host, port = served.server.address
-        with PlanClient(host, port, jobs=wrong, retries=5) as client:
+        with PlanClient(
+            host, port, jobs=wrong, solver_config=SOLVER_CONFIG, retries=5
+        ) as client:
             with pytest.raises(HandshakeError, match="signature mismatch"):
                 client.plan(
                     served.tenant, batch_lengths(served.workload, 0)
                 )
             assert client.stats()["retries"] == 0
+
+
+class TestHandshakeFaults:
+    """A ``handshake`` fault fires before the protocol check, and the
+    welcome goes out through the response writer."""
+
+    HELLO = encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION})
+
+    def test_conn_reset_fires_before_the_protocol_check(self, bare_server):
+        schedule = faults.FaultSchedule.parse("conn_reset@handshake")
+        with faults.armed(schedule):
+            sock = _connect(bare_server)
+            try:
+                sock.sendall(encode_frame({"type": "hello", "protocol": 99}))
+                # A reset, not the ``protocol`` error frame.
+                with pytest.raises((ConnectionError, AssertionError)):
+                    _recv_frame(sock)
+            finally:
+                sock.close()
+        assert schedule.injection_counts() == {"conn_reset@handshake": 1}
+        assert bare_server.stats()["aborted"] == 1
+
+    def test_dropped_welcome_ends_the_connection(self, bare_server):
+        schedule = faults.FaultSchedule.parse("drop_response@handshake")
+        with faults.armed(schedule):
+            sock = _connect(bare_server)
+            try:
+                sock.sendall(self.HELLO)
+                assert sock.recv(1) == b""
+            finally:
+                sock.close()
+        stats = bare_server.stats()
+        assert (stats["dropped_responses"], stats["handshakes"]) == (1, 0)
+
+    def test_dropped_response_keeps_the_connection(self, bare_server):
+        schedule = faults.FaultSchedule.parse("drop_response@send")
+        with faults.armed(schedule):
+            sock = _connect(bare_server)
+            try:
+                assert _handshake(sock)["type"] == "welcome"
+                sock.sendall(encode_frame({"type": "ping", "id": "lost"}))
+                sock.sendall(encode_frame({"type": "ping", "id": "kept"}))
+                assert _recv_frame(sock) == {"type": "pong", "id": "kept"}
+            finally:
+                sock.close()
+        assert bare_server.stats()["dropped_responses"] == 1
+
+    def test_torn_welcome_aborts_the_connection(self, bare_server):
+        schedule = faults.FaultSchedule.parse("torn_frame@handshake")
+        with faults.armed(schedule):
+            sock = _connect(bare_server)
+            try:
+                sock.sendall(self.HELLO)
+                with pytest.raises((ConnectionError, AssertionError)):
+                    _recv_frame(sock)
+            finally:
+                sock.close()
+        stats = bare_server.stats()
+        assert (stats["aborted"], stats["handshakes"]) == (1, 0)
+
+    def test_delayed_handshake_still_welcomes(self, bare_server, monkeypatch):
+        slept: list[float] = []
+        monkeypatch.setattr(
+            transport,
+            "time",
+            SimpleNamespace(
+                monotonic=time.monotonic,
+                perf_counter=time.perf_counter,
+                sleep=slept.append,
+            ),
+        )
+        schedule = faults.FaultSchedule.parse("delay@handshake")
+        with faults.armed(schedule):
+            sock = _connect(bare_server)
+            try:
+                assert _handshake(sock)["type"] == "welcome"
+            finally:
+                sock.close()
+        assert slept == [faults.DELAY_SECONDS]
 
 
 class TestProtocolEdges:
@@ -242,7 +363,12 @@ class TestClientServer:
     def test_plans_bit_identical_and_warm_second_time(self, served):
         host, port = served.server.address
         lengths = batch_lengths(served.workload, 1)
-        with PlanClient(host, port, jobs={served.tenant: served.workload}) as client:
+        with PlanClient(
+            host,
+            port,
+            jobs={served.tenant: served.workload},
+            solver_config=SOLVER_CONFIG,
+        ) as client:
             first = client.plan(served.tenant, lengths)
             second = client.plan(served.tenant, lengths)
             assert client.stats()["served"] == 2
@@ -250,7 +376,7 @@ class TestClientServer:
         assert first.source in ("solved", "warm")
         assert second.source == "warm"
         assert_bit_equal(first.plan, second.plan)
-        cold = FlexSPSolver(_cold_model(served.workload), SolverConfig())
+        cold = FlexSPSolver(_cold_model(served.workload), SOLVER_CONFIG)
         assert_bit_equal(cold.solve(lengths), first.plan)
 
     def test_ping_round_trip(self, served):
@@ -266,7 +392,7 @@ class TestIdempotentRetry:
         recorded but never sent; the retry replays the recorded answer
         instead of re-entering the engine."""
         workload = small_workload(GITHUB, seed=3)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         tenant = service.register(workload)
         with PlanServer(service, owns_service=True) as server:
             host, port = server.address
@@ -283,7 +409,7 @@ class TestIdempotentRetry:
             assert server.stats()["replayed"] == 1
             assert server.stats()["dropped_responses"] == 1
             assert service.stats()["solved"] == 1
-        cold = FlexSPSolver(_cold_model(workload), SolverConfig())
+        cold = FlexSPSolver(_cold_model(workload), SOLVER_CONFIG)
         assert_bit_equal(cold.solve(lengths), plan.plan)
 
     def test_shed_verdict_replayed_not_double_counted(self):
@@ -293,7 +419,10 @@ class TestIdempotentRetry:
         response."""
         workload = small_workload(GITHUB, seed=4)
         service = PlanService(
-            autostart=False, max_pending_per_tenant=1, worker_threads=1
+            solver_config=SOLVER_CONFIG,
+            autostart=False,
+            max_pending_per_tenant=1,
+            worker_threads=1,
         )
         tenant = service.register(workload)
         blocked = service.submit(tenant, batch_lengths(workload, 0))
@@ -325,7 +454,9 @@ class TestIdempotentRetry:
         """``deadline`` errors are deliberately *not* remembered: the
         flight may still finish, and the retry answers warm."""
         workload = small_workload(GITHUB, seed=5)
-        service = PlanService(autostart=False, worker_threads=1)
+        service = PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False, worker_threads=1
+        )
         tenant = service.register(workload)
         with PlanServer(service, owns_service=True) as server:
             sock = _connect(server)
@@ -360,7 +491,7 @@ class TestIdempotentRetry:
         replays, one that fell out of it is submitted again."""
         monkeypatch.setattr(transport, "_MAX_REMEMBERED", 2)
         workload = small_workload(GITHUB, seed=12)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         tenant = service.register(workload)
         lengths = list(batch_lengths(workload, 0))
         with PlanServer(service, owns_service=True) as server:
@@ -394,7 +525,9 @@ class TestIdempotentRetry:
         ``_RESULT_TIMEOUT`` for its solve."""
         monkeypatch.setattr(transport, "_RESULT_TIMEOUT", 0.15)
         workload = small_workload(GITHUB, seed=13)
-        service = PlanService(autostart=False, worker_threads=1)
+        service = PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False, worker_threads=1
+        )
         tenant = service.register(workload)
         with PlanServer(service, owns_service=True) as server:
             sock = _connect(server)
@@ -418,7 +551,9 @@ class TestIdempotentRetry:
         """Two clients, same shape, paused service: one solve serves
         both, bit-equal, via the service's in-flight map."""
         workload = small_workload(GITHUB, seed=6)
-        service = PlanService(autostart=False, worker_threads=2)
+        service = PlanService(
+            solver_config=SOLVER_CONFIG, autostart=False, worker_threads=2
+        )
         tenant = service.register(workload)
         lengths = batch_lengths(workload, 0)
         results: list = [None, None]
@@ -453,7 +588,10 @@ class TestIdempotentRetry:
     def test_shed_propagates_over_tcp(self):
         workload = small_workload(GITHUB, seed=7)
         service = PlanService(
-            autostart=False, max_pending_per_tenant=1, worker_threads=1
+            solver_config=SOLVER_CONFIG,
+            autostart=False,
+            max_pending_per_tenant=1,
+            worker_threads=1,
         )
         tenant = service.register(workload)
         blocked = service.submit(tenant, batch_lengths(workload, 0))
@@ -489,15 +627,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             PlanClient("127.0.0.1", 1, **kwargs)
 
-    @pytest.mark.parametrize("name", ["max_connections", "io_timeout"])
-    def test_server_rejects_non_positive_settings(self, name):
-        service = PlanService(autostart=False)
-        try:
-            with pytest.raises(ValueError, match=name):
-                PlanServer(service, **{name: 0})
-        finally:
-            service.close()
-
     @staticmethod
     def _backoffs(monkeypatch, seed: int, budget: float) -> list[float]:
         """The sleeps of eight consecutive retries of one client."""
@@ -528,6 +657,32 @@ class TestSettings:
     def test_backoff_never_sleeps_past_the_deadline(self, monkeypatch):
         slept = self._backoffs(monkeypatch, seed=7, budget=0.05)
         assert slept and all(delay <= 0.05 for delay in slept)
+
+
+class TestClientFrameChecks:
+    """The client reads frames through the server's decoder: a bad
+    welcome is a retryable transport failure."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            struct.pack(">I", 0),
+            struct.pack(">I", MAX_FRAME_BYTES + 1),
+            struct.pack(">I", 5) + b"nojso",
+            struct.pack(">I", 2) + b"\xff\xfe",
+            encode_frame([1, 2]),
+        ],
+        ids=["zero-length", "over-cap", "not-json", "not-utf8", "json-array"],
+    )
+    def test_bad_welcome_is_retried_then_fails(self, reply):
+        with _answering_hello_with(reply) as (host, port):
+            client = PlanClient(host, port, retries=1, backoff_base=0.01)
+            with client:
+                with pytest.raises(PlanDeadlineExceeded):
+                    client.plan("anyone", (1024,))
+        stats = client.stats()
+        assert stats["retries"] == 2
+        assert stats["connects"] == 0
 
 
 class TestDegradation:
@@ -561,6 +716,7 @@ class TestDegradation:
             "127.0.0.1",
             self._unused_port(),
             jobs={"solo": workload},
+            solver_config=SOLVER_CONFIG,
             retries=1,
             backoff_base=0.01,
             io_timeout=0.5,
@@ -569,7 +725,7 @@ class TestDegradation:
             plan = client.plan("solo", lengths)
             assert client.stats()["degraded"] == 1
             assert plan.source in ("solved", "warm")
-        cold = FlexSPSolver(_cold_model(workload), SolverConfig())
+        cold = FlexSPSolver(_cold_model(workload), SOLVER_CONFIG)
         assert_bit_equal(cold.solve(lengths), plan.plan)
         # The private fallback service released its pools on close().
         assert live_pool_count() == baseline_pools
@@ -580,7 +736,7 @@ class TestDrainAndLeaks:
         baseline_pools = live_pool_count()
         baseline_threads = set(threading.enumerate())
         workload = small_workload(GITHUB, seed=9)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         tenant = service.register(workload)
         server = PlanServer(service, owns_service=True)
         host, port = server.address
@@ -604,7 +760,7 @@ class TestDrainAndLeaks:
 
     def test_idle_connection_told_closing_on_drain(self):
         workload = small_workload(GITHUB, seed=10)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         service.register(workload)
         server = PlanServer(service, owns_service=True)
         sock = _connect(server)
@@ -620,7 +776,7 @@ class TestDrainAndLeaks:
     def test_idle_connection_hung_up_after_idle_timeout(self, monkeypatch):
         monkeypatch.setattr(transport, "_IDLE_TIMEOUT", 0.3)
         workload = small_workload(GITHUB, seed=14)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         service.register(workload)
         with PlanServer(service, owns_service=True) as server:
             sock = _connect(server)
@@ -636,11 +792,12 @@ class TestDrainAndLeaks:
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
 
-    def test_excess_connections_refused_not_queued(self):
+    def test_excess_connections_refused_not_queued(self, monkeypatch):
+        monkeypatch.setattr(transport, "_MAX_CONNECTIONS", 1)
         workload = small_workload(GITHUB, seed=11)
-        service = PlanService(worker_threads=1)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
         service.register(workload)
-        with PlanServer(service, owns_service=True, max_connections=1) as server:
+        with PlanServer(service, owns_service=True) as server:
             first = _connect(server)
             try:
                 _handshake(first)
