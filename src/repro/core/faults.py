@@ -61,6 +61,7 @@ import pathlib
 import random
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass
 
 try:  # pragma: no cover - import guard
@@ -233,7 +234,10 @@ class FaultSchedule:
             reproducibility; :meth:`single_random` draws from it).
         record_path: Append-only ledger file shared by every process
             this schedule is armed in.  Auto-generated under the
-            temp directory when empty.
+            temp directory when empty; the schedule that generated it
+            removes it and its lock file when it is collected (copies
+            pickled into pool workers, and schedules given a path,
+            never delete anything).
     """
 
     specs: tuple[FaultSpec, ...]
@@ -248,6 +252,7 @@ class FaultSchedule:
             )
             os.close(fd)
             object.__setattr__(self, "record_path", path)
+            weakref.finalize(self, _remove_ledger, path, os.getpid())
 
     @classmethod
     def parse(cls, text: str, seed: int = 0, **kwargs) -> "FaultSchedule":
@@ -386,6 +391,18 @@ class _FaultPlane:
             except OSError:  # pragma: no cover - ledger volume vanished
                 pass
         return True
+
+
+def _remove_ledger(path: str, owner: int) -> None:
+    """Delete a generated ledger and its lock file, in the process
+    that generated them only (a forked child inherits the finalizer)."""
+    if os.getpid() != owner:
+        return
+    for stale in (path, path + ".lock"):
+        try:
+            os.unlink(stale)
+        except OSError:
+            pass
 
 
 def _ledger_lines(path: str) -> list[str]:

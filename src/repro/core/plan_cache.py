@@ -190,6 +190,23 @@ class PlanCache:
             self.misses += len(found) - hits
         return found
 
+    def lookup_all(self, keys: SequenceABC[tuple]) -> list | None:
+        """:meth:`lookup` when every key is cached, else None, in one
+        locked pass: a hit for each key (each becomes most recently
+        used, in order), or — when any key is missing — no counter
+        and no LRU move at all.  The warm answer's all-or-nothing
+        resolve (:meth:`~repro.core.solver.FlexSPSolver.warm_plan`)."""
+        with self._lock:
+            entries = self._entries
+            found = list(map(entries.get, keys))
+            if None in found:
+                return None
+            move = entries.move_to_end
+            for key in keys:
+                move(key)
+            self.hits += len(found)
+        return found
+
     def peek(self, keys: SequenceABC[tuple]) -> list:
         """Like :meth:`lookup` but with zero side effects: no hit/miss
         counting, no LRU reordering.  The cold-path prewarmer and the

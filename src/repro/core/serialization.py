@@ -51,22 +51,65 @@ def microbatch_to_dict(mb: MicroBatchPlan) -> dict[str, Any]:
     }
 
 
+#: Devices a shared rank block may reach (see :data:`_RANK_BLOCKS`).
+_RANK_LIMIT = 1024
+
+#: One tuple per canonical device-rank block decoded so far, keyed by
+#: ``(first rank, size)``: a block of a power-of-two size ``d``
+#: covering ``range(k * d, (k + 1) * d)`` within the first
+#: :data:`_RANK_LIMIT` devices, the only blocks the planners place.
+#: Each entry keeps the block as a list, which a decoded rank list is
+#: compared with, and as the tuple every plan with that block shares.
+#: The table never holds more than ``2 * _RANK_LIMIT`` entries,
+#: whatever ranks it is fed.
+_RANK_BLOCKS: dict[tuple[int, int], tuple[list[int], tuple[int, ...]]] = {}
+
+
+def _rank_block(ranks) -> tuple[int, ...]:
+    """``tuple(map(int, ranks))``, shared through :data:`_RANK_BLOCKS`
+    when ``ranks`` is a canonical block: decoded plans that keep one
+    group placement hold its ranks once, and a known block is matched
+    by one list comparison instead of an int per rank."""
+    size = len(ranks)
+    first = ranks[0] if size else None
+    entry = _RANK_BLOCKS.get((first, size))
+    if (
+        entry is None
+        and type(first) is int
+        and size & (size - 1) == 0
+        and first % size == 0
+        and 0 <= first <= _RANK_LIMIT - size
+    ):
+        block = tuple(range(first, first + size))
+        entry = _RANK_BLOCKS.setdefault((first, size), (list(block), block))
+    if entry is not None and ranks == entry[0]:
+        return entry[1]
+    return tuple(map(int, ranks))
+
+
 def microbatch_from_dict(
     payload: dict[str, Any], values: dict[int, int] | None = None
 ) -> MicroBatchPlan:
     """Inverse of :func:`microbatch_to_dict`; validates via the plan
     dataclasses' own invariants.  ``values`` maps a length to the int
     object the plan keeps for it (see :func:`plan_from_dict`)."""
-    values = values or {}
-    groups = tuple(
-        GroupAssignment(
-            degree=int(g["degree"]),
-            device_ranks=tuple(int(r) for r in g["device_ranks"]),
-            lengths=tuple(values.get(s, s) for s in map(int, g["lengths"])),
+    groups = []
+    for g in payload["groups"]:
+        degree = int(g["degree"])
+        ranks = _rank_block(g["device_ranks"])
+        lengths = g["lengths"]
+        groups.append(
+            GroupAssignment(
+                degree=degree,
+                device_ranks=ranks,
+                lengths=tuple(
+                    map(values.get, lengths, map(int, lengths))
+                    if values
+                    else map(int, lengths)
+                ),
+            )
         )
-        for g in payload["groups"]
-    )
-    return MicroBatchPlan(groups=groups)
+    return MicroBatchPlan(groups=tuple(groups))
 
 
 def plan_to_dict(plan: IterationPlan) -> dict[str, Any]:
@@ -104,15 +147,16 @@ def plan_from_dict(
             f"unsupported plan format version {version!r}; expected "
             f"{FORMAT_VERSION}"
         )
-    values = None if batch is None else {s: s for s in batch}
+    values = None if batch is None else dict(zip(batch, batch))
     microbatches = [
         microbatch_from_dict(mb, values) for mb in payload["microbatches"]
     ]
     stats = payload.get("stats")
-    if stats is not None:
+    if stats is not None and "kernel_tiers" in stats:
         # Older writers also emitted ``kernel_tiers``, a field
         # SolveStats no longer has; drop it so their plans keep loading.
-        stats = {k: v for k, v in stats.items() if k != "kernel_tiers"}
+        stats = dict(stats)
+        del stats["kernel_tiers"]
     return IterationPlan(
         microbatches=tuple(microbatches),
         predicted_time=payload.get("predicted_time"),

@@ -43,8 +43,13 @@ S4.3, plus this repo's cross-trial reuse):
   ``greedy_incumbent`` (the guarantee needs the incumbent); greedy LPT
   costs a fraction of a HiGHS solve, so the greedy backend plans every
   trial as before.  :meth:`FlexSPSolver.pending_shapes` applies the
-  same step, and :meth:`FlexSPSolver.is_warm` decides warmth from the
+  same step, and :meth:`FlexSPSolver.warm_plan` decides warmth from the
   bounds and cached predictions alone, without running a planner.
+* **Warm answers.**  :meth:`FlexSPSolver.warm_plan` (which replaced the
+  ``is_warm`` probe) returns exactly what a solve that runs no planner
+  would return, from one pass over the trials: one all-or-nothing
+  locked cache pass, plus the bounds' peek where solves prune.  A cold
+  batch gets None and leaves the cache as it was.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from itertools import chain, compress
 
 from repro.core import faults, pools, stage_timing
 from repro.core.blaster import (
@@ -110,7 +116,7 @@ def _predicted(entry) -> float:
 
 def _distinct(trials) -> list[tuple[int, ...]]:
     """The distinct shapes of ``trials``, in first-occurrence order."""
-    return list(dict.fromkeys(shape for trial in trials for shape in trial))
+    return list(dict.fromkeys(chain.from_iterable(trials)))
 
 
 def _as_batch(batch: SequenceBatch | tuple[int, ...]) -> SequenceBatch:
@@ -404,8 +410,9 @@ class FlexSPSolver:
     across every batch it serves.  A resident front-end
     (:class:`repro.service.PlanService`) keeps one such solver per
     tenant, all planning on one shared :class:`SolverPool`, and
-    classifies requests warm/cold with the :meth:`is_warm` /
-    :meth:`pending_shapes` probes.
+    answers warm requests with :meth:`warm_plan`, which returns None
+    for a cold batch; the campaign prewarm asks
+    :meth:`pending_shapes`.
 
     Args:
         model: Fitted cost model for the target (model, cluster).
@@ -439,8 +446,8 @@ class FlexSPSolver:
         # internally, but the blast memo needs this guard.
         self._memo_lock = threading.Lock()
         #: Tiny LRU of planner-ready trial keys per batch — a probe
-        #: (pending_shapes, is_warm) and the following solve() share
-        #: one DP and one canonicalization.
+        #: (pending_shapes, a cold warm_plan) and the following solve()
+        #: share one DP and one canonicalization.
         self._trial_memo: OrderedDict[
             tuple[int, ...],
             tuple[list[int], list[list[tuple[int, ...]] | None]],
@@ -481,9 +488,9 @@ class FlexSPSolver:
         ablation's segments are canonicalised.
 
         Memoised on the batch's lengths (small LRU): the campaign
-        prewarmer's :meth:`pending_shapes` and the plan service's
-        :meth:`is_warm` are each followed by a :meth:`solve` of the same
-        batch, and the blast and canonicalization are pure, so the
+        prewarmer's :meth:`pending_shapes` and a cold
+        :meth:`warm_plan` are each followed by a :meth:`solve` of the
+        same batch, and the blast and canonicalization are pure, so the
         repeat is served from the memo bit-identically.  Callers must
         not mutate the returned lists.
         """
@@ -540,31 +547,54 @@ class FlexSPSolver:
         __, keys = self._trial_keys(_as_batch(batch))
         return sorted(self._missing(keys), key=lambda s: (len(s), s))
 
-    def is_warm(self, batch: SequenceBatch | tuple[int, ...]) -> bool:
-        """Whether a :meth:`solve` of ``batch`` would be answered
-        entirely from the plan cache (no planner calls).
+    def warm_plan(
+        self, batch: SequenceBatch | tuple[int, ...]
+    ) -> IterationPlan | None:
+        """What :meth:`solve` returns for ``batch`` when that solve
+        would run no planner, else None.
 
-        Pure probe, like :meth:`pending_shapes` — no counters move, no
-        LRU order changes — so a resident front-end (the plan service)
-        can classify a request as warm/cold at admission time without
-        perturbing the statistics the eventual solve will report.
+        A warm answer is the solve's own — the same micro-batches,
+        ``predicted_time``, ``solver_name`` and :class:`SolveStats`
+        counters, or the same :class:`PlanInfeasibleError` when every
+        live trial is cached infeasible — and it moves the plan cache's
+        hit counter and LRU order exactly as that solve would.  A cold
+        batch gets None with no counter moved, no LRU order changed and
+        no planner run, so a resident front-end (the plan service)
+        answers a warm request with this one call at admission time
+        and leaves a cold one to a later :meth:`solve`.
 
-        Runs no planner, even where solves prune trials: a batch is
-        warm when every trial the best fully cached trial's exact
-        total does not prune is fully cached itself.  That equals
+        Without trial pruning the distinct shapes resolve in one
+        all-or-nothing locked pass
+        (:meth:`~repro.core.plan_cache.PlanCache.lookup_all`).  Where
+        solves prune, a batch is warm when every trial the best fully
+        cached trial's exact total does not prune is fully cached
+        itself: the pruning step then runs no greedy bound and drops
+        the same trials, so the answer takes the bounds'
+        side-effect-free peek plus that one counting pass.  Warm equals
         ``not pending_shapes(batch)``: if no shape is pending, the
         trial with the lowest upper bound is fully cached, so its exact
         total is the lowest upper bound and prunes the same trials.
         """
-        __, keys = self._trial_keys(_as_batch(batch))
-        if not self._prunes:
-            return not self._missing(keys)
-        lower, exact, __ = self._trial_bounds(keys)
-        best = min((t for t in exact if t is not None), default=math.inf)
-        return all(
-            exact[i] is not None
-            for i, shapes in enumerate(keys)
-            if shapes is not None and lower[i] <= _PRUNE_MARGIN * best
+        started = time.perf_counter()
+        batch = _as_batch(batch)
+        trials, keys = self._trial_keys(batch)
+        live = [shapes is not None for shapes in keys]
+        if self._prunes and sum(live) >= 2:
+            lower, exact, __ = self._trial_bounds(keys)
+            best = min((t for t in exact if t is not None), default=math.inf)
+            live = [
+                ok and low <= _PRUNE_MARGIN * best
+                for ok, low in zip(live, lower)
+            ]
+            if any(t is None for t, ok in zip(exact, live) if ok):
+                return None
+        unique = _distinct(compress(keys, live))
+        context = self._context
+        found = self.cache.lookup_all([(shape, context) for shape in unique])
+        if found is None:
+            return None
+        return self._answer(
+            batch, trials, keys, live, dict(zip(unique, found)), 0, started, {}
         )
 
     def _missing(
@@ -574,7 +604,7 @@ class FlexSPSolver:
         occurrence order, from one side-effect-free cache pass: the
         pruning step's when it bounded the trials, else its own."""
         live, cached = self._live_trials(keys)
-        shapes = _distinct(trial for trial, ok in zip(keys, live) if ok)
+        shapes = _distinct(compress(keys, live))
         if cached is None:
             cached = dict(zip(shapes, self._peek(shapes)))
         return [shape for shape in shapes if cached[shape] is None]
@@ -693,33 +723,16 @@ class FlexSPSolver:
         batch = _as_batch(batch)
         with stage_timing.collect() as stages:
             trials, keys = self._trial_keys(batch)
-
-            live_trials: list[list[tuple[int, ...]]] = []
-            total_microbatches = 0
-            pruned_trials = 0
-            pruned_microbatches = 0
-            for shapes, live in zip(keys, self._live_trials(keys)[0]):
-                if shapes is None:
-                    continue
-                total_microbatches += len(shapes)
-                if live:
-                    live_trials.append(shapes)
-                else:
-                    pruned_trials += 1
-                    pruned_microbatches += len(shapes)
-
+            live = self._live_trials(keys)[0]
             # The live trials' shapes are deduplicated (within the
             # solve and against prior solves) and looked up in one
             # pass, in first-occurrence order.  Pruned trials are never
             # resolved.
-            unique = _distinct(live_trials)
-            dedup_hits = sum(map(len, live_trials)) - len(unique)
+            unique = _distinct(compress(keys, live))
             context = self._context
             found = self.cache.lookup([(s, context) for s in unique])
             resolved = dict(zip(unique, found))
             to_plan = [s for s in unique if resolved[s] is None]
-            cache_hits = len(unique) - len(to_plan)
-
             outcomes = self._plan_missing(to_plan)
         for shape, outcome in zip(to_plan, outcomes):
             resolved[shape] = INFEASIBLE if outcome is None else outcome
@@ -728,34 +741,57 @@ class FlexSPSolver:
                 None if outcome is None else outcome[0],
                 None if outcome is None else outcome[1],
             )
+        return self._answer(
+            batch, trials, keys, live, resolved, len(to_plan), started, stages
+        )
 
-        best: tuple[float, list[MicroBatchPlan]] | None = None
-        for shapes in live_trials:
+    def _answer(
+        self,
+        batch: SequenceBatch,
+        trials: list[int],
+        keys: list[list[tuple[int, ...]] | None],
+        live: list[bool],
+        resolved: dict,
+        misses: int,
+        started: float,
+        stages: dict[str, float],
+    ) -> IterationPlan:
+        """The plan of the live trial with the lowest total (the first
+        on ties) and its :class:`SolveStats`, from every live distinct
+        shape's entry in ``resolved``; ``misses`` of them were planned.
+        The one answer step of :meth:`solve` and :meth:`warm_plan`."""
+        total_microbatches = 0
+        pruned_trials = 0
+        pruned_microbatches = 0
+        best: tuple[float, list[tuple[int, ...]]] | None = None
+        for shapes, ok in zip(keys, live):
+            if shapes is None:
+                continue
+            total_microbatches += len(shapes)
+            if not ok:
+                pruned_trials += 1
+                pruned_microbatches += len(shapes)
+                continue
             total = 0.0
-            plans: list[MicroBatchPlan] = []
             for shape in shapes:
                 entry = resolved[shape]
                 if entry is INFEASIBLE:
-                    plans = []
                     break
-                plan, predicted = entry
-                plans.append(plan)
-                total += predicted
-            if not plans:
-                continue
-            if best is None or total < best[0]:
-                best = (total, plans)
+                total += entry[1]
+            else:
+                if best is None or total < best[0]:
+                    best = (total, shapes)
 
         if best is None:
             raise PlanInfeasibleError(
                 f"no feasible plan for batch of {batch.total_tokens} tokens "
                 f"with micro-batch counts {trials}"
             )
-        total, plans = best
+        total, shapes = best
         stats = SolveStats(
-            cache_hits=cache_hits,
-            dedup_hits=dedup_hits,
-            cache_misses=len(to_plan),
+            cache_hits=len(resolved) - misses,
+            dedup_hits=total_microbatches - pruned_microbatches - len(resolved),
+            cache_misses=misses,
             trials=len(trials),
             microbatches=total_microbatches,
             pruned_trials=pruned_trials,
@@ -767,7 +803,7 @@ class FlexSPSolver:
             },
         )
         return IterationPlan(
-            microbatches=tuple(plans),
+            microbatches=tuple(resolved[shape][0] for shape in shapes),
             predicted_time=total,
             solver_name=f"flexsp-{self.config.backend}",
             stats=stats,

@@ -9,6 +9,9 @@ multiset of sequences it processes as one packed varlen batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+_LENGTHS = attrgetter("lengths")
 
 
 class InfeasibleWorkloadError(ValueError):
@@ -171,7 +174,15 @@ class GroupAssignment:
                 f"group of degree {self.degree} must own exactly that many "
                 f"devices, got {len(self.device_ranks)}"
             )
-        if any(s <= 0 for s in self.lengths):
+        # ``min`` settles the common case; the loop runs only when it
+        # does not (a length at or below zero, a NaN first, lengths
+        # ``min`` cannot order), so it raises what it always raised.
+        lengths = self.lengths
+        try:
+            positive = not lengths or min(lengths) > 0
+        except (TypeError, ValueError):
+            positive = False
+        if not positive and any(s <= 0 for s in lengths):
             raise ValueError("assigned sequence lengths must be positive")
 
     @property
@@ -198,17 +209,30 @@ class MicroBatchPlan:
     groups: tuple[GroupAssignment, ...]
 
     def __post_init__(self) -> None:
-        if not self.groups:
+        groups = self.groups
+        if not groups:
             raise ValueError("a micro-batch plan needs at least one group")
+        # Disjoint groups have as many distinct ranks as ranks; only a
+        # repeat (or an unhashable rank) pays the per-rank loop, which
+        # raises what it always raised.
         seen: set[int] = set()
-        for g in self.groups:
-            for r in g.device_ranks:
-                if r in seen:
-                    raise ValueError(
-                        f"device rank {r} appears in more than one SP group"
-                    )
-                seen.add(r)
-        if any(not g.lengths for g in self.groups):
+        owned = 0
+        try:
+            for g in groups:
+                seen.update(g.device_ranks)
+                owned += len(g.device_ranks)
+        except TypeError:
+            owned = -1
+        if len(seen) != owned:
+            seen = set()
+            for g in groups:
+                for r in g.device_ranks:
+                    if r in seen:
+                        raise ValueError(
+                            f"device rank {r} appears in more than one SP group"
+                        )
+                    seen.add(r)
+        if not all(map(_LENGTHS, groups)):
             raise ValueError("finalised plans must not contain empty groups")
 
     @property

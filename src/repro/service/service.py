@@ -17,10 +17,12 @@ front-end that serves plan requests from concurrent callers:
   later ones attach as waiters, and every ticket resolves with the
   same (bit-equal) plan.  One solve, N answers.
 * **Warm fast path.**  A request whose solve would be answered
-  entirely from the plan cache (:meth:`FlexSPSolver.is_warm`) is
-  served synchronously in the submitting thread — straight from the
-  shared plan cache (seeded from the :class:`CacheStore` at tenant
-  registration) — and never consumes queue budget.
+  entirely from the plan cache is answered by one
+  :meth:`FlexSPSolver.warm_plan` call under the service lock, in the
+  submitting thread — straight from the shared plan cache (seeded
+  from the :class:`CacheStore` at tenant registration) — and never
+  consumes queue budget.  It builds no flight, so a duplicate never
+  coalesces onto a warm answer: it is answered warm itself.
 * **Per-tenant admission control.**  Cold requests beyond
   ``max_pending_per_tenant`` outstanding for one tenant are *shed* at
   submit time with deterministic accounting: the decision depends only
@@ -359,9 +361,10 @@ class PlanService:
         """Submit one plan request; returns immediately with a ticket.
 
         Routing, in order: coalesce onto an identical in-flight
-        request; answer warm requests synchronously from the plan
-        cache; shed cold requests over the tenant's pending bound;
-        otherwise enqueue for the service threads.
+        request; answer a warm request on the spot from the plan cache
+        (one :meth:`FlexSPSolver.warm_plan` call, under the lock); shed
+        cold requests over the tenant's pending bound; otherwise
+        enqueue for the service threads.
 
         Raises:
             ValueError: An unknown tenant, or an empty batch or one
@@ -383,11 +386,17 @@ class PlanService:
                 flight.waiters.append(ticket)
                 self._stats["coalesced"] += 1
                 return ticket
-            warm = solver.is_warm(batch)
-            if warm:
-                flight = _Flight(key, batch, ticket)
-                flight.started = True
-                self._inflight[key] = flight
+            try:
+                plan = solver.warm_plan(batch)
+            except Exception as error:
+                # What the warm solve raised (every live trial cached
+                # infeasible, say): the ticket carries it.
+                self._stats["errors"] += 1
+                ticket._reject(error)
+                return ticket
+            if plan is not None:
+                self._stats["served"] += 1
+                self._stats["warm_hits"] += 1
             else:
                 if self._pending[tenant] >= self.max_pending_per_tenant:
                     self._stats["shed"] += 1
@@ -403,11 +412,8 @@ class PlanService:
                 flight = _Flight(key, batch, ticket)
                 self._pending[tenant] += 1
                 self._inflight[key] = flight
-        if warm:
-            # Serve straight from the plan cache in the submitting
-            # thread; duplicates arriving meanwhile coalesce onto this
-            # flight and resolve right here.
-            self._finish_flight(flight, solver, source="warm")
+        if plan is not None:
+            ticket._resolve(plan, "warm")
         else:
             self._queue.put(flight)
         return ticket
@@ -450,12 +456,11 @@ class PlanService:
                     continue
                 flight.started = True
                 solver = self._solvers[flight.primary.tenant]
-            self._finish_flight(flight, solver, source="solved")
+            self._finish_flight(flight, solver)
 
-    def _finish_flight(
-        self, flight: _Flight, solver: FlexSPSolver, source: str
-    ) -> None:
-        """Solve one flight and resolve its primary plus all waiters.
+    def _finish_flight(self, flight: _Flight, solver: FlexSPSolver) -> None:
+        """Solve one queued flight and resolve its primary plus all
+        waiters.
 
         The solve runs outside the lock (FlexSPSolver is thread-safe;
         its cache locks internally).  The flight is unpublished under
@@ -470,16 +475,15 @@ class PlanService:
             error = exc
         with self._lock:
             self._inflight.pop(flight.key, None)
-            if source != "warm":
-                self._pending[flight.primary.tenant] -= 1
+            self._pending[flight.primary.tenant] -= 1
             if error is None:
                 self._stats["served"] += 1 + len(flight.waiters)
-                self._stats["warm_hits" if source == "warm" else "solved"] += 1
+                self._stats["solved"] += 1
             else:
                 self._stats["errors"] += 1 + len(flight.waiters)
             waiters = list(flight.waiters)
         if error is None:
-            flight.primary._resolve(plan, source)
+            flight.primary._resolve(plan, "solved")
             for ticket in waiters:
                 ticket._resolve(plan, "coalesced")
         else:

@@ -11,9 +11,14 @@ accounting stays deterministic even when the network misbehaves.
 Wire protocol (version :data:`PROTOCOL_VERSION`):
 
 * **Frames** are a 4-byte big-endian length prefix followed by one
-  UTF-8 JSON object, at most :data:`MAX_FRAME_BYTES` long.  Both ends
-  check a frame with the same two functions: :func:`_frame_size` the
-  prefix, :func:`_decode_frame` the body.  A frame that decodes but is
+  UTF-8 JSON object, at most :data:`MAX_FRAME_BYTES` long, written by
+  :func:`encode_frame` through one shared JSON encoder.  Both ends read
+  through a per-connection receive buffer: one ``recv(65536)`` takes
+  whatever has arrived, so a frame whose header and body arrived
+  together costs one read, and bytes past it wait for the next frame
+  (they die with their connection).  Both ends check a frame with the
+  same two functions: :func:`_frame_size` the prefix,
+  :func:`_decode_frame` the body.  A frame that decodes but is
   not a JSON object gets a typed ``bad-frame`` error response and the
   connection survives; a frame whose *length prefix* is garbage is
   unrecoverable (the stream has lost sync) and the connection is
@@ -58,8 +63,10 @@ Failure semantics — the reason this module exists:
   recovery ladder applied to the network.
 * **Graceful drain.**  :meth:`PlanServer.close` stops accepting, lets
   every in-flight request finish and be answered, tells idle
-  connections ``closing``, then releases the service, its pools and
-  every socket and thread (``live_pool_count`` returns to baseline).
+  connections ``closing`` (a connection between frames is idle, even
+  with its next frame already buffered), then releases the service,
+  its pools and every socket and thread (``live_pool_count`` returns
+  to baseline).
 * **Chaos.**  The server visits the :mod:`repro.core.faults` network
   sites (``accept`` / ``handshake`` / ``recv`` / ``send``) through
   :meth:`PlanServer._visit`, which absorbs ``delay`` (a stall) and
@@ -161,11 +168,14 @@ class PlanDeadlineExceeded(RuntimeError):
     jobs were configured for in-process degradation."""
 
 
+#: The one frame encoder: ``json.dumps(payload, separators=(",", ":"),
+#: sort_keys=True)`` builds an encoder like this on every call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode_frame(payload: dict) -> bytes:
     """Serialise one frame: 4-byte big-endian length + UTF-8 JSON."""
-    data = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode(
-        "utf-8"
-    )
+    data = _ENCODER.encode(payload).encode("utf-8")
     if len(data) > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame of {len(data)} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
@@ -173,10 +183,10 @@ def encode_frame(payload: dict) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def _frame_size(header: bytes) -> int:
-    """The body length a frame's 4-byte prefix announces; a
-    ``ValueError`` outside ``(0, MAX_FRAME_BYTES]``."""
-    (size,) = struct.unpack(">I", header)
+def _frame_size(buffer: bytes | bytearray) -> int:
+    """The body length the 4-byte prefix at the start of ``buffer``
+    announces; a ``ValueError`` outside ``(0, MAX_FRAME_BYTES]``."""
+    (size,) = struct.unpack_from(">I", buffer)
     if size == 0 or size > MAX_FRAME_BYTES:
         raise ValueError(
             f"frame length {size} outside (0, {MAX_FRAME_BYTES}]"
@@ -184,8 +194,13 @@ def _frame_size(header: bytes) -> int:
     return size
 
 
-def _decode_frame(body: bytes) -> dict:
-    """One frame body as its JSON object; a ``ValueError`` otherwise."""
+def _decode_frame(buffer: bytearray, size: int) -> dict:
+    """Take the frame of body length ``size`` off the front of
+    ``buffer`` and return its JSON object; a ``ValueError`` (with the
+    frame still taken) when the body is not one."""
+    end = 4 + size
+    body = buffer[4:end]
+    del buffer[:end]
     try:
         payload = json.loads(body.decode("utf-8"))
     except ValueError:  # bad UTF-8 or bad JSON
@@ -376,16 +391,19 @@ class PlanServer:
     # -- per-connection handler ---------------------------------------
 
     def _handle_connection(self, conn: socket.socket, token: int) -> None:
+        # Bytes received past the frame being read; they die with the
+        # connection.
+        buffer = bytearray()
         try:
             conn.settimeout(_POLL_SECONDS)
-            if not self._do_handshake(conn):
+            if not self._do_handshake(conn, buffer):
                 return
             while True:
                 if self._visit("recv") is not None:
                     self._abort(conn)
                     return
                 status, value = self._recv_payload(
-                    conn, timeout=_IDLE_TIMEOUT, drain_exits=True
+                    conn, buffer, timeout=_IDLE_TIMEOUT, drain_exits=True
                 )
                 if status == "eof":
                     return
@@ -415,9 +433,9 @@ class PlanServer:
                 self._conns.pop(token, None)
                 self._handlers.pop(token, None)
 
-    def _do_handshake(self, conn: socket.socket) -> bool:
+    def _do_handshake(self, conn: socket.socket, buffer: bytearray) -> bool:
         status, hello = self._recv_payload(
-            conn, timeout=_IO_TIMEOUT, drain_exits=True
+            conn, buffer, timeout=_IO_TIMEOUT, drain_exits=True
         )
         if status != "ok":
             if status in ("fatal-frame", "soft-frame"):
@@ -575,64 +593,78 @@ class PlanServer:
         return True
 
     def _recv_payload(
-        self, conn: socket.socket, *, timeout: float, drain_exits: bool
+        self,
+        conn: socket.socket,
+        buffer: bytearray,
+        *,
+        timeout: float,
+        drain_exits: bool,
     ):
-        """Read one frame.  Returns ``(status, value)`` where status is
-        ``ok`` (value: payload dict), ``eof`` (peer gone / timed out),
-        ``drain`` (server draining while the connection was idle),
-        ``fatal-frame`` (framing lost sync; value: message) or
-        ``soft-frame`` (intact framing, bad JSON; value: message)."""
-        header = self._read_exact(
-            conn, 4, timeout=timeout, drain_exits=drain_exits
-        )
-        if header is None:
+        """Read one frame through the connection's receive ``buffer``.
+        Returns ``(status, value)`` where status is ``ok`` (value:
+        payload dict), ``eof`` (peer gone / timed out), ``drain``
+        (server draining while the connection was between frames, even
+        with the next frame already buffered), ``fatal-frame`` (framing
+        lost sync; value: message) or ``soft-frame`` (intact framing,
+        bad JSON; value: message)."""
+        if not self._fill(
+            conn, buffer, 4, timeout=timeout, drain_exits=drain_exits
+        ):
             with self._lock:
                 draining = self._draining
             return ("drain" if drain_exits and draining else "eof", None)
         try:
-            size = _frame_size(header)
+            size = _frame_size(buffer)
         except ValueError as error:
             return ("fatal-frame", str(error))
-        body = self._read_exact(
-            conn, size, timeout=_IO_TIMEOUT, drain_exits=False
-        )
-        if body is None:
+        if not self._fill(
+            conn, buffer, 4 + size, timeout=_IO_TIMEOUT, drain_exits=False
+        ):
             return ("eof", None)
         try:
-            return ("ok", _decode_frame(body))
+            return ("ok", _decode_frame(buffer, size))
         except ValueError as error:
             return ("soft-frame", str(error))
 
-    def _read_exact(
+    def _fill(
         self,
         conn: socket.socket,
+        buffer: bytearray,
         size: int,
         *,
         timeout: float,
         drain_exits: bool,
-    ) -> bytes | None:
-        """Read exactly ``size`` bytes in ``_POLL_SECONDS`` slices so a
-        blocked handler notices drains; None means stop serving this
-        connection (EOF, reset, or the read budget ran out)."""
-        buffer = bytearray()
+    ) -> bool:
+        """Receive until ``buffer`` holds ``size`` bytes, in
+        ``_POLL_SECONDS`` slices so a blocked handler notices drains;
+        one ``recv`` takes whatever has arrived, so a frame whose
+        header and body came together costs one.  With
+        ``drain_exits`` a drain stops the wait first, and then on each
+        poll while no byte of the frame has arrived.  False means stop
+        serving this connection (drain, EOF, reset, or the read budget
+        ran out)."""
+        if drain_exits:
+            with self._lock:
+                if self._draining:
+                    return False
         deadline = time.monotonic() + timeout
         while len(buffer) < size:
-            if drain_exits and not buffer:
-                with self._lock:
-                    if self._draining:
-                        return None
             try:
-                chunk = conn.recv(min(65536, size - len(buffer)))
+                chunk = conn.recv(65536)
             except socket.timeout:
                 if time.monotonic() >= deadline:
-                    return None
+                    return False
+                if drain_exits and not buffer:
+                    with self._lock:
+                        if self._draining:
+                            return False
                 continue
             except OSError:
-                return None
+                return False
             if not chunk:
-                return None
-            buffer.extend(chunk)
-        return bytes(buffer)
+                return False
+            buffer += chunk
+        return True
 
 
 class PlanClient:
@@ -695,6 +727,9 @@ class PlanClient:
         self._session = uuid.uuid4().hex[:8]
         self._request_counter = 0
         self._sock: socket.socket | None = None
+        #: Bytes received past the frame being read; cleared with the
+        #: connection.
+        self._buffer = bytearray()
         self._fallback: PlanService | None = None
         self._stats = {
             "requests": 0,
@@ -859,19 +894,15 @@ class PlanClient:
             )
         except OSError as exc:
             raise TransportError(f"connect failed: {exc}") from exc
+        self._sock = sock
         try:
             sock.settimeout(self.io_timeout)
             sock.sendall(
                 encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION})
             )
-            self._sock = sock
-            try:
-                welcome = self._recv_frame(
-                    time.monotonic() + min(timeout, self.io_timeout)
-                )
-            except BaseException:
-                self._sock = None
-                raise
+            welcome = self._recv_frame(
+                time.monotonic() + min(timeout, self.io_timeout)
+            )
             if welcome.get("type") == "error":
                 raise HandshakeError(str(welcome.get("message", welcome)))
             if (
@@ -883,12 +914,10 @@ class PlanClient:
                 )
             self._verify_signatures(welcome.get("tenants") or {})
         except OSError as exc:
-            self._sock = None
-            sock.close()
+            self._drop_connection()
             raise TransportError(f"handshake failed: {exc}") from exc
         except BaseException:
-            self._sock = None
-            sock.close()
+            self._drop_connection()
             raise
         self._stats["connects"] += 1
 
@@ -911,6 +940,7 @@ class PlanClient:
 
     def _drop_connection(self) -> None:
         sock, self._sock = self._sock, None
+        self._buffer.clear()
         if sock is not None:
             try:
                 sock.close()
@@ -945,28 +975,33 @@ class PlanClient:
             return frame
 
     def _recv_frame(self, deadline_at: float) -> dict:
+        buffer = self._buffer
         try:
-            size = _frame_size(self._recv_exact(4, deadline_at))
-            return _decode_frame(self._recv_exact(size, deadline_at))
+            self._fill(4, deadline_at)
+            size = _frame_size(buffer)
+            self._fill(4 + size, deadline_at)
+            return _decode_frame(buffer, size)
         except ValueError as exc:
             raise TransportError(f"bad frame from the server: {exc}") from exc
 
-    def _recv_exact(self, size: int, deadline_at: float) -> bytes:
+    def _fill(self, size: int, deadline_at: float) -> None:
+        """Receive until the connection's buffer holds ``size`` bytes;
+        one ``recv`` takes whatever has arrived, so a frame whose
+        header and body came together costs one."""
         assert self._sock is not None
-        buffer = bytearray()
+        buffer = self._buffer
         while len(buffer) < size:
             remaining = deadline_at - time.monotonic()
             if remaining <= 0:
                 raise TransportError("timed out waiting for the server")
             self._sock.settimeout(min(self.io_timeout, remaining))
             try:
-                chunk = self._sock.recv(min(65536, size - len(buffer)))
+                chunk = self._sock.recv(65536)
             except OSError as exc:
                 raise TransportError(f"receive failed: {exc}") from exc
             if not chunk:
                 raise TransportError("server closed the connection")
-            buffer.extend(chunk)
-        return bytes(buffer)
+            buffer += chunk
 
     # -- degradation --------------------------------------------------
 

@@ -12,6 +12,11 @@ test_experiments_sweep.py and benchmarks/test_bench_chaos.py.
 
 from __future__ import annotations
 
+import gc
+import pathlib
+import pickle
+import tempfile
+
 import pytest
 
 from repro.core import faults
@@ -126,6 +131,86 @@ class TestSpecGrammar:
         draws = {FaultSchedule.single_random(s).specs for s in range(8)}
         assert len(draws) > 1
         assert c.seed == 43
+
+
+class TestLedgerCleanup:
+    """A schedule that generated its own ledger removes it and its
+    lock file once collected; nothing else deletes a ledger."""
+
+    @pytest.fixture()
+    def temp_dir(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        # ``tempfile`` caches the directory; None makes it re-read TMPDIR.
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        return tmp_path
+
+    @staticmethod
+    def leftovers(directory) -> list[str]:
+        return sorted(
+            path.name for path in directory.glob("repro-fault-ledger-*")
+        )
+
+    def test_dropped_schedules_leave_no_ledger_or_lock(self, temp_dir):
+        schedules = [
+            FaultSchedule.parse("delay@recv:*,torn_write@spill:1", seed=seed)
+            for seed in range(9)
+        ]
+        schedules += [FaultSchedule.single_random(seed) for seed in range(9)]
+        schedules.append(FaultSchedule(specs=(FaultSpec("delay", "send"),)))
+        for schedule in schedules:
+            assert pathlib.Path(schedule.record_path).parent == temp_dir
+            with faults.armed(schedule):
+                faults.maybe_inject("recv")
+                faults.maybe_inject("send")
+        assert len(self.leftovers(temp_dir)) > len(schedules)  # locks too
+        del schedule
+        schedules.clear()
+        gc.collect()
+        assert self.leftovers(temp_dir) == []
+
+        # The twentieth: armed around a pooled sweep pass whose
+        # workers append to its ledger.
+        pooled = FaultSchedule.parse("delay@spawn:*,delay@plan:*")
+        workload = Workload(
+            model=GPT_7B,
+            distribution=GITHUB,
+            max_context=32 * 1024,
+            cluster=standard_cluster(8),
+            global_batch_size=16,
+        )
+        with SweepRunner(
+            grid_cells(["flexsp"], [workload]),
+            solver_config=SOLVER,
+            solver_workers=2,
+            fault_schedule=pooled,
+        ) as runner:
+            runner.run()
+        counts = pooled.injection_counts()
+        assert counts.get("delay@spawn", 0) >= 1
+        assert self.leftovers(temp_dir)
+        del runner, pooled
+        gc.collect()
+        assert self.leftovers(temp_dir) == []
+
+    def test_copies_and_given_paths_never_delete(self, temp_dir, tmp_path):
+        given = tmp_path / "given.log"
+        kept = FaultSchedule.parse("delay@recv:*", record_path=str(given))
+        with faults.armed(kept):
+            faults.maybe_inject("recv")
+        owner = FaultSchedule.parse("delay@recv:*")
+        copy = pickle.loads(pickle.dumps(owner))
+        assert copy.record_path == owner.record_path
+        with faults.armed(copy):
+            faults.maybe_inject("recv")
+        del kept, copy
+        gc.collect()
+        assert given.exists()
+        assert (tmp_path / "given.log.lock").exists()
+        assert owner.read_ledger() == ["delay@recv"]
+        del owner
+        gc.collect()
+        assert self.leftovers(temp_dir) == []
+        assert given.exists()
 
 
 class TestPlane:

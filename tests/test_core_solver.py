@@ -1,5 +1,7 @@
 """Tests for repro.core.solver: the Alg. 1 workflow."""
 
+import dataclasses
+
 import pytest
 from solver_oracle import plan_every_trial
 
@@ -336,6 +338,23 @@ def _assert_invariant(stats):
     )
 
 
+def _counting_passes(monkeypatch) -> list[int]:
+    """Record the key count of every locked read pass over any
+    :class:`PlanCache` (``peek``, ``lookup`` and ``lookup_all``)."""
+    passes: list[int] = []
+
+    def counted(original):
+        def wrapper(cache, keys):
+            passes.append(len(keys))
+            return original(cache, keys)
+
+        return wrapper
+
+    for name in ("peek", "lookup", "lookup_all"):
+        monkeypatch.setattr(PlanCache, name, counted(getattr(PlanCache, name)))
+    return passes
+
+
 def _recording(monkeypatch):
     """Record every shape the in-process MILP planner receives."""
     planned = []
@@ -425,6 +444,10 @@ class TestTrialPruning:
             solver, SMALL_BATCH, lambda shape: tokens(shape, cost_model8)
         )
         assert (plan.predicted_time, plan.microbatches) == oracle
+        # The warm answer bounds the tie the same way.
+        warm = solver.warm_plan(SMALL_BATCH)
+        assert warm.stats.pruned_trials == 0
+        assert (warm.predicted_time, warm.microbatches) == oracle
 
     @pytest.mark.parametrize("model_name", ["cost_model8", "cost_model16"])
     def test_pending_shapes_are_what_a_cold_solve_plans(
@@ -434,7 +457,7 @@ class TestTrialPruning:
         batch = MIXED_BATCH if model_name == "cost_model16" else SMALL_BATCH
         solver = fast_solver(model, num_trials=5, planner=NODE_PLANNER)
         pending = solver.pending_shapes(batch)
-        assert not solver.is_warm(batch)
+        assert solver.warm_plan(batch) is None
         planned = _recording(monkeypatch)
         plan = solver.solve(batch)
         assert sorted(planned) == sorted(pending)
@@ -450,15 +473,10 @@ class TestTrialPruning:
         """The pruning step peeks every trial's shapes once, and
         ``pending_shapes`` reuses those entries instead of peeking the
         live shapes again; the greedy probe and a lone trial's probe,
-        which bound nothing, take one pass of their own."""
-        peeks = []
-        peek = PlanCache.peek
-
-        def counting(cache, keys):
-            peeks.append(len(keys))
-            return peek(cache, keys)
-
-        monkeypatch.setattr(PlanCache, "peek", counting)
+        which bound nothing, take one pass of their own.  A cold
+        ``warm_plan`` takes one locked pass too: the bounds' peek where
+        solves prune, else its all-or-nothing resolve."""
+        peeks = _counting_passes(monkeypatch)
         solver = fast_solver(
             cost_model16,
             num_trials=num_trials,
@@ -467,7 +485,7 @@ class TestTrialPruning:
         )
         assert solver.pending_shapes(MIXED_BATCH)
         assert len(peeks) == 1
-        assert not solver.is_warm(MIXED_BATCH)
+        assert solver.warm_plan(MIXED_BATCH) is None
         assert len(peeks) == 2
 
     def test_warm_without_planners_and_after_store_round_trip(
@@ -477,17 +495,19 @@ class TestTrialPruning:
         cold = solver.solve(MIXED_BATCH)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("is_warm ran a planner")
+            raise AssertionError("warm_plan ran a planner")
 
         with monkeypatch.context() as patched:
             patched.setitem(solver_module._BACKENDS, "milp", refuse)
             patched.setitem(solver_module._BACKENDS, "greedy", refuse)
             patched.setattr(solver_module, "plan_microbatch_greedy", refuse)
-            assert solver.is_warm(MIXED_BATCH)
+            answered = solver.warm_plan(MIXED_BATCH)
+            assert answered is not None
             warm = solver.solve(MIXED_BATCH)
-        assert warm.stats.planner_calls == 0
-        assert warm.microbatches == cold.microbatches
-        assert warm.predicted_time == cold.predicted_time
+        for plan in (answered, warm):
+            assert plan.stats.planner_calls == 0
+            assert plan.microbatches == cold.microbatches
+            assert plan.predicted_time == cold.predicted_time
 
         store = CacheStore(tmp_path)
         digest = context_digest(solver.config.planner, solver.config.backend)
@@ -498,11 +518,11 @@ class TestTrialPruning:
         restored = fast_solver(cost_model16, num_trials=5, planner=NODE_PLANNER)
         loaded = CacheStore(tmp_path).load(signature)
         preload_cache(restored.cache, loaded.plans[digest], restored.context)
-        assert restored.is_warm(MIXED_BATCH)
+        assert restored.warm_plan(MIXED_BATCH) is not None
         assert restored.pending_shapes(MIXED_BATCH) == []
 
     @pytest.mark.parametrize("survivors_first", [True, False])
-    def test_is_warm_agrees_with_pending_shapes(
+    def test_warm_plan_agrees_with_pending_shapes(
         self, cost_model16, survivors_first
     ):
         """Seeding every trial's shapes one at a time, the planner-free
@@ -520,7 +540,7 @@ class TestTrialPruning:
         answers = []
         for shape, outcome in zip(order, solver.plan_shapes_cold(order)):
             solver.seed_plan(shape, outcome)
-            warm = solver.is_warm(MIXED_BATCH)
+            warm = solver.warm_plan(MIXED_BATCH) is not None
             assert warm == (solver.pending_shapes(MIXED_BATCH) == [])
             answers.append(warm)
         first_warm = answers.index(True)
@@ -535,8 +555,139 @@ class TestTrialPruning:
         monkeypatch.setattr(solver_module, "makespan_lower_bound", refuse)
         solver = fast_solver(cost_model16, num_trials=5, backend="greedy")
         assert solver.pending_shapes(MIXED_BATCH)
-        assert not solver.is_warm(MIXED_BATCH)
+        assert solver.warm_plan(MIXED_BATCH) is None
         plan = solver.solve(MIXED_BATCH)
         assert plan.stats.pruned_trials == 0
-        assert solver.is_warm(MIXED_BATCH)
+        assert solver.warm_plan(MIXED_BATCH) is not None
         _assert_invariant(plan.stats)
+
+
+def _counters(stats) -> dict:
+    """Every :class:`SolveStats` counter (the wall-clock fields left
+    out)."""
+    return {
+        f.name: getattr(stats, f.name)
+        for f in dataclasses.fields(stats)
+        if not f.name.endswith("_seconds")
+    }
+
+
+def _refuse_planners(patched) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("warm_plan ran a planner")
+
+    patched.setitem(solver_module._BACKENDS, "milp", refuse)
+    patched.setitem(solver_module._BACKENDS, "greedy", refuse)
+    patched.setattr(solver_module, "plan_microbatch_greedy", refuse)
+    patched.setattr(solver_module, "plan_microbatches_greedy", refuse)
+
+
+#: A second batch for the warm tests' LRU checks; one micro-batch at
+#: one trial on 16 GPUs, as SMALL_BATCH is.
+QUARTER_BATCH = SequenceBatch(lengths=(1024, 2048, 3072, 4096) * 3)
+
+
+@pytest.mark.parametrize(
+    "backend, num_trials, batch, other",
+    [
+        ("greedy", 5, MIXED_BATCH, SMALL_BATCH),
+        ("milp", 5, MIXED_BATCH, SMALL_BATCH),
+        # A lone trial bounds nothing: one pass, as on greedy.
+        ("milp", 1, SMALL_BATCH, QUARTER_BATCH),
+    ],
+)
+class TestWarmPlan:
+    """``warm_plan`` is the answer a solve that plans nothing gives,
+    and a cold batch leaves the solver as it found it."""
+
+    def solver(self, model, backend, num_trials) -> FlexSPSolver:
+        return fast_solver(
+            model, num_trials=num_trials, backend=backend, planner=NODE_PLANNER
+        )
+
+    def test_answers_what_a_solve_returns(
+        self, cost_model16, backend, num_trials, batch, other
+    ):
+        twins = [self.solver(cost_model16, backend, num_trials) for __ in "ab"]
+        for solver in twins:
+            solver.solve(batch)
+            solver.solve(other)
+        answering, solving = (solver.cache for solver in twins)
+        order = [key for key, __ in answering.snapshot()]
+        warm = twins[0].warm_plan(batch)
+        solved = twins[1].solve(batch)
+        assert warm is not None
+        assert solved.stats.planner_calls == 0
+        assert warm.microbatches == solved.microbatches
+        assert warm.predicted_time == solved.predicted_time
+        assert warm.solver_name == solved.solver_name
+        assert _counters(warm.stats) == _counters(solved.stats)
+        assert warm.stats.stage_seconds() == solved.stats.stage_seconds()
+        assert (answering.hits, answering.misses) == (
+            solving.hits,
+            solving.misses,
+        )
+        moved = [key for key, __ in answering.snapshot()]
+        assert moved == [key for key, __ in solving.snapshot()]
+        assert moved != order
+        _assert_invariant(warm.stats)
+
+    def test_cold_batch_moves_nothing(
+        self, cost_model16, backend, num_trials, batch, other
+    ):
+        solver = self.solver(cost_model16, backend, num_trials)
+        solver.solve(other)
+        cache = solver.cache
+        pending = solver.pending_shapes(batch)
+        assert pending
+        for shape, outcome in zip(pending, solver.plan_shapes_cold(pending)):
+            if not solver.pending_shapes(batch):
+                break
+            before = (cache.hits, cache.misses, cache.snapshot())
+            assert solver.warm_plan(batch) is None
+            assert (cache.hits, cache.misses, cache.snapshot()) == before
+            solver.seed_plan(shape, outcome)
+        assert solver.pending_shapes(batch) == []
+        assert solver.warm_plan(batch) is not None
+
+    def test_never_runs_a_planner(
+        self, cost_model16, monkeypatch, backend, num_trials, batch, other
+    ):
+        solver = self.solver(cost_model16, backend, num_trials)
+        with monkeypatch.context() as patched:
+            _refuse_planners(patched)
+            assert solver.warm_plan(batch) is None
+        solver.solve(batch)
+        with monkeypatch.context() as patched:
+            _refuse_planners(patched)
+            assert solver.warm_plan(batch) is not None
+
+    def test_locked_cache_passes(
+        self, cost_model16, monkeypatch, backend, num_trials, batch, other
+    ):
+        """A warm answer resolves its shapes in one all-or-nothing
+        pass; where solves prune, the bounds' peek comes first."""
+        solver = self.solver(cost_model16, backend, num_trials)
+        solver.solve(batch)
+        passes = _counting_passes(monkeypatch)
+        assert solver.warm_plan(batch) is not None
+        assert len(passes) == (2 if backend == "milp" and num_trials > 1 else 1)
+
+    def test_raises_what_a_solve_raises(
+        self, cost_model8, backend, num_trials, batch, other
+    ):
+        huge = int(cost_model8.max_tokens_per_device() * 100)
+        twins = [self.solver(cost_model8, backend, num_trials) for __ in "ab"]
+        for solver in twins:
+            with pytest.raises(PlanInfeasibleError):
+                solver.solve((huge, huge))
+        with pytest.raises(PlanInfeasibleError) as answered:
+            twins[0].warm_plan((huge, huge))
+        with pytest.raises(PlanInfeasibleError) as solved:
+            twins[1].solve((huge, huge))
+        assert str(answered.value) == str(solved.value)
+        answering, solving = (solver.cache for solver in twins)
+        assert (answering.hits, answering.misses) == (
+            solving.hits,
+            solving.misses,
+        )

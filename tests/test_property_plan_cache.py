@@ -13,6 +13,8 @@ Two invariants guard the solver-throughput subsystem:
   groups with the model's own numbers.
 """
 
+from unittest.mock import patch
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -107,6 +109,85 @@ class TestCachedPlansMatchFreshSolves:
         assert plan_key(lengths, cost_model8, cfg, "milp") == plan_key(
             shuffled, cost_model8, cfg, "milp"
         )
+
+
+class TestWarmPlanIsASolveThatPlansNothing:
+    """On any batch and any cache state, ``warm_plan`` answers exactly
+    when a solve would plan nothing, with that solve's plan, counters
+    and cache effects, and otherwise moves nothing.  The pruned path
+    plans with the greedy planner standing in for HiGHS (its
+    guarantee only needs plans no worse than the greedy bound)."""
+
+    @given(
+        lengths=lengths_strategy,
+        seeded=st.sets(st.integers(0, 40)),
+        backend=st.sampled_from(["greedy", "milp"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_twin_solver(self, cost_model8, lengths, seeded, backend):
+        from repro.core import solver as solver_module
+        from repro.core.planner import PlanInfeasibleError
+        from repro.core.planner_greedy import plan_microbatch_greedy
+
+        batch = SequenceBatch(lengths=tuple(lengths))
+        config = SolverConfig(num_trials=4, backend=backend)
+        with patch.dict(
+            solver_module._BACKENDS, milp=plan_microbatch_greedy
+        ):
+            answering, solving = (
+                FlexSPSolver(cost_model8, config) for __ in "ab"
+            )
+            __, keys = answering._trial_keys(batch)
+            shapes = list(
+                dict.fromkeys(s for trial in keys if trial for s in trial)
+            )
+            chosen = [s for i, s in enumerate(shapes) if i in seeded]
+            for shape, outcome in zip(
+                chosen, answering.plan_shapes_cold(chosen)
+            ):
+                for solver in (answering, solving):
+                    solver.seed_plan(shape, outcome)
+            cache = answering.cache
+            before = (cache.hits, cache.misses, cache.snapshot())
+            pending = solving.pending_shapes(batch)
+            try:
+                warm = answering.warm_plan(batch)
+            except PlanInfeasibleError:
+                assert pending == []
+                with pytest.raises(PlanInfeasibleError):
+                    solving.solve(batch)
+                assert (cache.hits, cache.misses) == (
+                    solving.cache.hits,
+                    solving.cache.misses,
+                )
+                return
+            if warm is None:
+                assert pending != []
+                assert (cache.hits, cache.misses, cache.snapshot()) == before
+                return
+            assert pending == []
+            solved = solving.solve(batch)
+        assert solved.stats.planner_calls == 0
+        assert warm.microbatches == solved.microbatches
+        assert warm.predicted_time == solved.predicted_time
+        assert warm.solver_name == solved.solver_name
+        for name in (
+            "cache_hits",
+            "dedup_hits",
+            "cache_misses",
+            "trials",
+            "microbatches",
+            "pruned_trials",
+            "pruned_microbatches",
+        ):
+            assert getattr(warm.stats, name) == getattr(solved.stats, name)
+        assert (cache.hits, cache.misses) == (
+            solving.cache.hits,
+            solving.cache.misses,
+        )
+        assert [k for k, __ in cache.snapshot()] == [
+            k for k, __ in solving.cache.snapshot()
+        ]
 
 
 class TestCostTableMatchesScalarModel:
@@ -216,6 +297,38 @@ class TestPlanCacheMechanics:
             assert (batched.hits, batched.misses) == (twin.hits, twin.misses)
             assert batched.snapshot() == twin.snapshot()
             for cache in (batched, twin):
+                cache.store((extra,), None, None)
+
+    @given(
+        stored=st.lists(st.integers(0, 7), max_size=8),
+        rounds=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 9), max_size=6), st.integers(0, 9)
+            ),
+            max_size=5,
+        ),
+        capacity=st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lookup_all_is_a_lookup_or_nothing(self, stored, rounds, capacity):
+        """``lookup_all`` leaves what ``lookup`` leaves on a twin cache
+        when every key is cached, and moves nothing otherwise."""
+        every, twin = PlanCache(capacity), PlanCache(capacity)
+        for cache in (every, twin):
+            for k in stored:
+                cache.store((k,), None, None)
+        for probe, extra in rounds:
+            keys = [(k,) for k in probe]
+            before = (every.snapshot(), every.hits, every.misses)
+            found = every.lookup_all(keys)
+            if None in twin.peek(keys):
+                assert found is None
+                assert (every.snapshot(), every.hits, every.misses) == before
+            else:
+                assert found == twin.lookup(keys)
+                assert (every.hits, every.misses) == (twin.hits, twin.misses)
+                assert every.snapshot() == twin.snapshot()
+            for cache in (every, twin):
                 cache.store((extra,), None, None)
 
     def test_stats_merge_and_hit_rate(self):

@@ -9,6 +9,8 @@ seeded trace generator the service benchmark drives load with.
 
 from __future__ import annotations
 
+import sys
+import threading
 import time
 
 import pytest
@@ -113,9 +115,9 @@ class TestCoalescing:
 
 class TestWarmPath:
     def test_warm_submit_blasts_once_and_plans_nothing(self, monkeypatch):
-        """A warm answer costs one blast (the probe's; the solve reuses
-        it) and no planner call, also when the batch has left the
-        solver's trial memo."""
+        """A warm answer costs one blast and no planner call, also when
+        the batch has left the solver's trial memo, and it is counted
+        once as served and once as a warm hit."""
         from repro.core import solver as solver_module
 
         workload = small_workload(seed=5)
@@ -154,10 +156,100 @@ class TestWarmPath:
                 "greedy",
                 counted("planner", solver_module._BACKENDS["greedy"]),
             )
+            before = service.stats()
             ticket = service.submit(tenant, batches[0])
             assert ticket.done()
             assert ticket.result().source == "warm"
+            # Answered under the submit's lock: no flight, no queue.
+            assert service._inflight == {}
+            after = service.stats()
         assert calls == {"blast": 1, "planner": 0}
+        moved = {
+            name: after[name] - before[name]
+            for name in ("submitted", "served", "warm_hits", "solved")
+        }
+        assert moved == {"submitted": 1, "served": 1, "warm_hits": 1, "solved": 0}
+        assert (after["coalesced"], after["shed"], after["errors"]) == (
+            before["coalesced"],
+            before["shed"],
+            before["errors"],
+        )
+
+
+    def test_racing_warm_submits_lose_no_update(self):
+        """Warm answers run under the service lock: eight threads
+        racing warm submits of four batches, with a short switch
+        interval, lose no counter update and every answer is the cold
+        solve's plan."""
+        workload = small_workload(seed=6)
+        batches = [batch_lengths(workload, step) for step in range(4)]
+        rounds, workers = 40, 8
+        with PlanService(
+            solver_config=SolverConfig(backend="greedy")
+        ) as service:
+            tenant = service.register(workload)
+            cold = {
+                lengths: service.submit(tenant, lengths).result(
+                    timeout=RESULT_TIMEOUT
+                )
+                for lengths in batches
+            }
+            cache = service._solvers[tenant].cache
+            hits = cache.hits
+            before = service.stats()
+            failures: list = []
+
+            def hammer(offset: int) -> None:
+                try:
+                    for index in range(rounds):
+                        lengths = batches[(index + offset) % len(batches)]
+                        served = service.submit(tenant, lengths).result(
+                            timeout=RESULT_TIMEOUT
+                        )
+                        if served.source != "warm":
+                            failures.append(served.source)
+                        assert_bit_equal(served.plan, cold[lengths].plan)
+                except BaseException as error:  # reported below
+                    failures.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=hammer, args=(offset,))
+                    for offset in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            after = service.stats()
+            answered = rounds * workers
+            per_answer = {
+                lengths: service._solvers[tenant]
+                .warm_plan(lengths)
+                .stats.cache_hits
+                for lengths in batches
+            }
+        assert failures == []
+        moved = {
+            name: after[name] - before[name]
+            for name in ("submitted", "served", "warm_hits", "solved", "coalesced")
+        }
+        assert moved == {
+            "submitted": answered,
+            "served": answered,
+            "warm_hits": answered,
+            "solved": 0,
+            "coalesced": 0,
+        }
+        # Each warm answer counts one hit per distinct shape, under the
+        # cache's own lock (plus the four answers read back above).
+        answers_per_batch = answered // len(batches) + 1
+        assert cache.hits - hits == answers_per_batch * sum(per_answer.values())
 
 
 class TestAdmissionControl:

@@ -26,7 +26,14 @@ import pytest
 from repro.cluster.topology import standard_cluster
 from repro.core import faults
 from repro.core.pools import live_pool_count
+from repro.core.serialization import plan_from_dict, plan_to_dict
 from repro.core.solver import FlexSPSolver
+from repro.core.types import (
+    GroupAssignment,
+    IterationPlan,
+    MicroBatchPlan,
+    SolveStats,
+)
 from repro.data.distributions import COMMONCRAWL, GITHUB
 from repro.experiments.workloads import Workload
 from repro.model.config import GPT_7B
@@ -112,14 +119,16 @@ def _handshake(sock: socket.socket) -> dict:
 
 
 @contextlib.contextmanager
-def _answering_hello_with(reply: bytes):
-    """A raw-socket stand-in for a server that answers every hello
-    with the bytes ``reply`` and hangs up; yields its address."""
+def _scripted_server(handle):
+    """A raw-socket stand-in for a server: ``handle(conn, index)`` runs
+    for the ``index``-th accepted connection, which closes after it
+    unless ``handle`` aborted it; yields the address."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(0.2)
     stop = threading.Event()
 
     def serve() -> None:
+        index = 0
         while not stop.is_set():
             try:
                 conn, __ = listener.accept()
@@ -127,8 +136,8 @@ def _answering_hello_with(reply: bytes):
                 continue
             with conn:
                 conn.settimeout(5.0)
-                _recv_frame(conn)  # the hello
-                conn.sendall(reply)
+                handle(conn, index)
+            index += 1
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
@@ -138,6 +147,45 @@ def _answering_hello_with(reply: bytes):
         stop.set()
         thread.join(timeout=10.0)
         listener.close()
+
+
+def _answering_hello_with(reply: bytes):
+    """A stand-in server that answers every hello with the bytes
+    ``reply`` and hangs up."""
+
+    def handle(conn: socket.socket, index: int) -> None:
+        _recv_frame(conn)  # the hello
+        conn.sendall(reply)
+
+    return _scripted_server(handle)
+
+
+def _send_bytewise(sock: socket.socket, data: bytes) -> None:
+    """Send ``data`` one byte per segment, so the peer's reads see it
+    arrive a byte at a time."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    for index in range(len(data)):
+        sock.sendall(data[index : index + 1])
+        time.sleep(0.0002)
+
+
+#: The welcome a stand-in server sends (no tenants to check).
+WELCOME = {"type": "welcome", "protocol": PROTOCOL_VERSION, "tenants": {}}
+
+
+def _tiny_plan_response(rid: str, lengths: tuple[int, ...]) -> dict:
+    """A plan response frame for ``lengths`` in one group of two."""
+    plan = IterationPlan(
+        microbatches=(
+            MicroBatchPlan(
+                groups=(GroupAssignment(2, (0, 1), tuple(lengths)),)
+            ),
+        ),
+        predicted_time=1.5,
+        solver_name="flexsp-greedy",
+        stats=SolveStats(cache_hits=1, trials=1, microbatches=1),
+    )
+    return {"type": "plan", "id": rid, "source": "warm", "plan": plan_to_dict(plan)}
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +224,258 @@ class TestFraming:
     def test_oversized_frame_refused(self):
         with pytest.raises(TransportError, match="exceeds"):
             encode_frame({"pad": "x" * MAX_FRAME_BYTES})
+
+    def test_encoder_matches_json_dumps_for_every_frame_type(self, served):
+        """The shared encoder writes exactly what ``json.dumps`` with
+        the frame separators and sorted keys writes, for each frame
+        the server and the client send."""
+        lengths = batch_lengths(served.workload, 0)
+        served_plan = served.service.submit(served.tenant, lengths).result(
+            timeout=RESULT_TIMEOUT
+        )
+        frames = [
+            {"type": "hello", "protocol": PROTOCOL_VERSION},
+            {
+                "type": "welcome",
+                "protocol": PROTOCOL_VERSION,
+                "tenants": served.service.workload_signatures(),
+            },
+            {
+                "type": "plan",
+                "id": "ab12cd34-7",
+                "tenant": served.tenant,
+                "lengths": list(lengths),
+                "deadline_ms": 30000,
+            },
+            {
+                "type": "plan",
+                "id": "ab12cd34-7",
+                "source": served_plan.source,
+                "plan": plan_to_dict(served_plan.plan),
+            },
+            {"type": "ping", "id": None},
+            {"type": "pong", "id": "x"},
+            *(
+                transport._error(rid, code, f"why: {code} \u00e9\u2014")
+                for rid, code in (
+                    (None, "bad-frame"),
+                    (None, "closing"),
+                    (None, "protocol"),
+                    ("r", "shed"),
+                    ("r", "unknown-tenant"),
+                    ("r", "bad-request"),
+                    ("r", "closed"),
+                    ("r", "deadline"),
+                )
+            ),
+        ]
+        for frame in frames:
+            data = json.dumps(
+                frame, separators=(",", ":"), sort_keys=True
+            ).encode("utf-8")
+            assert encode_frame(frame) == struct.pack(">I", len(data)) + data
+
+
+class TestOneReadPerFrame:
+    """Both ends read frames through a per-connection receive buffer:
+    however the bytes arrive, the frames decoded are the same, and
+    buffered bytes die with their connection."""
+
+    PING = {"type": "ping", "id": "bytewise"}
+
+    def test_server_decodes_a_frame_fed_bytewise(self, served):
+        lengths = batch_lengths(served.workload, 2)
+        request = {
+            "type": "plan",
+            "id": "whole",
+            "tenant": served.tenant,
+            "lengths": list(lengths),
+        }
+        sock = _connect(served.server)
+        try:
+            _send_bytewise(
+                sock, encode_frame({"type": "hello", "protocol": PROTOCOL_VERSION})
+            )
+            assert _recv_frame(sock)["type"] == "welcome"
+            sock.sendall(encode_frame(request))
+            whole = _recv_frame(sock)
+            _send_bytewise(sock, encode_frame(self.PING))
+            assert _recv_frame(sock) == {"type": "pong", "id": "bytewise"}
+            _send_bytewise(sock, encode_frame(dict(request, id="bytewise")))
+            bytewise = _recv_frame(sock)
+        finally:
+            sock.close()
+        assert whole["type"] == bytewise["type"] == "plan"
+        assert bytewise["id"] == "bytewise"
+        assert bytewise["plan"]["microbatches"] == whole["plan"]["microbatches"]
+        assert bytewise["plan"]["predicted_time"] == whole["plan"]["predicted_time"]
+
+    def test_client_decodes_frames_fed_bytewise(self):
+        lengths = (1024, 2048)
+        sent: list[dict] = []
+
+        def handle(conn: socket.socket, index: int) -> None:
+            _recv_frame(conn)  # the hello
+            _send_bytewise(conn, encode_frame(WELCOME))
+            request = _recv_frame(conn)
+            response = _tiny_plan_response(request["id"], lengths)
+            sent.append(response)
+            _send_bytewise(conn, encode_frame(response))
+            _recv_frame(conn)  # the ping
+            _send_bytewise(conn, encode_frame({"type": "pong", "id": None}))
+            conn.recv(1)
+
+        with _scripted_server(handle) as (host, port):
+            with PlanClient(host, port, retries=0) as client:
+                served_plan = client.plan("anyone", lengths)
+                assert client.ping() > 0
+                assert client._buffer == bytearray()
+                stats = client.stats()
+        assert served_plan.plan == plan_from_dict(sent[0]["plan"])
+        assert served_plan.source == "warm"
+        assert (stats["connects"], stats["retries"]) == (1, 0)
+
+    def test_server_answers_two_frames_sent_together_in_order(self, served):
+        lengths = batch_lengths(served.workload, 3)
+        sock = _connect(served.server)
+        try:
+            _handshake(sock)
+            sock.sendall(
+                encode_frame(self.PING)
+                + encode_frame(
+                    {
+                        "type": "plan",
+                        "id": "second",
+                        "tenant": served.tenant,
+                        "lengths": list(lengths),
+                    }
+                )
+            )
+            first = _recv_frame(sock)
+            second = _recv_frame(sock)
+        finally:
+            sock.close()
+        assert first == {"type": "pong", "id": "bytewise"}
+        assert (second["type"], second["id"]) == ("plan", "second")
+
+    def test_client_reads_two_frames_that_came_together_in_order(self):
+        """A stale answer and the awaited one in one ``sendall``: the
+        client skips the first and leaves nothing buffered for the next
+        request."""
+        lengths = (1024, 2048)
+
+        def handle(conn: socket.socket, index: int) -> None:
+            _recv_frame(conn)  # the hello
+            conn.sendall(encode_frame(WELCOME))
+            request = _recv_frame(conn)
+            stale = _tiny_plan_response("abandoned", (4096,))
+            conn.sendall(
+                encode_frame(stale)
+                + encode_frame(_tiny_plan_response(request["id"], lengths))
+            )
+            request = _recv_frame(conn)
+            conn.sendall(
+                encode_frame({"type": "pong", "id": None})
+                + encode_frame(_tiny_plan_response(request["id"], lengths[::-1]))
+            )
+            conn.recv(1)
+
+        with _scripted_server(handle) as (host, port):
+            with PlanClient(host, port, retries=0) as client:
+                first = client.plan("anyone", lengths)
+                assert client._buffer == bytearray()
+                second = client.plan("anyone", lengths[::-1])
+                assert client._buffer == bytearray()
+                stats = client.stats()
+        assert first.plan.microbatches[0].groups[0].lengths == lengths
+        assert second.plan.microbatches[0].groups[0].lengths == lengths[::-1]
+        assert (stats["served"], stats["connects"], stats["retries"]) == (2, 1, 0)
+
+    def test_client_reads_only_the_new_connection_after_a_reset(self):
+        """The first connection resets halfway through a response; the
+        retry's connection must not see those bytes."""
+        lengths = (1024, 2048)
+
+        def handle(conn: socket.socket, index: int) -> None:
+            _recv_frame(conn)  # the hello
+            conn.sendall(encode_frame(WELCOME))
+            request = _recv_frame(conn)
+            response = encode_frame(_tiny_plan_response(request["id"], lengths))
+            if index == 0:
+                conn.sendall(response[: len(response) // 2])
+                time.sleep(0.05)  # let the half frame land first
+                transport._abort_socket(conn)
+                return
+            conn.sendall(response)
+            conn.recv(1)
+
+        with _scripted_server(handle) as (host, port):
+            with PlanClient(host, port, retries=2, backoff_base=0.01) as client:
+                served_plan = client.plan("anyone", lengths)
+                assert client._buffer == bytearray()
+                stats = client.stats()
+        assert served_plan.plan.microbatches[0].groups[0].lengths == lengths
+        assert (stats["served"], stats["connects"], stats["retries"]) == (1, 2, 1)
+
+    def test_server_reads_only_the_new_connection_after_a_reset(self, served):
+        half = encode_frame(self.PING)
+        reset = _connect(served.server)
+        _handshake(reset)
+        reset.sendall(half[: len(half) // 2])
+        time.sleep(0.05)
+        transport._abort_socket(reset)
+        sock = _connect(served.server)
+        try:
+            _handshake(sock)
+            sock.sendall(encode_frame({"type": "ping", "id": "fresh"}))
+            assert _recv_frame(sock) == {"type": "pong", "id": "fresh"}
+        finally:
+            sock.close()
+
+    def test_torn_response_retried_on_a_clean_connection(self):
+        """``torn_frame@send`` writes half a response and resets: the
+        client's retry reads only the new connection's bytes and gets
+        the remembered answer."""
+        workload = small_workload(GITHUB, seed=15)
+        service = PlanService(solver_config=SOLVER_CONFIG, worker_threads=1)
+        tenant = service.register(workload)
+        lengths = batch_lengths(workload, 0)
+        with PlanServer(service, owns_service=True) as server:
+            host, port = server.address
+            schedule = faults.FaultSchedule.parse("torn_frame@send:0")
+            with faults.armed(schedule):
+                with PlanClient(
+                    host, port, retries=3, io_timeout=5.0, backoff_base=0.01
+                ) as client:
+                    served_plan = client.plan(tenant, lengths)
+                    stats = client.stats()
+            assert schedule.injection_counts() == {"torn_frame@send": 1}
+            assert server.stats()["replayed"] == 1
+        assert (stats["retries"], stats["connects"], stats["degraded"]) == (1, 2, 0)
+        cold = FlexSPSolver(_cold_model(workload), SOLVER_CONFIG)
+        assert_bit_equal(cold.solve(lengths), served_plan.plan)
+
+    def test_connect_close_cycles_leave_nothing_behind(self, bare_server):
+        host, port = bare_server.address
+        client = PlanClient(host, port, retries=0)
+        for __ in range(100):
+            client.ping()
+            client.close()
+            assert client._sock is None
+            assert client._buffer == bytearray()
+        assert client.stats()["connects"] == 100
+        for __ in range(100):
+            sock = _connect(bare_server)
+            _handshake(sock)
+            sock.close()
+        deadline = time.monotonic() + 10.0
+        while bare_server.live_connections():
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        # A connection's buffer lives in its handler's frame: with every
+        # handler gone, no buffer is left.
+        assert bare_server._handlers == {}
+        assert bare_server.stats()["handshakes"] == 200
 
 
 class TestHandshake:
