@@ -6,6 +6,14 @@ block of ``d <= gpus_per_node`` device ranks starting at a multiple of
 ``d`` stays inside one node whenever ``d`` divides ``gpus_per_node`` —
 the power-of-two neighbour pairing the paper's group manager exploits
 (S5, footnote 4).
+
+A communication group's link depends only on how many nodes it touches
+and how many of its members share the busiest node's uplink.
+:meth:`ClusterSpec.group_link` counts those in one pass over the ranks;
+:meth:`ClusterSpec.link_for_degree` prices the canonical block
+``[0, degree)`` without listing it: it holds ``min(degree,
+gpus_per_node)`` ranks per node on ``ceil(degree / gpus_per_node)``
+nodes.
 """
 
 from __future__ import annotations
@@ -70,17 +78,18 @@ class ClusterSpec:
         """Effective per-GPU link for a communication group of ``ranks``."""
         if not ranks:
             raise ValueError("group must contain at least one rank")
-        spans = self.nodes_spanned(ranks)
-        if spans == 1:
-            return self.network.group_link(
-                group_gpus_per_node=len(ranks), spans_nodes=1, total_nodes=self.num_nodes
-            )
-        per_node = max(
-            sum(1 for r in ranks if self.node_of(r) == node)
-            for node in {self.node_of(r) for r in ranks}
-        )
+        num_gpus = self.num_gpus
+        gpus_per_node = self.gpus_per_node
+        per_node: dict[int, int] = {}
+        for rank in ranks:
+            if not 0 <= rank < num_gpus:
+                raise ValueError(f"rank {rank} out of range for {num_gpus} GPUs")
+            node = rank // gpus_per_node
+            per_node[node] = per_node.get(node, 0) + 1
         return self.network.group_link(
-            group_gpus_per_node=per_node, spans_nodes=spans, total_nodes=self.num_nodes
+            group_gpus_per_node=max(per_node.values()),
+            spans_nodes=len(per_node),
+            total_nodes=self.num_nodes,
         )
 
     def link_for_degree(self, degree: int) -> LinkSpec:
@@ -88,8 +97,9 @@ class ClusterSpec:
 
         Canonical placement packs the group into contiguous ranks, so a
         group no larger than a node is all-NVLink; larger groups span
-        ``degree / gpus_per_node`` nodes with ``gpus_per_node`` members
-        each sharing the uplink.
+        ``ceil(degree / gpus_per_node)`` nodes with ``gpus_per_node``
+        members each sharing the uplink.  Equal to
+        ``group_link(contiguous_group(0, degree))``.
         """
         if degree <= 0:
             raise ValueError(f"degree must be positive, got {degree}")
@@ -97,7 +107,11 @@ class ClusterSpec:
             raise ValueError(
                 f"degree {degree} exceeds cluster size {self.num_gpus}"
             )
-        return self.group_link(self.contiguous_group(0, degree))
+        return self.network.group_link(
+            group_gpus_per_node=min(degree, self.gpus_per_node),
+            spans_nodes=-(-degree // self.gpus_per_node),
+            total_nodes=self.num_nodes,
+        )
 
     def hierarchical_link(self) -> LinkSpec:
         """Effective per-GPU link for hierarchical cluster collectives.

@@ -25,7 +25,7 @@ from repro.simulator.timing import (
     optimizer_step_time,
     timing_table,
 )
-from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
+from repro.simulator.trace import PhaseKind, TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -109,26 +109,22 @@ class IterationExecutor:
         links = [self._group_link(g.device_ranks) for g in groups]
         table = timing_table(self.config, self.cluster, self.checkpointing)
         compute, alltoall, gather = table.group_times(groups, links)
+        rows = list(
+            zip(compute.tolist(), alltoall.tolist(), gather.tolist(), creations)
+        )
         times: list[list[tuple[float, float, float, float]]] = []
         cursor = 0
         for mb in plan.microbatches:
-            row = []
-            for __ in mb.groups:
-                row.append(
-                    (
-                        float(compute[cursor]),
-                        float(alltoall[cursor]),
-                        float(gather[cursor]),
-                        creations[cursor],
-                    )
-                )
-                cursor += 1
-            times.append(row)
+            end = cursor + len(mb.groups)
+            times.append(rows[cursor:end])
+            cursor = end
         return times
 
     def run(self, plan: IterationPlan) -> ExecutionResult:
         """Execute ``plan`` and return timing plus trace."""
-        trace = TraceRecorder(total_devices=self.cluster.num_gpus)
+        num_gpus = self.cluster.num_gpus
+        trace = TraceRecorder(total_devices=num_gpus)
+        record = trace.record
         microbatch_seconds: list[float] = []
         creation_total = 0.0
 
@@ -138,108 +134,65 @@ class IterationExecutor:
             zip(plan.microbatches, plan_times)
         ):
             makespan = 0.0
-            for g, (compute, alltoall, gather, creation) in zip(
-                mb.groups, group_times
-            ):
+            busy = []
+            for g, t in zip(mb.groups, group_times):
+                compute, alltoall, gather, creation = t
+                degree = g.degree
                 creation_total += creation
-                start = clock
-                trace.record(
-                    TracePhase(
-                        kind=PhaseKind.COMPUTE,
-                        start=start,
-                        duration=compute,
-                        devices=g.degree,
-                        microbatch=index,
-                        group_degree=g.degree,
-                    )
-                )
-                trace.record(
-                    TracePhase(
-                        kind=PhaseKind.ALLTOALL,
-                        start=start + compute,
-                        duration=alltoall,
-                        devices=g.degree,
-                        microbatch=index,
-                        group_degree=g.degree,
-                    )
+                record(PhaseKind.COMPUTE, clock, compute, degree, index, degree)
+                record(
+                    PhaseKind.ALLTOALL,
+                    clock + compute,
+                    alltoall,
+                    degree,
+                    index,
+                    degree,
                 )
                 if gather > 0:
-                    trace.record(
-                        TracePhase(
-                            kind=PhaseKind.ZERO_GATHER,
-                            start=start + compute + alltoall,
-                            duration=gather,
-                            devices=g.degree,
-                            microbatch=index,
-                            group_degree=g.degree,
-                        )
+                    record(
+                        PhaseKind.ZERO_GATHER,
+                        clock + compute + alltoall,
+                        gather,
+                        degree,
+                        index,
+                        degree,
                     )
                 makespan = max(makespan, compute + alltoall + gather)
+                # sum(), not the chained adds above: Python 3.12's
+                # compensated float sum can round them differently.
+                busy.append(sum(t[:3]))
 
             # Stragglers leave faster groups and unassigned devices idle
             # until the micro-batch barrier.
-            busy_by_group = {
-                g.device_ranks: sum(t[:3])
-                for g, t in zip(mb.groups, group_times)
-            }
-            used_devices = sum(g.degree for g in mb.groups)
-            for g in mb.groups:
-                idle = makespan - busy_by_group[g.device_ranks]
+            used_devices = 0
+            for g, group_busy in zip(mb.groups, busy):
+                degree = g.degree
+                used_devices += degree
+                idle = makespan - group_busy
                 if idle > 1e-12:
-                    trace.record(
-                        TracePhase(
-                            kind=PhaseKind.IDLE,
-                            start=clock + busy_by_group[g.device_ranks],
-                            duration=idle,
-                            devices=g.degree,
-                            microbatch=index,
-                            group_degree=g.degree,
-                        )
+                    record(
+                        PhaseKind.IDLE,
+                        clock + group_busy,
+                        idle,
+                        degree,
+                        index,
+                        degree,
                     )
-            spare = self.cluster.num_gpus - used_devices
+            spare = num_gpus - used_devices
             if spare > 0 and makespan > 0:
-                trace.record(
-                    TracePhase(
-                        kind=PhaseKind.IDLE,
-                        start=clock,
-                        duration=makespan,
-                        devices=spare,
-                        microbatch=index,
-                    )
-                )
+                record(PhaseKind.IDLE, clock, makespan, spare, index)
 
             clock += makespan
             microbatch_seconds.append(makespan)
 
         grad_sync = gradient_sync_time(self.config, self.cluster)
-        trace.record(
-            TracePhase(
-                kind=PhaseKind.GRAD_SYNC,
-                start=clock,
-                duration=grad_sync,
-                devices=self.cluster.num_gpus,
-            )
-        )
+        record(PhaseKind.GRAD_SYNC, clock, grad_sync, num_gpus)
         clock += grad_sync
         optim = optimizer_step_time(self.config, self.cluster)
-        trace.record(
-            TracePhase(
-                kind=PhaseKind.OPTIMIZER,
-                start=clock,
-                duration=optim,
-                devices=self.cluster.num_gpus,
-            )
-        )
+        record(PhaseKind.OPTIMIZER, clock, optim, num_gpus)
         clock += optim
         if creation_total > 0:
-            trace.record(
-                TracePhase(
-                    kind=PhaseKind.GROUP_CREATE,
-                    start=clock,
-                    duration=creation_total,
-                    devices=self.cluster.num_gpus,
-                )
-            )
+            record(PhaseKind.GROUP_CREATE, clock, creation_total, num_gpus)
 
         return ExecutionResult(
             iteration_seconds=clock,

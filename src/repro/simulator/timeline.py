@@ -53,7 +53,8 @@ def render_timeline(trace: TraceRecorder, width: int = 72) -> str:
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    if not trace.phases:
+    phases = trace.phases
+    if not phases:
         return "(empty trace)"
     end = trace.end_time()
     if end <= 0:
@@ -61,7 +62,7 @@ def render_timeline(trace: TraceRecorder, width: int = 72) -> str:
 
     rows: dict[tuple, list[TracePhase]] = {}
     labels: dict[tuple, str] = {}
-    for phase in trace.phases:
+    for phase in phases:
         key = _row_key(phase)
         rows.setdefault(key, []).append(phase)
         labels.setdefault(key, _row_label(phase))

@@ -1,10 +1,15 @@
 """Execution traces and time breakdowns.
 
-The executor records one :class:`TracePhase` per (micro-batch, group,
-phase kind).  Breakdowns weight each group phase by its device count so
-that, summed with idle time, the phases tile the cluster's device-time
-exactly — this is the accounting behind the paper's Fig. 5a
-"All-to-All vs Others" split and Table 1's communication ratios.
+The executor records one phase per (micro-batch, group, phase kind)
+through :meth:`TraceRecorder.record`, which keeps it as a plain row
+``(kind, start, duration, devices, microbatch, group_degree)``; the
+breakdowns sum straight over the rows, and :class:`TracePhase` objects
+are built only when a caller asks for :attr:`TraceRecorder.phases`
+(the timeline renderer, tests).  Breakdowns weight each group phase by
+its device count so that, summed with idle time, the phases tile the
+cluster's device-time exactly — this is the accounting behind the
+paper's Fig. 5a "All-to-All vs Others" split and Table 1's
+communication ratios.
 """
 
 from __future__ import annotations
@@ -25,15 +30,14 @@ class PhaseKind(enum.Enum):
     IDLE = "idle"
 
 
-#: Phases that count as "Others" in the Fig. 5a breakdown.
-OTHER_KINDS = frozenset(
-    {
-        PhaseKind.COMPUTE,
-        PhaseKind.ZERO_GATHER,
-        PhaseKind.GRAD_SYNC,
-        PhaseKind.OPTIMIZER,
-        PhaseKind.IDLE,
-    }
+#: Phases that count as "Others" in the Fig. 5a breakdown, in
+#: :class:`PhaseKind` declaration order (the order they are summed in).
+OTHER_KINDS = (
+    PhaseKind.COMPUTE,
+    PhaseKind.ZERO_GATHER,
+    PhaseKind.GRAD_SYNC,
+    PhaseKind.OPTIMIZER,
+    PhaseKind.IDLE,
 )
 
 
@@ -75,7 +79,7 @@ class TracePhase:
 
 @dataclass
 class TraceRecorder:
-    """Accumulates phases and derives breakdowns.
+    """Accumulates phases as plain rows and derives breakdowns.
 
     Attributes:
         total_devices: Cluster size N; used to normalise device-time
@@ -83,7 +87,9 @@ class TraceRecorder:
     """
 
     total_devices: int
-    phases: list[TracePhase] = field(default_factory=list)
+    _rows: list[tuple[PhaseKind, float, float, int, int, int]] = field(
+        default_factory=list, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.total_devices <= 0:
@@ -91,13 +97,33 @@ class TraceRecorder:
                 f"total_devices must be positive, got {self.total_devices}"
             )
 
-    def record(self, phase: TracePhase) -> None:
-        if phase.devices > self.total_devices:
+    def record(
+        self,
+        kind: PhaseKind,
+        start: float,
+        duration: float,
+        devices: int,
+        microbatch: int = -1,
+        group_degree: int = 0,
+    ) -> None:
+        """Record one span (fields as in :class:`TracePhase`)."""
+        if duration < 0:
+            raise ValueError(f"duration must be non-negative, got {duration}")
+        if devices <= 0:
+            raise ValueError(f"devices must be positive, got {devices}")
+        if devices > self.total_devices:
             raise ValueError(
-                f"phase uses {phase.devices} devices; cluster has "
+                f"phase uses {devices} devices; cluster has "
                 f"{self.total_devices}"
             )
-        self.phases.append(phase)
+        self._rows.append(
+            (kind, start, duration, devices, microbatch, group_degree)
+        )
+
+    @property
+    def phases(self) -> list[TracePhase]:
+        """Every recorded span, in recording order."""
+        return [TracePhase(*row) for row in self._rows]
 
     def wall_seconds(self, kind: PhaseKind) -> float:
         """Device-weighted wall-clock-equivalent seconds spent in ``kind``.
@@ -107,7 +133,7 @@ class TraceRecorder:
         exactly t, matching a per-device profiler's view.
         """
         return sum(
-            p.device_seconds for p in self.phases if p.kind is kind
+            row[2] * row[3] for row in self._rows if row[0] is kind
         ) / self.total_devices
 
     def alltoall_seconds(self) -> float:
@@ -129,10 +155,10 @@ class TraceRecorder:
         return alltoall / total
 
     def phases_of_microbatch(self, index: int) -> list[TracePhase]:
-        return [p for p in self.phases if p.microbatch == index]
+        return [TracePhase(*row) for row in self._rows if row[4] == index]
 
     def end_time(self) -> float:
         """Last recorded phase end, seconds."""
-        if not self.phases:
+        if not self._rows:
             return 0.0
-        return max(p.end for p in self.phases)
+        return max(row[1] + row[2] for row in self._rows)

@@ -1,5 +1,10 @@
 """Tests for repro.simulator.executor: running plans on the cluster."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.types import GroupAssignment, IterationPlan, MicroBatchPlan
@@ -154,3 +159,58 @@ class TestGroupCreation:
         assert result.tokens_per_second(4096) == pytest.approx(
             4096 / result.iteration_seconds
         )
+
+
+#: Step 2 of a GPT-7B / CommonCrawl / 192K / 64-GPU greedy plan (global
+#: batch 64), whose All-to-All fraction rounded differently under
+#: different hash seeds while "Others" was summed in a set's order.
+HASH_SEED_SCRIPT = """
+import sys
+
+sys.path.insert(0, {src!r})
+from repro.cluster.topology import standard_cluster
+from repro.core.solver import FlexSPSolver, SolverConfig
+from repro.cost.profiler import fit_cost_model
+from repro.data.distributions import COMMONCRAWL
+from repro.experiments.workloads import Workload
+from repro.model.config import GPT_7B
+from repro.simulator.executor import IterationExecutor
+
+workload = Workload(
+    model=GPT_7B,
+    distribution=COMMONCRAWL,
+    max_context=192 * 1024,
+    cluster=standard_cluster(64),
+    global_batch_size=64,
+)
+model = fit_cost_model(
+    workload.model_at_context, workload.cluster, workload.checkpointing
+)
+plan = FlexSPSolver(model, SolverConfig(backend="greedy")).solve(
+    workload.corpus().batch(2).lengths
+)
+result = IterationExecutor(
+    config=workload.model_at_context,
+    cluster=workload.cluster,
+    checkpointing=workload.checkpointing,
+).run(plan)
+print(result.alltoall_fraction.hex())
+"""
+
+
+def test_alltoall_fraction_does_not_depend_on_the_hash_seed():
+    """The "Others" kinds are summed in PhaseKind declaration order, so
+    one plan gives one float under every PYTHONHASHSEED."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    fractions = set()
+    for seed in ("0", "2", "5"):
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_SCRIPT.format(src=str(src))],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        fractions.add(proc.stdout.strip())
+    assert len(fractions) == 1, fractions

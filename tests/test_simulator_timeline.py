@@ -6,16 +6,16 @@ from repro.core.types import GroupAssignment, IterationPlan, MicroBatchPlan
 from repro.model.config import GPT_7B
 from repro.simulator.executor import IterationExecutor
 from repro.simulator.timeline import GLYPHS, render_timeline
-from repro.simulator.trace import PhaseKind, TracePhase, TraceRecorder
+from repro.simulator.trace import PhaseKind, TraceRecorder
 
 
 def _synthetic_trace():
     trace = TraceRecorder(total_devices=8)
-    trace.record(TracePhase(PhaseKind.COMPUTE, 0.0, 2.0, 4, 0, 4))
-    trace.record(TracePhase(PhaseKind.ALLTOALL, 2.0, 1.0, 4, 0, 4))
-    trace.record(TracePhase(PhaseKind.COMPUTE, 0.0, 1.0, 4, 0, 2))
-    trace.record(TracePhase(PhaseKind.IDLE, 1.0, 2.0, 4, 0, 2))
-    trace.record(TracePhase(PhaseKind.GRAD_SYNC, 3.0, 0.5, 8))
+    trace.record(PhaseKind.COMPUTE, 0.0, 2.0, 4, 0, 4)
+    trace.record(PhaseKind.ALLTOALL, 2.0, 1.0, 4, 0, 4)
+    trace.record(PhaseKind.COMPUTE, 0.0, 1.0, 4, 0, 2)
+    trace.record(PhaseKind.IDLE, 1.0, 2.0, 4, 0, 2)
+    trace.record(PhaseKind.GRAD_SYNC, 3.0, 0.5, 8)
     return trace
 
 

@@ -35,33 +35,33 @@ class TestRecorder:
     def test_rejects_phase_exceeding_cluster(self):
         rec = TraceRecorder(total_devices=8)
         with pytest.raises(ValueError, match="cluster has"):
-            rec.record(phase(PhaseKind.COMPUTE, 0, 1, 16))
+            rec.record(PhaseKind.COMPUTE, 0, 1, 16)
 
     def test_wall_seconds_device_weighted(self):
         rec = TraceRecorder(total_devices=8)
-        rec.record(phase(PhaseKind.COMPUTE, 0, 4.0, 4))
+        rec.record(PhaseKind.COMPUTE, 0, 4.0, 4)
         assert rec.wall_seconds(PhaseKind.COMPUTE) == pytest.approx(2.0)
 
     def test_full_cluster_phase_counts_fully(self):
         rec = TraceRecorder(total_devices=8)
-        rec.record(phase(PhaseKind.GRAD_SYNC, 0, 3.0, 8))
+        rec.record(PhaseKind.GRAD_SYNC, 0, 3.0, 8)
         assert rec.wall_seconds(PhaseKind.GRAD_SYNC) == pytest.approx(3.0)
 
     def test_alltoall_fraction(self):
         rec = TraceRecorder(total_devices=4)
-        rec.record(phase(PhaseKind.COMPUTE, 0, 6.0, 4))
-        rec.record(phase(PhaseKind.ALLTOALL, 6.0, 2.0, 4))
+        rec.record(PhaseKind.COMPUTE, 0, 6.0, 4)
+        rec.record(PhaseKind.ALLTOALL, 6.0, 2.0, 4)
         assert rec.alltoall_fraction() == pytest.approx(0.25)
 
     def test_idle_counts_as_others(self):
         rec = TraceRecorder(total_devices=4)
-        rec.record(phase(PhaseKind.ALLTOALL, 0, 1.0, 4))
-        rec.record(phase(PhaseKind.IDLE, 0, 1.0, 4))
+        rec.record(PhaseKind.ALLTOALL, 0, 1.0, 4)
+        rec.record(PhaseKind.IDLE, 0, 1.0, 4)
         assert rec.alltoall_fraction() == pytest.approx(0.5)
 
     def test_breakdown_has_all_kinds(self):
         rec = TraceRecorder(total_devices=2)
-        rec.record(phase(PhaseKind.COMPUTE, 0, 1.0, 2))
+        rec.record(PhaseKind.COMPUTE, 0, 1.0, 2)
         breakdown = rec.breakdown()
         assert set(breakdown) == {k.value for k in PhaseKind}
         assert breakdown["compute"] == 1.0
@@ -69,14 +69,14 @@ class TestRecorder:
 
     def test_phases_of_microbatch(self):
         rec = TraceRecorder(total_devices=4)
-        rec.record(phase(PhaseKind.COMPUTE, 0, 1.0, 4, microbatch=0))
-        rec.record(phase(PhaseKind.COMPUTE, 1, 1.0, 4, microbatch=1))
+        rec.record(PhaseKind.COMPUTE, 0, 1.0, 4, microbatch=0)
+        rec.record(PhaseKind.COMPUTE, 1, 1.0, 4, microbatch=1)
         assert len(rec.phases_of_microbatch(0)) == 1
 
     def test_end_time(self):
         rec = TraceRecorder(total_devices=4)
         assert rec.end_time() == 0.0
-        rec.record(phase(PhaseKind.COMPUTE, 1.0, 2.5, 4))
+        rec.record(PhaseKind.COMPUTE, 1.0, 2.5, 4)
         assert rec.end_time() == 3.5
 
     def test_empty_fraction_zero(self):
